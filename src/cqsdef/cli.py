@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("q", type=int)
     pa.add_argument("--json", action="store_true", help="emit the JSON report")
     pa.add_argument("--svg", metavar="DIR", help="write the three figures into DIR")
-    pa.add_argument("--verbose", action="store_true", help="include relations and resolutions")
+    pa.add_argument("--verbose", action="store_true", help="add raw_chains to each fiber entry")
     pa.add_argument("-o", "--output", help="write to FILE instead of stdout")
     pa.set_defaults(func=cmd_analyze)
 

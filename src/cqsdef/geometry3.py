@@ -1,6 +1,14 @@
-"""Exact 3D lattice geometry: pointed cones, dual rays, lattice points of
-bounded polyhedra, Hilbert bases, Gorenstein hyperplanes, canonicity, and
-the bounded-face hull over a cone's lattice points.
+"""Exact 3D lattice geometry: pointed cones, dual rays, Hilbert bases,
+Gorenstein hyperplanes, canonicity, and the bounded-face hull over a
+cone's lattice points.
+
+One primitive carries the lattice work: the lattice points of the
+half-open parallelepiped of a simplicial cone (`box_points`), enumerated
+as the finite group Z^3 / G Z^3.  Cones are cut into simplicial cones by
+fanning out from one ray; Hilbert bases and canonicity are read off the
+parallelepiped points, and the bounded facets of the hull are found by
+gift wrapping over the Hilbert basis.  `lattice_points_ineq` enumerates
+the integer points of a bounded polyhedron by scanning its bounding box.
 
 Vectors are plain integer 3-tuples; rational data stays in Fraction until
 it is cleared to integers.
@@ -170,42 +178,109 @@ def cone_contains3(dual: Sequence[IVec3], p: IVec3) -> bool:
     return all(dot3(r, p) >= 0 for r in dual)
 
 
+def _facets(gens: Sequence[IVec3], dual: Sequence[IVec3]) -> list[tuple[IVec3, IVec3, IVec3]]:
+    """Each facet of a pointed full-dim cone as (inward normal, ray a,
+    ray b): the two extremal generators that span it."""
+    rays = [g for g in gens if sum(dot3(r, g) == 0 for r in dual) >= 2]
+    out = []
+    for r in dual:
+        a, b = (g for g in rays if dot3(r, g) == 0)
+        out.append((r, a, b))
+    return out
+
+
+def _simplices(gens: Sequence[IVec3], dual: Sequence[IVec3]) -> list[tuple[IVec3, IVec3, IVec3]]:
+    """Simplicial cones triangulating the cone: one extremal ray joined
+    to every facet that does not contain it."""
+    facets = _facets(gens, dual)
+    apex = facets[0][1]
+    return [(apex, a, b) for r, a, b in facets if dot3(r, apex) != 0]
+
+
+def box_points(simplex: Sequence[IVec3]) -> tuple[int, list[tuple[IVec3, int]]]:
+    """Lattice points of the half-open parallelepiped {sum l_i g_i : 0 <= l_i < 1}
+    of a simplicial cone with linearly independent generators g_i.
+
+    Returns (d, points) with d = |det(g_1, g_2, g_3)| and the d points as
+    pairs (x, level), where level = d * sum(l_i).  The points are the
+    group Z^3 / G Z^3: x has coefficients l_i = nu_i / d, and the
+    numerator vectors nu form the subgroup of (Z/d)^3 generated by the
+    images of the unit vectors, built coset by coset.
+    """
+    g1, g2, g3 = simplex
+    n1, n2, n3 = cross3(g2, g3), cross3(g3, g1), cross3(g1, g2)
+    d = dot3(g1, n1)
+    if d == 0:
+        raise ValueError("simplex generators are linearly dependent")
+    if d < 0:
+        n1, n2, n3, d = neg3(n1), neg3(n2), neg3(n3), -d
+    group = [(0, 0, 0)]
+    for j in range(3):
+        step = (n1[j] % d, n2[j] % d, n3[j] % d)
+        members = set(group)
+        shifts = []
+        m = step
+        while m not in members:
+            shifts.append(m)
+            m = ((m[0] + step[0]) % d, (m[1] + step[1]) % d, (m[2] + step[2]) % d)
+        group += [
+            ((e[0] + s[0]) % d, (e[1] + s[1]) % d, (e[2] + s[2]) % d)
+            for s in shifts
+            for e in group
+        ]
+    points = []
+    for a, b, c in group:
+        x = (
+            (a * g1[0] + b * g2[0] + c * g3[0]) // d,
+            (a * g1[1] + b * g2[1] + c * g3[1]) // d,
+            (a * g1[2] + b * g2[2] + c * g3[2]) // d,
+        )
+        points.append((x, a + b + c))
+    return d, points
+
+
 def hilbert_basis_3d(
     gens: Sequence[IVec3], psi: Optional[IVec3] = None
 ) -> list[IVec3]:
     """Minimal generators of cone(gens) ∩ Z^3 for a pointed full-dim cone.
 
-    Brute force: enumerate the lattice points of the cone below the
-    zonotope height bound, then discard every point that splits as a sum
-    of two nonzero cone points.  psi may supply a functional that is
-    strictly positive on the cone; by default the sum of the dual rays is
-    used.
+    Every lattice point of a simplicial cone is a parallelepiped point
+    plus a nonnegative integer combination of its generators, so the
+    basis lies among the generators and the nonzero parallelepiped points
+    of the simplices of a triangulation (Bruns & Ichim, J. Algebra 324,
+    2010).  The candidates are reduced in order of the height psi, which
+    must be strictly positive on the cone; by default it is the sum of
+    the dual rays.
     """
-    gens = [prim3(g) for g in gens]
+    gens = list(dict.fromkeys(prim3(g) for g in gens))
     dual = dual_rays3(gens)
     if psi is None:
         psi = tuple(sum(r[i] for r in dual) for i in range(3))
-    assert all(dot3(psi, g) > 0 for g in gens), "psi not positive on the cone"
-    bound = sum(dot3(psi, g) for g in gens)
-    ineqs = [(r, 0) for r in dual] + [(neg3(psi), -(bound - 1))]
-    pts = [p for p in lattice_points_ineq(ineqs) if p != (0, 0, 0)]
-    pts.sort(key=lambda p: (dot3(psi, p), p))
-    # A reducible point splits off some already-found basis element, so it
-    # suffices to reduce against the basis built so far.
+    if not all(dot3(psi, g) > 0 for g in gens):
+        raise ValueError("psi not positive on the cone")
+    cands = set(gens)
+    for simplex in _simplices(gens, dual):
+        cands.update(x for x, level in box_points(simplex)[1] if level)
+    pts = sorted(cands, key=lambda p: (dot3(psi, p), p))
+    # A reducible point splits off some basis element of smaller height,
+    # and every basis element is a candidate, so it suffices to reduce
+    # against the basis built so far.  p - q lies in the cone iff no dual
+    # ray takes a smaller value on p than on q.
     basis: list[IVec3] = []
-    heights: list[int] = []
+    found: list[tuple[int, list[int]]] = []
     for p in pts:
         hp = dot3(psi, p)
+        vp = [dot3(r, p) for r in dual]
         reducible = False
-        for q, hq in zip(basis, heights):
+        for hq, vq in found:
             if hq >= hp:
                 break
-            if cone_contains3(dual, sub3(p, q)):
+            if all(a >= b for a, b in zip(vp, vq)):
                 reducible = True
                 break
         if not reducible:
             basis.append(p)
-            heights.append(hp)
+            found.append((hp, vp))
     return sorted(basis)
 
 
@@ -234,44 +309,20 @@ def dot3_frac(a, b) -> Fraction:
     return Fraction(a[0]) * b[0] + Fraction(a[1]) * b[1] + Fraction(a[2]) * b[2]
 
 
-def polytope_facets(points: Sequence[IVec3]) -> list[tuple[IVec3, int]]:
-    """Inward facet inequalities (a, b): <a, x> >= b of conv(points)."""
-    facets: set[tuple[IVec3, int]] = set()
-    pts = list(dict.fromkeys(points))
-    for trip in combinations(range(len(pts)), 3):
-        p0, p1, p2 = (pts[t] for t in trip)
-        nrm = cross3(sub3(p1, p0), sub3(p2, p0))
-        if nrm == (0, 0, 0):
-            continue
-        b = dot3(nrm, p0)
-        pos = neg = False
-        for p in pts:
-            s = dot3(nrm, p) - b
-            pos = pos or s > 0
-            neg = neg or s < 0
-        if pos and neg:
-            continue
-        if neg:
-            nrm, b = neg3(nrm), -b
-        g = math.gcd(math.gcd(math.gcd(abs(nrm[0]), abs(nrm[1])), abs(nrm[2])), abs(b))
-        if g > 1:
-            nrm, b = (nrm[0] // g, nrm[1] // g, nrm[2] // g), b // g
-        facets.add((nrm, b))
-    return sorted(facets)
-
-
 def is_canonical_cone3(gens: Sequence[IVec3]) -> bool:
     """No nonzero lattice point of the cone lies strictly below the affine
-    hyperplane through the primitive generators."""
-    gens = [prim3(g) for g in gens]
-    u = gorenstein_functional(gens)
-    if u is None:
+    hyperplane u = 1 through the primitive generators.
+
+    A lattice point of a simplex of the triangulation is a parallelepiped
+    point plus generators, each with u = 1, so it suffices that every
+    nonzero parallelepiped point has u = level / d >= 1.
+    """
+    gens = list(dict.fromkeys(prim3(g) for g in gens))
+    if gorenstein_functional(gens) is None:
         raise ValueError("generators are not on a single affine hyperplane")
-    region = polytope_facets([(0, 0, 0)] + gens)
-    for p in lattice_points_ineq(region):
-        if p == (0, 0, 0):
-            continue
-        if dot3_frac(u, p) < 1:
+    for simplex in _simplices(gens, dual_rays3(gens)):
+        d, points = box_points(simplex)
+        if any(0 < level < d for _, level in points):
             return False
     return True
 
@@ -304,31 +355,76 @@ def _facet_polygon_vertices(pts: Sequence[IVec3], normal: IVec3) -> list[IVec3]:
     return [t[2] for t in verts]
 
 
+def _wrap(hb: Sequence[IVec3], p: IVec3, q: IVec3, nrm: IVec3, ref: IVec3) -> IVec3:
+    """Inward normal of the hull face across the edge pq from the face
+    with inward normal nrm; ref points from p into that face.
+
+    In the plane orthogonal to the edge every point of hb has an angle in
+    [0, pi) from the old face, and the new face is the one of largest
+    angle.
+    """
+    e = sub3(q, p)
+    inward = cross3(nrm, e)
+    if dot3(inward, ref) < 0:
+        inward = neg3(inward)
+    best_s = best_t = 0
+    best = None
+    for x in hb:
+        v = sub3(x, p)
+        s, t = dot3(inward, v), dot3(nrm, v)
+        if (s or t) and (best is None or best_s * t - best_t * s > 0):
+            best, best_s, best_t = v, s, t
+    if best is None:
+        raise RuntimeError("gift wrapping found no point off the edge")
+    new = cross3(e, best)
+    side = dot3(new, ref)
+    if side == 0:
+        raise RuntimeError("gift wrapping did not leave the old face")
+    return prim3(new if side > 0 else neg3(new))
+
+
 def roof_facets(gens: Sequence[IVec3]) -> list[tuple[IVec3, int, list[IVec3]]]:
     """Bounded facets of conv((cone ∩ Z^3) \\ {0}): triples (normal, offset,
     facet vertices), with <normal, x> >= offset on the hull and the normal
-    strictly positive on the cone."""
-    gens = [prim3(g) for g in gens]
-    psi = (0, 1, 1) if all(g[1] + g[2] > 0 for g in gens) else None
-    hb = hilbert_basis_3d(gens, psi=psi)
+    strictly positive on the cone.
+
+    The vertices are Hilbert basis elements, so the hull is conv(hb) plus
+    the cone.  Gift wrapping starts from a bounded edge on one face of the
+    cone, rotates a plane around each edge of every facet found, and stops
+    at edges on the boundary of the cone, where the neighbouring face is
+    unbounded.  Every plane found is checked to support the hull.
+    """
+    gens = list(dict.fromkeys(prim3(g) for g in gens))
+    hb = hilbert_basis_3d(gens)
+    dual = dual_rays3(gens)
+    # The face's basis elements in angular order from ray a form the
+    # boundary of its 2D hull, so a and the next one span a bounded edge.
+    r, a, b = _facets(gens, dual)[0]
+    c = cross3(a, b)
+    q = None
+    for x in hb:
+        if x != a and dot3(r, x) == 0 and (q is None or dot3(cross3(x, q), c) > 0):
+            q = x
     found: dict[tuple[IVec3, int], list[IVec3]] = {}
-    for trip in combinations(range(len(hb)), 3):
-        p0, p1, p2 = (hb[t] for t in trip)
-        raw = cross3(sub3(p1, p0), sub3(p2, p0))
-        if raw == (0, 0, 0):
+    edges = {frozenset((a, q))}
+    todo = [(a, q, r, add3(a, b))]
+    while todo:
+        p, q, nrm, ref = todo.pop()
+        normal = _wrap(hb, p, q, nrm, ref)
+        off = dot3(normal, p)
+        if (normal, off) in found:
             continue
-        raw_b = dot3(raw, p0)
-        for nrm, b in ((raw, raw_b), (neg3(raw), -raw_b)):
-            if b <= 0:
+        if any(dot3(normal, g) <= 0 for g in gens) or any(
+            dot3(normal, x) < off for x in hb
+        ):
+            raise RuntimeError(f"gift wrapping found a non-supporting plane {normal}, {off}")
+        verts = _facet_polygon_vertices([x for x in hb if dot3(normal, x) == off], normal)
+        found[(normal, off)] = verts
+        for i in range(len(verts)):
+            u, w = verts[i - 1], verts[i]
+            edge = frozenset((u, w))
+            if edge in edges or any(dot3(s, u) == 0 == dot3(s, w) for s in dual):
                 continue
-            if any(dot3(nrm, g) <= 0 for g in gens):
-                continue
-            if any(dot3(nrm, p) < b for p in hb):
-                continue
-            g = math.gcd(math.gcd(math.gcd(abs(nrm[0]), abs(nrm[1])), abs(nrm[2])), b)
-            nrm, b = (nrm[0] // g, nrm[1] // g, nrm[2] // g), b // g
-            if (nrm, b) not in found:
-                on_plane = [p for p in hb if dot3(nrm, p) == b]
-                found[(nrm, b)] = _facet_polygon_vertices(on_plane, nrm)
-            break
+            edges.add(edge)
+            todo.append((u, w, normal, sub3(verts[i - 2], u)))
     return [(n, b, v) for (n, b), v in sorted(found.items())]

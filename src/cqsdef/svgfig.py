@@ -5,6 +5,7 @@ exact rationals; floats appear only in the final attribute strings.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cqs import CqsModel, display_n_point
@@ -30,7 +31,7 @@ def _frac_label(x: Fraction) -> str:
 
 def _display_label(model: CqsModel, pt) -> str:
     u, v = display_n_point(pt, model)
-    den = u.denominator * v.denominator // __import__("math").gcd(u.denominator, v.denominator)
+    den = math.lcm(u.denominator, v.denominator)
     if den == 1:
         return f"({u},{v})"
     return f"(1/{den})({u * den},{v * den})"

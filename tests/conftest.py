@@ -3,13 +3,26 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 import pytest
 
 from cqsdef.lattice import Cone2, Vec2, cf_eval
 from cqsdef.cqs import cqs_new
+from cqsdef.geometry3 import (
+    _facet_polygon_vertices,
+    cone_contains3,
+    cross3,
+    dot3,
+    dot3_frac,
+    dual_rays3,
+    gorenstein_functional,
+    lattice_points_ineq,
+    neg3,
+    prim3,
+    sub3,
+)
 
 
 def iter_models(n_max: int, n_min: int = 3):
@@ -68,6 +81,82 @@ def brute_zero_chains(bounds) -> list[tuple[int, ...]]:
         if all(a >= 0 for a in alpha):
             out.append(k)
     return out
+
+
+def brute_hilbert_basis_3d(gens) -> list[tuple[int, int, int]]:
+    """Irreducible lattice points of a pointed full-dim 3D cone, found by
+    scanning every lattice point below the zonotope height bound."""
+    gens = [prim3(g) for g in gens]
+    dual = dual_rays3(gens)
+    psi = tuple(sum(r[i] for r in dual) for i in range(3))
+    bound = sum(dot3(psi, g) for g in gens)
+    ineqs = [(r, 0) for r in dual] + [(neg3(psi), -(bound - 1))]
+    pts = [p for p in lattice_points_ineq(ineqs) if p != (0, 0, 0)]
+    pts.sort(key=lambda p: (dot3(psi, p), p))
+    basis = []
+    for p in pts:
+        if not any(
+            dot3(psi, q) < dot3(psi, p) and cone_contains3(dual, sub3(p, q))
+            for q in basis
+        ):
+            basis.append(p)
+    return sorted(basis)
+
+
+def _brute_polytope_facets(points):
+    """Inward facet inequalities (a, b): <a, x> >= b of conv(points)."""
+    facets = set()
+    pts = list(dict.fromkeys(points))
+    for p0, p1, p2 in combinations(pts, 3):
+        nrm = cross3(sub3(p1, p0), sub3(p2, p0))
+        if nrm == (0, 0, 0):
+            continue
+        b = dot3(nrm, p0)
+        sides = {(dot3(nrm, p) > b) - (dot3(nrm, p) < b) for p in pts}
+        if {1, -1} <= sides:
+            continue
+        if -1 in sides:
+            nrm, b = neg3(nrm), -b
+        g = gcd(gcd(gcd(abs(nrm[0]), abs(nrm[1])), abs(nrm[2])), abs(b))
+        facets.add(((nrm[0] // g, nrm[1] // g, nrm[2] // g), b // g))
+    return sorted(facets)
+
+
+def brute_is_canonical(gens) -> bool:
+    """Scan every lattice point of conv(0, gens) for one with u < 1."""
+    gens = [prim3(g) for g in gens]
+    u = gorenstein_functional(gens)
+    if u is None:
+        raise ValueError("generators are not on a single affine hyperplane")
+    region = _brute_polytope_facets([(0, 0, 0)] + gens)
+    return all(
+        dot3_frac(u, p) >= 1 for p in lattice_points_ineq(region) if p != (0, 0, 0)
+    )
+
+
+def brute_roof_facets(gens):
+    """Bounded facets of the hull of the nonzero lattice points of a cone,
+    as (normal, offset, vertices): every plane through three Hilbert basis
+    elements that supports them all with a normal positive on the cone."""
+    gens = [prim3(g) for g in gens]
+    hb = brute_hilbert_basis_3d(gens)
+    found = {}
+    for p0, p1, p2 in combinations(hb, 3):
+        raw = cross3(sub3(p1, p0), sub3(p2, p0))
+        if raw == (0, 0, 0):
+            continue
+        for nrm in (raw, neg3(raw)):
+            b = dot3(nrm, p0)
+            if b <= 0 or any(dot3(nrm, g) <= 0 for g in gens):
+                continue
+            if any(dot3(nrm, p) < b for p in hb):
+                continue
+            g = gcd(gcd(gcd(abs(nrm[0]), abs(nrm[1])), abs(nrm[2])), b)
+            nrm, b = (nrm[0] // g, nrm[1] // g, nrm[2] // g), b // g
+            if (nrm, b) not in found:
+                on_plane = [p for p in hb if dot3(nrm, p) == b]
+                found[(nrm, b)] = _facet_polygon_vertices(on_plane, nrm)
+    return [(n, b, v) for (n, b), v in sorted(found.items())]
 
 
 @pytest.fixture(scope="session")

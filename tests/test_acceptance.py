@@ -11,7 +11,7 @@ from math import gcd
 from cqsdef.chains import enumerate_K
 from cqsdef.cqs import cqs_new, is_t_singularity, to_display_coords
 from cqsdef.fibers import general_fiber, is_smoothing
-from cqsdef.geometry3 import hilbert_basis_3d
+from cqsdef.geometry3 import hilbert_basis_3d, roof_facets
 from cqsdef.lattice import Cone2, Vec2, dual_cone, hilbert_basis_2d
 from cqsdef.minkowski import lattice_point_count, segment, segment_length
 from cqsdef.resolutions import (
@@ -28,7 +28,14 @@ from cqsdef.totalspace import (
     generator_relations,
     nu_count,
 )
-from conftest import brute_hilbert_basis_2d, brute_zero_chains, iter_models
+from conftest import (
+    brute_hilbert_basis_2d,
+    brute_hilbert_basis_3d,
+    brute_is_canonical,
+    brute_roof_facets,
+    brute_zero_chains,
+    iter_models,
+)
 
 
 def _ok(name: str) -> None:
@@ -162,13 +169,32 @@ def test_criterion_4_nu_counts():
 
 def test_criterion_5_canonical_equivalence():
     """Combinatorial canonical model equals the bounded-face hull route
-    for every deformation of every model with n <= 30; exact."""
+    for every deformation of every model with n <= 30, the hull facets
+    equal the brute-force triple search, and the canonicity of every fan
+    cone of every component equals the brute-force scan; exact."""
     for n, q in all_pairs(30):
         m = cqs_new(n, q)
         for df in all_deformations(m):
             k, fan = canonical_model(df)  # raises if the routes disagree
             assert fan.cone_ray_sets() == hull_cone_ray_sets(df.sigma_prime)
-    _ok("5 (canonical model: predicate route = hull route, n <= 30)")
+            gens = df.sigma_prime.generators
+            assert roof_facets(gens) == brute_roof_facets(gens), (n, q, df.label)
+            for comp in components_of(df):
+                for c in assemble_fan3(fan_decomposition_for(df, comp)).cones:
+                    assert c.canonical == brute_is_canonical(c.cone.generators)
+    _ok("5 (canonical model: predicate route = hull route = brute force, n <= 30)")
+
+
+def test_criterion_5_large_n_sample():
+    """The two canonical-model routes agree on a seeded sample of models
+    with 31 <= n <= 200, always including Y_(151,75) and Y_(199,57)."""
+    rng = random.Random(200)
+    pairs = [(151, 75), (199, 57)] + rng.sample(all_pairs(200, n_min=31), 8)
+    for n, q in pairs:
+        for df in all_deformations(cqs_new(n, q)):
+            k, fan = canonical_model(df)  # raises if the routes disagree
+            assert fan.cone_ray_sets() == hull_cone_ray_sets(df.sigma_prime)
+    _ok("5 (canonical model: predicate route = hull route, sample to n = 200)")
 
 
 def test_criterion_6_oracles():
@@ -190,13 +216,19 @@ def test_criterion_6_oracles():
                 v.as_int_pair() for v in hilbert_basis_2d(c)
             } == brute_hilbert_basis_2d(c), (n, q)
 
-    # 3D: the lifted generators are exactly the dual Hilbert basis, n <= 15
+    # 3D: the lifted generators are exactly the dual Hilbert basis, and
+    # the library's Hilbert bases of the cone and its dual match the
+    # bounding-box scan, n <= 15
     for m in iter_models(15):
         for df in all_deformations(m):
             gr = generator_relations(df)
             lemma_set = set(gr.v) | {gr.v_tilde}
-            brute = set(hilbert_basis_3d(list(df.sigma_prime.dual_rays())))
-            assert brute == lemma_set, (m.n, m.q, df.label)
+            dual = list(df.sigma_prime.dual_rays())
+            brute = brute_hilbert_basis_3d(dual)
+            assert set(brute) == lemma_set, (m.n, m.q, df.label)
+            assert hilbert_basis_3d(dual) == brute, (m.n, m.q, df.label)
+            gens = df.sigma_prime.generators
+            assert hilbert_basis_3d(gens) == brute_hilbert_basis_3d(gens)
     _ok("6 (enumeration oracles: chains, 2D and 3D Hilbert bases)")
 
 
