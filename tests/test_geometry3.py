@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -116,6 +117,8 @@ def test_random_simplicial_cones(gens):
 def test_random_four_ray_cones(xys, height, shear):
     # four primitive rays on the plane z = height, sheared by a unimodular map
     pts = [(x, y, height) for x, y in xys]
+    # collinear points on the plane span no full-dimensional cone
+    assume(any(dot3(a, cross3(b, c)) != 0 for a, b, c in combinations(pts, 3)))
     rays = dual_rays3(dual_rays3(pts))
     assume(len(rays) == 4 and all(r in pts for r in rays))
     gens = [(x, y, shear[0] * x + shear[1] * y + z) for x, y, z in rays]
