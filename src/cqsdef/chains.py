@@ -5,7 +5,6 @@ blow-down calculus, and the chains attached to a singularity model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .lattice import cf_eval
@@ -96,14 +95,9 @@ def zero_chains_bounded(bounds: Sequence[int]) -> list[ZeroChain]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _enumerate_K_cached(n: int, q: int, a_chain: tuple[int, ...]) -> tuple[ZeroChain, ...]:
-    return tuple(zero_chains_bounded(a_chain))
-
-
 def enumerate_K(model: CqsModel) -> list[ZeroChain]:
     """All zero chains below the model's chain, lexicographically ordered."""
-    return list(_enumerate_K_cached(model.n, model.q, model.a_chain))
+    return list(model.cached("K", lambda: tuple(zero_chains_bounded(model.a_chain))))
 
 
 def rdp_chain(e: int) -> tuple[int, ...]:

@@ -4,13 +4,17 @@
     cqsdef scan --n-range A:B [--json|--csv] [--checkpoint FILE] [-o FILE]
     cqsdef figure <n> <q> <target> -o FILE
 
-Exit codes: 0 success, 1 invalid input, 2 internal invariant failure.
+Exit codes: 0 success, 1 invalid input, 2 internal invariant failure
+(for scan: some row holds an error; every row is still written).
 The environment variable CQSDEF_JOBS sets the number of scan workers.
+A scan checkpoint is JSON lines, a version header then one row per pair,
+appended and flushed as each row finishes; see _load_checkpoint.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -18,8 +22,16 @@ import os
 import sys
 from math import gcd
 
+from . import __version__
 from .cqs import HypersurfaceError, InvalidSingularityError, cqs_new
-from .report import ReportInvariantError, build_report, render_text, report_to_json, scan_row
+from .report import (
+    SCHEMA_VERSION,
+    ReportInvariantError,
+    build_report,
+    render_text,
+    report_to_json,
+    scan_row,
+)
 from .svgfig import FIGURE_TARGETS, make_figure
 
 EXIT_OK = 0
@@ -77,37 +89,85 @@ def _scan_pairs(n_lo: int, n_hi: int) -> list[tuple[int, int]]:
     ]
 
 
-def _load_checkpoint(path: str | None) -> dict:
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            return {tuple(map(int, key.split(","))): row for key, row in json.load(fh).items()}
-    return {}
+CHECKPOINT_HEADER = {"schema_version": SCHEMA_VERSION, "version": __version__}
 
 
-def _save_checkpoint(path: str | None, done: dict) -> None:
-    if path:
-        with open(path, "w") as fh:
-            json.dump({f"{n},{q}": row for (n, q), row in sorted(done.items())}, fh)
+def _load_checkpoint(path: str) -> tuple[dict, int]:
+    """The rows a checkpoint holds, keyed by (n, q), and the length in
+    bytes of its valid part.
+
+    A checkpoint is JSON lines: CHECKPOINT_HEADER, then one row per
+    finished pair.  A file with another first line (another version, or
+    the old single-object format) gives ({}, 0), so it is rewritten.
+    Reading stops at the first line that does not parse or has no newline:
+    that is a write torn by a crash.  Rows holding an error are left out,
+    so they are computed again.
+    """
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")[:-1]
+    except FileNotFoundError:
+        return {}, 0
+    try:
+        header = json.loads(lines[0]) if lines else None
+    except ValueError:
+        header = None
+    if header != CHECKPOINT_HEADER:
+        return {}, 0
+    done, end = {}, len(lines[0]) + 1
+    for line in lines[1:]:
+        try:
+            row = json.loads(line)
+            key = (row["n"], row["q"])
+        except (ValueError, TypeError, KeyError):
+            break
+        done[key] = row
+        end += len(line) + 1
+    return {key: row for key, row in done.items() if "error" not in row}, end
+
+
+@contextlib.contextmanager
+def _checkpoint_appender(path: str | None, valid_len: int):
+    """Yield a function that appends one row to the checkpoint and flushes
+    it.  The file is cut back to its valid part, or started afresh with the
+    header when that part is empty; without a path rows go nowhere."""
+    if not path:
+        yield lambda row: None
+        return
+    if valid_len:
+        os.truncate(path, valid_len)
+        fh = open(path, "a")
+    else:
+        fh = open(path, "w")
+        fh.write(json.dumps(CHECKPOINT_HEADER) + "\n")
+    with fh:
+
+        def append(row: dict) -> None:
+            fh.write(json.dumps(row) + "\n")
+            fh.flush()
+
+        yield append
 
 
 def cmd_scan(args) -> int:
     n_lo, n_hi = args.n_range
     pairs = _scan_pairs(n_lo, n_hi)
-    done = _load_checkpoint(args.checkpoint)
+    done, valid_len = _load_checkpoint(args.checkpoint) if args.checkpoint else ({}, 0)
     todo = [pq for pq in pairs if pq not in done]
 
     jobs = int(os.environ.get("CQSDEF_JOBS", "1"))
-    if jobs > 1 and todo:
-        from concurrent.futures import ProcessPoolExecutor
+    with contextlib.ExitStack() as stack:
+        if jobs > 1 and todo:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (n, q), row in zip(todo, pool.map(_scan_row_star, todo)):
-                done[(n, q)] = row
-                _save_checkpoint(args.checkpoint, done)
-    else:
-        for n, q in todo:
-            done[(n, q)] = scan_row(n, q)
-            _save_checkpoint(args.checkpoint, done)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            results = pool.map(_scan_row_star, todo)
+        else:
+            results = map(_scan_row_star, todo)
+        append = stack.enter_context(_checkpoint_appender(args.checkpoint, valid_len))
+        for pq, row in zip(todo, results):
+            done[pq] = row
+            append(row)
 
     rows = [done[pq] for pq in pairs]
     if args.json:
@@ -120,6 +180,10 @@ def cmd_scan(args) -> int:
             writer.writerow({f: row.get(f, "") for f in SCAN_FIELDS})
         text = buf.getvalue()
     _write_output(text, args.output)
+    failed = sum(1 for row in rows if "error" in row)
+    if failed:
+        print(f"{failed} of {len(rows)} rows failed", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 
@@ -158,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = ps.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
-    ps.add_argument("--checkpoint", metavar="FILE", help="resume from / record progress in FILE")
+    ps.add_argument(
+        "--checkpoint", metavar="FILE", help="resume from / append finished rows to FILE (JSON lines)"
+    )
     ps.add_argument("-o", "--output", help="write to FILE instead of stdout")
     ps.set_defaults(func=cmd_scan)
 

@@ -8,7 +8,7 @@ used only when displaying coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import Cone2, Vec2, cf_expand, dual_cone, hilbert_basis_2d
@@ -30,6 +30,11 @@ class CqsModel:
     Hilbert basis of the dual cone ordered so that w[0] = (0,1) and
     w[e-1] = (n,q), which makes w^{i-1} + w^{i+1} = a_i * w^i hold at
     every interior index.
+
+    _memo holds, through cached(), the results that segment, enumerate_K,
+    p_resolution_fan and fan_decomposition derive from this model, keyed
+    by function and arguments; it lives and dies with the model and takes
+    no part in equality, hashing or repr.
     """
 
     n: int
@@ -38,6 +43,16 @@ class CqsModel:
     a_chain: tuple[int, ...]
     w: tuple[Vec2, ...]
     sigma: Cone2
+    _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
+
+    def cached(self, key, build):
+        """The result stored under key, computed by build() on first use;
+        a build that raises stores nothing."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     def a(self, h: int) -> int:
         """The chain entry a_h, indexed like the generators (2 <= h <= e-1)."""

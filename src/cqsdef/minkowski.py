@@ -8,7 +8,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .lattice import Vec2, _xgcd
 from .cqs import CqsModel
@@ -60,19 +59,11 @@ class Segment:
         }
 
 
-@lru_cache(maxsize=None)
-def _segment_cached(n: int, q: int, h: int) -> Segment:
-    from .cqs import cqs_new
-
-    model = cqs_new(n, q)
-    return _build_segment(model, h)
-
-
 def segment(model: CqsModel, h: int) -> Segment:
     """The slice Q_sigma(w^h) in canonical coordinates, 2 <= h <= e-1."""
     if not 2 <= h <= model.e - 1:
         raise ValueError(f"h = {h} out of range 2..{model.e - 1}")
-    return _segment_cached(model.n, model.q, h)
+    return model.cached(("segment", h), lambda: _build_segment(model, h))
 
 
 def _build_segment(model: CqsModel, h: int) -> Segment:

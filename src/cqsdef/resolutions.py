@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .lattice import Cone2, Vec2, cone_normal_form
@@ -98,16 +97,8 @@ class PResolutionFan:
         }
 
 
-@lru_cache(maxsize=None)
-def _p_resolution_cached(n: int, q: int, k: tuple[int, ...]) -> PResolutionFan:
-    from .cqs import cqs_new
-    from .chains import make_zero_chain
-
-    return _build_p_resolution(cqs_new(n, q), make_zero_chain(k))
-
-
 def p_resolution_fan(model: CqsModel, k: ZeroChain) -> PResolutionFan:
-    return _p_resolution_cached(model.n, model.q, k.k)
+    return model.cached(("p_resolution", k.k), lambda: _build_p_resolution(model, k))
 
 
 def _build_p_resolution(model: CqsModel, k: ZeroChain) -> PResolutionFan:
@@ -214,6 +205,15 @@ def fan_decomposition(
     """Decompose every cone slice so the pieces assemble to the deformation
     decomposition: away from index h one summand is a point, at h the slice
     splits by depth p*d (kind S) or d - alpha_{h-1} (kind Sbar)."""
+    return model.cached(
+        ("fan_decomposition", k.k, kind, h, p, d),
+        lambda: _build_fan_decomposition(model, k, kind, h, p, d),
+    )
+
+
+def _build_fan_decomposition(
+    model: CqsModel, k: ZeroChain, kind: str, h: int, p: int, d: int
+) -> FanDecomposition:
     if kind not in ("S", "Sbar"):
         raise ValueError(f"unknown kind {kind!r}")
     gap = model.a(h) - k.k_at(h)
@@ -367,13 +367,7 @@ def assemble_fan3(fd: FanDecomposition) -> Fan3:
     for pc in fd.pieces:
         if pc.degenerate:
             continue
-        rays = [
-            (pc.s0[0] + m0, Fraction(1), Fraction(0)),
-            (pc.s0[1] + m0, Fraction(1), Fraction(0)),
-            (pc.s1[0] / p, Fraction(0), Fraction(1)),
-            (pc.s1[1] / p, Fraction(0), Fraction(1)),
-        ]
-        cone = Cone3.from_rays(rays)
+        cone = Cone3.over_summands((pc.s0[0] + m0, pc.s0[1] + m0), pc.s1, p)
         tau = fd.fan.cone_at(pc.i)
         rdp = None
         if not tau.degenerate:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .lattice import Vec2
@@ -101,11 +101,6 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _dual_rays_cached(gens: tuple[IVec3, ...]) -> tuple[IVec3, ...]:
-    return tuple(dual_rays3(gens))
-
-
 @dataclass(frozen=True)
 class Cone3:
     """A strictly convex 3D cone given by primitive integral generators."""
@@ -121,8 +116,29 @@ class Cone3:
                 prims.append(p)
         return cls(generators=tuple(prims))
 
+    @classmethod
+    def over_summands(
+        cls, s0: tuple[Fraction, Fraction], s1: tuple[Fraction, Fraction], p: int
+    ) -> "Cone3":
+        """The cone over s0 at height (1, 0) and s1/p at height (0, 1).
+
+        Its generators are the primitive vectors (x.numerator, x.denominator, 0)
+        for the ends x of s0 and (y.numerator, 0, y.denominator) for the
+        ends y of s1/p, without duplicates and in that order: what
+        from_rays gives for the rays (x, 1, 0) and (y, 0, 1), since a
+        Fraction is kept in lowest terms with a positive denominator.
+        """
+        ys = [Fraction(y) / p for y in s1]
+        gens = [(x.numerator, x.denominator, 0) for x in s0]
+        gens += [(y.numerator, 0, y.denominator) for y in ys]
+        return cls(generators=tuple(dict.fromkeys(gens)))
+
+    @cached_property
+    def _dual_rays(self) -> tuple[IVec3, ...]:
+        return tuple(dual_rays3(self.generators))
+
     def dual_rays(self) -> list[IVec3]:
-        return list(_dual_rays_cached(self.generators))
+        return list(self._dual_rays)
 
     def contains(self, p: IVec3) -> bool:
         return cone_contains3(self.dual_rays(), p)
@@ -203,14 +219,7 @@ def build_deformation(model: CqsModel, decomp: Decomposition) -> Deformation:
     m0 = int(seg.origin.dot(w_next))
     b0, g0 = decomp.s0[0] + m0, decomp.s0[1] + m0
     b1, g1 = decomp.s1
-    p = decomp.p
-    rays = [
-        (b0, Fraction(1), Fraction(0)),
-        (g0, Fraction(1), Fraction(0)),
-        (Fraction(b1) / p, Fraction(0), Fraction(1)),
-        (Fraction(g1) / p, Fraction(0), Fraction(1)),
-    ]
-    cone = Cone3.from_rays(rays)
+    cone = Cone3.over_summands((b0, g0), (b1, g1), decomp.p)
     defo = Deformation(
         model=model, decomp=decomp, sigma_prime=cone, m0=m0, s0=(b0, g0), s1=(b1, g1)
     )

@@ -1,8 +1,11 @@
 import json
+import sys
 
 import pytest
 
-from cqsdef.cli import main
+import cqsdef.cli as cli_mod
+import cqsdef.cqs
+from cqsdef.cli import CHECKPOINT_HEADER, main
 from cqsdef.report import build_report, render_text
 
 
@@ -112,8 +115,6 @@ def test_decompositions_figure_rows(tmp_path, capsys):
 
 
 def test_internal_failure_exit_code(monkeypatch, capsys):
-    import cqsdef.cli as cli_mod
-
     def boom(*a, **kw):
         raise RuntimeError("forced")
 
@@ -141,3 +142,133 @@ def test_analyze_svg_dir(tmp_path, capsys):
         "y_8_3_segments.svg",
         "y_8_3_slices.svg",
     ]
+
+
+def count_scan_rows(monkeypatch):
+    """Wrap the CLI's scan_row; the returned list collects the pairs it ran."""
+    calls = []
+    original = cli_mod.scan_row
+
+    def counting(n, q):
+        calls.append((n, q))
+        return original(n, q)
+
+    monkeypatch.setattr(cli_mod, "scan_row", counting)
+    return calls
+
+
+def scan_pairs(out):
+    return [tuple(map(int, line.split(",")[:2])) for line in out.strip().splitlines()[1:]]
+
+
+def checkpoint_lines(path):
+    return path.read_text().splitlines()
+
+
+def test_scan_checkpoint_is_json_lines(tmp_path, capsys):
+    ckpt = tmp_path / "scan.ckpt"
+    code, out, _ = run(capsys, "scan", "--n-range", "3:9", "--csv", "--checkpoint", str(ckpt))
+    assert code == 0
+    lines = checkpoint_lines(ckpt)
+    assert json.loads(lines[0]) == CHECKPOINT_HEADER
+    rows = [json.loads(line) for line in lines[1:]]
+    assert [(r["n"], r["q"]) for r in rows] == scan_pairs(out)
+
+
+def test_scan_resume_runs_only_missing_pairs(tmp_path, monkeypatch, capsys):
+    ckpt = tmp_path / "scan.ckpt"
+    _, full, _ = run(capsys, "scan", "--n-range", "3:10", "--csv", "--checkpoint", str(ckpt))
+    lines = checkpoint_lines(ckpt)
+    ckpt.write_text("\n".join(lines[:6]) + "\n")  # header and five rows
+    kept = {(r["n"], r["q"]) for r in map(json.loads, lines[1:6])}
+
+    calls = count_scan_rows(monkeypatch)
+    code, out, _ = run(capsys, "scan", "--n-range", "3:10", "--csv", "--checkpoint", str(ckpt))
+    assert code == 0 and out == full
+    assert calls == [pq for pq in scan_pairs(full) if pq not in kept]
+    assert checkpoint_lines(ckpt) == lines
+
+
+def test_scan_recomputes_torn_last_line(tmp_path, monkeypatch, capsys):
+    ckpt = tmp_path / "scan.ckpt"
+    _, full, _ = run(capsys, "scan", "--n-range", "3:10", "--csv", "--checkpoint", str(ckpt))
+    lines = checkpoint_lines(ckpt)
+    text = ckpt.read_text()
+    ckpt.write_text(text[: len(text) - len(lines[-1]) // 2])  # a crash mid-write
+    last = json.loads(lines[-1])
+
+    calls = count_scan_rows(monkeypatch)
+    code, out, _ = run(capsys, "scan", "--n-range", "3:10", "--csv", "--checkpoint", str(ckpt))
+    assert code == 0 and out == full
+    assert calls == [(last["n"], last["q"])]
+    assert checkpoint_lines(ckpt) == lines
+
+
+@pytest.mark.parametrize(
+    "stale",
+    [
+        json.dumps({"schema_version": 1, "version": "0.0.0"}) + "\n",
+        json.dumps({"schema_version": 0, "version": "0.1.0"}) + "\n",
+        json.dumps({"3,1": {"n": 3, "q": 1, "e": 4, "num_components": 99}}),
+    ],
+    ids=["foreign-version", "foreign-schema", "single-object"],
+)
+def test_scan_ignores_foreign_checkpoint(tmp_path, monkeypatch, capsys, stale):
+    ckpt = tmp_path / "scan.ckpt"
+    row = {"n": 3, "q": 1, "e": 4, "num_components": 99, "num_deformations": 0,
+           "num_smoothings": 0, "t_singularity": False}
+    ckpt.write_text(stale + (json.dumps(row) + "\n" if stale.endswith("\n") else ""))
+    calls = count_scan_rows(monkeypatch)
+    code, out, _ = run(capsys, "scan", "--n-range", "3:6", "--csv", "--checkpoint", str(ckpt))
+    assert code == 0
+    assert calls == scan_pairs(out) and (3, 1) in calls
+    assert "99" not in out
+    assert json.loads(checkpoint_lines(ckpt)[0]) == CHECKPOINT_HEADER
+
+
+def test_scan_retries_error_rows(tmp_path, monkeypatch, capsys):
+    ckpt = tmp_path / "scan.ckpt"
+    _, full, _ = run(capsys, "scan", "--n-range", "3:7", "--csv", "--checkpoint", str(ckpt))
+    lines = checkpoint_lines(ckpt)
+    failed = json.loads(lines[2])
+    lines[2] = json.dumps({"n": failed["n"], "q": failed["q"], "error": "RuntimeError: x"})
+    ckpt.write_text("\n".join(lines) + "\n")
+
+    calls = count_scan_rows(monkeypatch)
+    code, out, _ = run(capsys, "scan", "--n-range", "3:7", "--csv", "--checkpoint", str(ckpt))
+    assert code == 0 and out == full
+    assert calls == [(failed["n"], failed["q"])]
+
+
+def test_scan_exits_2_on_failed_rows(monkeypatch, capsys):
+    original = cli_mod.scan_row
+
+    def failing(n, q):
+        if (n, q) == (5, 2):
+            return {"n": n, "q": q, "error": "RuntimeError: forced"}
+        return original(n, q)
+
+    monkeypatch.setattr(cli_mod, "scan_row", failing)
+    code, out, err = run(capsys, "scan", "--n-range", "3:6", "--csv")
+    assert code == 2
+    assert "1 of 6 rows failed" in err
+    assert len(scan_pairs(out)) == 6
+    assert "5,2,,,,,,RuntimeError: forced" in out
+
+
+def test_scan_builds_each_model_once(monkeypatch, capsys):
+    """Segments, zero chains and fans are memoised on the model scan_row
+    built, so no stage rebuilds a model for the same (n, q)."""
+    original = cqsdef.cqs.cqs_new
+    calls = []
+
+    def counting(n, q):
+        calls.append((n, q))
+        return original(n, q)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cqsdef") and getattr(module, "cqs_new", None) is original:
+            monkeypatch.setattr(module, "cqs_new", counting)
+    code, out, _ = run(capsys, "scan", "--n-range", "3:20", "--csv")
+    assert code == 0
+    assert calls == scan_pairs(out)

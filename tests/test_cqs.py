@@ -123,3 +123,19 @@ def test_model_json(y83):
     js = y83.to_json()
     assert js["n"] == 8 and js["q"] == 3
     assert js["dual_generators_display"][0] == [0, 8]
+
+
+def test_results_are_memoised_per_model():
+    """Derived data lives on the model that computed it: one model hands
+    back the same objects, a second model of the same (n, q) its own."""
+    from cqsdef.chains import enumerate_K
+    from cqsdef.minkowski import segment
+    from cqsdef.resolutions import p_resolution_fan
+
+    m1, m2 = cqs_new(29, 8), cqs_new(29, 8)
+    assert m1 == m2 and hash(m1) == hash(m2) and repr(m1) == repr(m2)
+    k = enumerate_K(m1)[0]
+    for derive in (lambda m: segment(m, 3), lambda m: p_resolution_fan(m, k)):
+        assert derive(m1) is derive(m1)
+        assert derive(m1) == derive(m2) and derive(m1) is not derive(m2)
+    assert enumerate_K(m1) == enumerate_K(m2)

@@ -238,3 +238,27 @@ def test_deformation_json(y83):
     js = df.to_json()
     assert js["label"] == "pibar_{3}^1"
     assert js["degree_display"] == [2, 2]
+
+
+def test_integer_sigma_prime_matches_rational_rays():
+    """build_deformation clears the denominators of the summand ends itself;
+    the generators must be those from_rays gives for the Fraction rays."""
+    from fractions import Fraction
+
+    from cqsdef.minkowski import enum_decompositions
+    from cqsdef.totalspace import Cone3, build_deformation
+
+    checked = 0
+    for m in iter_models(30):
+        for dec in enum_decompositions(m):
+            df = build_deformation(m, dec)
+            (b0, g0), (b1, g1), p = df.s0, df.s1, df.p
+            rays = [
+                (b0, Fraction(1), Fraction(0)),
+                (g0, Fraction(1), Fraction(0)),
+                (Fraction(b1) / p, Fraction(0), Fraction(1)),
+                (Fraction(g1) / p, Fraction(0), Fraction(1)),
+            ]
+            assert df.sigma_prime == Cone3.from_rays(rays), (m.n, m.q, df.label)
+            checked += 1
+    assert checked == 3455  # every decomposition with n <= 30
