@@ -60,9 +60,7 @@ from .resolutions import (
     PResolutionFan,
     assemble_fan3,
     canonical_model,
-    canonical_model_via_hull,
     fan_decomposition,
-    is_canonical_cone3,
     lattice_points_right,
     p_resolution_fan,
 )

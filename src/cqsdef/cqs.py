@@ -32,9 +32,9 @@ class CqsModel:
     every interior index.
 
     _memo holds, through cached(), the results that segment, enumerate_K,
-    p_resolution_fan and fan_decomposition derive from this model, keyed
-    by function and arguments; it lives and dies with the model and takes
-    no part in equality, hashing or repr.
+    p_resolution_fan, slice_intervals and fan_decomposition derive from
+    this model, keyed by function and arguments; it lives and dies with
+    the model and takes no part in equality, hashing or repr.
     """
 
     n: int

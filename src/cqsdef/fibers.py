@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .chains import NormalForm, blow_down
 from .totalspace import Deformation
@@ -77,11 +78,14 @@ def general_fiber(defo: Deformation) -> SingularityList:
     return SingularityList(entries=tuple(entries), raw=tuple(raw))
 
 
-def is_smoothing(defo: Deformation) -> bool:
+def is_smoothing(defo: Deformation, fiber: Optional[SingularityList] = None) -> bool:
     """Whether the general fiber is smooth; when it is, the parameter
     pattern (d = 1 with p = a_h - 1, or the barred kind with a_h = 2 and
-    d = 1) is asserted as a consistency check."""
-    smooth = general_fiber(defo).is_empty
+    d = 1) is asserted as a consistency check.  fiber, when given, is
+    general_fiber(defo), already computed."""
+    if fiber is None:
+        fiber = general_fiber(defo)
+    smooth = fiber.is_empty
     if smooth:
         if defo.kind == "D":
             ok = defo.d == 1 and defo.p == defo.model.a(defo.h) - 1

@@ -105,15 +105,6 @@ def _solve3_int(rows, rhs):
     return rep(0), rep(1), rep(2), det
 
 
-def _solve3(rows, rhs):
-    """Exact rational solution of a 3x3 system, or None if singular."""
-    sol = _solve3_int(rows, rhs)
-    if sol is None:
-        return None
-    nx, ny, nz, den = sol
-    return (Fraction(nx, den), Fraction(ny, den), Fraction(nz, den))
-
-
 def lattice_points_ineq(ineqs: Sequence[tuple[IVec3, int]]) -> list[IVec3]:
     """All integer points of the bounded polyhedron {u : <a,u> >= b}.
 
@@ -291,17 +282,16 @@ def gorenstein_functional(gens: Sequence[IVec3]):
     variety of the cone.
     """
     gens = [prim3(g) for g in gens]
-    base = None
     for trip in combinations(gens, 3):
-        sol = _solve3(list(trip), [1, 1, 1])
+        sol = _solve3_int(trip, (1, 1, 1))
         if sol is not None:
-            base = sol
             break
-    if base is None:
+    else:
         # All generators coplanar through 0: not a full-dim cone.
         raise ValueError("generators do not span 3-space")
-    if all(dot3_frac(base, g) == 1 for g in gens):
-        return base
+    nx, ny, nz, den = sol
+    if all(nx * g[0] + ny * g[1] + nz * g[2] == den for g in gens):
+        return (Fraction(nx, den), Fraction(ny, den), Fraction(nz, den))
     return None
 
 

@@ -5,7 +5,8 @@ the JSON report, never computed separately.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
+
 from .cqs import cqs_new, is_t_singularity
 from .chains import enumerate_K
 from .minkowski import segment, segment_length
@@ -38,7 +39,7 @@ def build_report(n: int, q: int, verbose: bool = False) -> dict:
     for defo in deformations:
         comps = components_of(defo)
         fiber = general_fiber(defo)
-        smoothing = is_smoothing(defo)
+        smoothing = is_smoothing(defo, fiber)
         smoothing_count += smoothing
         can_k, can_fan = canonical_model(defo)
         rec = {
@@ -204,4 +205,47 @@ def scan_row(n: int, q: int) -> dict:
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=False)
+    """The text of json.dumps(report, indent=2), written in one pass; the
+    report holds dicts with str keys, lists, tuples, str, int, bool and
+    None, and any other type raises TypeError."""
+    out: list[str] = []
+    out.append(_write_json(report, "", "\n", out))
+    return "".join(out)
+
+
+def _write_json(value, pending: str, newline: str, out: list[str]) -> str:
+    """Append the JSON text of value to out, after the text pending; every
+    separator and indent waits in pending and goes out joined to the next
+    scalar.  Returns the text still pending: closing brackets and empty
+    containers."""
+    if isinstance(value, str):
+        out.append(pending + encode_basestring_ascii(value))
+        return ""
+    if value is None or value is True or value is False:
+        out.append(pending + ("null" if value is None else "true" if value else "false"))
+        return ""
+    if isinstance(value, int):
+        out.append(pending + int.__repr__(value))
+        return ""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return pending + "{}"
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            pending = _write_json(
+                item, pending + sep + encode_basestring_ascii(key) + ": ", inner, out
+            )
+            sep = "," + inner
+        return pending + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return pending + "[]"
+        sep = "[" + inner
+        for item in value:
+            pending = _write_json(item, pending + sep, inner, out)
+            sep = "," + inner
+        return pending + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

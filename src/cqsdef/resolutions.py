@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 from .lattice import Cone2, Vec2, cone_normal_form
 from .cqs import CqsModel
@@ -18,15 +19,17 @@ from .minkowski import (
     Decomposition,
     decomposition_D,
     decomposition_Dbar,
+    Segment,
     segment,
 )
-from .totalspace import Cone3, Deformation, build_deformation
+from .totalspace import Cone3, Deformation
 from .geometry3 import (
     IVec3,
     cross3,
     dot3,
     gorenstein_functional,
-    is_canonical_cone3 as _is_canonical_gens,
+    is_canonical_cone3,
+    prim3,
     roof_facets,
 )
 
@@ -56,10 +59,14 @@ class TauCone:
             raise ValueError(f"tau_{self.i} is degenerate")
         return Cone2(self.ray_right, self.ray_left)
 
-    def at_most_rdp(self) -> bool:
-        """Smooth or a rational double point (normal form q = n - 1)."""
+    @cached_property
+    def _at_most_rdp(self) -> bool:
         n, q = cone_normal_form(self.cone2())
         return n == 1 or q == n - 1
+
+    def at_most_rdp(self) -> bool:
+        """Smooth or a rational double point (normal form q = n - 1)."""
+        return self._at_most_rdp
 
 
 @dataclass(frozen=True)
@@ -239,43 +246,24 @@ def _build_fan_decomposition(
 
     fan = p_resolution_fan(model, k)
     seg = segment(model, h)
-
-    # Slice interval of each fan cone, in the global canonical coordinates.
-    def slice_coord(ray: Vec2) -> Fraction:
-        t = ray.dot(model.wgen(h))
-        assert t > 0
-        return seg.coord_of(Vec2(Fraction(ray.x, t), Fraction(ray.y, t)))
-
-    intervals: dict[int, tuple[Fraction, Fraction]] = {}
-    for tau in fan.cones:
-        left = slice_coord(tau.ray_left)
-        right = slice_coord(tau.ray_right)
-        assert left <= right
-        intervals[tau.i] = (left, right)
-    ordered = sorted(fan.cones, key=lambda t: -t.i)  # left to right
-    for prev, nxt in zip(ordered, ordered[1:]):
-        assert intervals[prev.i][1] == intervals[nxt.i][0], "slices are not adjacent"
-    assert intervals[ordered[0].i][0] == seg.beta
-    assert intervals[ordered[-1].i][1] == seg.gamma
+    intervals = slice_intervals(model, k, h)
     local_len_h = intervals[h][1] - intervals[h][0]
     assert local_len_h == gap, f"slice at h has length {local_len_h}, expected {gap}"
 
     cum0, cum1 = seg.beta, Fraction(0)
     pieces = []
-    for tau in ordered:
-        total = intervals[tau.i][1] - intervals[tau.i][0]
-        if tau.i == h:
+    for i, (left, right) in intervals.items():
+        total = right - left
+        if i == h:
             len0, len1 = total - depth, Fraction(depth)
-        elif kind == "Sbar" and tau.i < h:
+        elif kind == "Sbar" and i < h:
             len0, len1 = Fraction(0), total
         else:
             len0, len1 = total, Fraction(0)
         s0 = (cum0, cum0 + len0)
         s1 = (cum1, cum1 + len1)
-        assert s0[0] + s1[0] == intervals[tau.i][0] and s0[1] + s1[1] == intervals[tau.i][1]
-        pieces.append(
-            PieceDecomposition(i=tau.i, s0=s0, s1=s1, degenerate=(total == 0))
-        )
+        assert s0[0] + s1[0] == left and s0[1] + s1[1] == right
+        pieces.append(PieceDecomposition(i=i, s0=s0, s1=s1, degenerate=(total == 0)))
         cum0, cum1 = s0[1], s1[1]
     pieces.sort(key=lambda pc: pc.i)
 
@@ -303,21 +291,73 @@ def _build_fan_decomposition(
     return fd
 
 
+def slice_intervals(
+    model: CqsModel, k: ZeroChain, h: int
+) -> dict[int, tuple[Fraction, Fraction]]:
+    """The slice interval of every cone of the fan of k, in the global
+    canonical coordinates of the slice at w^h, keyed by cone index from
+    left to right."""
+    return model.cached(
+        ("slice_intervals", k.k, h),
+        lambda: _build_slice_intervals(
+            segment(model, h), model.wgen(h), p_resolution_fan(model, k).cones
+        ),
+    )
+
+
+def _build_slice_intervals(
+    seg: Segment, w: Vec2, cones: Sequence[TauCone]
+) -> dict[int, tuple[Fraction, Fraction]]:
+    """A ray r with t = <r, w> meets the slicing line o + c*d at r/t, so
+    c = (r.x - t*o.x) / (t*d.x), or the same in y when d.x = 0."""
+    wx, wy = w.as_int_pair()
+    ox, oy = seg.origin.as_int_pair()
+    dx, dy = (seg.unit - seg.origin).as_int_pair()
+
+    def coord(ray: Vec2) -> Fraction:
+        t = ray.x * wx + ray.y * wy
+        if t <= 0:
+            raise RuntimeError(f"ray {ray} does not meet the slice at height {t}")
+        ux, uy = ray.x - t * ox, ray.y - t * oy
+        if ux * dy != uy * dx:
+            pt = Vec2(Fraction(ray.x, t), Fraction(ray.y, t))
+            raise RuntimeError(f"{pt} is not on the slicing line")
+        return Fraction(ux, t * dx) if dx else Fraction(uy, t * dy)
+
+    intervals: dict[int, tuple[Fraction, Fraction]] = {}
+    for tau in sorted(cones, key=lambda t: -t.i):  # left to right
+        left, right = coord(tau.ray_left), coord(tau.ray_right)
+        if left > right:
+            raise RuntimeError(f"slice of tau_{tau.i} runs right to left")
+        intervals[tau.i] = (left, right)
+    ends = list(intervals.values())
+    for prev, nxt in zip(ends, ends[1:]):
+        if prev[1] != nxt[0]:
+            raise RuntimeError("slices are not adjacent")
+    if ends[0][0] != seg.beta or ends[-1][1] != seg.gamma:
+        raise RuntimeError("slices do not cover the slice from beta to gamma")
+    return intervals
+
+
 def _validate_piece_admissibility(fd: FanDecomposition) -> None:
     for pc in fd.pieces:
         b0, g0 = pc.s0
         b1, g1 = pc.s1
         if fd.p == 1:
-            assert any(v.denominator == 1 for v in (Fraction(b0), Fraction(b1)))
-            assert any(v.denominator == 1 for v in (Fraction(g0), Fraction(g1)))
+            if b0.denominator != 1 and b1.denominator != 1:
+                raise RuntimeError(f"{fd.label}: piece {pc.i} has no lattice left end")
+            if g0.denominator != 1 and g1.denominator != 1:
+                raise RuntimeError(f"{fd.label}: piece {pc.i} has no lattice right end")
         else:
-            assert Fraction(b1).denominator == 1 and Fraction(g1).denominator == 1
-            assert (g1 - b1) % fd.p == 0
+            if b1.denominator != 1 or g1.denominator != 1:
+                raise RuntimeError(f"{fd.label}: piece {pc.i} has a non-lattice s1")
+            if (g1 - b1) % fd.p != 0:
+                raise RuntimeError(f"{fd.label}: piece {pc.i} has s1 not divisible by p")
 
 
 @dataclass(frozen=True)
 class MaxCone3:
-    tau_index: Optional[int]
+    tau_index: int
     cone: Cone3
     qgorenstein: bool
     canonical: bool
@@ -358,10 +398,12 @@ class Fan3:
         }
 
 
-def assemble_fan3(fd: FanDecomposition) -> Fan3:
+def assemble_fan3(fd: FanDecomposition, defo: Deformation) -> Fan3:
     """Cone over each per-cone decomposition; the full-dimensional cones
-    tile the total-space cone of the induced decomposition."""
-    defo = build_deformation(fd.model, fd.induced)
+    tile the total-space cone of defo, the deformation of the induced
+    decomposition."""
+    if defo.model != fd.model or defo.decomp != fd.induced:
+        raise ValueError(f"{defo.label} is not the deformation of {fd.label}")
     m0, p = defo.m0, fd.p
     cones = []
     for pc in fd.pieces:
@@ -377,7 +419,7 @@ def assemble_fan3(fd: FanDecomposition) -> Fan3:
                 tau_index=pc.i,
                 cone=cone,
                 qgorenstein=gorenstein_functional(cone.generators) is not None,
-                canonical=_is_canonical_gens(cone.generators),
+                canonical=is_canonical_cone3(cone.generators),
                 rdp_or_smooth=rdp,
             )
         )
@@ -395,7 +437,7 @@ def assemble_fan3(fd: FanDecomposition) -> Fan3:
 
 def _assert_fan_interfaces(cones: list[MaxCone3]) -> None:
     """Consecutive cones must lie on opposite sides of their common face."""
-    ordered = sorted(cones, key=lambda c: -(c.tau_index or 0))
+    ordered = sorted(cones, key=lambda c: -c.tau_index)
     for left, right in zip(ordered, ordered[1:]):
         shared = [g for g in left.cone.generators if g in right.cone.generators]
         if len(shared) < 2:
@@ -411,12 +453,6 @@ def _assert_fan_interfaces(cones: list[MaxCone3]) -> None:
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
-
-
-def is_canonical_cone3(cone: Cone3) -> bool:
-    """No nonzero lattice point strictly below the hyperplane through the
-    primitive generators; requires the generators to be on one hyperplane."""
-    return _is_canonical_gens(cone.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +496,7 @@ def canonical_model(defo: Deformation) -> tuple[ZeroChain, Fan3]:
             f"{[k.k for k in winners]}"
         )
     k = winners[0]
-    fan = assemble_fan3(fan_decomposition_for(defo, k))
+    fan = assemble_fan3(fan_decomposition_for(defo, k), defo)
     if not fan.all_canonical:
         raise RuntimeError(f"{defo.label}: chosen fan for {k.k} is not canonical")
     if fan.cone_ray_sets() != hull_cone_ray_sets(defo.sigma_prime):
@@ -473,28 +509,8 @@ def canonical_model(defo: Deformation) -> tuple[ZeroChain, Fan3]:
 def hull_cone_ray_sets(cone: Cone3) -> set[frozenset[IVec3]]:
     """Maximal cones of the bounded-face hull fan, as primitive ray sets."""
     return {
-        frozenset(Cone3.from_rays(verts).generators)
-        for _, _, verts in roof_facets(cone.generators)
+        frozenset(prim3(v) for v in verts) for _, _, verts in roof_facets(cone.generators)
     }
-
-
-def canonical_model_via_hull(cone: Cone3) -> Fan3:
-    """Fan over the bounded faces of the hull of the nonzero lattice points
-    of the cone."""
-    facets = roof_facets(cone.generators)
-    cones = []
-    for nrm, off, verts in facets:
-        sub = Cone3.from_rays(verts)
-        cones.append(
-            MaxCone3(
-                tau_index=None,
-                cone=sub,
-                qgorenstein=gorenstein_functional(sub.generators) is not None,
-                canonical=_is_canonical_gens(sub.generators),
-                rdp_or_smooth=None,
-            )
-        )
-    return Fan3(support=cone, cones=tuple(cones))
 
 
 def lattice_points_right(model: CqsModel, k: ZeroChain, h: int) -> int:

@@ -122,6 +122,21 @@ def _brute_polytope_facets(points):
     return sorted(facets)
 
 
+def fraction_gorenstein_functional(gens):
+    """Rational u with <u, g> = 1 on every primitive generator, or None:
+    Cramer's rule in Fractions on the first independent triple."""
+    gens = [prim3(g) for g in gens]
+    for a, b, c in combinations(gens, 3):
+        det = dot3(a, cross3(b, c))
+        if det:
+            break
+    else:
+        raise ValueError("generators do not span 3-space")
+    n1, n2, n3 = cross3(b, c), cross3(c, a), cross3(a, b)
+    u = tuple(Fraction(n1[i] + n2[i] + n3[i], det) for i in range(3))
+    return u if all(dot3_frac(u, g) == 1 for g in gens) else None
+
+
 def brute_is_canonical(gens) -> bool:
     """Scan every lattice point of conv(0, gens) for one with u < 1."""
     gens = [prim3(g) for g in gens]

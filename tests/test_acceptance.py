@@ -103,7 +103,7 @@ def test_criterion_1_golden_y83():
     for df in defos:
         for k in components_of(df):
             fd = fan_decomposition_for(df, k)
-            panel_flags[fd.label] = assemble_fan3(fd).all_canonical
+            panel_flags[fd.label] = assemble_fan3(fd, df).all_canonical
     assert len(panel_flags) == 8
     assert panel_flags == {
         "S_{2,1}^1[1,2,1]": True,
@@ -180,7 +180,7 @@ def test_criterion_5_canonical_equivalence():
             gens = df.sigma_prime.generators
             assert roof_facets(gens) == brute_roof_facets(gens), (n, q, df.label)
             for comp in components_of(df):
-                for c in assemble_fan3(fan_decomposition_for(df, comp)).cones:
+                for c in assemble_fan3(fan_decomposition_for(df, comp), df).cones:
                     assert c.canonical == brute_is_canonical(c.cone.generators)
     _ok("5 (canonical model: predicate route = hull route = brute force, n <= 30)")
 
@@ -245,7 +245,7 @@ def test_criterion_7_structural():
                 (i, m.a(i)) for i in m.interior_indices()
             ]
             for k in components_of(df):
-                fan3 = assemble_fan3(fan_decomposition_for(df, k))
+                fan3 = assemble_fan3(fan_decomposition_for(df, k), df)
                 assert fan3.all_qgorenstein
                 assert set(fan3.support.generators) == set(
                     df.sigma_prime.generators

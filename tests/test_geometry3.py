@@ -17,13 +17,20 @@ from cqsdef.geometry3 import (
     cross3,
     dot3,
     dual_rays3,
+    gorenstein_functional,
     hilbert_basis_3d,
     is_canonical_cone3,
     roof_facets,
 )
 from cqsdef.resolutions import assemble_fan3, fan_decomposition_for
-from cqsdef.totalspace import all_deformations
-from conftest import brute_hilbert_basis_3d, brute_is_canonical, brute_roof_facets
+from cqsdef.totalspace import Cone3, all_deformations, components_of
+from conftest import (
+    brute_hilbert_basis_3d,
+    brute_is_canonical,
+    brute_roof_facets,
+    fraction_gorenstein_functional,
+    iter_models,
+)
 
 
 def _agrees_with_oracles(gens):
@@ -80,14 +87,32 @@ def test_four_ray_sigma_prime():
 
 def test_y83_fan_cones_canonical_and_not():
     df = _y83_deformation("pi_{3,1}^1")
-    canonical = assemble_fan3(fan_decomposition_for(df, _zero_chain(df, (1, 2, 1))))
-    exception = assemble_fan3(fan_decomposition_for(df, _zero_chain(df, (2, 1, 2))))
+    canonical = assemble_fan3(fan_decomposition_for(df, _zero_chain(df, (1, 2, 1))), df)
+    exception = assemble_fan3(fan_decomposition_for(df, _zero_chain(df, (2, 1, 2))), df)
     assert canonical.all_canonical
     (bad,) = exception.cones
     assert not is_canonical_cone3(bad.cone.generators)
     for c in canonical.cones + exception.cones:
         gens = c.cone.generators
         assert is_canonical_cone3(gens) == brute_is_canonical(gens)
+
+
+def test_gorenstein_functional_matches_fractions():
+    """On every sigma' and every fan cone with n <= 22."""
+    seen = set()
+    for m in iter_models(22):
+        for df in all_deformations(m):
+            cones = [df.sigma_prime.generators]
+            for k in components_of(df):
+                for pc in fan_decomposition_for(df, k).pieces:
+                    if not pc.degenerate:
+                        s0 = (pc.s0[0] + df.m0, pc.s0[1] + df.m0)
+                        cones.append(Cone3.over_summands(s0, pc.s1, df.p).generators)
+            seen.update(cones)
+    assert len(seen) > 1000
+    for gens in seen:
+        assert gorenstein_functional(gens) == fraction_gorenstein_functional(gens), gens
+    assert any(gorenstein_functional(gens) is None for gens in seen)
 
 
 def test_not_q_gorenstein_raises():

@@ -1,0 +1,73 @@
+import json
+import random
+import sys
+from math import gcd
+
+import pytest
+
+import cqsdef.fibers
+import cqsdef.totalspace
+from cqsdef.report import build_report, report_to_json
+
+
+def test_report_to_json_matches_json_dumps_y83():
+    for verbose in (False, True):
+        report = build_report(8, 3, verbose=verbose)
+        assert report_to_json(report) == json.dumps(report, indent=2)
+
+
+def test_report_to_json_matches_json_dumps_sample():
+    rng = random.Random(60)
+    pairs = [(n, q) for n in range(3, 61) for q in range(1, n - 1) if gcd(n, q) == 1]
+    for n, q in rng.sample(pairs, 12):
+        report = build_report(n, q, verbose=n % 2 == 0)
+        assert report_to_json(report) == json.dumps(report, indent=2), (n, q)
+
+
+def test_report_to_json_matches_json_dumps_synthetic():
+    value = {
+        "empty_dict": {},
+        "empty_list": [],
+        "nested": [[], {}, [[]], {"a": {}}, [{}]],
+        "flags": [True, False, None],
+        "ints": [0, -1, -12345678901234567890, 7],
+        "tuple": (1, "two", (3,)),
+        'quote " and backslash \\': 'a "quoted" \\ value',
+        "control": "tab\tnewline\nbell\x07",
+        "non-ascii é": "ü ∂ \U0001d4b3",
+        "": [{"": ""}],
+    }
+    assert report_to_json(value) == json.dumps(value, indent=2)
+    for scalar in ([], {}, "x", 3, None, True):
+        assert report_to_json(scalar) == json.dumps(scalar, indent=2)
+
+
+@pytest.mark.parametrize("bad", [{"x": 1.5}, {"x": {1, 2}}, {1: "int key"}, [object()]])
+def test_report_to_json_rejects_other_types(bad):
+    with pytest.raises(TypeError):
+        report_to_json(bad)
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name, in every cqsdef module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("cqsdef") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_build_report_builds_each_deformation_and_fiber_once(monkeypatch):
+    builds = _count_calls(monkeypatch, cqsdef.totalspace, "build_deformation")
+    fibers = _count_calls(monkeypatch, cqsdef.fibers, "general_fiber")
+    report = build_report(19, 7)
+    count = report["counts"]["deformations"]
+    assert count > 0
+    assert len(builds) == count
+    assert len(fibers) == count

@@ -1,21 +1,28 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cqsdef
 from cqsdef.chains import enumerate_K
 from cqsdef.cqs import cqs_new
+from cqsdef.geometry3 import is_canonical_cone3
+from cqsdef.lattice import Vec2
+from cqsdef.minkowski import segment
 from cqsdef.resolutions import (
     assemble_fan3,
     canonical_model,
-    canonical_model_via_hull,
     fan_decomposition,
     fan_decomposition_for,
     hull_cone_ray_sets,
-    is_canonical_cone3,
     lattice_points_right,
     p_resolution_fan,
+    slice_intervals,
 )
-from cqsdef.totalspace import Cone3, all_deformations, components_of
+from cqsdef.totalspace import Cone3, all_deformations, build_deformation, components_of
 from conftest import iter_models
 
 
@@ -102,7 +109,8 @@ def test_fan_decomposition_golden_sbar2(y83):
     """The barred depth-2 panel: one top interval and two bottom intervals,
     three full-dimensional cones in all."""
     k = k_of(y83, (1, 2, 1))
-    fan3 = assemble_fan3(fan_decomposition(y83, k, "Sbar", 3, 1, 2))
+    fd = fan_decomposition(y83, k, "Sbar", 3, 1, 2)
+    fan3 = assemble_fan3(fd, build_deformation(y83, fd.induced))
     assert len(fan3.cones) == 3
     rays = {c.tau_index: set(c.cone.generators) for c in fan3.cones}
     assert rays[4] == {(1, 2, 0), (1, 1, 0), (0, 0, 1)}
@@ -114,7 +122,7 @@ def test_fan_decomposition_golden_sbar2(y83):
 def test_fan_decomposition_golden_s_triangle(y83):
     k = k_of(y83, (2, 1, 2))
     fd = fan_decomposition(y83, k, "S", 3, 2, 1)
-    fan3 = assemble_fan3(fd)
+    fan3 = assemble_fan3(fd, build_deformation(y83, fd.induced))
     assert len(fan3.cones) == 1
     # scaled slice: one top vertex, bottom edge of lattice length one
     assert len(fan3.cones[0].cone.generators) == 3
@@ -137,7 +145,7 @@ def test_fan_decomposition_preconditions(y83):
 def test_assemble_support_equals_sigma_prime(y83):
     for df in all_deformations(y83):
         for k in components_of(df):
-            fan3 = assemble_fan3(fan_decomposition_for(df, k))
+            fan3 = assemble_fan3(fan_decomposition_for(df, k), df)
             assert set(fan3.support.generators) == set(df.sigma_prime.generators)
             assert fan3.all_qgorenstein
 
@@ -147,7 +155,7 @@ def test_golden_panel_canonicity(y83):
     for df in all_deformations(y83):
         for k in components_of(df):
             fd = fan_decomposition_for(df, k)
-            flags[fd.label] = assemble_fan3(fd).all_canonical
+            flags[fd.label] = assemble_fan3(fd, df).all_canonical
     assert len(flags) == 8
     assert flags == {
         "S_{2,1}^1[1,2,1]": True,
@@ -163,14 +171,14 @@ def test_golden_panel_canonicity(y83):
 
 def test_is_canonical_examples(y83):
     smooth = Cone3.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert is_canonical_cone3(smooth)
+    assert is_canonical_cone3(smooth.generators)
     a1 = Cone3.from_rays([(0, 1, 0), (0, 0, 1), (2, 1, 0), (2, 0, 1)])
-    assert is_canonical_cone3(a1)
+    assert is_canonical_cone3(a1.generators)
     # the single cone of the rejected panel is itself non-canonical
-    fd = fan_decomposition_for(defo_by_label(y83, "pi_{3,1}^1"), k_of(y83, (2, 1, 2)))
-    fan3 = assemble_fan3(fd)
+    df = defo_by_label(y83, "pi_{3,1}^1")
+    fan3 = assemble_fan3(fan_decomposition_for(df, k_of(y83, (2, 1, 2))), df)
     assert len(fan3.cones) == 1
-    assert not is_canonical_cone3(fan3.cones[0].cone)
+    assert not is_canonical_cone3(fan3.cones[0].cone.generators)
 
 
 def test_canonical_model_golden(y83):
@@ -204,18 +212,17 @@ def test_artin_mapping_deformations_identify_artin():
 
 def test_hull_route_smooth_and_golden(y83):
     smooth = Cone3.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    fan = canonical_model_via_hull(smooth)
-    assert len(fan.cones) == 1 and fan.cones[0].canonical
+    assert hull_cone_ray_sets(smooth) == {frozenset(smooth.generators)}
 
     df = defo_by_label(y83, "pi_{3,2}^1")
     hull = hull_cone_ray_sets(df.sigma_prime)
     fd = fan_decomposition_for(df, k_of(y83, (2, 1, 2)))
-    assert assemble_fan3(fd).cone_ray_sets() == hull
+    assert assemble_fan3(fd, df).cone_ray_sets() == hull
 
     df = defo_by_label(y83, "pi_{3,1}^2")
     hull = hull_cone_ray_sets(df.sigma_prime)
     fd = fan_decomposition_for(df, k_of(y83, (2, 1, 2)))
-    assert assemble_fan3(fd).cone_ray_sets() == hull
+    assert assemble_fan3(fd, df).cone_ray_sets() == hull
 
 
 def test_lattice_points_right_golden(y83):
@@ -245,3 +252,64 @@ def test_lattice_points_right_preconditions(y83):
         lattice_points_right(y83, k_of(y83, (1, 2, 1)), 2)
     with pytest.raises(ValueError):
         lattice_points_right(y83, k_of(y83, (2, 1, 2)), 3)
+
+
+def _coord_of_ray(model, h, ray):
+    """The slice coordinate of a ray through Segment.coord_of, in Fractions."""
+    t = ray.dot(model.wgen(h))
+    assert t > 0
+    return segment(model, h).coord_of(Vec2(Fraction(ray.x, t), Fraction(ray.y, t)))
+
+
+def test_slice_intervals_match_coord_of():
+    for m in iter_models(30):
+        for zc in enumerate_K(m):
+            cones = p_resolution_fan(m, zc).cones
+            for h in m.interior_indices():
+                expected = {
+                    tau.i: (_coord_of_ray(m, h, tau.ray_left), _coord_of_ray(m, h, tau.ray_right))
+                    for tau in sorted(cones, key=lambda t: -t.i)
+                }
+                got = slice_intervals(m, zc, h)
+                assert list(got.items()) == list(expected.items()), (m.n, m.q, zc.k, h)
+
+
+def test_slice_interval_checks_survive_optimize():
+    """A slice whose line misses the fan rays is rejected under python -O."""
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "from cqsdef.cqs import cqs_new\n"
+        "from cqsdef.chains import enumerate_K\n"
+        "from cqsdef.lattice import Vec2\n"
+        "from cqsdef.minkowski import segment\n"
+        "from cqsdef.resolutions import _build_slice_intervals, p_resolution_fan\n"
+        "m = cqs_new(8, 3)\n"
+        "cones = p_resolution_fan(m, enumerate_K(m)[0]).cones\n"
+        "seg = segment(m, 3)\n"
+        "off = replace(seg, origin=seg.origin + Vec2(0, 1), unit=seg.unit + Vec2(0, 1))\n"
+        "_build_slice_intervals(seg, m.wgen(3), cones)\n"
+        "try:\n"
+        "    _build_slice_intervals(off, m.wgen(3), cones)\n"
+        "except RuntimeError as exc:\n"
+        "    print(sys.flags.optimize, 'raised:', exc)\n"
+    )
+    src = str(Path(cqsdef.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+        check=True,
+    )
+    assert out.stdout.startswith("1 raised:")
+    assert out.stdout.rstrip().endswith("is not on the slicing line")
+
+
+def test_assemble_fan3_rejects_another_deformation(y83):
+    df = defo_by_label(y83, "pi_{3,1}^1")
+    other = defo_by_label(y83, "pi_{3,1}^2")
+    fd = fan_decomposition_for(df, k_of(y83, (1, 2, 1)))
+    with pytest.raises(ValueError, match="is not the deformation of"):
+        assemble_fan3(fd, other)
