@@ -4,8 +4,9 @@
     cqsdef scan --n-range A:B [--json|--csv] [--checkpoint FILE] [-o FILE]
     cqsdef figure <n> <q> <target> -o FILE
 
-Exit codes: 0 success, 1 invalid input, 2 internal invariant failure
-(for scan: some row holds an error; every row is still written).
+Exit codes: 0 success, 1 invalid input (a malformed command line, or a
+pair n, q that InvalidSingularityError rejects), 2 internal invariant
+failure (for scan: some row holds an error; every row is still written).
 The environment variable CQSDEF_JOBS sets the number of scan workers.
 A scan checkpoint is JSON lines, a version header then one row per pair,
 appended and flushed as each row finishes; see _load_checkpoint.
@@ -23,10 +24,9 @@ import sys
 from math import gcd
 
 from . import __version__
-from .cqs import HypersurfaceError, InvalidSingularityError, cqs_new
+from .cqs import InvalidSingularityError, cqs_new
 from .report import (
     SCHEMA_VERSION,
-    ReportInvariantError,
     build_report,
     render_text,
     report_to_json,
@@ -150,12 +150,17 @@ def _checkpoint_appender(path: str | None, valid_len: int):
 
 
 def cmd_scan(args) -> int:
+    jobs_text = os.environ.get("CQSDEF_JOBS", "1")
+    try:
+        jobs = int(jobs_text)
+    except ValueError:
+        print(f"error: CQSDEF_JOBS = {jobs_text!r} is not an integer", file=sys.stderr)
+        return EXIT_USER
     n_lo, n_hi = args.n_range
     pairs = _scan_pairs(n_lo, n_hi)
     done, valid_len = _load_checkpoint(args.checkpoint) if args.checkpoint else ({}, 0)
     todo = [pq for pq in pairs if pq not in done]
 
-    jobs = int(os.environ.get("CQSDEF_JOBS", "1"))
     with contextlib.ExitStack() as stack:
         if jobs > 1 and todo:
             from concurrent.futures import ProcessPoolExecutor
@@ -192,17 +197,23 @@ def _scan_row_star(pq: tuple[int, int]) -> dict:
 
 
 def cmd_figure(args) -> int:
-    if args.target not in FIGURE_TARGETS:
-        raise InvalidSingularityError(
-            f"unknown figure target {args.target!r}; choose from {sorted(FIGURE_TARGETS)}"
-        )
     model = cqs_new(args.n, args.q)
     _write_output(make_figure(model, args.target), args.output)
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_USER; plain
+    argparse exits 2, the code of an internal failure here.  Subparsers
+    are built with the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USER, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cqsdef",
         description="One-parameter toric deformations of cyclic quotient singularities",
     )
@@ -243,10 +254,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidSingularityError, HypersurfaceError, ValueError) as exc:
+    except InvalidSingularityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
-    except (ReportInvariantError, AssertionError, RuntimeError) as exc:
+    except (AssertionError, RuntimeError, ValueError) as exc:
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

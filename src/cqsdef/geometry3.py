@@ -2,6 +2,10 @@
 Gorenstein hyperplanes, canonicity, and the bounded-face hull over a
 cone's lattice points.
 
+A cone is a `Cone3`: its generators, normalised once when it is built,
+and the dual rays, facets and Gorenstein functional derived from them,
+each computed on first use and kept on the instance.
+
 One primitive carries the lattice work: the lattice points of the
 half-open parallelepiped of a simplicial cone (`box_points`), enumerated
 as the finite group Z^3 / G Z^3.  Cones are cut into simplicial cones by
@@ -17,7 +21,9 @@ it is cleared to integers.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -169,21 +175,85 @@ def cone_contains3(dual: Sequence[IVec3], p: IVec3) -> bool:
     return all(dot3(r, p) >= 0 for r in dual)
 
 
-def _facets(gens: Sequence[IVec3], dual: Sequence[IVec3]) -> list[tuple[IVec3, IVec3, IVec3]]:
-    """Each facet of a pointed full-dim cone as (inward normal, ray a,
-    ray b): the two extremal generators that span it."""
-    rays = [g for g in gens if sum(dot3(r, g) == 0 for r in dual) >= 2]
-    out = []
-    for r in dual:
-        a, b = (g for g in rays if dot3(r, g) == 0)
-        out.append((r, a, b))
-    return out
+@dataclass(frozen=True)
+class Cone3:
+    """A pointed full-dimensional 3D cone given by distinct primitive
+    integral generators.  The data derived from the generators (dual
+    rays, facets, Gorenstein functional) is computed once per instance."""
+
+    generators: tuple[IVec3, ...]
+
+    @classmethod
+    def from_rays(cls, rays: Sequence[Sequence]) -> "Cone3":
+        """The cone over rational rays, each replaced by its primitive
+        integer vector, duplicates dropped in order."""
+        return cls(generators=tuple(dict.fromkeys(prim3_rational(tuple(r)) for r in rays)))
+
+    @classmethod
+    def over_summands(
+        cls, s0: tuple[Fraction, Fraction], s1: tuple[Fraction, Fraction], p: int
+    ) -> "Cone3":
+        """The cone over s0 at height (1, 0) and s1/p at height (0, 1).
+
+        Its generators are the primitive vectors (x.numerator, x.denominator, 0)
+        for the ends x of s0 and (y.numerator, 0, y.denominator) for the
+        ends y of s1/p, without duplicates and in that order: what
+        from_rays gives for the rays (x, 1, 0) and (y, 0, 1), since a
+        Fraction is kept in lowest terms with a positive denominator.
+        """
+        ys = [Fraction(y) / p for y in s1]
+        gens = [(x.numerator, x.denominator, 0) for x in s0]
+        gens += [(y.numerator, 0, y.denominator) for y in ys]
+        return cls(generators=tuple(dict.fromkeys(gens)))
+
+    @cached_property
+    def dual_rays(self) -> tuple[IVec3, ...]:
+        """The inward primitive facet normals, sorted."""
+        return tuple(dual_rays3(self.generators))
+
+    @cached_property
+    def facets(self) -> tuple[tuple[IVec3, IVec3, IVec3], ...]:
+        """Each facet as (inward normal, ray a, ray b): the two extremal
+        generators that span it."""
+        dual = self.dual_rays
+        rays = [g for g in self.generators if sum(dot3(r, g) == 0 for r in dual) >= 2]
+        out = []
+        for r in dual:
+            a, b = (g for g in rays if dot3(r, g) == 0)
+            out.append((r, a, b))
+        return tuple(out)
+
+    @cached_property
+    def gorenstein(self) -> Optional[tuple[Fraction, Fraction, Fraction]]:
+        """Rational u with <u, g> = 1 for every generator, or None.
+
+        Existence of u is the Q-Gorenstein condition for the affine toric
+        variety of the cone.
+        """
+        gens = self.generators
+        for trip in combinations(gens, 3):
+            sol = _solve3_int(trip, (1, 1, 1))
+            if sol is not None:
+                break
+        else:
+            # All generators coplanar through 0: not a full-dim cone.
+            raise ValueError("generators do not span 3-space")
+        nx, ny, nz, den = sol
+        if all(nx * g[0] + ny * g[1] + nz * g[2] == den for g in gens):
+            return (Fraction(nx, den), Fraction(ny, den), Fraction(nz, den))
+        return None
+
+    def contains(self, p: IVec3) -> bool:
+        return cone_contains3(self.dual_rays, p)
+
+    def to_json(self) -> list[list[int]]:
+        return [list(g) for g in self.generators]
 
 
-def _simplices(gens: Sequence[IVec3], dual: Sequence[IVec3]) -> list[tuple[IVec3, IVec3, IVec3]]:
+def _simplices(cone: Cone3) -> list[tuple[IVec3, IVec3, IVec3]]:
     """Simplicial cones triangulating the cone: one extremal ray joined
     to every facet that does not contain it."""
-    facets = _facets(gens, dual)
+    facets = cone.facets
     apex = facets[0][1]
     return [(apex, a, b) for r, a, b in facets if dot3(r, apex) != 0]
 
@@ -230,10 +300,8 @@ def box_points(simplex: Sequence[IVec3]) -> tuple[int, list[tuple[IVec3, int]]]:
     return d, points
 
 
-def hilbert_basis_3d(
-    gens: Sequence[IVec3], psi: Optional[IVec3] = None
-) -> list[IVec3]:
-    """Minimal generators of cone(gens) ∩ Z^3 for a pointed full-dim cone.
+def hilbert_basis_3d(cone: Cone3, psi: Optional[IVec3] = None) -> list[IVec3]:
+    """Minimal generators of cone ∩ Z^3.
 
     Every lattice point of a simplicial cone is a parallelepiped point
     plus a nonnegative integer combination of its generators, so the
@@ -243,14 +311,13 @@ def hilbert_basis_3d(
     must be strictly positive on the cone; by default it is the sum of
     the dual rays.
     """
-    gens = list(dict.fromkeys(prim3(g) for g in gens))
-    dual = dual_rays3(gens)
+    gens, dual = cone.generators, cone.dual_rays
     if psi is None:
         psi = tuple(sum(r[i] for r in dual) for i in range(3))
     if not all(dot3(psi, g) > 0 for g in gens):
         raise ValueError("psi not positive on the cone")
     cands = set(gens)
-    for simplex in _simplices(gens, dual):
+    for simplex in _simplices(cone):
         cands.update(x for x, level in box_points(simplex)[1] if level)
     pts = sorted(cands, key=lambda p: (dot3(psi, p), p))
     # A reducible point splits off some basis element of smaller height,
@@ -275,31 +342,11 @@ def hilbert_basis_3d(
     return sorted(basis)
 
 
-def gorenstein_functional(gens: Sequence[IVec3]):
-    """Rational u with <u, g> = 1 for every primitive generator, or None.
-
-    Existence of u is the Q-Gorenstein condition for the affine toric
-    variety of the cone.
-    """
-    gens = [prim3(g) for g in gens]
-    for trip in combinations(gens, 3):
-        sol = _solve3_int(trip, (1, 1, 1))
-        if sol is not None:
-            break
-    else:
-        # All generators coplanar through 0: not a full-dim cone.
-        raise ValueError("generators do not span 3-space")
-    nx, ny, nz, den = sol
-    if all(nx * g[0] + ny * g[1] + nz * g[2] == den for g in gens):
-        return (Fraction(nx, den), Fraction(ny, den), Fraction(nz, den))
-    return None
-
-
 def dot3_frac(a, b) -> Fraction:
     return Fraction(a[0]) * b[0] + Fraction(a[1]) * b[1] + Fraction(a[2]) * b[2]
 
 
-def is_canonical_cone3(gens: Sequence[IVec3]) -> bool:
+def is_canonical_cone3(cone: Cone3) -> bool:
     """No nonzero lattice point of the cone lies strictly below the affine
     hyperplane u = 1 through the primitive generators.
 
@@ -307,10 +354,9 @@ def is_canonical_cone3(gens: Sequence[IVec3]) -> bool:
     point plus generators, each with u = 1, so it suffices that every
     nonzero parallelepiped point has u = level / d >= 1.
     """
-    gens = list(dict.fromkeys(prim3(g) for g in gens))
-    if gorenstein_functional(gens) is None:
+    if cone.gorenstein is None:
         raise ValueError("generators are not on a single affine hyperplane")
-    for simplex in _simplices(gens, dual_rays3(gens)):
+    for simplex in _simplices(cone):
         d, points = box_points(simplex)
         if any(0 < level < d for _, level in points):
             return False
@@ -373,7 +419,7 @@ def _wrap(hb: Sequence[IVec3], p: IVec3, q: IVec3, nrm: IVec3, ref: IVec3) -> IV
     return prim3(new if side > 0 else neg3(new))
 
 
-def roof_facets(gens: Sequence[IVec3]) -> list[tuple[IVec3, int, list[IVec3]]]:
+def roof_facets(cone: Cone3) -> list[tuple[IVec3, int, list[IVec3]]]:
     """Bounded facets of conv((cone ∩ Z^3) \\ {0}): triples (normal, offset,
     facet vertices), with <normal, x> >= offset on the hull and the normal
     strictly positive on the cone.
@@ -384,12 +430,11 @@ def roof_facets(gens: Sequence[IVec3]) -> list[tuple[IVec3, int, list[IVec3]]]:
     at edges on the boundary of the cone, where the neighbouring face is
     unbounded.  Every plane found is checked to support the hull.
     """
-    gens = list(dict.fromkeys(prim3(g) for g in gens))
-    hb = hilbert_basis_3d(gens)
-    dual = dual_rays3(gens)
+    hb = hilbert_basis_3d(cone)
+    gens, dual = cone.generators, cone.dual_rays
     # The face's basis elements in angular order from ray a form the
     # boundary of its 2D hull, so a and the next one span a bounded edge.
-    r, a, b = _facets(gens, dual)[0]
+    r, a, b = cone.facets[0]
     c = cross3(a, b)
     q = None
     for x in hb:

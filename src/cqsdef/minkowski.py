@@ -143,16 +143,13 @@ class Decomposition:
         """Re-check the admissibility invariants against the slice."""
         b0, g0 = self.s0
         b1, g1 = self.s1
-        assert b0 <= g0 and b1 <= g1
-        assert b0 + b1 == seg.beta and g0 + g1 == seg.gamma, "summands do not add up"
-        if self.p == 1:
-            assert any(x.denominator == 1 for x in (b0, b1)), "no lattice left endpoint"
-            assert any(x.denominator == 1 for x in (g0, g1)), "no lattice right endpoint"
-        else:
-            assert b1.denominator == 1 and g1.denominator == 1
-            assert (g1 - b1) % self.p == 0
-        if self.kind == "Dbar":
-            assert self.p == 1
+        if not (b0 <= g0 and b1 <= g1):
+            raise RuntimeError(f"{self.label}: a summand runs right to left")
+        if b0 + b1 != seg.beta or g0 + g1 != seg.gamma:
+            raise RuntimeError(f"{self.label}: summands do not add up")
+        if self.kind == "Dbar" and self.p != 1:
+            raise RuntimeError(f"{self.label}: p = {self.p} != 1")
+        check_lattice_ends(self.s0, self.s1, self.p, self.label)
 
     def to_json(self) -> dict:
         return {
@@ -165,6 +162,26 @@ class Decomposition:
                 [str(self.s1[0]), str(self.s1[1])],
             ],
         }
+
+
+def check_lattice_ends(
+    s0: tuple[Fraction, Fraction], s1: tuple[Fraction, Fraction], p: int, what: str
+) -> None:
+    """The lattice-end rule of an admissible decomposition s0 + s1, where
+    s1 is p times a summand: for p = 1 a lattice left end and a lattice
+    right end, each in one of the summands; for p > 1 an integral s1
+    whose length is divisible by p.  Raises RuntimeError naming `what`."""
+    (b0, g0), (b1, g1) = s0, s1
+    if p == 1:
+        if b0.denominator != 1 and b1.denominator != 1:
+            raise RuntimeError(f"{what} has no lattice left end")
+        if g0.denominator != 1 and g1.denominator != 1:
+            raise RuntimeError(f"{what} has no lattice right end")
+    else:
+        if b1.denominator != 1 or g1.denominator != 1:
+            raise RuntimeError(f"{what} has a non-lattice s1")
+        if (g1 - b1) % p != 0:
+            raise RuntimeError(f"{what} has s1 not divisible by p")
 
 
 def decomposition_D(seg: Segment, p: int, d: int) -> Decomposition:

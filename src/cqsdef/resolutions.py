@@ -17,21 +17,14 @@ from .cqs import CqsModel
 from .chains import ZeroChain
 from .minkowski import (
     Decomposition,
+    check_lattice_ends,
     decomposition_D,
     decomposition_Dbar,
     Segment,
     segment,
 )
-from .totalspace import Cone3, Deformation
-from .geometry3 import (
-    IVec3,
-    cross3,
-    dot3,
-    gorenstein_functional,
-    is_canonical_cone3,
-    prim3,
-    roof_facets,
-)
+from .totalspace import Deformation
+from .geometry3 import Cone3, IVec3, cross3, dot3, is_canonical_cone3, prim3, roof_facets
 
 
 # ---------------------------------------------------------------------------
@@ -341,27 +334,19 @@ def _build_slice_intervals(
 
 def _validate_piece_admissibility(fd: FanDecomposition) -> None:
     for pc in fd.pieces:
-        b0, g0 = pc.s0
-        b1, g1 = pc.s1
-        if fd.p == 1:
-            if b0.denominator != 1 and b1.denominator != 1:
-                raise RuntimeError(f"{fd.label}: piece {pc.i} has no lattice left end")
-            if g0.denominator != 1 and g1.denominator != 1:
-                raise RuntimeError(f"{fd.label}: piece {pc.i} has no lattice right end")
-        else:
-            if b1.denominator != 1 or g1.denominator != 1:
-                raise RuntimeError(f"{fd.label}: piece {pc.i} has a non-lattice s1")
-            if (g1 - b1) % fd.p != 0:
-                raise RuntimeError(f"{fd.label}: piece {pc.i} has s1 not divisible by p")
+        check_lattice_ends(pc.s0, pc.s1, fd.p, f"{fd.label}: piece {pc.i}")
 
 
 @dataclass(frozen=True)
 class MaxCone3:
     tau_index: int
     cone: Cone3
-    qgorenstein: bool
     canonical: bool
     rdp_or_smooth: Optional[bool]
+
+    @property
+    def qgorenstein(self) -> bool:
+        return self.cone.gorenstein is not None
 
     def to_json(self) -> dict:
         return {
@@ -410,6 +395,8 @@ def assemble_fan3(fd: FanDecomposition, defo: Deformation) -> Fan3:
         if pc.degenerate:
             continue
         cone = Cone3.over_summands((pc.s0[0] + m0, pc.s0[1] + m0), pc.s1, p)
+        if cone.gorenstein is None:
+            raise RuntimeError(f"{fd.label}: the cone over piece {pc.i} is not Q-Gorenstein")
         tau = fd.fan.cone_at(pc.i)
         rdp = None
         if not tau.degenerate:
@@ -418,21 +405,17 @@ def assemble_fan3(fd: FanDecomposition, defo: Deformation) -> Fan3:
             MaxCone3(
                 tau_index=pc.i,
                 cone=cone,
-                qgorenstein=gorenstein_functional(cone.generators) is not None,
-                canonical=is_canonical_cone3(cone.generators),
+                canonical=is_canonical_cone3(cone),
                 rdp_or_smooth=rdp,
             )
         )
 
     support = defo.sigma_prime
-    dual = support.dual_rays()
     for mc in cones:
-        for g in mc.cone.generators:
-            assert all(dot3(r, g) >= 0 for r in dual), "cone escapes the support"
+        if not all(support.contains(g) for g in mc.cone.generators):
+            raise RuntimeError(f"{fd.label}: the cone over piece {mc.tau_index} leaves the support")
     _assert_fan_interfaces(cones)
-    fan = Fan3(support=support, cones=tuple(cones))
-    assert fan.all_qgorenstein, "a fan cone lost its generator hyperplane"
-    return fan
+    return Fan3(support=support, cones=tuple(cones))
 
 
 def _assert_fan_interfaces(cones: list[MaxCone3]) -> None:
@@ -508,9 +491,7 @@ def canonical_model(defo: Deformation) -> tuple[ZeroChain, Fan3]:
 
 def hull_cone_ray_sets(cone: Cone3) -> set[frozenset[IVec3]]:
     """Maximal cones of the bounded-face hull fan, as primitive ray sets."""
-    return {
-        frozenset(prim3(v) for v in verts) for _, _, verts in roof_facets(cone.generators)
-    }
+    return {frozenset(prim3(v) for v in verts) for _, _, verts in roof_facets(cone)}
 
 
 def lattice_points_right(model: CqsModel, k: ZeroChain, h: int) -> int:

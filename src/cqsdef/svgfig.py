@@ -72,8 +72,6 @@ class _Canvas:
 def _draw_interval(cv: _Canvas, x0: float, y: float, lo: Fraction, hi: Fraction, scale=UNIT):
     """One interval with lattice dots and endpoint labels; a point interval
     is drawn as an open dot."""
-    import math
-
     ax0, ax1 = x0 + float(lo) * scale, x0 + float(hi) * scale
     if lo == hi:
         cv.dot(ax0, y, filled=Fraction(lo).denominator == 1)
@@ -99,7 +97,6 @@ def segments_figure(model: CqsModel) -> str:
     y = PAD
     for h in hs:
         seg = segment(model, h)
-        u = display_n_point(model.wgen(h), model)  # dual vector, displayed
         cv.text(28, y + 4, f"Q(w{h})", size=13, anchor="start")
         _draw_interval(cv, x0, y, seg.beta, seg.gamma)
         cv.text(
@@ -122,7 +119,6 @@ def decompositions_figure(model: CqsModel) -> str:
     y = PAD
     left_label = 120
     for dec in decs:
-        seg = segment(model, dec.h)
         cv.text(16, y + 4, dec.label, size=12, anchor="start")
         x0 = left_label - float(dec.s0[0]) * UNIT
         _draw_interval(cv, x0, y, dec.s0[0], dec.s0[1])
@@ -145,11 +141,10 @@ def slices_figure(model: CqsModel) -> str:
     panels = []
     for defo in all_deformations(model):
         for k in components_of(defo):
-            panels.append(fan_decomposition_for(defo, k))
+            panels.append((fan_decomposition_for(defo, k), defo.m0))
     y = PAD
     width = 0.0
-    for fd in panels:
-        defo_m0 = _panel_m0(fd)
+    for fd, defo_m0 in panels:
         pts0, pts1 = [], []
         edges = []
         for pc in fd.pieces:
@@ -183,12 +178,6 @@ def slices_figure(model: CqsModel) -> str:
         width = max(width, x0 + float(hi) * UNIT + PAD)
         y += scale_y + ROW
     return cv.render(int(width), y)
-
-
-def _panel_m0(fd) -> int:
-    from .totalspace import build_deformation
-
-    return build_deformation(fd.model, fd.induced).m0
 
 
 FIGURE_TARGETS = {

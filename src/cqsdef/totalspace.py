@@ -9,14 +9,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from .lattice import Vec2
 from .cqs import CqsModel, to_display_coords
 from .chains import ZeroChain, enumerate_K
 from .minkowski import Decomposition, segment, enum_decompositions
-from .geometry3 import IVec3, add3, cone_contains3, dot3, dual_rays3, prim3_rational
+from .geometry3 import Cone3, IVec3, add3, dot3
 
 
 # ---------------------------------------------------------------------------
@@ -102,52 +101,6 @@ class Poly:
 
 
 @dataclass(frozen=True)
-class Cone3:
-    """A strictly convex 3D cone given by primitive integral generators."""
-
-    generators: tuple[IVec3, ...]
-
-    @classmethod
-    def from_rays(cls, rays: Sequence[Sequence]) -> "Cone3":
-        prims = []
-        for r in rays:
-            p = prim3_rational(tuple(r))
-            if p not in prims:
-                prims.append(p)
-        return cls(generators=tuple(prims))
-
-    @classmethod
-    def over_summands(
-        cls, s0: tuple[Fraction, Fraction], s1: tuple[Fraction, Fraction], p: int
-    ) -> "Cone3":
-        """The cone over s0 at height (1, 0) and s1/p at height (0, 1).
-
-        Its generators are the primitive vectors (x.numerator, x.denominator, 0)
-        for the ends x of s0 and (y.numerator, 0, y.denominator) for the
-        ends y of s1/p, without duplicates and in that order: what
-        from_rays gives for the rays (x, 1, 0) and (y, 0, 1), since a
-        Fraction is kept in lowest terms with a positive denominator.
-        """
-        ys = [Fraction(y) / p for y in s1]
-        gens = [(x.numerator, x.denominator, 0) for x in s0]
-        gens += [(y.numerator, 0, y.denominator) for y in ys]
-        return cls(generators=tuple(dict.fromkeys(gens)))
-
-    @cached_property
-    def _dual_rays(self) -> tuple[IVec3, ...]:
-        return tuple(dual_rays3(self.generators))
-
-    def dual_rays(self) -> list[IVec3]:
-        return list(self._dual_rays)
-
-    def contains(self, p: IVec3) -> bool:
-        return cone_contains3(self.dual_rays(), p)
-
-    def to_json(self) -> list[list[int]]:
-        return [list(g) for g in self.generators]
-
-
-@dataclass(frozen=True)
 class Deformation:
     """A one-parameter toric deformation built from a slice decomposition.
 
@@ -223,9 +176,9 @@ def build_deformation(model: CqsModel, decomp: Decomposition) -> Deformation:
     defo = Deformation(
         model=model, decomp=decomp, sigma_prime=cone, m0=m0, s0=(b0, g0), s1=(b1, g1)
     )
-    dual = cone.dual_rays()
     for ray in (model.sigma.ray1, model.sigma.ray2):
-        assert cone_contains3(dual, defo.phi(ray)), "slice embedding left the cone"
+        if not cone.contains(defo.phi(ray)):
+            raise RuntimeError(f"{defo.label}: slice embedding left the cone")
     return defo
 
 
@@ -294,7 +247,6 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
     assert v[h] == (0, 1, 0) and v[h + 1] == (1, 0, 0)
     assert v[h - 1] == (-1, model.a(h) - p * d, d)
 
-    dual = defo.sigma_prime.dual_rays()
     gens = defo.sigma_prime.generators
     for i in range(1, e + 1):
         assert all(dot3(g, v[i]) >= 0 for g in gens), f"v^{i} not in the dual cone"

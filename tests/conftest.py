@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import cqsdef
 from cqsdef.lattice import Cone2, Vec2, cf_eval
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import (
@@ -17,7 +22,6 @@ from cqsdef.geometry3 import (
     dot3,
     dot3_frac,
     dual_rays3,
-    gorenstein_functional,
     lattice_points_ineq,
     neg3,
     prim3,
@@ -140,7 +144,7 @@ def fraction_gorenstein_functional(gens):
 def brute_is_canonical(gens) -> bool:
     """Scan every lattice point of conv(0, gens) for one with u < 1."""
     gens = [prim3(g) for g in gens]
-    u = gorenstein_functional(gens)
+    u = fraction_gorenstein_functional(gens)
     if u is None:
         raise ValueError("generators are not on a single affine hyperplane")
     region = _brute_polytope_facets([(0, 0, 0)] + gens)
@@ -172,6 +176,19 @@ def brute_roof_facets(gens):
                 on_plane = [p for p in hb if dot3(nrm, p) == b]
                 found[(nrm, b)] = _facet_polygon_vertices(on_plane, nrm)
     return [(n, b, v) for (n, b), v in sorted(found.items())]
+
+
+def run_optimized(*args: str) -> subprocess.CompletedProcess:
+    """Run python -O with the given arguments on this checkout of cqsdef;
+    stdout and stderr are captured as bytes."""
+    src = str(Path(cqsdef.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-O", *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+        check=True,
+    )
 
 
 @pytest.fixture(scope="session")

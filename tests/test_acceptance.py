@@ -11,7 +11,7 @@ from math import gcd
 from cqsdef.chains import enumerate_K
 from cqsdef.cqs import cqs_new, is_t_singularity, to_display_coords
 from cqsdef.fibers import general_fiber, is_smoothing
-from cqsdef.geometry3 import hilbert_basis_3d, roof_facets
+from cqsdef.geometry3 import Cone3, hilbert_basis_3d, roof_facets
 from cqsdef.lattice import Cone2, Vec2, dual_cone, hilbert_basis_2d
 from cqsdef.minkowski import lattice_point_count, segment, segment_length
 from cqsdef.resolutions import (
@@ -178,7 +178,7 @@ def test_criterion_5_canonical_equivalence():
             k, fan = canonical_model(df)  # raises if the routes disagree
             assert fan.cone_ray_sets() == hull_cone_ray_sets(df.sigma_prime)
             gens = df.sigma_prime.generators
-            assert roof_facets(gens) == brute_roof_facets(gens), (n, q, df.label)
+            assert roof_facets(df.sigma_prime) == brute_roof_facets(gens), (n, q, df.label)
             for comp in components_of(df):
                 for c in assemble_fan3(fan_decomposition_for(df, comp), df).cones:
                     assert c.canonical == brute_is_canonical(c.cone.generators)
@@ -223,12 +223,12 @@ def test_criterion_6_oracles():
         for df in all_deformations(m):
             gr = generator_relations(df)
             lemma_set = set(gr.v) | {gr.v_tilde}
-            dual = list(df.sigma_prime.dual_rays())
+            dual = list(df.sigma_prime.dual_rays)
             brute = brute_hilbert_basis_3d(dual)
             assert set(brute) == lemma_set, (m.n, m.q, df.label)
-            assert hilbert_basis_3d(dual) == brute, (m.n, m.q, df.label)
+            assert hilbert_basis_3d(Cone3.from_rays(dual)) == brute, (m.n, m.q, df.label)
             gens = df.sigma_prime.generators
-            assert hilbert_basis_3d(gens) == brute_hilbert_basis_3d(gens)
+            assert hilbert_basis_3d(df.sigma_prime) == brute_hilbert_basis_3d(gens)
     _ok("6 (enumeration oracles: chains, 2D and 3D Hilbert bases)")
 
 

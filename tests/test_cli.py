@@ -5,8 +5,10 @@ import pytest
 
 import cqsdef.cli as cli_mod
 import cqsdef.cqs
+import cqsdef.resolutions
 from cqsdef.cli import CHECKPOINT_HEADER, main
 from cqsdef.report import build_report, render_text
+from conftest import run_optimized
 
 
 def run(capsys, *argv):
@@ -272,3 +274,45 @@ def test_scan_builds_each_model_once(monkeypatch, capsys):
     code, out, _ = run(capsys, "scan", "--n-range", "3:20", "--csv")
     assert code == 0
     assert calls == scan_pairs(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "8"],
+        ["scan", "--n-range", "foo"],
+        ["figure", "8", "3", "nonsense", "-o", "x.svg"],
+        ["frobnicate"],
+    ],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bad_job_count_exits_1(monkeypatch, capsys):
+    monkeypatch.setenv("CQSDEF_JOBS", "abc")
+    code, _, err = run(capsys, "scan", "--n-range", "3:5")
+    assert code == 1
+    assert "CQSDEF_JOBS" in err
+
+
+def test_internal_value_error_exits_2(monkeypatch, capsys):
+    """Only InvalidSingularityError is the user's fault."""
+
+    def boom(*a, **kw):
+        raise ValueError("forced")
+
+    monkeypatch.setattr(cqsdef.resolutions, "roof_facets", boom)
+    code, _, err = run(capsys, "analyze", "8", "3")
+    assert code == 2
+    assert "internal invariant failure: forced" in err
+
+
+def test_analyze_json_is_the_same_under_optimize(capsys):
+    code, out, _ = run(capsys, "analyze", "8", "3", "--json")
+    assert code == 0
+    optimized = run_optimized("-m", "cqsdef.cli", "analyze", "8", "3", "--json")
+    assert optimized.stdout == out.encode()

@@ -13,17 +13,17 @@ import cqsdef
 from cqsdef.chains import enumerate_K
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import (
+    Cone3,
     box_points,
     cross3,
     dot3,
     dual_rays3,
-    gorenstein_functional,
     hilbert_basis_3d,
     is_canonical_cone3,
     roof_facets,
 )
 from cqsdef.resolutions import assemble_fan3, fan_decomposition_for
-from cqsdef.totalspace import Cone3, all_deformations, components_of
+from cqsdef.totalspace import all_deformations, components_of
 from conftest import (
     brute_hilbert_basis_3d,
     brute_is_canonical,
@@ -34,9 +34,10 @@ from conftest import (
 
 
 def _agrees_with_oracles(gens):
-    assert hilbert_basis_3d(gens) == brute_hilbert_basis_3d(gens)
-    assert roof_facets(gens) == brute_roof_facets(gens)
-    assert is_canonical_cone3(gens) == brute_is_canonical(gens)
+    cone = Cone3.from_rays(gens)
+    assert hilbert_basis_3d(cone) == brute_hilbert_basis_3d(gens)
+    assert roof_facets(cone) == brute_roof_facets(gens)
+    assert is_canonical_cone3(cone) == brute_is_canonical(gens)
 
 
 def test_box_points_of_a_thin_cone():
@@ -49,24 +50,26 @@ def test_box_points_of_a_thin_cone():
 
 def test_thin_cone():
     gens = [(7, 192, 0), (0, 1, 0), (0, 0, 1)]
-    assert hilbert_basis_3d(gens) == [
+    cone = Cone3.from_rays(gens)
+    assert hilbert_basis_3d(cone) == [
         (0, 0, 1),
         (0, 1, 0),
         (1, 28, 0),
         (2, 55, 0),
         (7, 192, 0),
     ]
-    assert [(n, b) for n, b, _ in roof_facets(gens)] == [((-137, 5, 1), 1), ((-27, 1, 1), 1)]
-    assert not is_canonical_cone3(gens)
+    assert [(n, b) for n, b, _ in roof_facets(cone)] == [((-137, 5, 1), 1), ((-27, 1, 1), 1)]
+    assert not is_canonical_cone3(cone)
     _agrees_with_oracles(gens)
 
 
 def test_unimodular_cone():
     gens = [(1, 0, 0), (1, 1, 0), (1, 1, 1)]
     assert box_points(gens) == (1, [((0, 0, 0), 0)])
-    assert hilbert_basis_3d(gens) == sorted(gens)
-    assert roof_facets(gens) == [((1, 0, 0), 1, [(1, 0, 0), (1, 1, 0), (1, 1, 1)])]
-    assert is_canonical_cone3(gens)
+    cone = Cone3.from_rays(gens)
+    assert hilbert_basis_3d(cone) == sorted(gens)
+    assert roof_facets(cone) == [((1, 0, 0), 1, [(1, 0, 0), (1, 1, 0), (1, 1, 1)])]
+    assert is_canonical_cone3(cone)
     _agrees_with_oracles(gens)
 
 
@@ -79,10 +82,11 @@ def _zero_chain(df, k):
 
 
 def test_four_ray_sigma_prime():
-    gens = _y83_deformation("pi_{2,1}^1").sigma_prime.generators
+    cone = _y83_deformation("pi_{2,1}^1").sigma_prime
+    gens = cone.generators
     assert len(gens) == 4
-    assert hilbert_basis_3d(gens) == brute_hilbert_basis_3d(gens)
-    assert roof_facets(gens) == brute_roof_facets(gens)
+    assert hilbert_basis_3d(cone) == brute_hilbert_basis_3d(gens)
+    assert roof_facets(cone) == brute_roof_facets(gens)
 
 
 def test_y83_fan_cones_canonical_and_not():
@@ -91,10 +95,9 @@ def test_y83_fan_cones_canonical_and_not():
     exception = assemble_fan3(fan_decomposition_for(df, _zero_chain(df, (2, 1, 2))), df)
     assert canonical.all_canonical
     (bad,) = exception.cones
-    assert not is_canonical_cone3(bad.cone.generators)
+    assert not is_canonical_cone3(bad.cone)
     for c in canonical.cones + exception.cones:
-        gens = c.cone.generators
-        assert is_canonical_cone3(gens) == brute_is_canonical(gens)
+        assert is_canonical_cone3(c.cone) == brute_is_canonical(c.cone.generators)
 
 
 def test_gorenstein_functional_matches_fractions():
@@ -102,22 +105,23 @@ def test_gorenstein_functional_matches_fractions():
     seen = set()
     for m in iter_models(22):
         for df in all_deformations(m):
-            cones = [df.sigma_prime.generators]
+            cones = [df.sigma_prime]
             for k in components_of(df):
                 for pc in fan_decomposition_for(df, k).pieces:
                     if not pc.degenerate:
                         s0 = (pc.s0[0] + df.m0, pc.s0[1] + df.m0)
-                        cones.append(Cone3.over_summands(s0, pc.s1, df.p).generators)
+                        cones.append(Cone3.over_summands(s0, pc.s1, df.p))
             seen.update(cones)
     assert len(seen) > 1000
-    for gens in seen:
-        assert gorenstein_functional(gens) == fraction_gorenstein_functional(gens), gens
-    assert any(gorenstein_functional(gens) is None for gens in seen)
+    for cone in seen:
+        gens = cone.generators
+        assert cone.gorenstein == fraction_gorenstein_functional(gens), gens
+    assert any(cone.gorenstein is None for cone in seen)
 
 
 def test_not_q_gorenstein_raises():
     with pytest.raises(ValueError):
-        is_canonical_cone3([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)])
+        is_canonical_cone3(Cone3.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 2)]))
 
 
 coord = st.integers(-3, 3)
@@ -153,9 +157,10 @@ def test_random_four_ray_cones(xys, height, shear):
 def test_psi_check_survives_optimize():
     code = (
         "import sys\n"
-        "from cqsdef.geometry3 import hilbert_basis_3d\n"
+        "from cqsdef.geometry3 import Cone3, hilbert_basis_3d\n"
         "try:\n"
-        "    hilbert_basis_3d([(1, 0, 0), (0, 1, 0), (0, 0, 1)], psi=(1, -1, 1))\n"
+        "    cone = Cone3.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])\n"
+        "    hilbert_basis_3d(cone, psi=(1, -1, 1))\n"
         "except ValueError:\n"
         "    print(sys.flags.optimize, 'raised')\n"
     )

@@ -1,0 +1,122 @@
+"""Dead names in the library, found with the standard library's ast: an
+import that nothing reads, an import inside a function of a name the
+module already imports, and a local name that a function assigns and
+never reads."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cqsdef
+
+MODULES = sorted(Path(cqsdef.__file__).resolve().parent.glob("*.py"))
+
+# Nodes that open a scope of their own.
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _own_nodes(scope):
+    """The nodes of a scope's body, not descending into nested scopes."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, SCOPES + COMPREHENSIONS):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _bound(alias: ast.alias) -> str:
+    return alias.asname or alias.name.split(".")[0]
+
+
+def _imports(nodes):
+    for node in nodes:
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                yield node.lineno, _bound(alias)
+
+
+def _reads(scope) -> set[str]:
+    """Every name read in the scope or in a scope nested in it."""
+    return {
+        node.id
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+
+
+def dead_names(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    module_imports = {name for _, name in _imports(_own_nodes(tree))}
+    # The package's own imports are its public names.
+    if path.name != "__init__.py":
+        reads = _reads(tree)
+        for line, name in _imports(_own_nodes(tree)):
+            if name not in reads:
+                found.append((line, f"unused import {name}"))
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own = list(_own_nodes(func))
+        reads = _reads(func)
+        for line, name in _imports(own):
+            if name in module_imports:
+                found.append((line, f"{func.name} imports {name} again"))
+            elif name not in reads:
+                found.append((line, f"unused import {name} in {func.name}"))
+        declared = {
+            name
+            for node in own
+            if isinstance(node, (ast.Global, ast.Nonlocal))
+            for name in node.names
+        }
+        stored = {}
+        for node in own:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored[node.id] = min(node.lineno, stored.get(node.id, node.lineno))
+        for name, line in stored.items():
+            if name not in reads and name not in declared and not name.startswith("_"):
+                found.append((line, f"{func.name} assigns {name} and never reads it"))
+    return [f"{path.name}:{line}: {msg}" for line, msg in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_names(path):
+    assert dead_names(path) == []
+
+
+def test_dead_names_are_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import math\n"
+        "import os\n"
+        "from typing import Optional\n"
+        "\n"
+        "\n"
+        "def f(x: Optional[int]):\n"
+        "    import math\n"
+        "    import json\n"
+        "    y = math.floor(x)\n"
+        "    z = y + 1\n"
+        "    w = 0\n"
+        "    w += 1\n"
+        "    total = 0\n"
+        "\n"
+        "    def g():\n"
+        "        nonlocal total\n"
+        "        total += z\n"
+        "\n"
+        "    g()\n"
+        "    return [v for v in range(total)]\n"
+    )
+    assert dead_names(path) == [
+        "sample.py:2: unused import os",
+        "sample.py:7: f imports math again",
+        "sample.py:8: unused import json in f",
+        "sample.py:11: f assigns w and never reads it",
+    ]

@@ -14,7 +14,7 @@ from cqsdef.minkowski import (
     segment_length,
 )
 from cqsdef.totalspace import nu_count
-from conftest import iter_models
+from conftest import iter_models, run_optimized
 
 
 def test_segment_golden(y83):
@@ -161,3 +161,33 @@ def test_decomposition_bounds(y83):
         decomposition_D(s3, 1, 3)
     with pytest.raises(ValueError):
         decomposition_Dbar(s3, 3)
+
+
+def test_lattice_end_rule_survives_optimize():
+    """check_lattice_ends, which Decomposition.validate and the fan
+    decompositions share, rejects each way of breaking the rule under
+    python -O and accepts admissible pairs."""
+    code = (
+        "import sys\n"
+        "from fractions import Fraction as F\n"
+        "from cqsdef.minkowski import check_lattice_ends\n"
+        "check_lattice_ends((F(-1, 2), F(1)), (F(0), F(1)), 1, 'ok')\n"
+        "check_lattice_ends((F(-1, 2), F(1, 3)), (F(0), F(4)), 2, 'ok')\n"
+        "bad = [\n"
+        "    ((F(-1, 2), F(1)), (F(1, 3), F(1)), 1),\n"
+        "    ((F(0), F(1, 2)), (F(0), F(1, 3)), 1),\n"
+        "    ((F(0), F(1)), (F(1, 2), F(2)), 2),\n"
+        "    ((F(0), F(1)), (F(0), F(3)), 2),\n"
+        "]\n"
+        "for s0, s1, p in bad:\n"
+        "    try:\n"
+        "        check_lattice_ends(s0, s1, p, 'bad')\n"
+        "    except RuntimeError as exc:\n"
+        "        print(sys.flags.optimize, exc)\n"
+    )
+    assert run_optimized("-c", code).stdout.decode().splitlines() == [
+        "1 bad has no lattice left end",
+        "1 bad has no lattice right end",
+        "1 bad has a non-lattice s1",
+        "1 bad has s1 not divisible by p",
+    ]

@@ -1,13 +1,17 @@
 import json
 import random
 import sys
+from functools import cached_property
 from math import gcd
 
 import pytest
 
 import cqsdef.fibers
+import cqsdef.geometry3
 import cqsdef.totalspace
+from cqsdef.geometry3 import Cone3
 from cqsdef.report import build_report, report_to_json
+from cqsdef.resolutions import MaxCone3
 
 
 def test_report_to_json_matches_json_dumps_y83():
@@ -71,3 +75,36 @@ def test_build_report_builds_each_deformation_and_fiber_once(monkeypatch):
     assert count > 0
     assert len(builds) == count
     assert len(fibers) == count
+
+
+def _count_instances(monkeypatch, cls):
+    made = []
+    init = cls.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return made
+
+
+def test_build_report_derives_cone_data_once(monkeypatch):
+    """The dual rays of a Cone3 are computed at most once per object, and
+    the Gorenstein functional once per fan cone."""
+    cones = _count_instances(monkeypatch, Cone3)
+    fan_cones = _count_instances(monkeypatch, MaxCone3)
+    duals = _count_calls(monkeypatch, cqsdef.geometry3, "dual_rays3")
+    solves = []
+    solve = Cone3.gorenstein.func
+
+    def counting(cone):
+        solves.append(cone)
+        return solve(cone)
+
+    prop = cached_property(counting)
+    prop.__set_name__(Cone3, "gorenstein")
+    monkeypatch.setattr(Cone3, "gorenstein", prop)
+    build_report(19, 7)
+    assert 0 < len(duals) <= len(cones)
+    assert 0 < len(solves) <= len(fan_cones)

@@ -9,7 +9,7 @@ import pytest
 import cqsdef
 from cqsdef.chains import enumerate_K
 from cqsdef.cqs import cqs_new
-from cqsdef.geometry3 import is_canonical_cone3
+from cqsdef.geometry3 import Cone3, is_canonical_cone3
 from cqsdef.lattice import Vec2
 from cqsdef.minkowski import segment
 from cqsdef.resolutions import (
@@ -22,8 +22,8 @@ from cqsdef.resolutions import (
     p_resolution_fan,
     slice_intervals,
 )
-from cqsdef.totalspace import Cone3, all_deformations, build_deformation, components_of
-from conftest import iter_models
+from cqsdef.totalspace import all_deformations, build_deformation, components_of
+from conftest import iter_models, run_optimized
 
 
 def k_of(model, chain):
@@ -171,14 +171,14 @@ def test_golden_panel_canonicity(y83):
 
 def test_is_canonical_examples(y83):
     smooth = Cone3.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert is_canonical_cone3(smooth.generators)
+    assert is_canonical_cone3(smooth)
     a1 = Cone3.from_rays([(0, 1, 0), (0, 0, 1), (2, 1, 0), (2, 0, 1)])
-    assert is_canonical_cone3(a1.generators)
+    assert is_canonical_cone3(a1)
     # the single cone of the rejected panel is itself non-canonical
     df = defo_by_label(y83, "pi_{3,1}^1")
     fan3 = assemble_fan3(fan_decomposition_for(df, k_of(y83, (2, 1, 2))), df)
     assert len(fan3.cones) == 1
-    assert not is_canonical_cone3(fan3.cones[0].cone.generators)
+    assert not is_canonical_cone3(fan3.cones[0].cone)
 
 
 def test_canonical_model_golden(y83):
@@ -313,3 +313,29 @@ def test_assemble_fan3_rejects_another_deformation(y83):
     fd = fan_decomposition_for(df, k_of(y83, (1, 2, 1)))
     with pytest.raises(ValueError, match="is not the deformation of"):
         assemble_fan3(fd, other)
+
+
+def test_qgorenstein_check_survives_optimize():
+    """A fan cone whose generators are not on one affine plane is an
+    internal failure under python -O, raised before canonicity is read."""
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "from fractions import Fraction\n"
+        "from cqsdef.chains import enumerate_K\n"
+        "from cqsdef.cqs import cqs_new\n"
+        "from cqsdef.resolutions import assemble_fan3, fan_decomposition_for\n"
+        "from cqsdef.totalspace import all_deformations\n"
+        "m = cqs_new(8, 3)\n"
+        "df = next(d for d in all_deformations(m) if d.label == 'pi_{2,1}^1')\n"
+        "fd = fan_decomposition_for(df, next(k for k in enumerate_K(m) if k.k == (1, 2, 1)))\n"
+        "assemble_fan3(fd, df)\n"
+        "s0, s1 = (Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(3))\n"
+        "bad = replace(fd, pieces=(replace(fd.pieces[0], s0=s0, s1=s1),) + fd.pieces[1:])\n"
+        "try:\n"
+        "    assemble_fan3(bad, df)\n"
+        "except RuntimeError as exc:\n"
+        "    print(sys.flags.optimize, 'raised:', exc)\n"
+    )
+    out = run_optimized("-c", code).stdout.decode()
+    assert out == "1 raised: S_{2,1}^1[1,2,1]: the cone over piece 2 is not Q-Gorenstein\n"

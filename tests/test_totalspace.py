@@ -33,7 +33,7 @@ def test_sigma_prime_ray_counts(y83):
 def test_phi_maps_into_sigma_prime():
     for m in iter_models(20):
         for df in all_deformations(m):
-            dual = df.sigma_prime.dual_rays()
+            dual = df.sigma_prime.dual_rays
             for ray in (m.sigma.ray1, m.sigma.ray2):
                 img = df.phi(ray)
                 assert all(
@@ -245,8 +245,9 @@ def test_integer_sigma_prime_matches_rational_rays():
     the generators must be those from_rays gives for the Fraction rays."""
     from fractions import Fraction
 
+    from cqsdef.geometry3 import Cone3
     from cqsdef.minkowski import enum_decompositions
-    from cqsdef.totalspace import Cone3, build_deformation
+    from cqsdef.totalspace import build_deformation
 
     checked = 0
     for m in iter_models(30):
