@@ -4,10 +4,10 @@
     cqsdef scan --n-range A:B [--json|--csv] [--checkpoint FILE] [-o FILE]
     cqsdef figure <n> <q> <target> -o FILE
 
-Exit codes: 0 success, 1 invalid input (a malformed command line, or a
-pair n, q that InvalidSingularityError rejects), 2 internal invariant
-failure (for scan: some row holds an error; every row is still written).
-The environment variable CQSDEF_JOBS sets the number of scan workers.
+Exit codes: 0 success, 1 invalid input (a malformed command line, a pair
+n, q that InvalidSingularityError rejects, or a path given to -o, --svg or
+--checkpoint that cannot be opened), 2 internal invariant failure (for
+scan: some row holds an error; every row is still written).
 A scan checkpoint is JSON lines, a version header then one row per pair,
 appended and flushed as each row finishes; see _load_checkpoint.
 """
@@ -150,28 +150,14 @@ def _checkpoint_appender(path: str | None, valid_len: int):
 
 
 def cmd_scan(args) -> int:
-    jobs_text = os.environ.get("CQSDEF_JOBS", "1")
-    try:
-        jobs = int(jobs_text)
-    except ValueError:
-        print(f"error: CQSDEF_JOBS = {jobs_text!r} is not an integer", file=sys.stderr)
-        return EXIT_USER
     n_lo, n_hi = args.n_range
     pairs = _scan_pairs(n_lo, n_hi)
     done, valid_len = _load_checkpoint(args.checkpoint) if args.checkpoint else ({}, 0)
     todo = [pq for pq in pairs if pq not in done]
 
-    with contextlib.ExitStack() as stack:
-        if jobs > 1 and todo:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            results = pool.map(_scan_row_star, todo)
-        else:
-            results = map(_scan_row_star, todo)
-        append = stack.enter_context(_checkpoint_appender(args.checkpoint, valid_len))
-        for pq, row in zip(todo, results):
-            done[pq] = row
+    with _checkpoint_appender(args.checkpoint, valid_len) as append:
+        for pq in todo:
+            row = done[pq] = scan_row(*pq)
             append(row)
 
     rows = [done[pq] for pq in pairs]
@@ -190,10 +176,6 @@ def cmd_scan(args) -> int:
         print(f"{failed} of {len(rows)} rows failed", file=sys.stderr)
         return EXIT_INTERNAL
     return EXIT_OK
-
-
-def _scan_row_star(pq: tuple[int, int]) -> dict:
-    return scan_row(*pq)
 
 
 def cmd_figure(args) -> int:
@@ -254,7 +236,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidSingularityError as exc:
+    except (InvalidSingularityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except (AssertionError, RuntimeError, ValueError) as exc:

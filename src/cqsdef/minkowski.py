@@ -6,10 +6,10 @@ deformations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .lattice import Vec2, _xgcd
+from .lattice import Vec2
 from .cqs import CqsModel
 
 
@@ -18,17 +18,32 @@ class Segment:
     """The slice Q = {<v, w^h> = 1} ∩ sigma as an interval in the rank-one
     lattice induced on the slicing line.
 
-    Canonical coordinates: the leftmost lattice point sits at 0 and the
-    coordinate grows toward the endpoint on the (1,0)-ray (so beta lies in
-    (-1, 0]).  origin and unit are the lattice points of N realizing the
-    coordinates 0 and 1.
+    The line's primitive direction (w^h_2, -w^h_1) takes the value 1 on
+    w^{h+1}, so <v, w^{h+1}> - m0 is a lattice coordinate on it.  m0 puts
+    the leftmost lattice point of the slice at 0, so beta lies in (-1, 0]
+    and the coordinate grows toward the endpoint gamma on the (1,0)-ray.
     """
 
     h: int
     beta: Fraction
     gamma: Fraction
-    origin: Vec2
-    unit: Vec2
+    m0: int
+    w: Vec2
+    w_next: Vec2
+
+    @property
+    def direction(self) -> Vec2:
+        return Vec2(self.w.y, -self.w.x)
+
+    @property
+    def origin(self) -> Vec2:
+        """The lattice point at coordinate 0."""
+        return Vec2(-self.w_next.y, self.w_next.x) + self.m0 * self.direction
+
+    @property
+    def unit(self) -> Vec2:
+        """The lattice point at coordinate 1."""
+        return self.origin + self.direction
 
     @property
     def length(self) -> Fraction:
@@ -40,15 +55,20 @@ class Segment:
 
     def point_at(self, coord) -> Vec2:
         """The point of the slicing line at the given lattice coordinate."""
-        return self.origin + coord * (self.unit - self.origin)
+        return self.origin + coord * self.direction
+
+    def coord(self, ray: Vec2) -> Fraction:
+        """Coordinate of the point where the ray meets the slicing line."""
+        t = ray.dot(self.w)
+        if t <= 0:
+            raise RuntimeError(f"ray {ray} does not meet the slice at height {t}")
+        return Fraction(ray.dot(self.w_next) - t * self.m0, t)
 
     def coord_of(self, pt: Vec2) -> Fraction:
         """Canonical coordinate of a point lying on the slicing line."""
-        d = self.unit - self.origin
-        diff = pt - self.origin
-        c = Fraction(diff.x) / Fraction(d.x) if d.x != 0 else Fraction(diff.y) / Fraction(d.y)
-        assert self.point_at(c) == pt, f"{pt} is not on the slicing line"
-        return c
+        if pt.dot(self.w) != 1:
+            raise RuntimeError(f"{pt} is not on the slicing line")
+        return self.coord(pt)
 
     def to_json(self) -> dict:
         return {
@@ -67,43 +87,17 @@ def segment(model: CqsModel, h: int) -> Segment:
 
 
 def _build_segment(model: CqsModel, h: int) -> Segment:
-    w = model.wgen(h)
-    w1, w2 = w.as_int_pair()
-    n, q = model.n, model.q
-
-    # Endpoints of the slice on the two boundary rays of sigma.
-    p_gamma = Vec2(Fraction(1, w1), Fraction(0))
-    denom = n * w2 - q * w1
-    p_beta = Vec2(Fraction(-q, denom), Fraction(n, denom))
-
-    # A lattice point on the slicing line and the primitive direction that
-    # increases toward the (1,0)-ray endpoint.
-    g, s, t = _xgcd(w1, w2)
-    assert g == 1
-    base = Vec2(s, t)
-    direction = Vec2(w2, -w1)
-
-    # Coordinate functional: u with <direction, u> = 1 and <w, u> = 0-free
-    # normalization is not needed; measure relative to base along direction.
-    def coord(pt: Vec2) -> Fraction:
-        diff = pt - base
-        if direction.x != 0:
-            return Fraction(diff.x) / direction.x
-        return Fraction(diff.y) / direction.y
-
-    c_beta, c_gamma = coord(p_beta), coord(p_gamma)
-    assert c_beta < c_gamma
-    shift = math.ceil(c_beta)
-    beta, gamma = c_beta - shift, c_gamma - shift
-    origin = base + shift * direction
-
-    length_formula = Fraction(n, w1 * (w2 * n - w1 * q))
-    if gamma - beta != length_formula:
-        raise AssertionError(
-            f"slice length mismatch for (n,q)=({n},{q}) h={h}: "
-            f"geometric {gamma - beta} vs formula {length_formula}"
+    w, w_next = model.wgen(h), model.wgen(h + 1)
+    left, right = model.sigma.ray2, model.sigma.ray1  # (-q, n) and (1, 0)
+    m0 = math.ceil(Fraction(left.dot(w_next), left.dot(w)))
+    frame = Segment(h=h, beta=Fraction(0), gamma=Fraction(0), m0=m0, w=w, w_next=w_next)
+    seg = replace(frame, beta=frame.coord(left), gamma=frame.coord(right))
+    if seg.length != segment_length(model, h):
+        raise RuntimeError(
+            f"slice length mismatch for (n,q)=({model.n},{model.q}) h={h}: "
+            f"geometric {seg.length} vs formula {segment_length(model, h)}"
         )
-    return Segment(h=h, beta=beta, gamma=gamma, origin=origin, unit=origin + direction)
+    return seg
 
 
 def segment_length(model: CqsModel, h: int) -> Fraction:

@@ -42,29 +42,17 @@ def build_report(n: int, q: int, verbose: bool = False) -> dict:
         smoothing = is_smoothing(defo, fiber)
         smoothing_count += smoothing
         can_k, can_fan = canonical_model(defo)
-        rec = {
-            "label": defo.label,
-            "kind": defo.kind,
-            "h": defo.h,
-            "p": defo.p,
-            "d": defo.d,
-            "degree_display": list(defo.degree_display()),
-            "decomposition": defo.decomp.to_json(),
-            "sigma_prime_rays": defo.sigma_prime.to_json(),
-            "generator_relations": generator_relations(defo).to_json(),
-            "equations": deformation_equations(defo).to_json(),
-            "versal_map": versal_map(defo).to_json(),
-            "components": [list(k.k) for k in comps],
-            "fiber": fiber.to_json(verbose=verbose),
-            "is_smoothing": smoothing,
-            "simultaneous_resolutions": [
-                fan_decomposition_for(defo, k).to_json() for k in comps
-            ],
-            "canonical_model": {
-                "k": list(can_k.k),
-                "fan": can_fan.to_json(),
-            },
-        }
+        rec = defo.to_json()
+        rec.update(
+            generator_relations=generator_relations(defo).to_json(),
+            equations=deformation_equations(defo).to_json(),
+            versal_map=versal_map(defo).to_json(),
+            components=[list(k.k) for k in comps],
+            fiber=fiber.to_json(verbose=verbose),
+            is_smoothing=smoothing,
+            simultaneous_resolutions=[fan_decomposition_for(defo, k).to_json() for k in comps],
+            canonical_model={"k": list(can_k.k), "fan": can_fan.to_json()},
+        )
         defo_records.append(rec)
 
     nu_table = []

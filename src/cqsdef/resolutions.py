@@ -124,16 +124,12 @@ def _build_p_resolution(model: CqsModel, k: ZeroChain) -> PResolutionFan:
         right, left = boundary[i - 2], boundary[i - 1]
         alpha = k.alpha_at(i)
         w_i = model.wgen(i)
-        assert right.dot(w_i) == alpha and left.dot(w_i) == alpha
-        diff = left - right
-        direction = Vec2(-w_i.y, w_i.x)  # leftward primitive tangent
-        if direction.x != 0:
-            c = Fraction(diff.x) / Fraction(direction.x)
-        else:
-            c = Fraction(diff.y) / Fraction(direction.y)
-        assert c.denominator == 1 and c >= 0 and c * direction == diff
-        roof_len = int(c)
-        assert roof_len == (model.a(i) - k.k_at(i)) * alpha, "roof length mismatch"
+        if right.dot(w_i) != alpha or left.dot(w_i) != alpha:
+            raise RuntimeError(f"the roof of tau_{i} is not at height alpha_{i} = {alpha}")
+        # the roof lies on <x, w^i> = alpha, whose direction is 1 on w^{i+1}
+        roof_len = (right - left).dot(model.wgen(i + 1))
+        if roof_len < 0 or roof_len != (model.a(i) - k.k_at(i)) * alpha:
+            raise RuntimeError(f"tau_{i} has roof length {roof_len}")
         cones.append(
             TauCone(i=i, ray_right=right, ray_left=left, alpha=alpha, roof_len=roof_len)
         )
@@ -292,34 +288,16 @@ def slice_intervals(
     left to right."""
     return model.cached(
         ("slice_intervals", k.k, h),
-        lambda: _build_slice_intervals(
-            segment(model, h), model.wgen(h), p_resolution_fan(model, k).cones
-        ),
+        lambda: _build_slice_intervals(segment(model, h), p_resolution_fan(model, k).cones),
     )
 
 
 def _build_slice_intervals(
-    seg: Segment, w: Vec2, cones: Sequence[TauCone]
+    seg: Segment, cones: Sequence[TauCone]
 ) -> dict[int, tuple[Fraction, Fraction]]:
-    """A ray r with t = <r, w> meets the slicing line o + c*d at r/t, so
-    c = (r.x - t*o.x) / (t*d.x), or the same in y when d.x = 0."""
-    wx, wy = w.as_int_pair()
-    ox, oy = seg.origin.as_int_pair()
-    dx, dy = (seg.unit - seg.origin).as_int_pair()
-
-    def coord(ray: Vec2) -> Fraction:
-        t = ray.x * wx + ray.y * wy
-        if t <= 0:
-            raise RuntimeError(f"ray {ray} does not meet the slice at height {t}")
-        ux, uy = ray.x - t * ox, ray.y - t * oy
-        if ux * dy != uy * dx:
-            pt = Vec2(Fraction(ray.x, t), Fraction(ray.y, t))
-            raise RuntimeError(f"{pt} is not on the slicing line")
-        return Fraction(ux, t * dx) if dx else Fraction(uy, t * dy)
-
     intervals: dict[int, tuple[Fraction, Fraction]] = {}
     for tau in sorted(cones, key=lambda t: -t.i):  # left to right
-        left, right = coord(tau.ray_left), coord(tau.ray_right)
+        left, right = seg.coord(tau.ray_left), seg.coord(tau.ray_right)
         if left > right:
             raise RuntimeError(f"slice of tau_{tau.i} runs right to left")
         intervals[tau.i] = (left, right)
@@ -503,8 +481,6 @@ def lattice_points_right(model: CqsModel, k: ZeroChain, h: int) -> int:
         raise ValueError(f"alpha_{h} = {k.alpha_at(h)} != 1")
     fan = p_resolution_fan(model, k)
     seg = segment(model, h)
-    tau = fan.cone_at(h)
-    t = tau.ray_right.dot(model.wgen(h))
-    right_end = seg.coord_of(Vec2(Fraction(tau.ray_right.x, t), Fraction(tau.ray_right.y, t)))
+    right_end = seg.coord(fan.cone_at(h).ray_right)
     assert right_end.denominator == 1
     return math.floor(seg.gamma) - int(right_end)

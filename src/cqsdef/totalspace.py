@@ -161,15 +161,14 @@ class Deformation:
             "p": self.p,
             "d": self.d,
             "degree_display": list(self.degree_display()),
+            "decomposition": self.decomp.to_json(),
             "sigma_prime_rays": self.sigma_prime.to_json(),
         }
 
 
 def build_deformation(model: CqsModel, decomp: Decomposition) -> Deformation:
     """Assemble the 3D cone over the two summands of a decomposition."""
-    seg = segment(model, decomp.h)
-    w_next = model.wgen(decomp.h + 1)
-    m0 = int(seg.origin.dot(w_next))
+    m0 = segment(model, decomp.h).m0
     b0, g0 = decomp.s0[0] + m0, decomp.s0[1] + m0
     b1, g1 = decomp.s1
     cone = Cone3.over_summands((b0, g0), (b1, g1), decomp.p)
@@ -218,15 +217,15 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
     model, h, p, d = defo.model, defo.h, defo.p, defo.d
     e = model.e
     seg = segment(model, h)
-    direction = seg.unit - seg.origin
-    base = seg.origin - defo.m0 * direction  # lattice point where w^{h+1} vanishes
+    base = seg.point_at(-seg.m0)  # lattice point where w^{h+1} vanishes
 
     x = [0] * (e + 1)
     y = [0] * (e + 1)
     for i in range(1, e + 1):
-        x[i] = int(direction.dot(model.wgen(i)))
-        y[i] = int(base.dot(model.wgen(i)))
-    assert x[h] == 0 and y[h] == 1 and x[h + 1] == 1 and y[h + 1] == 0
+        x[i] = seg.direction.dot(model.wgen(i))
+        y[i] = base.dot(model.wgen(i))
+    if (x[h], y[h], x[h + 1], y[h + 1]) != (0, 1, 1, 0):
+        raise RuntimeError(f"{defo.label}: the slice frame does not fit w^{h} and w^{h + 1}")
 
     u3 = [0] * (e + 1)
     if h >= 2:
@@ -244,18 +243,19 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
     for i in range(1, e + 1):
         v[i] = (x[i], y[i] - p * u3[i], u3[i])
     v_tilde: IVec3 = (0, 0, 1)
-    assert v[h] == (0, 1, 0) and v[h + 1] == (1, 0, 0)
-    assert v[h - 1] == (-1, model.a(h) - p * d, d)
+    if v[h] != (0, 1, 0) or v[h + 1] != (1, 0, 0) or v[h - 1] != (-1, model.a(h) - p * d, d):
+        raise RuntimeError(f"{defo.label}: v^{h - 1}, v^{h}, v^{h + 1} are not the lifts")
 
     gens = defo.sigma_prime.generators
-    for i in range(1, e + 1):
-        assert all(dot3(g, v[i]) >= 0 for g in gens), f"v^{i} not in the dual cone"
-    assert all(dot3(g, v_tilde) >= 0 for g in gens)
+    for i, vi in [*enumerate(v[1:], 1), ("tilde", v_tilde)]:
+        if any(dot3(g, vi) < 0 for g in gens):
+            raise RuntimeError(f"{defo.label}: v^{i} is not in the dual cone")
 
     relations = []
 
     def rel(desc, lhs, rhs):
-        assert lhs == rhs, f"relation {desc} fails: {lhs} != {rhs}"
+        if lhs != rhs:
+            raise RuntimeError(f"{defo.label}: relation {desc} fails: {lhs} != {rhs}")
         relations.append((desc, lhs, rhs))
 
     skip = {h} if defo.kind == "D" else {h - 1, h}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cqsdef
-from cqsdef.lattice import Cone2, Vec2, cf_eval
+from cqsdef.lattice import Cone2, Vec2, _xgcd, cf_eval
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import (
     _facet_polygon_vertices,
@@ -70,6 +71,39 @@ def brute_hilbert_basis_2d(cone: Cone2) -> set[tuple[int, int]]:
         if not reducible:
             basis.add(v.as_int_pair())
     return basis
+
+
+def division_slice_frame(model, h):
+    """The slice at w^h by a second route: a lattice point of the line
+    <x, w^h> = 1 from the extended gcd, the direction (w2, -w1), a
+    coordinate found by dividing by a nonzero component of the direction,
+    and the integer shift that puts the leftmost lattice point of the
+    slice at 0.  Returns (beta, gamma, origin, unit, coord), where coord
+    maps a point of the line to its coordinate."""
+    n, q = model.n, model.q
+    w1, w2 = model.wgen(h).as_int_pair()
+    g, s, t = _xgcd(w1, w2)
+    assert g == 1
+    base, direction = Vec2(s, t), Vec2(w2, -w1)
+
+    def from_base(pt: Vec2) -> Fraction:
+        diff = pt - base
+        if direction.x != 0:
+            return Fraction(diff.x) / direction.x
+        return Fraction(diff.y) / direction.y
+
+    denom = n * w2 - q * w1
+    c_beta = from_base(Vec2(Fraction(-q, denom), Fraction(n, denom)))
+    c_gamma = from_base(Vec2(Fraction(1, w1), Fraction(0)))
+    shift = math.ceil(c_beta)
+    origin = base + shift * direction
+
+    def coord(pt: Vec2) -> Fraction:
+        c = from_base(pt) - shift
+        assert origin + c * direction == pt, f"{pt} is not on the slicing line"
+        return c
+
+    return c_beta - shift, c_gamma - shift, origin, origin + direction, coord
 
 
 def brute_zero_chains(bounds) -> list[tuple[int, ...]]:

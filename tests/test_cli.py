@@ -292,11 +292,23 @@ def test_usage_errors_exit_1(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_bad_job_count_exits_1(monkeypatch, capsys):
-    monkeypatch.setenv("CQSDEF_JOBS", "abc")
-    code, _, err = run(capsys, "scan", "--n-range", "3:5")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "8", "3", "-o", "{missing}/x.txt"],
+        ["analyze", "8", "3", "--svg", "{file}/figs"],
+        ["scan", "--n-range", "3:5", "--checkpoint", "{missing}/c"],
+    ],
+)
+def test_unwritable_path_exits_1(argv, tmp_path, capsys):
+    """An output path that cannot be opened is the user's error: one
+    error line, no traceback."""
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing", "file": tmp_path / "file"}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 1
-    assert "CQSDEF_JOBS" in err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_internal_value_error_exits_2(monkeypatch, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from cqsdef.chains import enumerate_K
 from cqsdef.cqs import to_display_coords
+from cqsdef.lattice import Vec2
 from cqsdef.minkowski import (
     decomposition_D,
     decomposition_Dbar,
@@ -14,7 +15,7 @@ from cqsdef.minkowski import (
     segment_length,
 )
 from cqsdef.totalspace import nu_count
-from conftest import iter_models, run_optimized
+from conftest import division_slice_frame, iter_models, run_optimized
 
 
 def test_segment_golden(y83):
@@ -35,6 +36,24 @@ def test_segment_origin_certificates(y83):
         w = y83.wgen(h)
         assert s.origin.dot(w) == 1 and s.unit.dot(w) == 1
         assert s.point_at(s.beta).dot(w) == 1
+
+
+def test_segment_matches_division_frame():
+    """Segment's frame from m0 and w^{h+1} agrees with the frame found by
+    the extended gcd and division on every slice."""
+    for m in iter_models(30):
+        for h in m.interior_indices():
+            seg = segment(m, h)
+            beta, gamma, origin, unit, _ = division_slice_frame(m, h)
+            assert (seg.beta, seg.gamma, seg.origin, seg.unit) == (beta, gamma, origin, unit)
+
+
+def test_segment_coord_rejects_points_off_the_slice(y83):
+    seg = segment(y83, 3)
+    with pytest.raises(RuntimeError, match="is not on the slicing line"):
+        seg.coord_of(seg.origin + Vec2(0, 1))
+    with pytest.raises(RuntimeError, match="does not meet the slice"):
+        seg.coord(-seg.origin)
 
 
 def test_segment_length_golden(y83):

@@ -1,17 +1,11 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import cqsdef
 from cqsdef.chains import enumerate_K
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import Cone3, is_canonical_cone3
 from cqsdef.lattice import Vec2
-from cqsdef.minkowski import segment
 from cqsdef.resolutions import (
     assemble_fan3,
     canonical_model,
@@ -23,7 +17,7 @@ from cqsdef.resolutions import (
     slice_intervals,
 )
 from cqsdef.totalspace import all_deformations, build_deformation, components_of
-from conftest import iter_models, run_optimized
+from conftest import division_slice_frame, iter_models, run_optimized
 
 
 def k_of(model, chain):
@@ -255,13 +249,14 @@ def test_lattice_points_right_preconditions(y83):
 
 
 def _coord_of_ray(model, h, ray):
-    """The slice coordinate of a ray through Segment.coord_of, in Fractions."""
+    """The slice coordinate of a ray through the division-based oracle."""
     t = ray.dot(model.wgen(h))
     assert t > 0
-    return segment(model, h).coord_of(Vec2(Fraction(ray.x, t), Fraction(ray.y, t)))
+    coord = division_slice_frame(model, h)[4]
+    return coord(Vec2(Fraction(ray.x, t), Fraction(ray.y, t)))
 
 
-def test_slice_intervals_match_coord_of():
+def test_slice_intervals_match_division_frame():
     for m in iter_models(30):
         for zc in enumerate_K(m):
             cones = p_resolution_fan(m, zc).cones
@@ -275,36 +270,57 @@ def test_slice_intervals_match_coord_of():
 
 
 def test_slice_interval_checks_survive_optimize():
-    """A slice whose line misses the fan rays is rejected under python -O."""
+    """A slice whose frame is shifted off the fan rays is rejected under
+    python -O."""
     code = (
         "import sys\n"
         "from dataclasses import replace\n"
         "from cqsdef.cqs import cqs_new\n"
         "from cqsdef.chains import enumerate_K\n"
-        "from cqsdef.lattice import Vec2\n"
         "from cqsdef.minkowski import segment\n"
         "from cqsdef.resolutions import _build_slice_intervals, p_resolution_fan\n"
         "m = cqs_new(8, 3)\n"
         "cones = p_resolution_fan(m, enumerate_K(m)[0]).cones\n"
         "seg = segment(m, 3)\n"
-        "off = replace(seg, origin=seg.origin + Vec2(0, 1), unit=seg.unit + Vec2(0, 1))\n"
-        "_build_slice_intervals(seg, m.wgen(3), cones)\n"
+        "off = replace(seg, m0=seg.m0 + 1)\n"
+        "_build_slice_intervals(seg, cones)\n"
         "try:\n"
-        "    _build_slice_intervals(off, m.wgen(3), cones)\n"
+        "    _build_slice_intervals(off, cones)\n"
         "except RuntimeError as exc:\n"
         "    print(sys.flags.optimize, 'raised:', exc)\n"
     )
-    src = str(Path(cqsdef.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-        check=True,
+    out = run_optimized("-c", code).stdout.decode()
+    assert out == "1 raised: slices do not cover the slice from beta to gamma\n"
+
+
+def test_roof_and_lift_checks_survive_optimize():
+    """Under python -O, a partial resolution fan whose roof lengths miss
+    (a_i - k_i) * alpha_i, and lifted generators read from a slice frame
+    with the wrong w^{h+1}, are internal failures."""
+    code = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "from cqsdef.chains import enumerate_K\n"
+        "from cqsdef.cqs import cqs_new\n"
+        "from cqsdef.minkowski import segment\n"
+        "from cqsdef.resolutions import _build_p_resolution\n"
+        "from cqsdef.totalspace import all_deformations, generator_relations\n"
+        "m = cqs_new(8, 3)\n"
+        "k = next(k for k in enumerate_K(m) if k.k == (1, 2, 1))\n"
+        "df = next(d for d in all_deformations(m) if d.h == 2)\n"
+        "generator_relations(df)\n"
+        "m._memo[('segment', 2)] = replace(segment(m, 2), w_next=m.wgen(4))\n"
+        "for call in (lambda: _build_p_resolution(replace(m, a_chain=(3, 3, 2)), k),\n"
+        "             lambda: generator_relations(df)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except RuntimeError as exc:\n"
+        "        print(sys.flags.optimize, exc)\n"
     )
-    assert out.stdout.startswith("1 raised:")
-    assert out.stdout.rstrip().endswith("is not on the slicing line")
+    assert run_optimized("-c", code).stdout.decode().splitlines() == [
+        "1 tau_2 has roof length 1",
+        "1 pi_{2,1}^1: the slice frame does not fit w^2 and w^3",
+    ]
 
 
 def test_assemble_fan3_rejects_another_deformation(y83):
