@@ -59,10 +59,10 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def cmd_analyze(args) -> int:
-    report = build_report(args.n, args.q, verbose=args.verbose)
+    model = cqs_new(args.n, args.q)
+    report = build_report(model, verbose=args.verbose)
     if args.svg:
         os.makedirs(args.svg, exist_ok=True)
-        model = cqs_new(args.n, args.q)
         for target in FIGURE_TARGETS:
             path = os.path.join(args.svg, f"y_{args.n}_{args.q}_{target}.svg")
             with open(path, "w") as fh:

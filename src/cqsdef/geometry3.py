@@ -11,8 +11,10 @@ half-open parallelepiped of a simplicial cone (`box_points`), enumerated
 as the finite group Z^3 / G Z^3.  Cones are cut into simplicial cones by
 fanning out from one ray; Hilbert bases and canonicity are read off the
 parallelepiped points, and the bounded facets of the hull are found by
-gift wrapping over the Hilbert basis.  `lattice_points_ineq` enumerates
-the integer points of a bounded polyhedron by scanning its bounding box.
+gift wrapping over the extremal rays and the parallelepiped points
+below the plane through the generators of their simplex, with no Hilbert
+basis reduction.  `lattice_points_ineq` enumerates the integer points of a
+bounded polyhedron by scanning its bounding box.
 
 Vectors are plain integer 3-tuples; rational data stays in Fraction until
 it is cleared to integers.
@@ -300,6 +302,16 @@ def box_points(simplex: Sequence[IVec3]) -> tuple[int, list[tuple[IVec3, int]]]:
     return d, points
 
 
+def _parallelepiped_points(cone: Cone3):
+    """(x, level, d) for every parallelepiped point of every simplex of the
+    triangulation, d being the simplex's determinant; one simplex at a
+    time, so a caller that stops early enumerates no further simplex."""
+    for simplex in _simplices(cone):
+        d, points = box_points(simplex)
+        for x, level in points:
+            yield x, level, d
+
+
 def hilbert_basis_3d(cone: Cone3, psi: Optional[IVec3] = None) -> list[IVec3]:
     """Minimal generators of cone ∩ Z^3.
 
@@ -317,8 +329,7 @@ def hilbert_basis_3d(cone: Cone3, psi: Optional[IVec3] = None) -> list[IVec3]:
     if not all(dot3(psi, g) > 0 for g in gens):
         raise ValueError("psi not positive on the cone")
     cands = set(gens)
-    for simplex in _simplices(cone):
-        cands.update(x for x, level in box_points(simplex)[1] if level)
+    cands.update(x for x, level, _ in _parallelepiped_points(cone) if level)
     pts = sorted(cands, key=lambda p: (dot3(psi, p), p))
     # A reducible point splits off some basis element of smaller height,
     # and every basis element is a candidate, so it suffices to reduce
@@ -356,11 +367,7 @@ def is_canonical_cone3(cone: Cone3) -> bool:
     """
     if cone.gorenstein is None:
         raise ValueError("generators are not on a single affine hyperplane")
-    for simplex in _simplices(cone):
-        d, points = box_points(simplex)
-        if any(0 < level < d for _, level in points):
-            return False
-    return True
+    return not any(0 < level < d for _, level, d in _parallelepiped_points(cone))
 
 
 def _facet_polygon_vertices(pts: Sequence[IVec3], normal: IVec3) -> list[IVec3]:
@@ -391,11 +398,11 @@ def _facet_polygon_vertices(pts: Sequence[IVec3], normal: IVec3) -> list[IVec3]:
     return [t[2] for t in verts]
 
 
-def _wrap(hb: Sequence[IVec3], p: IVec3, q: IVec3, nrm: IVec3, ref: IVec3) -> IVec3:
+def _wrap(pts: Sequence[IVec3], p: IVec3, q: IVec3, nrm: IVec3, ref: IVec3) -> IVec3:
     """Inward normal of the hull face across the edge pq from the face
     with inward normal nrm; ref points from p into that face.
 
-    In the plane orthogonal to the edge every point of hb has an angle in
+    In the plane orthogonal to the edge every point of pts has an angle in
     [0, pi) from the old face, and the new face is the one of largest
     angle.
     """
@@ -405,7 +412,7 @@ def _wrap(hb: Sequence[IVec3], p: IVec3, q: IVec3, nrm: IVec3, ref: IVec3) -> IV
         inward = neg3(inward)
     best_s = best_t = 0
     best = None
-    for x in hb:
+    for x in pts:
         v = sub3(x, p)
         s, t = dot3(inward, v), dot3(nrm, v)
         if (s or t) and (best is None or best_s * t - best_t * s > 0):
@@ -424,36 +431,54 @@ def roof_facets(cone: Cone3) -> list[tuple[IVec3, int, list[IVec3]]]:
     facet vertices), with <normal, x> >= offset on the hull and the normal
     strictly positive on the cone.
 
-    The vertices are Hilbert basis elements, so the hull is conv(hb) plus
-    the cone.  Gift wrapping starts from a bounded edge on one face of the
-    cone, rotates a plane around each edge of every facet found, and stops
-    at edges on the boundary of the cone, where the neighbouring face is
-    unbounded.  Every plane found is checked to support the hull.
+    Lemma: the hull is conv(candidates) + cone, where the candidates are
+    the extremal rays and the parallelepiped points x with 0 < level < d.
+    A lattice point of a simplex g1, g2, g3 of the triangulation is a
+    parallelepiped point x plus a point of the cone.  If x = 0 and the
+    point is nonzero, it is some g_i plus a point of the cone; if level
+    >= d, the coefficients of x sum to at least 1, so x lies in
+    conv(g1, g2, g3) + cone.  So every vertex of the hull is a candidate,
+    and no Hilbert basis is needed.
+
+    Gift wrapping starts from a bounded edge on one face of the cone,
+    rotates a plane around each edge of every facet found, and stops at
+    edges on the boundary of the cone, where the neighbouring face is
+    unbounded.  Every plane found is checked to support every candidate.
     """
-    hb = hilbert_basis_3d(cone)
     gens, dual = cone.generators, cone.dual_rays
-    # The face's basis elements in angular order from ray a form the
-    # boundary of its 2D hull, so a and the next one span a bounded edge.
+    cands = {g for _, a, b in cone.facets for g in (a, b)}
+    cands.update(x for x, level, d in _parallelepiped_points(cone) if 0 < level < d)
+    # The face's first candidate in angular order from ray a, with a,
+    # spans a bounded edge.  That candidate lies on the ray of b1, a's
+    # neighbour in the 2D Hilbert basis of the face: a face lattice point
+    # at a smaller angle from a than b1 is i*a + j*b1 with i, j >= 1, so
+    # it is not a box point.  If b1 itself is pruned, it lies on the
+    # segment ab, and then q = b, which is the compact edge.  Multiples of
+    # b1 can be box points too, so of the candidates at one angle the
+    # shortest is taken.
     r, a, b = cone.facets[0]
     c = cross3(a, b)
     q = None
-    for x in hb:
-        if x != a and dot3(r, x) == 0 and (q is None or dot3(cross3(x, q), c) > 0):
+    for x in cands:
+        if x == a or dot3(r, x) != 0:
+            continue
+        turn = 0 if q is None else dot3(cross3(x, q), c)
+        if q is None or turn > 0 or (turn == 0 and dot3(x, x) < dot3(q, q)):
             q = x
     found: dict[tuple[IVec3, int], list[IVec3]] = {}
     edges = {frozenset((a, q))}
     todo = [(a, q, r, add3(a, b))]
     while todo:
         p, q, nrm, ref = todo.pop()
-        normal = _wrap(hb, p, q, nrm, ref)
+        normal = _wrap(cands, p, q, nrm, ref)
         off = dot3(normal, p)
         if (normal, off) in found:
             continue
         if any(dot3(normal, g) <= 0 for g in gens) or any(
-            dot3(normal, x) < off for x in hb
+            dot3(normal, x) < off for x in cands
         ):
             raise RuntimeError(f"gift wrapping found a non-supporting plane {normal}, {off}")
-        verts = _facet_polygon_vertices([x for x in hb if dot3(normal, x) == off], normal)
+        verts = _facet_polygon_vertices([x for x in cands if dot3(normal, x) == off], normal)
         found[(normal, off)] = verts
         for i in range(len(verts)):
             u, w = verts[i - 1], verts[i]

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 
-from .cqs import cqs_new, is_t_singularity
+from .cqs import CqsModel, cqs_new, is_t_singularity
 from .chains import enumerate_K
 from .minkowski import segment, segment_length
 from .totalspace import (
@@ -28,9 +28,8 @@ class ReportInvariantError(RuntimeError):
     """The assembled report is internally inconsistent."""
 
 
-def build_report(n: int, q: int, verbose: bool = False) -> dict:
-    """Assemble the complete analysis of Y_(n,q)."""
-    model = cqs_new(n, q)
+def build_report(model: CqsModel, verbose: bool = False) -> dict:
+    """Assemble the complete analysis of the singularity of model."""
     ks = enumerate_K(model)
     deformations = all_deformations(model)
 

@@ -311,8 +311,9 @@ def _build_slice_intervals(
 
 
 def _validate_piece_admissibility(fd: FanDecomposition) -> None:
+    label = fd.label
     for pc in fd.pieces:
-        check_lattice_ends(pc.s0, pc.s1, fd.p, f"{fd.label}: piece {pc.i}")
+        check_lattice_ends(pc.s0, pc.s1, fd.p, f"{label}: piece {pc.i}")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ from cqsdef.lattice import Cone2, Vec2, _xgcd, cf_eval
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import (
     _facet_polygon_vertices,
+    _simplices,
+    box_points,
     cone_contains3,
     cross3,
     dot3,
@@ -210,6 +212,24 @@ def brute_roof_facets(gens):
                 on_plane = [p for p in hb if dot3(nrm, p) == b]
                 found[(nrm, b)] = _facet_polygon_vertices(on_plane, nrm)
     return [(n, b, v) for (n, b), v in sorted(found.items())]
+
+
+def hull_vertex_candidates(cone) -> set:
+    """The candidates of the vertex lemma of roof_facets: the extremal rays
+    of cone and the parallelepiped points of its simplices strictly below
+    the plane through the simplex's generators (0 < level < d)."""
+    cands = {g for _, a, b in cone.facets for g in (a, b)}
+    for simplex in _simplices(cone):
+        d, points = box_points(simplex)
+        cands.update(x for x, level in points if 0 < level < d)
+    return cands
+
+
+def assert_hull_vertices_are_candidates(cone, facets) -> None:
+    """Every vertex of facets, the brute-force roof facets of cone, is a
+    candidate of the vertex lemma."""
+    verts = {v for _, _, vs in facets for v in vs}
+    assert verts <= hull_vertex_candidates(cone), sorted(verts - hull_vertex_candidates(cone))
 
 
 def run_optimized(*args: str) -> subprocess.CompletedProcess:

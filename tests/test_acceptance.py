@@ -29,6 +29,7 @@ from cqsdef.totalspace import (
     nu_count,
 )
 from conftest import (
+    assert_hull_vertices_are_candidates,
     brute_hilbert_basis_2d,
     brute_hilbert_basis_3d,
     brute_is_canonical,
@@ -178,7 +179,9 @@ def test_criterion_5_canonical_equivalence():
             k, fan = canonical_model(df)  # raises if the routes disagree
             assert fan.cone_ray_sets() == hull_cone_ray_sets(df.sigma_prime)
             gens = df.sigma_prime.generators
-            assert roof_facets(df.sigma_prime) == brute_roof_facets(gens), (n, q, df.label)
+            brute = brute_roof_facets(gens)
+            assert roof_facets(df.sigma_prime) == brute, (n, q, df.label)
+            assert_hull_vertices_are_candidates(df.sigma_prime, brute)
             for comp in components_of(df):
                 for c in assemble_fan3(fan_decomposition_for(df, comp), df).cones:
                     assert c.canonical == brute_is_canonical(c.cone.generators)

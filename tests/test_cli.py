@@ -8,6 +8,7 @@ import cqsdef.cqs
 import cqsdef.resolutions
 from cqsdef.cli import CHECKPOINT_HEADER, main
 from cqsdef.report import build_report, render_text
+from cqsdef.svgfig import FIGURE_TARGETS, make_figure
 from conftest import run_optimized
 
 
@@ -29,7 +30,7 @@ def test_analyze_json_counts(capsys):
 def test_analyze_text_is_projection(capsys):
     code, out, _ = run(capsys, "analyze", "8", "3")
     assert code == 0
-    assert out.strip() == render_text(build_report(8, 3)).strip()
+    assert out.strip() == render_text(build_report(cqsdef.cqs.cqs_new(8, 3))).strip()
 
 
 def test_analyze_rejects_hypersurface(capsys):
@@ -44,7 +45,7 @@ def test_analyze_rejects_invalid(capsys):
 
 
 def test_json_roundtrip():
-    report = build_report(8, 3, verbose=True)
+    report = build_report(cqsdef.cqs.cqs_new(8, 3), verbose=True)
     assert json.loads(json.dumps(report)) == report
 
 
@@ -144,6 +145,31 @@ def test_analyze_svg_dir(tmp_path, capsys):
         "y_8_3_segments.svg",
         "y_8_3_slices.svg",
     ]
+
+
+def test_analyze_svg_shares_the_model(tmp_path, monkeypatch, capsys):
+    """--svg draws the figures from the model build_report used, so no
+    fan decomposition is built twice, and neither the report nor the
+    figures change."""
+    builds = []
+    original = cqsdef.resolutions._build_fan_decomposition
+
+    def counting(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cqsdef.resolutions, "_build_fan_decomposition", counting)
+    outputs = {}
+    for extra in ([], ["--svg", str(tmp_path)]):
+        builds.clear()
+        code, out, _ = run(capsys, "analyze", "37", "11", "--json", *extra)
+        assert code == 0
+        outputs[bool(extra)] = (out, len(builds))
+    assert outputs[True] == outputs[False]
+    assert outputs[False][1] > 0
+    model = cqsdef.cqs.cqs_new(37, 11)
+    for target in FIGURE_TARGETS:
+        assert (tmp_path / f"y_37_11_{target}.svg").read_text() == make_figure(model, target)
 
 
 def count_scan_rows(monkeypatch):

@@ -14,6 +14,7 @@ from cqsdef.chains import enumerate_K
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import (
     Cone3,
+    _simplices,
     box_points,
     cross3,
     dot3,
@@ -25,18 +26,22 @@ from cqsdef.geometry3 import (
 from cqsdef.resolutions import assemble_fan3, fan_decomposition_for
 from cqsdef.totalspace import all_deformations, components_of
 from conftest import (
+    assert_hull_vertices_are_candidates,
     brute_hilbert_basis_3d,
     brute_is_canonical,
     brute_roof_facets,
     fraction_gorenstein_functional,
     iter_models,
+    run_optimized,
 )
 
 
 def _agrees_with_oracles(gens):
     cone = Cone3.from_rays(gens)
     assert hilbert_basis_3d(cone) == brute_hilbert_basis_3d(gens)
-    assert roof_facets(cone) == brute_roof_facets(gens)
+    brute = brute_roof_facets(gens)
+    assert roof_facets(cone) == brute
+    assert_hull_vertices_are_candidates(cone, brute)
     assert is_canonical_cone3(cone) == brute_is_canonical(gens)
 
 
@@ -87,6 +92,32 @@ def test_four_ray_sigma_prime():
     assert len(gens) == 4
     assert hilbert_basis_3d(cone) == brute_hilbert_basis_3d(gens)
     assert roof_facets(cone) == brute_roof_facets(gens)
+
+
+def test_start_edge_takes_the_shortest_point_at_one_angle():
+    # On the start face the neighbour b1 = (0, 0, 1) of a = (-1, 0, 7) and
+    # its multiple 2*b1 are both below the generator plane.
+    gens = [(-1, 0, 7), (1, 0, -1), (0, 1, 3)]
+    cone = Cone3.from_rays(gens)
+    r, a, b = cone.facets[0]
+    assert a == (-1, 0, 7) and dot3(r, (0, 0, 2)) == 0
+    (simplex,) = _simplices(cone)
+    d, points = box_points(simplex)
+    low = {x for x, level in points if 0 < level < d}
+    assert {(0, 0, 1), (0, 0, 2)} <= low
+    _agrees_with_oracles(gens)
+
+
+def test_non_extremal_generator_is_not_a_start_point():
+    # The generator (0, -1, 2) = a + b lies inside the start face, at a
+    # smaller angle from a = (-1, -1, 0) than b = (1, 0, 2).
+    gens = [(0, -1, 2), (-1, -1, 0), (1, 0, 2), (-2, -1, 0)]
+    cone = Cone3.from_rays(gens)
+    r, a, b = cone.facets[0]
+    assert (a, b) == ((-1, -1, 0), (1, 0, 2)) and dot3(r, (0, -1, 2)) == 0
+    brute = brute_roof_facets(gens)
+    assert roof_facets(cone) == brute
+    assert_hull_vertices_are_candidates(cone, brute)
 
 
 def test_y83_fan_cones_canonical_and_not():
@@ -174,3 +205,18 @@ def test_psi_check_survives_optimize():
         check=True,
     )
     assert out.stdout.split() == ["1", "raised"]
+
+
+def test_support_check_survives_optimize():
+    code = (
+        "import sys\n"
+        "from cqsdef import geometry3\n"
+        "wrap = geometry3._wrap\n"
+        "geometry3._wrap = lambda *args: geometry3.neg3(wrap(*args))\n"
+        "try:\n"
+        "    geometry3.roof_facets(geometry3.Cone3.from_rays([(7, 192, 0), (0, 1, 0), (0, 0, 1)]))\n"
+        "except RuntimeError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    out = run_optimized("-c", code).stdout.decode()
+    assert out.startswith("1 gift wrapping found a non-supporting plane")

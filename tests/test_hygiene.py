@@ -120,3 +120,75 @@ def test_dead_names_are_found(tmp_path):
         "sample.py:8: unused import json in f",
         "sample.py:11: f assigns w and never reads it",
     ]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(
+    path for part in ("src", "tests", "perfbench") for path in (ROOT / part).rglob("*.py")
+)
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _referenced(path: Path) -> set[str]:
+    """Every name the file reads, imports or spells as a (dotted) string,
+    except where a module-level definition reads its own name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for top in tree.body:
+        own = top.name if isinstance(top, DEFINITIONS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = [node.name.split(".")[-1]]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = node.value.split(".")
+            else:
+                continue
+            found.update(name for name in names if name != own)
+    return found
+
+
+def unreferenced_definitions(modules, sources) -> list[str]:
+    """Module-level functions and classes of modules that no file of
+    sources references outside their own definition."""
+    referenced = set().union(*(_referenced(path) for path in sources))
+    return [
+        f"{path.name}: {node.name}"
+        for path in modules
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, DEFINITIONS) and node.name not in referenced
+    ]
+
+
+def test_every_definition_is_referenced():
+    assert unreferenced_definitions(MODULES, SOURCES) == []
+
+
+def test_unreferenced_definitions_are_found(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "def used():\n"
+        "    return 1\n"
+        "\n"
+        "\n"
+        "def by_name():\n"
+        "    return 2\n"
+        "\n"
+        "\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1) if n else used()\n"
+        "\n"
+        "\n"
+        "class Unused:\n"
+        "    def make(self) -> 'Unused':\n"
+        "        return Unused()\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text("import lib\n\nlib.used()\ngetattr(lib, 'by_name')\n")
+    assert unreferenced_definitions([lib], [lib, user]) == [
+        "lib.py: recursive",
+        "lib.py: Unused",
+    ]

@@ -9,6 +9,7 @@ import pytest
 import cqsdef.fibers
 import cqsdef.geometry3
 import cqsdef.totalspace
+from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import Cone3
 from cqsdef.report import build_report, report_to_json
 from cqsdef.resolutions import MaxCone3
@@ -16,7 +17,7 @@ from cqsdef.resolutions import MaxCone3
 
 def test_report_to_json_matches_json_dumps_y83():
     for verbose in (False, True):
-        report = build_report(8, 3, verbose=verbose)
+        report = build_report(cqs_new(8, 3), verbose=verbose)
         assert report_to_json(report) == json.dumps(report, indent=2)
 
 
@@ -24,7 +25,7 @@ def test_report_to_json_matches_json_dumps_sample():
     rng = random.Random(60)
     pairs = [(n, q) for n in range(3, 61) for q in range(1, n - 1) if gcd(n, q) == 1]
     for n, q in rng.sample(pairs, 12):
-        report = build_report(n, q, verbose=n % 2 == 0)
+        report = build_report(cqs_new(n, q), verbose=n % 2 == 0)
         assert report_to_json(report) == json.dumps(report, indent=2), (n, q)
 
 
@@ -70,7 +71,7 @@ def _count_calls(monkeypatch, module, name):
 def test_build_report_builds_each_deformation_and_fiber_once(monkeypatch):
     builds = _count_calls(monkeypatch, cqsdef.totalspace, "build_deformation")
     fibers = _count_calls(monkeypatch, cqsdef.fibers, "general_fiber")
-    report = build_report(19, 7)
+    report = build_report(cqs_new(19, 7))
     count = report["counts"]["deformations"]
     assert count > 0
     assert len(builds) == count
@@ -105,6 +106,6 @@ def test_build_report_derives_cone_data_once(monkeypatch):
     prop = cached_property(counting)
     prop.__set_name__(Cone3, "gorenstein")
     monkeypatch.setattr(Cone3, "gorenstein", prop)
-    build_report(19, 7)
+    build_report(cqs_new(19, 7))
     assert 0 < len(duals) <= len(cones)
     assert 0 < len(solves) <= len(fan_cones)
