@@ -4,6 +4,7 @@ two-dimensional cyclic quotient singularities."""
 from .lattice import (
     Cone2,
     ContinuedFraction,
+    InvariantError,
     Vec2,
     cf_eval,
     cf_expand,

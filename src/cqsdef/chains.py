@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .lattice import cf_eval
+from .lattice import InvariantError, cf_eval
 from .cqs import CqsModel
 
 
@@ -54,7 +54,8 @@ def make_zero_chain(k: Sequence[int]) -> ZeroChain:
     if alpha[-1] != 0 or any(a < 1 for a in alpha[1:-1]):
         raise ValueError(f"{k} does not represent zero with positive interior heights")
     val = cf_eval(k)
-    assert val == 0, f"continued fraction of {k} is {val}, not 0"
+    if val != 0:
+        raise InvariantError(f"continued fraction of {k} is {val}, not 0")
     return ZeroChain(k=k, alpha=alpha)
 
 
@@ -152,36 +153,50 @@ Smooth = NormalForm(NormalForm.SMOOTH)
 Invalid = NormalForm(NormalForm.INVALID)
 
 
-def _blow_down_step(chain: tuple[int, ...], pos: int) -> tuple[int, ...]:
-    """Remove the entry 1 at pos, decrementing its neighbours (interior)
-    or the new boundary entry (boundary)."""
-    if pos == 0:
-        return (chain[1] - 1,) + chain[2:]
-    if pos == len(chain) - 1:
-        return chain[:-2] + (chain[-2] - 1,)
-    return chain[: pos - 1] + (chain[pos - 1] - 1, chain[pos + 1] - 1) + chain[pos + 2 :]
-
-
 def blow_down_trace(
     chain: Sequence[int],
-) -> tuple[NormalForm, list[tuple[tuple[int, ...], int]], tuple[int, ...]]:
-    """Blow a chain down (leftmost 1 first), recording each (chain, position)
-    step so the process can be replayed as blow-ups.
+) -> tuple[NormalForm, list[tuple[int, int]], tuple[int, ...]]:
+    """Blow a chain down (leftmost 1 first), recording each step as
+    (length before, position of the 1) so the process can be replayed as
+    blow-ups.
 
-    Returns (normal form, trace, terminal chain).
+    Returns (normal form, trace, terminal chain).  The process stops as
+    soon as an entry drops below 1 (Invalid), the chain is (), (1) or
+    (1, 1) (Smooth), or no entry is 1 (Singular).  It is one pass over
+    the chain with a stack: every entry left of the leftmost 1 is at
+    least 2, so after a blow-down the next leftmost 1 is the decremented
+    left neighbour or lies further right.
     """
-    cur = tuple(chain)
-    trace: list[tuple[tuple[int, ...], int]] = []
+    rest = list(chain)
+    if any(c < 1 for c in rest):
+        return Invalid, [], tuple(rest)
+    left: list[int] = []  # the entries left of rest[i]; all but the last are >= 2
+    i = 0
+    trace: list[tuple[int, int]] = []
     while True:
-        if any(c < 1 for c in cur):
-            return Invalid, trace, cur
-        if cur in ((1,), (1, 1)) or len(cur) == 0:
-            return Smooth, trace, cur
-        if 1 not in cur:
-            return NormalForm(NormalForm.SINGULAR, cur), trace, cur
-        pos = cur.index(1)
-        trace.append((cur, pos))
-        cur = _blow_down_step(cur, pos)
+        length = len(left) + len(rest) - i
+        if length <= 2 and (length == 0 or left + rest[i:] in ([1], [1, 1])):
+            return Smooth, trace, tuple(left + rest[i:])
+        if left and left[-1] == 1:
+            i -= 1
+            rest[i] = left.pop()
+        else:
+            try:
+                j = rest.index(1, i)
+            except ValueError:
+                left += rest[i:]
+                return NormalForm(NormalForm.SINGULAR, tuple(left)), trace, tuple(left)
+            left += rest[i:j]
+            i = j
+        pos = len(left)
+        trace.append((length, pos))
+        i += 1  # remove the 1 and decrement its neighbours
+        if pos > 0:
+            left[-1] -= 1
+        if pos < length - 1:
+            rest[i] -= 1
+            if rest[i] < 1:
+                return Invalid, trace, tuple(left + rest[i:])
 
 
 def blow_down(chain: Sequence[int]) -> NormalForm:
@@ -191,8 +206,8 @@ def blow_down(chain: Sequence[int]) -> NormalForm:
 
 
 def blow_up_step(chain: tuple[int, ...], pos: int, length_before: int) -> tuple[int, ...]:
-    """Inverse of _blow_down_step: reinsert a 1 at pos into a chain that had
-    length length_before before the corresponding blow-down."""
+    """Inverse of one blow-down step: reinsert a 1 at pos into a chain that
+    had length length_before before the corresponding blow-down."""
     if pos == 0:
         return (1, chain[0] + 1) + chain[1:]
     if pos == length_before - 1:
@@ -207,7 +222,8 @@ def chain_to_nq(chain: Sequence[int]) -> tuple[int, int]:
     if not chain or any(c < 2 for c in chain):
         raise ValueError(f"{chain} is not a normal-form singular chain")
     val = cf_eval(chain)
-    assert val is not None and val > 1
+    if val is None or val <= 1:
+        raise InvariantError(f"continued fraction of {chain} is {val}, not above 1")
     n, nq = val.numerator, val.denominator
     return n, n - nq
 
@@ -227,12 +243,17 @@ def special_k(model: CqsModel, h: int) -> ZeroChain:
     a = list(model.a_chain)
     a[h - 2] = 1
     nf, trace, final = blow_down_trace(tuple(a))
-    assert nf.kind != NormalForm.INVALID
+    if nf.kind == NormalForm.INVALID:
+        raise InvariantError(f"{tuple(a)} blew down below 1")
 
     k = rdp_chain(len(final) + 2)
-    for chain_before, pos in reversed(trace):
-        k = blow_up_step(k, pos, len(chain_before))
-    assert len(k) == model.e - 2 and k[h - 2] == 1
+    for length_before, pos in reversed(trace):
+        k = blow_up_step(k, pos, length_before)
+    if len(k) != model.e - 2 or k[h - 2] != 1:
+        raise InvariantError(
+            f"the replayed chain {k} is not of length {model.e - 2} with k_{h} = 1"
+        )
     zc = make_zero_chain(k)
-    assert zc in enumerate_K(model)
+    if zc not in enumerate_K(model):
+        raise InvariantError(f"the replayed chain {k} is not below the chain of the model")
     return zc

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lattice import Cone2, Vec2, cf_expand, dual_cone, hilbert_basis_2d
+from .lattice import Cone2, InvariantError, Vec2, cf_expand, dual_cone, hilbert_basis_2d
 
 
 class InvalidSingularityError(ValueError):
@@ -94,12 +94,14 @@ def cqs_new(n: int, q: int) -> CqsModel:
     a_chain = tuple(cf_expand(n, n - q))
     sigma = Cone2(Vec2(1, 0), Vec2(-q, n))
     w = tuple(hilbert_basis_2d(dual_cone(sigma)))
-    assert w[0] == Vec2(0, 1) and w[-1] == Vec2(n, q)
+    if w[0] != Vec2(0, 1) or w[-1] != Vec2(n, q):
+        raise InvariantError(f"the dual generators of Y_({n},{q}) run from {w[0]} to {w[-1]}")
     e = len(w)
-    assert e == len(a_chain) + 2
+    if e != len(a_chain) + 2:
+        raise InvariantError(f"{e} dual generators for a chain of length {len(a_chain)}")
     for i in range(1, e - 1):
-        lhs = w[i - 1] + w[i + 1]
-        assert lhs == a_chain[i - 1] * w[i], f"three-term relation fails at {i + 1}"
+        if w[i - 1] + w[i + 1] != a_chain[i - 1] * w[i]:
+            raise InvariantError(f"three-term relation fails at {i + 1}")
     return CqsModel(n=n, q=q, e=e, a_chain=a_chain, w=w, sigma=sigma)
 
 
@@ -111,7 +113,8 @@ def to_display_coords(w_a: Vec2, model: CqsModel) -> tuple[int, int]:
     """
     x, y = w_a.as_int_pair()
     u = (x, model.n * y - model.q * x)
-    assert (model.q * u[0] + u[1]) % model.n == 0
+    if (model.q * u[0] + u[1]) % model.n:
+        raise InvariantError(f"display coordinates {u} are off the display lattice")
     return u
 
 

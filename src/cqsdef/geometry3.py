@@ -16,8 +16,8 @@ below the plane through the generators of their simplex, with no Hilbert
 basis reduction.  `lattice_points_ineq` enumerates the integer points of a
 bounded polyhedron by scanning its bounding box.
 
-Vectors are plain integer 3-tuples; rational data stays in Fraction until
-it is cleared to integers.
+Vectors are plain integer 3-tuples; rational points are cleared to
+integer vectors before any cone is built.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
+
+from .lattice import Ratio
 
 IVec3 = tuple[int, int, int]
 
@@ -193,20 +195,34 @@ class Cone3:
 
     @classmethod
     def over_summands(
-        cls, s0: tuple[Fraction, Fraction], s1: tuple[Fraction, Fraction], p: int
+        cls, ends0: tuple[Ratio, Ratio], ends1: tuple[Ratio, Ratio], p: int
     ) -> "Cone3":
-        """The cone over s0 at height (1, 0) and s1/p at height (0, 1).
+        """The cone over the interval s0 at height (1, 0) and s1/p at height
+        (0, 1), each interval given by its two ends as integer ratios
+        (numerator, denominator) with positive denominators.
 
-        Its generators are the primitive vectors (x.numerator, x.denominator, 0)
-        for the ends x of s0 and (y.numerator, 0, y.denominator) for the
-        ends y of s1/p, without duplicates and in that order: what
-        from_rays gives for the rays (x, 1, 0) and (y, 0, 1), since a
-        Fraction is kept in lowest terms with a positive denominator.
+        Its generators are the primitive vectors of a = (beta0, 1, 0),
+        b = (gamma0, 1, 0), c = (beta1/p, 0, 1) and d = (gamma1/p, 0, 1),
+        without duplicates and in that order: what from_rays gives for
+        these rays.  Its dual rays are known in closed form and stored
+        sorted: the inward normals d x b and a x c of the two slanted
+        facets, (0, 0, 1) when a != b and (0, 1, 0) when c != d.
         """
-        ys = [Fraction(y) / p for y in s1]
-        gens = [(x.numerator, x.denominator, 0) for x in s0]
-        gens += [(y.numerator, 0, y.denominator) for y in ys]
-        return cls(generators=tuple(dict.fromkeys(gens)))
+        (b0, bd0), (g0, gd0) = ends0
+        (b1, bd1), (g1, gd1) = ends1
+        a, b = prim3((b0, bd0, 0)), prim3((g0, gd0, 0))
+        c, d = prim3((b1, 0, bd1 * p)), prim3((g1, 0, gd1 * p))
+        rays = [prim3(cross3(d, b))]  # first coordinate < 0
+        if a != b:
+            rays.append((0, 0, 1))
+        if c != d:
+            rays.append((0, 1, 0))
+        rays.append(prim3(cross3(a, c)))  # first coordinate > 0
+        if len(rays) < 3:
+            raise ValueError("cone is not full-dimensional")
+        cone = cls(generators=tuple(dict.fromkeys((a, b, c, d))))
+        vars(cone)["dual_rays"] = tuple(rays)  # fills the cached property
+        return cone
 
     @cached_property
     def dual_rays(self) -> tuple[IVec3, ...]:

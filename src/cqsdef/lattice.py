@@ -1,7 +1,10 @@
 """Exact 2D lattice primitives: vectors, oriented cones, Hirzebruch-Jung
-continued fractions, and Hilbert bases of two-dimensional cones.
+continued fractions, and Hilbert bases of two-dimensional cones; and
+InvariantError, the package's one exception for a broken internal
+invariant, kept here because every other module imports this one.
 
-All arithmetic is exact; rational numbers are ``fractions.Fraction``.
+All arithmetic is exact; rational numbers are ``fractions.Fraction``, or
+``Ratio`` pairs where the denominator is known in advance.
 """
 
 from __future__ import annotations
@@ -12,6 +15,16 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
+# A rational number as (numerator, denominator) with a positive denominator,
+# not necessarily in lowest terms: the form in which the slice code keeps
+# numbers whose denominators it knows in advance.
+Ratio = tuple[int, int]
+
+
+class InvariantError(RuntimeError):
+    """A consistency check of the library failed: a defect in the code,
+    not in its input.  It is raised explicitly, so it holds under
+    python -O as well."""
 
 
 def frac(x: Rat) -> Fraction:
@@ -163,7 +176,8 @@ def _extend_to_unimodular(r: Vec2) -> tuple[tuple[int, int], tuple[int, int]]:
     g, s, t = _xgcd(a, b)
     if g < 0:
         g, s, t = -g, -s, -t
-    assert g == 1
+    if g != 1:
+        raise InvariantError(f"{r} is not primitive")
     return (s, t), (-b, a)
 
 
@@ -207,7 +221,8 @@ def hilbert_basis_2d(cone: Cone2) -> list[Vec2]:
     x2, y2 = cone.ray2.as_int_pair()
     x = row1[0] * x2 + row1[1] * y2
     m = row2[0] * x2 + row2[1] * y2
-    assert m == n
+    if m != n:
+        raise InvariantError(f"the unimodular image of {cone.ray2} has height {m}, not {n}")
     q = (-x) % n
     shear = (-q - x) // n  # (x + shear*n, n) == (-q, n)
 
@@ -217,7 +232,8 @@ def hilbert_basis_2d(cone: Cone2) -> list[Vec2]:
         vx = c * pts[-1][0] - pts[-2][0]
         vy = c * pts[-1][1] - pts[-2][1]
         pts.append((vx, vy))
-    assert pts[-1] == (-q, n)
+    if pts[-1] != (-q, n):
+        raise InvariantError(f"the staircase ends at {pts[-1]}, not {(-q, n)}")
 
     # Undo the shear and the unimodular change of basis.
     # U = [[s, t], [-b, a]] has inverse [[a, -t], [b, s]]; the shear
@@ -228,6 +244,7 @@ def hilbert_basis_2d(cone: Cone2) -> list[Vec2]:
     for px, py in pts:
         ux, uy = px - shear * py, py
         out.append(Vec2(a * ux - t * uy, b * ux + s * uy))
-    assert out[0] == cone.ray1 and out[-1] == cone.ray2
+    if out[0] != cone.ray1 or out[-1] != cone.ray2:
+        raise InvariantError(f"the Hilbert basis runs from {out[0]} to {out[-1]}")
     out.reverse()
     return out

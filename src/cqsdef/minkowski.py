@@ -5,12 +5,15 @@ deformations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .lattice import Vec2
+from .lattice import Ratio, Vec2
 from .cqs import CqsModel
+
+
+def _view(r: Ratio) -> Fraction:
+    return Fraction(*r)
 
 
 @dataclass(frozen=True)
@@ -22,14 +25,24 @@ class Segment:
     w^{h+1}, so <v, w^{h+1}> - m0 is a lattice coordinate on it.  m0 puts
     the leftmost lattice point of the slice at 0, so beta lies in (-1, 0]
     and the coordinate grows toward the endpoint gamma on the (1,0)-ray.
+
+    ends holds beta over its known denominator <(-q, n), w^h> and gamma
+    over w^h_1; beta, gamma and length are Fraction views of it.
     """
 
     h: int
-    beta: Fraction
-    gamma: Fraction
+    ends: tuple[Ratio, Ratio]
     m0: int
     w: Vec2
     w_next: Vec2
+
+    @property
+    def beta(self) -> Fraction:
+        return _view(self.ends[0])
+
+    @property
+    def gamma(self) -> Fraction:
+        return _view(self.ends[1])
 
     @property
     def direction(self) -> Vec2:
@@ -46,23 +59,34 @@ class Segment:
         return self.origin + self.direction
 
     @property
+    def length_ratio(self) -> Ratio:
+        (b, bd), (g, gd) = self.ends
+        return g * bd - b * gd, bd * gd
+
+    @property
     def length(self) -> Fraction:
-        return self.gamma - self.beta
+        return _view(self.length_ratio)
 
     @property
     def lattice_count(self) -> int:
-        return math.floor(self.gamma) - math.ceil(self.beta) + 1
+        (b, bd), (g, gd) = self.ends
+        return g // gd + (-b) // bd + 1  # floor(gamma) - ceil(beta) + 1
 
     def point_at(self, coord) -> Vec2:
         """The point of the slicing line at the given lattice coordinate."""
         return self.origin + coord * self.direction
 
-    def coord(self, ray: Vec2) -> Fraction:
-        """Coordinate of the point where the ray meets the slicing line."""
+    def coord_ratio(self, ray: Vec2) -> Ratio:
+        """Coordinate of the point where the ray meets the slicing line,
+        over the denominator <ray, w^h>."""
         t = ray.dot(self.w)
         if t <= 0:
             raise RuntimeError(f"ray {ray} does not meet the slice at height {t}")
-        return Fraction(ray.dot(self.w_next) - t * self.m0, t)
+        return ray.dot(self.w_next) - t * self.m0, t
+
+    def coord(self, ray: Vec2) -> Fraction:
+        """Coordinate of the point where the ray meets the slicing line."""
+        return _view(self.coord_ratio(ray))
 
     def coord_of(self, pt: Vec2) -> Fraction:
         """Canonical coordinate of a point lying on the slicing line."""
@@ -89,10 +113,11 @@ def segment(model: CqsModel, h: int) -> Segment:
 def _build_segment(model: CqsModel, h: int) -> Segment:
     w, w_next = model.wgen(h), model.wgen(h + 1)
     left, right = model.sigma.ray2, model.sigma.ray1  # (-q, n) and (1, 0)
-    m0 = math.ceil(Fraction(left.dot(w_next), left.dot(w)))
-    frame = Segment(h=h, beta=Fraction(0), gamma=Fraction(0), m0=m0, w=w, w_next=w_next)
-    seg = replace(frame, beta=frame.coord(left), gamma=frame.coord(right))
-    if seg.length != segment_length(model, h):
+    m0 = -(-left.dot(w_next) // left.dot(w))
+    frame = Segment(h=h, ends=((0, 1), (0, 1)), m0=m0, w=w, w_next=w_next)
+    seg = replace(frame, ends=(frame.coord_ratio(left), frame.coord_ratio(right)))
+    num, den = seg.length_ratio
+    if num * w.x * (w.y * model.n - w.x * model.q) != model.n * den:
         raise RuntimeError(
             f"slice length mismatch for (n,q)=({model.n},{model.q}) h={h}: "
             f"geometric {seg.length} vs formula {segment_length(model, h)}"
@@ -118,14 +143,25 @@ class Decomposition:
     kind "D": Q = (beta, gamma - p*d) + p*(0, d).
     kind "Dbar": Q = (beta, E) + (0, gamma - E) with E = ceil(beta + #(Q) - d),
     only at interior h and with p = 1.
+
+    ends0 and ends1 hold the ends of the two summands as integer ratios
+    over the slice's denominators; s0 and s1 are Fraction views of them.
     """
 
     kind: str  # "D" | "Dbar"
     h: int
     p: int
     d: int
-    s0: tuple[Fraction, Fraction]
-    s1: tuple[Fraction, Fraction]
+    ends0: tuple[Ratio, Ratio]
+    ends1: tuple[Ratio, Ratio]
+
+    @property
+    def s0(self) -> tuple[Fraction, Fraction]:
+        return _view(self.ends0[0]), _view(self.ends0[1])
+
+    @property
+    def s1(self) -> tuple[Fraction, Fraction]:
+        return _view(self.ends1[0]), _view(self.ends1[1])
 
     @property
     def label(self) -> str:
@@ -135,60 +171,65 @@ class Decomposition:
 
     def validate(self, seg: Segment) -> None:
         """Re-check the admissibility invariants against the slice."""
-        b0, g0 = self.s0
-        b1, g1 = self.s1
-        if not (b0 <= g0 and b1 <= g1):
+        (b0, bd0), (g0, gd0) = self.ends0
+        (b1, bd1), (g1, gd1) = self.ends1
+        (b, bd), (g, gd) = seg.ends
+        if b0 * gd0 > g0 * bd0 or b1 * gd1 > g1 * bd1:
             raise RuntimeError(f"{self.label}: a summand runs right to left")
-        if b0 + b1 != seg.beta or g0 + g1 != seg.gamma:
+        if (b0 * bd1 + b1 * bd0) * bd != b * bd0 * bd1 or (
+            g0 * gd1 + g1 * gd0
+        ) * gd != g * gd0 * gd1:
             raise RuntimeError(f"{self.label}: summands do not add up")
         if self.kind == "Dbar" and self.p != 1:
             raise RuntimeError(f"{self.label}: p = {self.p} != 1")
-        check_lattice_ends(self.s0, self.s1, self.p, self.label)
+        check_lattice_ends(self.ends0, self.ends1, self.p, self.label)
 
     def to_json(self) -> dict:
+        s0, s1 = self.s0, self.s1
         return {
             "kind": self.kind,
             "h": self.h,
             "p": self.p,
             "d": self.d,
-            "summands": [
-                [str(self.s0[0]), str(self.s0[1])],
-                [str(self.s1[0]), str(self.s1[1])],
-            ],
+            "summands": [[str(s0[0]), str(s0[1])], [str(s1[0]), str(s1[1])]],
         }
 
 
 def check_lattice_ends(
-    s0: tuple[Fraction, Fraction], s1: tuple[Fraction, Fraction], p: int, what: str
+    ends0: tuple[Ratio, Ratio], ends1: tuple[Ratio, Ratio], p: int, what: str
 ) -> None:
-    """The lattice-end rule of an admissible decomposition s0 + s1, where
-    s1 is p times a summand: for p = 1 a lattice left end and a lattice
-    right end, each in one of the summands; for p > 1 an integral s1
-    whose length is divisible by p.  Raises RuntimeError naming `what`."""
-    (b0, g0), (b1, g1) = s0, s1
+    """The lattice-end rule of an admissible decomposition s0 + s1, given
+    by the ends of its summands as integer ratios, where s1 is p times a
+    summand: for p = 1 a lattice left end and a lattice right end, each in
+    one of the summands; for p > 1 an integral s1 whose length is
+    divisible by p.  Raises RuntimeError naming `what`."""
+    (b0, bd0), (g0, gd0) = ends0
+    (b1, bd1), (g1, gd1) = ends1
     if p == 1:
-        if b0.denominator != 1 and b1.denominator != 1:
+        if b0 % bd0 and b1 % bd1:
             raise RuntimeError(f"{what} has no lattice left end")
-        if g0.denominator != 1 and g1.denominator != 1:
+        if g0 % gd0 and g1 % gd1:
             raise RuntimeError(f"{what} has no lattice right end")
     else:
-        if b1.denominator != 1 or g1.denominator != 1:
+        if b1 % bd1 or g1 % gd1:
             raise RuntimeError(f"{what} has a non-lattice s1")
-        if (g1 - b1) % p != 0:
+        if (g1 // gd1 - b1 // bd1) % p:
             raise RuntimeError(f"{what} has s1 not divisible by p")
 
 
 def decomposition_D(seg: Segment, p: int, d: int) -> Decomposition:
     pd = p * d
-    if not 0 <= pd <= seg.length:
+    num, den = seg.length_ratio
+    if not (0 <= pd and pd * den <= num):
         raise ValueError(f"p*d = {pd} exceeds slice length {seg.length}")
+    beta, (g, gd) = seg.ends
     return Decomposition(
         kind="D",
         h=seg.h,
         p=p,
         d=d,
-        s0=(seg.beta, seg.gamma - pd),
-        s1=(Fraction(0), Fraction(pd)),
+        ends0=(beta, (g - pd * gd, gd)),
+        ends1=((0, 1), (pd, 1)),
     )
 
 
@@ -196,14 +237,15 @@ def decomposition_Dbar(seg: Segment, d: int) -> Decomposition:
     cnt = seg.lattice_count
     if not 1 <= d <= cnt:
         raise ValueError(f"d = {d} out of range 1..{cnt}")
-    e_cut = Fraction(math.ceil(seg.beta + cnt - d))
+    (b, bd), (g, gd) = seg.ends
+    e_cut = -(-(b + (cnt - d) * bd) // bd)  # ceil(beta + cnt - d)
     return Decomposition(
         kind="Dbar",
         h=seg.h,
         p=1,
         d=d,
-        s0=(seg.beta, e_cut),
-        s1=(Fraction(0), seg.gamma - e_cut),
+        ends0=((b, bd), (e_cut, 1)),
+        ends1=((0, 1), (g - e_cut * gd, gd)),
     )
 
 
@@ -217,12 +259,10 @@ def enum_decompositions(model: CqsModel) -> list[Decomposition]:
     out: list[Decomposition] = []
     for h in range(2, model.e):
         seg = segment(model, h)
-        a_h = model.a(h)
-        for p in range(1, a_h):
-            d = 1
-            while p * d <= seg.length:
+        num, den = seg.length_ratio
+        for p in range(1, model.a(h)):
+            for d in range(1, num // (p * den) + 1):
                 out.append(decomposition_D(seg, p, d))
-                d += 1
         if 3 <= h <= model.e - 2:
             for d in range(1, seg.lattice_count + 1):
                 out.append(decomposition_Dbar(seg, d))

@@ -8,6 +8,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii
 
 from .cqs import CqsModel, cqs_new, is_t_singularity
+from .lattice import InvariantError
 from .chains import enumerate_K
 from .minkowski import segment, segment_length
 from .totalspace import (
@@ -24,7 +25,7 @@ from .resolutions import canonical_model, fan_decomposition_for, p_resolution_fa
 SCHEMA_VERSION = 1
 
 
-class ReportInvariantError(RuntimeError):
+class ReportInvariantError(InvariantError):
     """The assembled report is internally inconsistent."""
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .lattice import Cone2, Vec2, cone_normal_form
+from .lattice import Cone2, InvariantError, Ratio, Vec2, cone_normal_form
 from .cqs import CqsModel
 from .chains import ZeroChain
 from .minkowski import (
@@ -107,15 +107,14 @@ def _build_p_resolution(model: CqsModel, k: ZeroChain) -> PResolutionFan:
     for j in range(2, e - 1):
         w_j, w_n = model.wgen(j), model.wgen(j + 1)
         det = w_j.x * w_n.y - w_j.y * w_n.x
-        assert det in (1, -1)
+        if det not in (1, -1):
+            raise InvariantError(f"w^{j} and w^{j + 1} span a sublattice of index {abs(det)}")
         aj, an = k.alpha_at(j), k.alpha_at(j + 1)
-        rx = Fraction(w_n.y * aj - w_j.y * an, det)
-        ry = Fraction(-w_n.x * aj + w_j.x * an, det)
-        assert rx.denominator == 1 and ry.denominator == 1
-        ray = Vec2(int(rx), int(ry))
-        g = math.gcd(abs(int(rx)), abs(int(ry)))
-        assert g == 1, "interior ray is not primitive"
-        assert model.sigma.contains(ray)
+        ray = Vec2(det * (w_n.y * aj - w_j.y * an), det * (-w_n.x * aj + w_j.x * an))
+        if math.gcd(ray.x, ray.y) != 1:
+            raise InvariantError(f"interior ray {ray} is not primitive")
+        if not model.sigma.contains(ray):
+            raise InvariantError(f"interior ray {ray} leaves the cone")
         boundary.append(ray)
     boundary.append(Vec2(-model.q, model.n))
 
@@ -237,7 +236,8 @@ def _build_fan_decomposition(
     seg = segment(model, h)
     intervals = slice_intervals(model, k, h)
     local_len_h = intervals[h][1] - intervals[h][0]
-    assert local_len_h == gap, f"slice at h has length {local_len_h}, expected {gap}"
+    if local_len_h != gap:
+        raise InvariantError(f"slice at h has length {local_len_h}, expected {gap}")
 
     cum0, cum1 = seg.beta, Fraction(0)
     pieces = []
@@ -251,7 +251,8 @@ def _build_fan_decomposition(
             len0, len1 = total, Fraction(0)
         s0 = (cum0, cum0 + len0)
         s1 = (cum1, cum1 + len1)
-        assert s0[0] + s1[0] == left and s0[1] + s1[1] == right
+        if s0[0] + s1[0] != left or s0[1] + s1[1] != right:
+            raise InvariantError(f"the pieces of tau_{i} do not add up to its slice")
         pieces.append(PieceDecomposition(i=i, s0=s0, s1=s1, degenerate=(total == 0)))
         cum0, cum1 = s0[1], s1[1]
     pieces.sort(key=lambda pc: pc.i)
@@ -260,10 +261,9 @@ def _build_fan_decomposition(
         induced = decomposition_D(seg, p, d)
     else:
         induced = decomposition_Dbar(seg, d)
-    assert (cum0 == induced.s0[1]) and (cum1 == induced.s1[1]), (
-        "induced decomposition does not match"
-    )
-    assert pieces and seg.beta == induced.s0[0] + induced.s1[0]
+    t0, t1 = induced.s0, induced.s1
+    if cum0 != t0[1] or cum1 != t1[1] or not pieces or seg.beta != t0[0] + t1[0]:
+        raise InvariantError("induced decomposition does not match")
 
     fd = FanDecomposition(
         model=model,
@@ -310,10 +310,16 @@ def _build_slice_intervals(
     return intervals
 
 
+def _ratios(ends: tuple[Fraction, Fraction]) -> tuple[Ratio, Ratio]:
+    """The ends of an interval as integer ratios (numerator, denominator)."""
+    x, y = ends
+    return (x.numerator, x.denominator), (y.numerator, y.denominator)
+
+
 def _validate_piece_admissibility(fd: FanDecomposition) -> None:
     label = fd.label
     for pc in fd.pieces:
-        check_lattice_ends(pc.s0, pc.s1, fd.p, f"{label}: piece {pc.i}")
+        check_lattice_ends(_ratios(pc.s0), _ratios(pc.s1), fd.p, f"{label}: piece {pc.i}")
 
 
 @dataclass(frozen=True)
@@ -373,7 +379,8 @@ def assemble_fan3(fd: FanDecomposition, defo: Deformation) -> Fan3:
     for pc in fd.pieces:
         if pc.degenerate:
             continue
-        cone = Cone3.over_summands((pc.s0[0] + m0, pc.s0[1] + m0), pc.s1, p)
+        ends0 = _ratios((pc.s0[0] + m0, pc.s0[1] + m0))
+        cone = Cone3.over_summands(ends0, _ratios(pc.s1), p)
         if cone.gorenstein is None:
             raise RuntimeError(f"{fd.label}: the cone over piece {pc.i} is not Q-Gorenstein")
         tau = fd.fan.cone_at(pc.i)
@@ -393,24 +400,26 @@ def assemble_fan3(fd: FanDecomposition, defo: Deformation) -> Fan3:
     for mc in cones:
         if not all(support.contains(g) for g in mc.cone.generators):
             raise RuntimeError(f"{fd.label}: the cone over piece {mc.tau_index} leaves the support")
-    _assert_fan_interfaces(cones)
+    _check_fan_interfaces(cones)
     return Fan3(support=support, cones=tuple(cones))
 
 
-def _assert_fan_interfaces(cones: list[MaxCone3]) -> None:
+def _check_fan_interfaces(cones: list[MaxCone3]) -> None:
     """Consecutive cones must lie on opposite sides of their common face."""
     ordered = sorted(cones, key=lambda c: -c.tau_index)
     for left, right in zip(ordered, ordered[1:]):
         shared = [g for g in left.cone.generators if g in right.cone.generators]
         if len(shared) < 2:
-            raise AssertionError("adjacent cones share no 2D face")
+            raise InvariantError("adjacent cones share no 2D face")
         nrm = cross3(shared[0], shared[1])
-        assert nrm != (0, 0, 0)
+        if nrm == (0, 0, 0):
+            raise InvariantError("adjacent cones share only a ray")
         sides_l = {s for g in left.cone.generators if (s := _sign(dot3(nrm, g))) != 0}
         sides_r = {s for g in right.cone.generators if (s := _sign(dot3(nrm, g))) != 0}
-        assert len(sides_l) <= 1 and len(sides_r) <= 1
-        if sides_l and sides_r:
-            assert sides_l != sides_r, "adjacent cones overlap"
+        if len(sides_l) > 1 or len(sides_r) > 1:
+            raise InvariantError("a cone lies on both sides of its common face")
+        if sides_l and sides_l == sides_r:
+            raise InvariantError("adjacent cones overlap")
 
 
 def _sign(x) -> int:
@@ -483,5 +492,6 @@ def lattice_points_right(model: CqsModel, k: ZeroChain, h: int) -> int:
     fan = p_resolution_fan(model, k)
     seg = segment(model, h)
     right_end = seg.coord(fan.cone_at(h).ray_right)
-    assert right_end.denominator == 1
+    if right_end.denominator != 1:
+        raise InvariantError(f"the right end {right_end} of tau_{h} is not a lattice point")
     return math.floor(seg.gamma) - int(right_end)

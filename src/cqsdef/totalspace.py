@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
-from .lattice import Vec2
+from .lattice import InvariantError, Vec2
 from .cqs import CqsModel, to_display_coords
 from .chains import ZeroChain, enumerate_K
 from .minkowski import Decomposition, segment, enum_decompositions
@@ -105,17 +104,15 @@ class Deformation:
     """A one-parameter toric deformation built from a slice decomposition.
 
     The cone is presented so that the lattice origin of the slice sits
-    where the next dual generator w^{h+1} vanishes; summand coordinates of
-    the stored decomposition are shifted by m0 into that presentation.
-    The parameter realizes the difference of the monomials lam_monomials.
+    where the next dual generator w^{h+1} vanishes: sigma_prime is built
+    over the first summand of the stored decomposition shifted by m0.  The
+    parameter realizes the difference of the monomials lam_monomials.
     """
 
     model: CqsModel
     decomp: Decomposition
     sigma_prime: Cone3
     m0: int
-    s0: tuple[Fraction, Fraction]
-    s1: tuple[Fraction, Fraction]
 
     @property
     def kind(self) -> str:
@@ -147,11 +144,8 @@ class Deformation:
 
     def phi(self, v: Vec2) -> IVec3:
         """The lattice embedding of the base surface into the total space."""
-        w_h = self.model.wgen(self.h)
-        w_next = self.model.wgen(self.h + 1)
-        t = v.dot(w_h)
-        c = v.dot(w_next)
-        return (int(c), int(t), self.p * int(t))
+        t = v.dot(self.model.wgen(self.h))
+        return (v.dot(self.model.wgen(self.h + 1)), t, self.p * t)
 
     def to_json(self) -> dict:
         return {
@@ -169,12 +163,10 @@ class Deformation:
 def build_deformation(model: CqsModel, decomp: Decomposition) -> Deformation:
     """Assemble the 3D cone over the two summands of a decomposition."""
     m0 = segment(model, decomp.h).m0
-    b0, g0 = decomp.s0[0] + m0, decomp.s0[1] + m0
-    b1, g1 = decomp.s1
-    cone = Cone3.over_summands((b0, g0), (b1, g1), decomp.p)
-    defo = Deformation(
-        model=model, decomp=decomp, sigma_prime=cone, m0=m0, s0=(b0, g0), s1=(b1, g1)
-    )
+    (b0, bd0), (g0, gd0) = decomp.ends0
+    ends0 = (b0 + m0 * bd0, bd0), (g0 + m0 * gd0, gd0)
+    cone = Cone3.over_summands(ends0, decomp.ends1, decomp.p)
+    defo = Deformation(model=model, decomp=decomp, sigma_prime=cone, m0=m0)
     for ray in (model.sigma.ray1, model.sigma.ray2):
         if not cone.contains(defo.phi(ray)):
             raise RuntimeError(f"{defo.label}: slice embedding left the cone")
@@ -354,7 +346,8 @@ def deformation_equations(defo: Deformation) -> EquationSet:
             eqs.append(Equation(form="bar_side", i=h - 1, a=model.a(h - 1)))
         else:
             eqs.append(Equation(form="binomial", i=i, a=model.a(i)))
-    assert len(eqs) == model.e - 2
+    if len(eqs) != model.e - 2:
+        raise InvariantError(f"{defo.label}: {len(eqs)} equations, not {model.e - 2}")
     return EquationSet(equations=tuple(eqs))
 
 

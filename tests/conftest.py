@@ -15,6 +15,7 @@ import pytest
 
 import cqsdef
 from cqsdef.lattice import Cone2, Vec2, _xgcd, cf_eval
+from cqsdef.chains import NormalForm
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import (
     _facet_polygon_vertices,
@@ -121,6 +122,34 @@ def brute_zero_chains(bounds) -> list[tuple[int, ...]]:
         if all(a >= 0 for a in alpha):
             out.append(k)
     return out
+
+
+def blow_down_step(chain: tuple[int, ...], pos: int) -> tuple[int, ...]:
+    """Remove the entry 1 at pos, decrementing its neighbours (interior)
+    or the new boundary entry (boundary)."""
+    if pos == 0:
+        return (chain[1] - 1,) + chain[2:]
+    if pos == len(chain) - 1:
+        return chain[:-2] + (chain[-2] - 1,)
+    return chain[: pos - 1] + (chain[pos - 1] - 1, chain[pos + 1] - 1) + chain[pos + 2 :]
+
+
+def quadratic_blow_down_trace(chain):
+    """Blow a chain down (leftmost 1 first) by rescanning the whole chain
+    before every step; returns (normal form, [(chain, pos), ...], terminal
+    chain)."""
+    cur = tuple(chain)
+    trace = []
+    while True:
+        if any(c < 1 for c in cur):
+            return NormalForm(NormalForm.INVALID), trace, cur
+        if cur in ((1,), (1, 1)) or len(cur) == 0:
+            return NormalForm(NormalForm.SMOOTH), trace, cur
+        if 1 not in cur:
+            return NormalForm(NormalForm.SINGULAR, cur), trace, cur
+        pos = cur.index(1)
+        trace.append((cur, pos))
+        cur = blow_down_step(cur, pos)
 
 
 def brute_hilbert_basis_3d(gens) -> list[tuple[int, int, int]]:
@@ -232,16 +261,17 @@ def assert_hull_vertices_are_candidates(cone, facets) -> None:
     assert verts <= hull_vertex_candidates(cone), sorted(verts - hull_vertex_candidates(cone))
 
 
-def run_optimized(*args: str) -> subprocess.CompletedProcess:
+def run_optimized(*args: str, check: bool = True) -> subprocess.CompletedProcess:
     """Run python -O with the given arguments on this checkout of cqsdef;
-    stdout and stderr are captured as bytes."""
+    stdout and stderr are captured as bytes, and with check a nonzero exit
+    status raises."""
     src = str(Path(cqsdef.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-O", *args],
         capture_output=True,
         env={**os.environ, "PYTHONPATH": src},
         timeout=120,
-        check=True,
+        check=check,
     )
 
 

@@ -14,6 +14,7 @@ from cqsdef.fibers import general_fiber, is_smoothing
 from cqsdef.geometry3 import Cone3, hilbert_basis_3d, roof_facets
 from cqsdef.lattice import Cone2, Vec2, dual_cone, hilbert_basis_2d
 from cqsdef.minkowski import lattice_point_count, segment, segment_length
+from cqsdef.report import scan_row
 from cqsdef.resolutions import (
     assemble_fan3,
     canonical_model,
@@ -288,3 +289,20 @@ def test_criterion_8_smoothing_consistency():
                 break
         assert found, (n, q)
     _ok("8 (smoothing consistency and T-singularity smoothings, n <= 60)")
+
+
+def test_criterion_9_inverse_pair_isomorphism():
+    """Y(n,q) and Y(n,q') with q q' = 1 (mod n) are isomorphic by swapping
+    the coordinates (Riemenschneider 1974), so their scan rows agree once
+    q is dropped: every pair q < q' with n <= 80."""
+    checked = 0
+    for n, q in all_pairs(80):
+        q_inv = pow(q, -1, n)
+        if q < q_inv:
+            row, row_inv = scan_row(n, q), scan_row(n, q_inv)
+            assert "error" not in row, row
+            del row["q"], row_inv["q"]
+            assert row == row_inv, (n, q, q_inv)
+            checked += 1
+    assert checked == 852  # the 182 pairs with q = q' would compare a row with itself
+    _ok("9 (Y(n,q) and Y(n,q^-1) have the same scan row, n <= 80)")

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,18 +9,18 @@ from cqsdef.chains import (
     Smooth,
     alpha_seq,
     blow_down,
+    blow_down_trace,
     chain_to_nq,
     enumerate_K,
     make_zero_chain,
     rdp_chain,
     special_k,
     zero_chains_bounded,
-    _blow_down_step,
 )
 from cqsdef.cqs import cqs_new
 from cqsdef.lattice import cf_eval
 from cqsdef.minkowski import segment_length
-from conftest import brute_zero_chains, iter_models
+from conftest import blow_down_step, brute_zero_chains, iter_models, quadratic_blow_down_trace
 
 
 def test_alpha_examples():
@@ -107,13 +108,28 @@ def test_blow_down_order_independent(chain, rng):
         if not ones:
             result = NormalForm(NormalForm.SINGULAR, cur)
             break
-        cur = _blow_down_step(cur, rng.choice(ones))
+        cur = blow_down_step(cur, rng.choice(ones))
     if reference.kind == NormalForm.INVALID or result.kind == NormalForm.INVALID:
         # invalid chains may surface at different stages; both routes must
         # then agree that the chain is bad
         assert reference.kind == result.kind
     else:
         assert reference == result
+
+
+def test_blow_down_trace_matches_quadratic_oracle():
+    """The one-pass blow-down gives the normal form, the trace (as lengths
+    before each step) and the terminal chain of the process that rescans
+    the chain before every step, on every chain of length <= 8 with
+    entries 0..3."""
+    checked = 0
+    for length in range(9):
+        for chain in product(range(4), repeat=length):
+            nf, trace, final = quadratic_blow_down_trace(chain)
+            expected = (nf, [(len(c), pos) for c, pos in trace], final)
+            assert blow_down_trace(chain) == expected, chain
+            checked += 1
+    assert checked == 87381
 
 
 def test_chain_to_nq():

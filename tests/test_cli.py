@@ -354,3 +354,22 @@ def test_analyze_json_is_the_same_under_optimize(capsys):
     assert code == 0
     optimized = run_optimized("-m", "cqsdef.cli", "analyze", "8", "3", "--json")
     assert optimized.stdout == out.encode()
+
+
+def test_invariant_failure_exits_2_under_optimize():
+    """An invariant of the library still fails under python -O, and cli.main
+    turns it into exit 2: here cqs_new is handed a chain whose first entry
+    breaks the three-term relation of the dual generators."""
+    code = (
+        "import sys\n"
+        "import cqsdef.cli, cqsdef.cqs\n"
+        "expand = cqsdef.cqs.cf_expand\n"
+        "def bumped(n, m):\n"
+        "    first, *rest = expand(n, m)\n"
+        "    return [first + 1, *rest]\n"
+        "cqsdef.cqs.cf_expand = bumped\n"
+        "sys.exit(cqsdef.cli.main(['analyze', '8', '3']))\n"
+    )
+    proc = run_optimized("-c", code, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "internal invariant failure: three-term relation fails at 2\n"

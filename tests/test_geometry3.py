@@ -3,7 +3,7 @@
 import os
 import subprocess
 import sys
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 import pytest
@@ -23,7 +23,7 @@ from cqsdef.geometry3 import (
     is_canonical_cone3,
     roof_facets,
 )
-from cqsdef.resolutions import assemble_fan3, fan_decomposition_for
+from cqsdef.resolutions import _ratios, assemble_fan3, fan_decomposition_for
 from cqsdef.totalspace import all_deformations, components_of
 from conftest import (
     assert_hull_vertices_are_candidates,
@@ -131,23 +131,40 @@ def test_y83_fan_cones_canonical_and_not():
         assert is_canonical_cone3(c.cone) == brute_is_canonical(c.cone.generators)
 
 
-def test_gorenstein_functional_matches_fractions():
-    """On every sigma' and every fan cone with n <= 22."""
-    seen = set()
-    for m in iter_models(22):
+def _summand_cones(models):
+    """Every sigma' of the models and the cone over every nondegenerate
+    piece of every fan decomposition of theirs, as built by
+    Cone3.over_summands."""
+    for m in models:
         for df in all_deformations(m):
-            cones = [df.sigma_prime]
+            yield df.sigma_prime
             for k in components_of(df):
                 for pc in fan_decomposition_for(df, k).pieces:
                     if not pc.degenerate:
                         s0 = (pc.s0[0] + df.m0, pc.s0[1] + df.m0)
-                        cones.append(Cone3.over_summands(s0, pc.s1, df.p))
-            seen.update(cones)
+                        yield Cone3.over_summands(_ratios(s0), _ratios(pc.s1), df.p)
+
+
+def test_gorenstein_functional_matches_fractions():
+    """On every sigma' and every fan cone with n <= 22."""
+    seen = set(_summand_cones(iter_models(22)))
     assert len(seen) > 1000
     for cone in seen:
         gens = cone.generators
         assert cone.gorenstein == fraction_gorenstein_functional(gens), gens
     assert any(cone.gorenstein is None for cone in seen)
+
+
+def test_closed_form_dual_rays_match_dual_rays3():
+    """The dual rays over_summands fills in closed form are those
+    dual_rays3 finds from the generators, on every sigma' and every fan
+    cone of the pairs with n <= 30 and four larger pairs."""
+    large = [cqs_new(n, q) for n, q in ((101, 29), (121, 39), (151, 75), (199, 57))]
+    checked = 0
+    for cone in _summand_cones(chain(iter_models(30), large)):
+        assert cone.dual_rays == tuple(dual_rays3(cone.generators)), cone.generators
+        checked += 1
+    assert checked == 14503
 
 
 def test_not_q_gorenstein_raises():

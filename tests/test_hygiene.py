@@ -1,7 +1,8 @@
 """Dead names in the library, found with the standard library's ast: an
 import that nothing reads, an import inside a function of a name the
 module already imports, and a local name that a function assigns and
-never reads."""
+never reads; assert statements, which python -O drops; and module-level
+definitions that nothing references."""
 
 import ast
 from pathlib import Path
@@ -120,6 +121,30 @@ def test_dead_names_are_found(tmp_path):
         "sample.py:8: unused import json in f",
         "sample.py:11: f assigns w and never reads it",
     ]
+
+
+def assert_lines(path: Path) -> list[int]:
+    """The lines of the module's assert statements, which python -O drops;
+    the library raises InvariantError instead."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_lines(path) == []
+
+
+def test_assert_statements_are_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def f(x):\n"
+        "    assert x, 'message'\n"
+        "    if x:\n"
+        "        assert x > 1\n"
+        "    return x\n"
+    )
+    assert assert_lines(path) == [2, 4]
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -91,8 +91,9 @@ def _count_instances(monkeypatch, cls):
 
 
 def test_build_report_derives_cone_data_once(monkeypatch):
-    """The dual rays of a Cone3 are computed at most once per object, and
-    the Gorenstein functional once per fan cone."""
+    """Every Cone3 of a report gets its dual rays in closed form from
+    Cone3.over_summands, so dual_rays3 is never called, and the Gorenstein
+    functional is computed once per fan cone."""
     cones = _count_instances(monkeypatch, Cone3)
     fan_cones = _count_instances(monkeypatch, MaxCone3)
     duals = _count_calls(monkeypatch, cqsdef.geometry3, "dual_rays3")
@@ -107,5 +108,5 @@ def test_build_report_derives_cone_data_once(monkeypatch):
     prop.__set_name__(Cone3, "gorenstein")
     monkeypatch.setattr(Cone3, "gorenstein", prop)
     build_report(cqs_new(19, 7))
-    assert 0 < len(duals) <= len(cones)
+    assert cones and duals == []
     assert 0 < len(solves) <= len(fan_cones)

@@ -241,8 +241,8 @@ def test_deformation_json(y83):
 
 
 def test_integer_sigma_prime_matches_rational_rays():
-    """build_deformation clears the denominators of the summand ends itself;
-    the generators must be those from_rays gives for the Fraction rays."""
+    """build_deformation builds sigma' from the integer summand ends; the
+    generators must be those from_rays gives for the Fraction rays."""
     from fractions import Fraction
 
     from cqsdef.geometry3 import Cone3
@@ -253,7 +253,8 @@ def test_integer_sigma_prime_matches_rational_rays():
     for m in iter_models(30):
         for dec in enum_decompositions(m):
             df = build_deformation(m, dec)
-            (b0, g0), (b1, g1), p = df.s0, df.s1, df.p
+            (b0, g0), (b1, g1), p = dec.s0, dec.s1, df.p
+            b0, g0 = b0 + df.m0, g0 + df.m0
             rays = [
                 (b0, Fraction(1), Fraction(0)),
                 (g0, Fraction(1), Fraction(0)),
