@@ -118,9 +118,6 @@ class Cone2:
     def contains(self, v: Vec2) -> bool:
         return self.ray1.det(v) >= 0 and v.det(self.ray2) >= 0
 
-    def contains_strictly(self, v: Vec2) -> bool:
-        return self.ray1.det(v) > 0 and v.det(self.ray2) > 0
-
 
 def dual_cone(cone: Cone2) -> Cone2:
     """The dual cone {u : <u, v> >= 0 for all v in cone}."""

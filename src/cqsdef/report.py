@@ -20,7 +20,7 @@ from .totalspace import (
     versal_map,
 )
 from .fibers import general_fiber, is_smoothing
-from .resolutions import canonical_model, fan_decomposition_for, p_resolution_fan
+from .resolutions import canonical_model, fan_decomposition, p_resolution_fan
 
 SCHEMA_VERSION = 1
 
@@ -50,7 +50,9 @@ def build_report(model: CqsModel, verbose: bool = False) -> dict:
             components=[list(k.k) for k in comps],
             fiber=fiber.to_json(verbose=verbose),
             is_smoothing=smoothing,
-            simultaneous_resolutions=[fan_decomposition_for(defo, k).to_json() for k in comps],
+            simultaneous_resolutions=[
+                fan_decomposition(model, k, defo.decomp).to_json() for k in comps
+            ],
             canonical_model={"k": list(can_k.k), "fan": can_fan.to_json()},
         )
         defo_records.append(rec)

@@ -15,15 +15,8 @@ from typing import Optional, Sequence
 from .lattice import Cone2, InvariantError, Ratio, Vec2, cone_normal_form
 from .cqs import CqsModel
 from .chains import ZeroChain
-from .minkowski import (
-    Decomposition,
-    check_lattice_ends,
-    decomposition_D,
-    decomposition_Dbar,
-    Segment,
-    segment,
-)
-from .totalspace import Deformation
+from .minkowski import Decomposition, check_lattice_ends, Segment, segment
+from .totalspace import Deformation, components_of, split_depth
 from .geometry3 import Cone3, IVec3, cross3, dot3, is_canonical_cone3, prim3, roof_facets
 
 
@@ -53,13 +46,10 @@ class TauCone:
         return Cone2(self.ray_right, self.ray_left)
 
     @cached_property
-    def _at_most_rdp(self) -> bool:
-        n, q = cone_normal_form(self.cone2())
-        return n == 1 or q == n - 1
-
     def at_most_rdp(self) -> bool:
         """Smooth or a rational double point (normal form q = n - 1)."""
-        return self._at_most_rdp
+        n, q = cone_normal_form(self.cone2())
+        return n == 1 or q == n - 1
 
 
 @dataclass(frozen=True)
@@ -155,34 +145,32 @@ class PieceDecomposition:
 
 @dataclass(frozen=True)
 class FanDecomposition:
-    """Per-cone Minkowski decompositions S^d_{h,p}[k] / Sbar^d_h[k] whose
-    offsets make consecutive summand pieces share endpoints."""
+    """Per-cone Minkowski decompositions S^d_{h,p}[k] / Sbar^d_h[k] of the
+    slice decomposition decomp, whose offsets make consecutive summand
+    pieces share endpoints."""
 
-    model: CqsModel
     k: ZeroChain
-    kind: str  # "S" | "Sbar"
-    h: int
-    p: int
-    d: int
+    decomp: Decomposition
     fan: PResolutionFan
     pieces: tuple[PieceDecomposition, ...]
-    induced: Decomposition
 
     @property
     def label(self) -> str:
+        dec = self.decomp
         k_str = ",".join(str(c) for c in self.k.k)
-        if self.kind == "S":
-            return f"S_{{{self.h},{self.p}}}^{self.d}[{k_str}]"
-        return f"Sbar_{{{self.h}}}^{self.d}[{k_str}]"
+        if dec.kind == "D":
+            return f"S_{{{dec.h},{dec.p}}}^{dec.d}[{k_str}]"
+        return f"Sbar_{{{dec.h}}}^{dec.d}[{k_str}]"
 
     def to_json(self) -> dict:
+        dec = self.decomp
         return {
             "label": self.label,
-            "kind": self.kind,
+            "kind": "S" if dec.kind == "D" else "Sbar",
             "k": list(self.k.k),
-            "h": self.h,
-            "p": self.p,
-            "d": self.d,
+            "h": dec.h,
+            "p": dec.p,
+            "d": dec.d,
             "pieces": [
                 {
                     "i": pc.i,
@@ -194,45 +182,25 @@ class FanDecomposition:
         }
 
 
-def fan_decomposition(
-    model: CqsModel, k: ZeroChain, kind: str, h: int, p: int, d: int
-) -> FanDecomposition:
-    """Decompose every cone slice so the pieces assemble to the deformation
-    decomposition: away from index h one summand is a point, at h the slice
-    splits by depth p*d (kind S) or d - alpha_{h-1} (kind Sbar)."""
+def fan_decomposition(model: CqsModel, k: ZeroChain, decomp: Decomposition) -> FanDecomposition:
+    """Decompose every cone slice so the pieces assemble to decomp: away
+    from index h one summand is a point, at h the slice splits by the
+    depth split_depth gives.  Raises ValueError when the deformation of
+    decomp does not map to the component of k."""
     return model.cached(
-        ("fan_decomposition", k.k, kind, h, p, d),
-        lambda: _build_fan_decomposition(model, k, kind, h, p, d),
+        ("fan_decomposition", k.k, decomp),
+        lambda: _build_fan_decomposition(model, k, decomp),
     )
 
 
 def _build_fan_decomposition(
-    model: CqsModel, k: ZeroChain, kind: str, h: int, p: int, d: int
+    model: CqsModel, k: ZeroChain, decomp: Decomposition
 ) -> FanDecomposition:
-    if kind not in ("S", "Sbar"):
-        raise ValueError(f"unknown kind {kind!r}")
+    depth = split_depth(model, k, decomp)
+    if depth is None:
+        raise ValueError(f"{decomp.label} does not map to the component of {k.k}")
+    h = decomp.h
     gap = model.a(h) - k.k_at(h)
-    if kind == "S":
-        if not 1 <= d:
-            raise ValueError(f"d = {d} < 1")
-        if not 1 <= p:
-            raise ValueError(f"p = {p} < 1")
-        if p * d > gap:
-            raise ValueError(f"p*d = {p * d} exceeds a_h - k_h = {gap}")
-        depth = p * d
-    else:
-        if not 3 <= h <= model.e - 2:
-            raise ValueError(f"h = {h} not interior (3..{model.e - 2})")
-        if p != 1:
-            raise ValueError(f"p = {p} != 1")
-        if k.alpha_at(h) != 1:
-            raise ValueError(f"alpha_{h} = {k.alpha_at(h)} != 1")
-        a_prev = k.alpha_at(h - 1)
-        if not a_prev <= d <= gap + a_prev:
-            raise ValueError(f"d = {d} outside [{a_prev}, {gap + a_prev}]")
-        depth = d - a_prev
-
-    fan = p_resolution_fan(model, k)
     seg = segment(model, h)
     intervals = slice_intervals(model, k, h)
     local_len_h = intervals[h][1] - intervals[h][0]
@@ -245,7 +213,7 @@ def _build_fan_decomposition(
         total = right - left
         if i == h:
             len0, len1 = total - depth, Fraction(depth)
-        elif kind == "Sbar" and i < h:
+        elif decomp.kind == "Dbar" and i < h:
             len0, len1 = Fraction(0), total
         else:
             len0, len1 = total, Fraction(0)
@@ -257,24 +225,12 @@ def _build_fan_decomposition(
         cum0, cum1 = s0[1], s1[1]
     pieces.sort(key=lambda pc: pc.i)
 
-    if kind == "S":
-        induced = decomposition_D(seg, p, d)
-    else:
-        induced = decomposition_Dbar(seg, d)
-    t0, t1 = induced.s0, induced.s1
+    t0, t1 = decomp.s0, decomp.s1
     if cum0 != t0[1] or cum1 != t1[1] or not pieces or seg.beta != t0[0] + t1[0]:
-        raise InvariantError("induced decomposition does not match")
+        raise InvariantError(f"the pieces do not add up to {decomp.label}")
 
     fd = FanDecomposition(
-        model=model,
-        k=k,
-        kind=kind,
-        h=h,
-        p=p,
-        d=d,
-        fan=fan,
-        pieces=tuple(pieces),
-        induced=induced,
+        k=k, decomp=decomp, fan=p_resolution_fan(model, k), pieces=tuple(pieces)
     )
     _validate_piece_admissibility(fd)
     return fd
@@ -317,9 +273,9 @@ def _ratios(ends: tuple[Fraction, Fraction]) -> tuple[Ratio, Ratio]:
 
 
 def _validate_piece_admissibility(fd: FanDecomposition) -> None:
-    label = fd.label
+    label, p = fd.label, fd.decomp.p
     for pc in fd.pieces:
-        check_lattice_ends(_ratios(pc.s0), _ratios(pc.s1), fd.p, f"{label}: piece {pc.i}")
+        check_lattice_ends(_ratios(pc.s0), _ratios(pc.s1), p, f"{label}: piece {pc.i}")
 
 
 @dataclass(frozen=True)
@@ -370,11 +326,10 @@ class Fan3:
 
 def assemble_fan3(fd: FanDecomposition, defo: Deformation) -> Fan3:
     """Cone over each per-cone decomposition; the full-dimensional cones
-    tile the total-space cone of defo, the deformation of the induced
-    decomposition."""
-    if defo.model != fd.model or defo.decomp != fd.induced:
+    tile the total-space cone of defo, the deformation of fd.decomp."""
+    if defo.model != fd.fan.model or defo.decomp != fd.decomp:
         raise ValueError(f"{defo.label} is not the deformation of {fd.label}")
-    m0, p = defo.m0, fd.p
+    m0, p = defo.m0, fd.decomp.p
     cones = []
     for pc in fd.pieces:
         if pc.degenerate:
@@ -386,7 +341,7 @@ def assemble_fan3(fd: FanDecomposition, defo: Deformation) -> Fan3:
         tau = fd.fan.cone_at(pc.i)
         rdp = None
         if not tau.degenerate:
-            rdp = tau.at_most_rdp()
+            rdp = tau.at_most_rdp
         cones.append(
             MaxCone3(
                 tau_index=pc.i,
@@ -439,27 +394,18 @@ def _canonical_predicate(defo: Deformation, k: ZeroChain) -> bool:
     for tau in fan.cones:
         if tau.i == h or tau.degenerate:
             continue
-        if not tau.at_most_rdp():
+        if not tau.at_most_rdp:
             return False
-    gap = model.a(h) - k.k_at(h)
-    depth = defo.p * defo.d if defo.kind == "D" else defo.d - k.alpha_at(h - 1)
-    if depth == gap:
+    if split_depth(model, k, defo.decomp) == model.a(h) - k.k_at(h):
         return True
     tau_h = fan.cone_at(h)
-    return (not tau_h.degenerate) and tau_h.at_most_rdp()
-
-
-def fan_decomposition_for(defo: Deformation, k: ZeroChain) -> FanDecomposition:
-    kind = "S" if defo.kind == "D" else "Sbar"
-    return fan_decomposition(defo.model, k, kind, defo.h, defo.p, defo.d)
+    return (not tau_h.degenerate) and tau_h.at_most_rdp
 
 
 def canonical_model(defo: Deformation) -> tuple[ZeroChain, Fan3]:
     """The component whose simultaneous resolution is the canonical model
     of the total space, with the resolved fan; the combinatorial choice is
     cross-checked against the bounded-face hull of the cone."""
-    from .totalspace import components_of
-
     winners = [k for k in components_of(defo) if _canonical_predicate(defo, k)]
     if len(winners) != 1:
         raise RuntimeError(
@@ -467,7 +413,7 @@ def canonical_model(defo: Deformation) -> tuple[ZeroChain, Fan3]:
             f"{[k.k for k in winners]}"
         )
     k = winners[0]
-    fan = assemble_fan3(fan_decomposition_for(defo, k), defo)
+    fan = assemble_fan3(fan_decomposition(defo.model, k, defo.decomp), defo)
     if not fan.all_canonical:
         raise RuntimeError(f"{defo.label}: chosen fan for {k.k} is not canonical")
     if fan.cone_ray_sets() != hull_cone_ray_sets(defo.sigma_prime):

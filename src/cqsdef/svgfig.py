@@ -9,9 +9,10 @@ import math
 from fractions import Fraction
 
 from .cqs import CqsModel, display_n_point
+from .chains import enumerate_K
 from .minkowski import enum_decompositions, segment
-from .totalspace import all_deformations, components_of
-from .resolutions import fan_decomposition_for
+from .totalspace import split_depth
+from .resolutions import fan_decomposition
 
 UNIT = 70  # pixels per lattice unit
 PAD = 60
@@ -138,20 +139,22 @@ def slices_figure(model: CqsModel) -> str:
     """One panel per simultaneous resolution: the affine slice of the 3D
     fan where the two carrier levels sum to one."""
     cv = _Canvas()
-    panels = []
-    for defo in all_deformations(model):
-        for k in components_of(defo):
-            panels.append((fan_decomposition_for(defo, k), defo.m0))
+    panels = [
+        (fan_decomposition(model, k, dec), segment(model, dec.h).m0)
+        for dec in enum_decompositions(model)
+        for k in enumerate_K(model)
+        if split_depth(model, k, dec) is not None
+    ]
     y = PAD
     width = 0.0
-    for fd, defo_m0 in panels:
+    for fd, m0 in panels:
         pts0, pts1 = [], []
         edges = []
         for pc in fd.pieces:
             if pc.degenerate:
                 continue
-            a0, b0 = pc.s0[0] + defo_m0, pc.s0[1] + defo_m0
-            a1, b1 = pc.s1[0] / fd.p, pc.s1[1] / fd.p
+            a0, b0 = pc.s0[0] + m0, pc.s0[1] + m0
+            a1, b1 = pc.s1[0] / fd.decomp.p, pc.s1[1] / fd.decomp.p
             pts0 += [a0, b0]
             pts1 += [a1, b1]
             edges.append(((a0, 1), (a1, 0)))

@@ -432,21 +432,27 @@ def lies_in_component(k: ZeroChain, rewritten: VersalMap, model: CqsModel) -> bo
     return True
 
 
+def split_depth(model: CqsModel, k: ZeroChain, decomp: Decomposition) -> Optional[int]:
+    """The one owner of the component rule: the depth at which the slice
+    at h splits over the fan of k, p*d for kind D and d - alpha_{h-1} for
+    kind Dbar (interior h with alpha_h = 1 only), or None when the
+    deformation of decomp does not map to the component of k.  The depth
+    lies in 1..a_h - k_h for kind D and in 0..a_h - k_h for kind Dbar."""
+    h = decomp.h
+    if decomp.kind == "D":
+        depth, least = decomp.p * decomp.d, 1
+    elif 3 <= h <= model.e - 2 and k.alpha_at(h) == 1:
+        depth, least = decomp.d - k.alpha_at(h - 1), 0
+    else:
+        return None
+    return depth if least <= depth <= model.a(h) - k.k_at(h) else None
+
+
 def components_of(defo: Deformation) -> list[ZeroChain]:
     """Closed-form list of the reduced versal base components the
     deformation maps to."""
-    model, h, p, d = defo.model, defo.h, defo.p, defo.d
-    out = []
-    for k in enumerate_K(model):
-        gap = model.a(h) - k.k_at(h)
-        if defo.kind == "D":
-            if 1 <= p * d <= gap:
-                out.append(k)
-        else:
-            a_prev = k.alpha_at(h - 1)
-            if k.alpha_at(h) == 1 and a_prev <= d <= gap + a_prev:
-                out.append(k)
-    return out
+    model = defo.model
+    return [k for k in enumerate_K(model) if split_depth(model, k, defo.decomp) is not None]
 
 
 def components_of_symbolic(defo: Deformation) -> list[ZeroChain]:

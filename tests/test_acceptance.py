@@ -18,7 +18,7 @@ from cqsdef.report import scan_row
 from cqsdef.resolutions import (
     assemble_fan3,
     canonical_model,
-    fan_decomposition_for,
+    fan_decomposition,
     hull_cone_ray_sets,
 )
 from cqsdef.totalspace import (
@@ -104,7 +104,7 @@ def test_criterion_1_golden_y83():
     panel_flags = {}
     for df in defos:
         for k in components_of(df):
-            fd = fan_decomposition_for(df, k)
+            fd = fan_decomposition(df.model, k, df.decomp)
             panel_flags[fd.label] = assemble_fan3(fd, df).all_canonical
     assert len(panel_flags) == 8
     assert panel_flags == {
@@ -184,7 +184,8 @@ def test_criterion_5_canonical_equivalence():
             assert roof_facets(df.sigma_prime) == brute, (n, q, df.label)
             assert_hull_vertices_are_candidates(df.sigma_prime, brute)
             for comp in components_of(df):
-                for c in assemble_fan3(fan_decomposition_for(df, comp), df).cones:
+                fd = fan_decomposition(df.model, comp, df.decomp)
+                for c in assemble_fan3(fd, df).cones:
                     assert c.canonical == brute_is_canonical(c.cone.generators)
     _ok("5 (canonical model: predicate route = hull route = brute force, n <= 30)")
 
@@ -249,7 +250,7 @@ def test_criterion_7_structural():
                 (i, m.a(i)) for i in m.interior_indices()
             ]
             for k in components_of(df):
-                fan3 = assemble_fan3(fan_decomposition_for(df, k), df)
+                fan3 = assemble_fan3(fan_decomposition(df.model, k, df.decomp), df)
                 assert fan3.all_qgorenstein
                 assert set(fan3.support.generators) == set(
                     df.sigma_prime.generators

@@ -6,6 +6,7 @@ import pytest
 import cqsdef.cli as cli_mod
 import cqsdef.cqs
 import cqsdef.resolutions
+import cqsdef.totalspace
 from cqsdef.cli import CHECKPOINT_HEADER, main
 from cqsdef.report import build_report, render_text
 from cqsdef.svgfig import FIGURE_TARGETS, make_figure
@@ -149,24 +150,30 @@ def test_analyze_svg_dir(tmp_path, capsys):
 
 def test_analyze_svg_shares_the_model(tmp_path, monkeypatch, capsys):
     """--svg draws the figures from the model build_report used, so no
-    fan decomposition is built twice, and neither the report nor the
-    figures change."""
-    builds = []
-    original = cqsdef.resolutions._build_fan_decomposition
+    fan decomposition and no deformation is built twice, and neither the
+    report nor the figures change."""
+    builds = {}
 
-    def counting(*args):
-        builds.append(args)
-        return original(*args)
+    def count(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(cqsdef.resolutions, "_build_fan_decomposition", counting)
+        def counting(*args):
+            builds[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count(cqsdef.resolutions, "_build_fan_decomposition")
+    count(cqsdef.totalspace, "build_deformation")
     outputs = {}
     for extra in ([], ["--svg", str(tmp_path)]):
-        builds.clear()
+        builds.update(_build_fan_decomposition=0, build_deformation=0)
         code, out, _ = run(capsys, "analyze", "37", "11", "--json", *extra)
         assert code == 0
-        outputs[bool(extra)] = (out, len(builds))
+        outputs[bool(extra)] = (out, dict(builds))
     assert outputs[True] == outputs[False]
-    assert outputs[False][1] > 0
+    assert outputs[False][1]["_build_fan_decomposition"] > 0
+    assert outputs[False][1]["build_deformation"] == 16
     model = cqsdef.cqs.cqs_new(37, 11)
     for target in FIGURE_TARGETS:
         assert (tmp_path / f"y_37_11_{target}.svg").read_text() == make_figure(model, target)

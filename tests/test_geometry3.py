@@ -23,7 +23,7 @@ from cqsdef.geometry3 import (
     is_canonical_cone3,
     roof_facets,
 )
-from cqsdef.resolutions import _ratios, assemble_fan3, fan_decomposition_for
+from cqsdef.resolutions import _ratios, assemble_fan3, fan_decomposition
 from cqsdef.totalspace import all_deformations, components_of
 from conftest import (
     assert_hull_vertices_are_candidates,
@@ -122,8 +122,10 @@ def test_non_extremal_generator_is_not_a_start_point():
 
 def test_y83_fan_cones_canonical_and_not():
     df = _y83_deformation("pi_{3,1}^1")
-    canonical = assemble_fan3(fan_decomposition_for(df, _zero_chain(df, (1, 2, 1))), df)
-    exception = assemble_fan3(fan_decomposition_for(df, _zero_chain(df, (2, 1, 2))), df)
+    canonical, exception = (
+        assemble_fan3(fan_decomposition(df.model, _zero_chain(df, k), df.decomp), df)
+        for k in ((1, 2, 1), (2, 1, 2))
+    )
     assert canonical.all_canonical
     (bad,) = exception.cones
     assert not is_canonical_cone3(bad.cone)
@@ -139,7 +141,7 @@ def _summand_cones(models):
         for df in all_deformations(m):
             yield df.sigma_prime
             for k in components_of(df):
-                for pc in fan_decomposition_for(df, k).pieces:
+                for pc in fan_decomposition(m, k, df.decomp).pieces:
                     if not pc.degenerate:
                         s0 = (pc.s0[0] + df.m0, pc.s0[1] + df.m0)
                         yield Cone3.over_summands(_ratios(s0), _ratios(pc.s1), df.p)

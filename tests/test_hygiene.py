@@ -2,7 +2,7 @@
 import that nothing reads, an import inside a function of a name the
 module already imports, and a local name that a function assigns and
 never reads; assert statements, which python -O drops; and module-level
-definitions that nothing references."""
+definitions, methods and properties that nothing references."""
 
 import ast
 from pathlib import Path
@@ -156,35 +156,53 @@ DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 def _referenced(path: Path) -> set[str]:
     """Every name the file reads, imports or spells as a (dotted) string,
-    except where a module-level definition reads its own name."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    except where a definition reads its own name."""
     found = set()
-    for top in tree.body:
-        own = top.name if isinstance(top, DEFINITIONS) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
-                names = [node.id]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            elif isinstance(node, ast.alias):
-                names = [node.name.split(".")[-1]]
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names = node.value.split(".")
-            else:
-                continue
-            found.update(name for name in names if name != own)
+    todo = [(ast.parse(path.read_text(), filename=str(path)), frozenset())]
+    while todo:
+        node, own = todo.pop()
+        if isinstance(node, DEFINITIONS):
+            own = own | {node.name}
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name.split(".")[-1]]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = node.value.split(".")
+        else:
+            names = []
+        found.update(name for name in names if name not in own)
+        todo.extend((child, own) for child in ast.iter_child_nodes(node))
     return found
 
 
+def _definitions(tree: ast.Module):
+    """(shown name, name) of each module-level function and class, and of
+    each method and property of those classes other than dunders."""
+    for node in tree.body:
+        if not isinstance(node, DEFINITIONS):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, DEFINITIONS) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name
+
+
 def unreferenced_definitions(modules, sources) -> list[str]:
-    """Module-level functions and classes of modules that no file of
-    sources references outside their own definition."""
+    """Module-level functions and classes of modules, and the methods and
+    properties of those classes, that no file of sources references
+    outside their own definition."""
     referenced = set().union(*(_referenced(path) for path in sources))
     return [
-        f"{path.name}: {node.name}"
+        f"{path.name}: {shown}"
         for path in modules
-        for node in ast.parse(path.read_text(), filename=str(path)).body
-        if isinstance(node, DEFINITIONS) and node.name not in referenced
+        for shown, name in _definitions(ast.parse(path.read_text(), filename=str(path)))
+        if name not in referenced
     ]
 
 
@@ -210,10 +228,32 @@ def test_unreferenced_definitions_are_found(tmp_path):
         "class Unused:\n"
         "    def make(self) -> 'Unused':\n"
         "        return Unused()\n"
+        "\n"
+        "\n"
+        "class Used:\n"
+        "    def __init__(self):\n"
+        "        self.n = 0\n"
+        "\n"
+        "    def called(self):\n"
+        "        return self.spelled\n"
+        "\n"
+        "    @property\n"
+        "    def spelled(self):\n"
+        "        return self.n\n"
+        "\n"
+        "    @property\n"
+        "    def unread(self):\n"
+        "        return self.unread\n"
+        "\n"
+        "    def uncalled(self):\n"
+        "        return self.called()\n"
     )
     user = tmp_path / "user.py"
-    user.write_text("import lib\n\nlib.used()\ngetattr(lib, 'by_name')\n")
+    user.write_text("import lib\n\nlib.used()\ngetattr(lib, 'by_name')\nlib.Used()\n")
     assert unreferenced_definitions([lib], [lib, user]) == [
         "lib.py: recursive",
         "lib.py: Unused",
+        "lib.py: Unused.make",
+        "lib.py: Used.unread",
+        "lib.py: Used.uncalled",
     ]

@@ -6,11 +6,11 @@ from cqsdef.chains import enumerate_K
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import Cone3, is_canonical_cone3
 from cqsdef.lattice import Vec2
+from cqsdef.minkowski import decomposition_D, decomposition_Dbar, segment
 from cqsdef.resolutions import (
     assemble_fan3,
     canonical_model,
     fan_decomposition,
-    fan_decomposition_for,
     hull_cone_ray_sets,
     lattice_points_right,
     p_resolution_fan,
@@ -41,7 +41,7 @@ def test_p_resolution_golden_artin(y83):
     disp = fan.to_json()["rays_display"]
     assert disp == [["1", "0"], ["3/8", "1/8"], ["1/8", "3/8"], ["0", "1"]]
     assert all(not t.degenerate for t in fan.cones)
-    assert all(t.at_most_rdp() for t in fan.cones)
+    assert all(t.at_most_rdp for t in fan.cones)
 
 
 def test_p_resolution_golden_trivial(y83):
@@ -88,7 +88,7 @@ def test_p_resolution_cones_are_t_or_smooth():
 
 def test_fan_decomposition_golden_sbar(y83):
     k = k_of(y83, (1, 2, 1))
-    fd = fan_decomposition(y83, k, "Sbar", 3, 1, 1)
+    fd = fan_decomposition(y83, k, decomposition_Dbar(segment(y83, 3), 1))
     by_i = {pc.i: pc for pc in fd.pieces}
     assert by_i[4].s0 == (Fraction(-1, 2), Fraction(0)) and by_i[4].s1 == (0, 0)
     assert by_i[3].s0 == (Fraction(0), Fraction(1)) and by_i[3].s1 == (0, 0)
@@ -96,15 +96,16 @@ def test_fan_decomposition_golden_sbar(y83):
         Fraction(0),
         Fraction(1, 2),
     )
-    assert fd.induced.kind == "Dbar" and fd.induced.d == 1
+    assert fd.label == "Sbar_{3}^1[1,2,1]"
+    assert fd.to_json()["kind"] == "Sbar" and fd.to_json()["d"] == 1
 
 
 def test_fan_decomposition_golden_sbar2(y83):
     """The barred depth-2 panel: one top interval and two bottom intervals,
     three full-dimensional cones in all."""
     k = k_of(y83, (1, 2, 1))
-    fd = fan_decomposition(y83, k, "Sbar", 3, 1, 2)
-    fan3 = assemble_fan3(fd, build_deformation(y83, fd.induced))
+    fd = fan_decomposition(y83, k, decomposition_Dbar(segment(y83, 3), 2))
+    fan3 = assemble_fan3(fd, build_deformation(y83, fd.decomp))
     assert len(fan3.cones) == 3
     rays = {c.tau_index: set(c.cone.generators) for c in fan3.cones}
     assert rays[4] == {(1, 2, 0), (1, 1, 0), (0, 0, 1)}
@@ -115,8 +116,8 @@ def test_fan_decomposition_golden_sbar2(y83):
 
 def test_fan_decomposition_golden_s_triangle(y83):
     k = k_of(y83, (2, 1, 2))
-    fd = fan_decomposition(y83, k, "S", 3, 2, 1)
-    fan3 = assemble_fan3(fd, build_deformation(y83, fd.induced))
+    fd = fan_decomposition(y83, k, decomposition_D(segment(y83, 3), 2, 1))
+    fan3 = assemble_fan3(fd, build_deformation(y83, fd.decomp))
     assert len(fan3.cones) == 1
     # scaled slice: one top vertex, bottom edge of lattice length one
     assert len(fan3.cones[0].cone.generators) == 3
@@ -126,20 +127,24 @@ def test_fan_decomposition_golden_s_triangle(y83):
 def test_fan_decomposition_preconditions(y83):
     k1 = k_of(y83, (1, 2, 1))
     k2 = k_of(y83, (2, 1, 2))
-    with pytest.raises(ValueError, match="exceeds"):
-        fan_decomposition(y83, k1, "S", 3, 1, 2)
-    with pytest.raises(ValueError, match="alpha"):
-        fan_decomposition(y83, k2, "Sbar", 3, 1, 1)
-    with pytest.raises(ValueError, match="outside"):
-        fan_decomposition(y83, k1, "Sbar", 3, 1, 3)
-    with pytest.raises(ValueError, match="interior"):
-        fan_decomposition(y83, k1, "Sbar", 2, 1, 1)
+    seg2, seg3 = segment(y83, 2), segment(y83, 3)
+    # p*d = 2 exceeds a_3 - k_3 = 1; alpha_3 = 2 for k2; h = 2 is not interior
+    for k, dec in (
+        (k1, decomposition_D(seg3, 1, 2)),
+        (k2, decomposition_Dbar(seg3, 1)),
+        (k1, decomposition_Dbar(seg2, 1)),
+    ):
+        with pytest.raises(ValueError, match="does not map to the component"):
+            fan_decomposition(y83, k, dec)
+    # the slice at h = 3 has 2 lattice points
+    with pytest.raises(ValueError, match=r"d = 3 out of range 1\.\.2"):
+        decomposition_Dbar(seg3, 3)
 
 
 def test_assemble_support_equals_sigma_prime(y83):
     for df in all_deformations(y83):
         for k in components_of(df):
-            fan3 = assemble_fan3(fan_decomposition_for(df, k), df)
+            fan3 = assemble_fan3(fan_decomposition(df.model, k, df.decomp), df)
             assert set(fan3.support.generators) == set(df.sigma_prime.generators)
             assert fan3.all_qgorenstein
 
@@ -148,7 +153,7 @@ def test_golden_panel_canonicity(y83):
     flags = {}
     for df in all_deformations(y83):
         for k in components_of(df):
-            fd = fan_decomposition_for(df, k)
+            fd = fan_decomposition(df.model, k, df.decomp)
             flags[fd.label] = assemble_fan3(fd, df).all_canonical
     assert len(flags) == 8
     assert flags == {
@@ -170,7 +175,7 @@ def test_is_canonical_examples(y83):
     assert is_canonical_cone3(a1)
     # the single cone of the rejected panel is itself non-canonical
     df = defo_by_label(y83, "pi_{3,1}^1")
-    fan3 = assemble_fan3(fan_decomposition_for(df, k_of(y83, (2, 1, 2))), df)
+    fan3 = assemble_fan3(fan_decomposition(y83, k_of(y83, (2, 1, 2)), df.decomp), df)
     assert len(fan3.cones) == 1
     assert not is_canonical_cone3(fan3.cones[0].cone)
 
@@ -210,12 +215,12 @@ def test_hull_route_smooth_and_golden(y83):
 
     df = defo_by_label(y83, "pi_{3,2}^1")
     hull = hull_cone_ray_sets(df.sigma_prime)
-    fd = fan_decomposition_for(df, k_of(y83, (2, 1, 2)))
+    fd = fan_decomposition(y83, k_of(y83, (2, 1, 2)), df.decomp)
     assert assemble_fan3(fd, df).cone_ray_sets() == hull
 
     df = defo_by_label(y83, "pi_{3,1}^2")
     hull = hull_cone_ray_sets(df.sigma_prime)
-    fd = fan_decomposition_for(df, k_of(y83, (2, 1, 2)))
+    fd = fan_decomposition(y83, k_of(y83, (2, 1, 2)), df.decomp)
     assert assemble_fan3(fd, df).cone_ray_sets() == hull
 
 
@@ -326,7 +331,7 @@ def test_roof_and_lift_checks_survive_optimize():
 def test_assemble_fan3_rejects_another_deformation(y83):
     df = defo_by_label(y83, "pi_{3,1}^1")
     other = defo_by_label(y83, "pi_{3,1}^2")
-    fd = fan_decomposition_for(df, k_of(y83, (1, 2, 1)))
+    fd = fan_decomposition(y83, k_of(y83, (1, 2, 1)), df.decomp)
     with pytest.raises(ValueError, match="is not the deformation of"):
         assemble_fan3(fd, other)
 
@@ -340,11 +345,11 @@ def test_qgorenstein_check_survives_optimize():
         "from fractions import Fraction\n"
         "from cqsdef.chains import enumerate_K\n"
         "from cqsdef.cqs import cqs_new\n"
-        "from cqsdef.resolutions import assemble_fan3, fan_decomposition_for\n"
+        "from cqsdef.resolutions import assemble_fan3, fan_decomposition\n"
         "from cqsdef.totalspace import all_deformations\n"
         "m = cqs_new(8, 3)\n"
         "df = next(d for d in all_deformations(m) if d.label == 'pi_{2,1}^1')\n"
-        "fd = fan_decomposition_for(df, next(k for k in enumerate_K(m) if k.k == (1, 2, 1)))\n"
+        "fd = fan_decomposition(m, next(k for k in enumerate_K(m) if k.k == (1, 2, 1)), df.decomp)\n"
         "assemble_fan3(fd, df)\n"
         "s0, s1 = (Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(3))\n"
         "bad = replace(fd, pieces=(replace(fd.pieces[0], s0=s0, s1=s1),) + fd.pieces[1:])\n"
