@@ -162,7 +162,7 @@ def cmd_scan(args) -> int:
 
     rows = [done[pq] for pq in pairs]
     if args.json:
-        text = json.dumps(rows, indent=2)
+        text = report_to_json(rows)
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=SCAN_FIELDS)

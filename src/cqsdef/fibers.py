@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .chains import NormalForm, blow_down
 from .totalspace import Deformation
@@ -54,7 +53,9 @@ def general_fiber(defo: Deformation) -> SingularityList:
     Plain kind: the chain with a_h lowered by p*d sits at the origin and p
     points of type A_{d-1} sit elsewhere.  Barred kind: the tail chain
     (a_h - d, a_{h+1}, ...) sits at the origin and (a_2, ..., a_{h-1}, d)
-    at one other point.
+    at one other point.  A smooth fiber is checked against the smoothing
+    pattern: d = 1 with p = a_h - 1, or the barred kind with a_h = 2 and
+    d = 1.
     """
     model, h, p, d = defo.model, defo.h, defo.p, defo.d
     a = model.a_chain
@@ -75,22 +76,16 @@ def general_fiber(defo: Deformation) -> SingularityList:
             raise RuntimeError(f"fiber chain {chain} of {defo.label} blew down below 1")
         if not nf.is_smooth:
             entries.append((nf, mult, loc))
+    if not entries:
+        if defo.kind == "D":
+            ok = d == 1 and p == model.a(h) - 1
+        else:
+            ok = model.a(h) == 2 and d == 1
+        if not ok:
+            raise RuntimeError(f"{defo.label} is a smoothing outside the expected pattern")
     return SingularityList(entries=tuple(entries), raw=tuple(raw))
 
 
-def is_smoothing(defo: Deformation, fiber: Optional[SingularityList] = None) -> bool:
-    """Whether the general fiber is smooth; when it is, the parameter
-    pattern (d = 1 with p = a_h - 1, or the barred kind with a_h = 2 and
-    d = 1) is asserted as a consistency check.  fiber, when given, is
-    general_fiber(defo), already computed."""
-    if fiber is None:
-        fiber = general_fiber(defo)
-    smooth = fiber.is_empty
-    if smooth:
-        if defo.kind == "D":
-            ok = defo.d == 1 and defo.p == defo.model.a(defo.h) - 1
-        else:
-            ok = defo.model.a(defo.h) == 2 and defo.d == 1
-        if not ok:
-            raise RuntimeError(f"{defo.label} is a smoothing outside the expected pattern")
-    return smooth
+def is_smoothing(defo: Deformation) -> bool:
+    """Whether the general fiber is smooth."""
+    return general_fiber(defo).is_empty

@@ -195,14 +195,16 @@ class Cone3:
 
     @classmethod
     def over_summands(
-        cls, ends0: tuple[Ratio, Ratio], ends1: tuple[Ratio, Ratio], p: int
+        cls, ends0: tuple[Ratio, Ratio], ends1: tuple[Ratio, Ratio], p: int, m0: int
     ) -> "Cone3":
-        """The cone over the interval s0 at height (1, 0) and s1/p at height
-        (0, 1), each interval given by its two ends as integer ratios
-        (numerator, denominator) with positive denominators.
+        """The cone over the interval s0 + m0 at height (1, 0) and s1/p at
+        height (0, 1), each interval given by its two ends as integer
+        ratios (numerator, denominator) with positive denominators.  The
+        integer m0 moves s0 from the slice's coordinate into the first
+        coordinate <v, w^{h+1}> of the total space (Segment.m0).
 
-        Its generators are the primitive vectors of a = (beta0, 1, 0),
-        b = (gamma0, 1, 0), c = (beta1/p, 0, 1) and d = (gamma1/p, 0, 1),
+        Its generators are the primitive vectors of a = (beta0 + m0, 1, 0),
+        b = (gamma0 + m0, 1, 0), c = (beta1/p, 0, 1) and d = (gamma1/p, 0, 1),
         without duplicates and in that order: what from_rays gives for
         these rays.  Its dual rays are known in closed form and stored
         sorted: the inward normals d x b and a x c of the two slanted
@@ -210,7 +212,7 @@ class Cone3:
         """
         (b0, bd0), (g0, gd0) = ends0
         (b1, bd1), (g1, gd1) = ends1
-        a, b = prim3((b0, bd0, 0)), prim3((g0, gd0, 0))
+        a, b = prim3((b0 + m0 * bd0, bd0, 0)), prim3((g0 + m0 * gd0, gd0, 0))
         c, d = prim3((b1, 0, bd1 * p)), prim3((g1, 0, gd1 * p))
         rays = [prim3(cross3(d, b))]  # first coordinate < 0
         if a != b:

@@ -76,23 +76,13 @@ class Segment:
         """The point of the slicing line at the given lattice coordinate."""
         return self.origin + coord * self.direction
 
-    def coord_ratio(self, ray: Vec2) -> Ratio:
+    def coord(self, ray: Vec2) -> Ratio:
         """Coordinate of the point where the ray meets the slicing line,
-        over the denominator <ray, w^h>."""
+        as a ratio over the denominator <ray, w^h>."""
         t = ray.dot(self.w)
         if t <= 0:
             raise RuntimeError(f"ray {ray} does not meet the slice at height {t}")
         return ray.dot(self.w_next) - t * self.m0, t
-
-    def coord(self, ray: Vec2) -> Fraction:
-        """Coordinate of the point where the ray meets the slicing line."""
-        return _view(self.coord_ratio(ray))
-
-    def coord_of(self, pt: Vec2) -> Fraction:
-        """Canonical coordinate of a point lying on the slicing line."""
-        if pt.dot(self.w) != 1:
-            raise RuntimeError(f"{pt} is not on the slicing line")
-        return self.coord(pt)
 
     def to_json(self) -> dict:
         return {
@@ -115,7 +105,7 @@ def _build_segment(model: CqsModel, h: int) -> Segment:
     left, right = model.sigma.ray2, model.sigma.ray1  # (-q, n) and (1, 0)
     m0 = -(-left.dot(w_next) // left.dot(w))
     frame = Segment(h=h, ends=((0, 1), (0, 1)), m0=m0, w=w, w_next=w_next)
-    seg = replace(frame, ends=(frame.coord_ratio(left), frame.coord_ratio(right)))
+    seg = replace(frame, ends=(frame.coord(left), frame.coord(right)))
     num, den = seg.length_ratio
     if num * w.x * (w.y * model.n - w.x * model.q) != model.n * den:
         raise RuntimeError(
@@ -250,12 +240,17 @@ def decomposition_Dbar(seg: Segment, d: int) -> Decomposition:
 
 
 def enum_decompositions(model: CqsModel) -> list[Decomposition]:
-    """All admissible two-term decompositions over all degrees.
+    """All admissible two-term decompositions over all degrees, built and
+    validated once per model.
 
     D-decompositions run over 1 <= p < a_h with p*d bounded by the slice
     length; the Dbar family exists only at interior h (at the boundary
     indices each Dbar coincides with a D up to lattice shift).
     """
+    return list(model.cached("decompositions", lambda: _build_decompositions(model)))
+
+
+def _build_decompositions(model: CqsModel) -> tuple[Decomposition, ...]:
     out: list[Decomposition] = []
     for h in range(2, model.e):
         seg = segment(model, h)
@@ -268,4 +263,4 @@ def enum_decompositions(model: CqsModel) -> list[Decomposition]:
                 out.append(decomposition_Dbar(seg, d))
     for dec in out:
         dec.validate(segment(model, dec.h))
-    return out
+    return tuple(out)

@@ -39,8 +39,7 @@ def build_report(model: CqsModel, verbose: bool = False) -> dict:
     for defo in deformations:
         comps = components_of(defo)
         fiber = general_fiber(defo)
-        smoothing = is_smoothing(defo, fiber)
-        smoothing_count += smoothing
+        smoothing_count += fiber.is_empty
         can_k, can_fan = canonical_model(defo)
         rec = defo.to_json()
         rec.update(
@@ -49,7 +48,7 @@ def build_report(model: CqsModel, verbose: bool = False) -> dict:
             versal_map=versal_map(defo).to_json(),
             components=[list(k.k) for k in comps],
             fiber=fiber.to_json(verbose=verbose),
-            is_smoothing=smoothing,
+            is_smoothing=fiber.is_empty,
             simultaneous_resolutions=[
                 fan_decomposition(model, k, defo.decomp).to_json() for k in comps
             ],
@@ -194,10 +193,11 @@ def scan_row(n: int, q: int) -> dict:
         return {"n": n, "q": q, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def report_to_json(report: dict) -> str:
+def report_to_json(report: dict | list) -> str:
     """The text of json.dumps(report, indent=2), written in one pass; the
-    report holds dicts with str keys, lists, tuples, str, int, bool and
-    None, and any other type raises TypeError."""
+    report, a report dict or a list of scan rows, holds dicts with str
+    keys, lists, tuples, str, int, bool and None, and any other type
+    raises TypeError."""
     out: list[str] = []
     out.append(_write_json(report, "", "\n", out))
     return "".join(out)

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .lattice import Cone2, InvariantError, Ratio, Vec2, cone_normal_form
 from .cqs import CqsModel
@@ -135,11 +135,12 @@ def _build_p_resolution(model: CqsModel, k: ZeroChain) -> PResolutionFan:
 @dataclass(frozen=True)
 class PieceDecomposition:
     """Decomposition of the slice of one fan cone, in the global canonical
-    coordinates of the full slice."""
+    coordinates of the full slice; ends0 and ends1 hold the ends of its
+    two summands as integer ratios, as in Decomposition."""
 
     i: int
-    s0: tuple[Fraction, Fraction]
-    s1: tuple[Fraction, Fraction]
+    ends0: tuple[Ratio, Ratio]
+    ends1: tuple[Ratio, Ratio]
     degenerate: bool
 
 
@@ -174,8 +175,8 @@ class FanDecomposition:
             "pieces": [
                 {
                     "i": pc.i,
-                    "s0": [str(pc.s0[0]), str(pc.s0[1])],
-                    "s1": [str(pc.s1[0]), str(pc.s1[1])],
+                    "s0": [str(Fraction(*r)) for r in pc.ends0],
+                    "s1": [str(Fraction(*r)) for r in pc.ends1],
                 }
                 for pc in self.pieces
             ],
@@ -201,33 +202,38 @@ def _build_fan_decomposition(
         raise ValueError(f"{decomp.label} does not map to the component of {k.k}")
     h = decomp.h
     gap = model.a(h) - k.k_at(h)
-    seg = segment(model, h)
     intervals = slice_intervals(model, k, h)
-    local_len_h = intervals[h][1] - intervals[h][0]
-    if local_len_h != gap:
-        raise InvariantError(f"slice at h has length {local_len_h}, expected {gap}")
+    (ln, ld), (rn, rd) = intervals[h]
+    if rn * ld - ln * rd != gap * ld * rd:
+        length = Fraction(rn, rd) - Fraction(ln, ld)
+        raise InvariantError(f"slice at h has length {length}, expected {gap}")
 
-    cum0, cum1 = seg.beta, Fraction(0)
+    # Every piece end is a slice end less an integer: depth, or the
+    # integer right end cut of a Dbar's first summand (were that end not
+    # an integer, the check below would fail).
+    num, den = decomp.ends0[1]
+    cut = num // den
+    point0, point_d, point_cut = (0, 1), (depth, 1), (cut, 1)
     pieces = []
-    for i, (left, right) in intervals.items():
-        total = right - left
-        if i == h:
-            len0, len1 = total - depth, Fraction(depth)
-        elif decomp.kind == "Dbar" and i < h:
-            len0, len1 = Fraction(0), total
+    for i, (left, right) in intervals.items():  # left to right
+        if i > h:
+            ends0, ends1 = (left, right), (point0, point0)
+        elif i == h:
+            ends0, ends1 = (left, _less(right, depth)), (point0, point_d)
+        elif decomp.kind == "D":
+            ends0, ends1 = (_less(left, depth), _less(right, depth)), (point_d, point_d)
         else:
-            len0, len1 = total, Fraction(0)
-        s0 = (cum0, cum0 + len0)
-        s1 = (cum1, cum1 + len1)
-        if s0[0] + s1[0] != left or s0[1] + s1[1] != right:
-            raise InvariantError(f"the pieces of tau_{i} do not add up to its slice")
-        pieces.append(PieceDecomposition(i=i, s0=s0, s1=s1, degenerate=(total == 0)))
-        cum0, cum1 = s0[1], s1[1]
+            ends0, ends1 = (point_cut, point_cut), (_less(left, cut), _less(right, cut))
+        pieces.append(
+            PieceDecomposition(i=i, ends0=ends0, ends1=ends1, degenerate=_same(left, right))
+        )
+    # each summand's pieces run contiguously from decomp's left end to its right end
+    for s, (first, last) in enumerate((decomp.ends0, decomp.ends1)):
+        runs = [(pc.ends0, pc.ends1)[s] for pc in pieces]
+        joints = zip([first] + [r[1] for r in runs], [r[0] for r in runs] + [last])
+        if not all(_same(x, y) for x, y in joints):
+            raise InvariantError(f"the pieces do not add up to {decomp.label}")
     pieces.sort(key=lambda pc: pc.i)
-
-    t0, t1 = decomp.s0, decomp.s1
-    if cum0 != t0[1] or cum1 != t1[1] or not pieces or seg.beta != t0[0] + t1[0]:
-        raise InvariantError(f"the pieces do not add up to {decomp.label}")
 
     fd = FanDecomposition(
         k=k, decomp=decomp, fan=p_resolution_fan(model, k), pieces=tuple(pieces)
@@ -236,12 +242,10 @@ def _build_fan_decomposition(
     return fd
 
 
-def slice_intervals(
-    model: CqsModel, k: ZeroChain, h: int
-) -> dict[int, tuple[Fraction, Fraction]]:
+def slice_intervals(model: CqsModel, k: ZeroChain, h: int) -> dict[int, tuple[Ratio, Ratio]]:
     """The slice interval of every cone of the fan of k, in the global
     canonical coordinates of the slice at w^h, keyed by cone index from
-    left to right."""
+    left to right; each end is the ratio Segment.coord gives for a ray."""
     return model.cached(
         ("slice_intervals", k.k, h),
         lambda: _build_slice_intervals(segment(model, h), p_resolution_fan(model, k).cones),
@@ -250,32 +254,36 @@ def slice_intervals(
 
 def _build_slice_intervals(
     seg: Segment, cones: Sequence[TauCone]
-) -> dict[int, tuple[Fraction, Fraction]]:
-    intervals: dict[int, tuple[Fraction, Fraction]] = {}
+) -> dict[int, tuple[Ratio, Ratio]]:
+    intervals: dict[int, tuple[Ratio, Ratio]] = {}
     for tau in sorted(cones, key=lambda t: -t.i):  # left to right
         left, right = seg.coord(tau.ray_left), seg.coord(tau.ray_right)
-        if left > right:
+        if left[0] * right[1] > right[0] * left[1]:
             raise RuntimeError(f"slice of tau_{tau.i} runs right to left")
         intervals[tau.i] = (left, right)
     ends = list(intervals.values())
     for prev, nxt in zip(ends, ends[1:]):
-        if prev[1] != nxt[0]:
+        if not _same(prev[1], nxt[0]):
             raise RuntimeError("slices are not adjacent")
-    if ends[0][0] != seg.beta or ends[-1][1] != seg.gamma:
+    if not (_same(ends[0][0], seg.ends[0]) and _same(ends[-1][1], seg.ends[1])):
         raise RuntimeError("slices do not cover the slice from beta to gamma")
     return intervals
 
 
-def _ratios(ends: tuple[Fraction, Fraction]) -> tuple[Ratio, Ratio]:
-    """The ends of an interval as integer ratios (numerator, denominator)."""
-    x, y = ends
-    return (x.numerator, x.denominator), (y.numerator, y.denominator)
+def _same(x: Ratio, y: Ratio) -> bool:
+    """Whether two ratios are the same number."""
+    return x[0] * y[1] == y[0] * x[1]
+
+
+def _less(x: Ratio, c: int) -> Ratio:
+    """The ratio x less the integer c, over the same denominator."""
+    return x[0] - c * x[1], x[1]
 
 
 def _validate_piece_admissibility(fd: FanDecomposition) -> None:
     label, p = fd.label, fd.decomp.p
     for pc in fd.pieces:
-        check_lattice_ends(_ratios(pc.s0), _ratios(pc.s1), p, f"{label}: piece {pc.i}")
+        check_lattice_ends(pc.ends0, pc.ends1, p, f"{label}: piece {pc.i}")
 
 
 @dataclass(frozen=True)
@@ -283,7 +291,7 @@ class MaxCone3:
     tau_index: int
     cone: Cone3
     canonical: bool
-    rdp_or_smooth: Optional[bool]
+    rdp_or_smooth: bool
 
     @property
     def qgorenstein(self) -> bool:
@@ -329,25 +337,19 @@ def assemble_fan3(fd: FanDecomposition, defo: Deformation) -> Fan3:
     tile the total-space cone of defo, the deformation of fd.decomp."""
     if defo.model != fd.fan.model or defo.decomp != fd.decomp:
         raise ValueError(f"{defo.label} is not the deformation of {fd.label}")
-    m0, p = defo.m0, fd.decomp.p
     cones = []
     for pc in fd.pieces:
         if pc.degenerate:
             continue
-        ends0 = _ratios((pc.s0[0] + m0, pc.s0[1] + m0))
-        cone = Cone3.over_summands(ends0, _ratios(pc.s1), p)
+        cone = Cone3.over_summands(pc.ends0, pc.ends1, fd.decomp.p, defo.m0)
         if cone.gorenstein is None:
             raise RuntimeError(f"{fd.label}: the cone over piece {pc.i} is not Q-Gorenstein")
-        tau = fd.fan.cone_at(pc.i)
-        rdp = None
-        if not tau.degenerate:
-            rdp = tau.at_most_rdp
         cones.append(
             MaxCone3(
                 tau_index=pc.i,
                 cone=cone,
                 canonical=is_canonical_cone3(cone),
-                rdp_or_smooth=rdp,
+                rdp_or_smooth=fd.fan.cone_at(pc.i).at_most_rdp,
             )
         )
 
@@ -437,7 +439,10 @@ def lattice_points_right(model: CqsModel, k: ZeroChain, h: int) -> int:
         raise ValueError(f"alpha_{h} = {k.alpha_at(h)} != 1")
     fan = p_resolution_fan(model, k)
     seg = segment(model, h)
-    right_end = seg.coord(fan.cone_at(h).ray_right)
-    if right_end.denominator != 1:
-        raise InvariantError(f"the right end {right_end} of tau_{h} is not a lattice point")
-    return math.floor(seg.gamma) - int(right_end)
+    num, den = seg.coord(fan.cone_at(h).ray_right)
+    if num % den:
+        raise InvariantError(
+            f"the right end {Fraction(num, den)} of tau_{h} is not a lattice point"
+        )
+    g, gd = seg.ends[1]
+    return g // gd - num // den

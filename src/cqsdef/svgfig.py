@@ -153,8 +153,8 @@ def slices_figure(model: CqsModel) -> str:
         for pc in fd.pieces:
             if pc.degenerate:
                 continue
-            a0, b0 = pc.s0[0] + m0, pc.s0[1] + m0
-            a1, b1 = pc.s1[0] / fd.decomp.p, pc.s1[1] / fd.decomp.p
+            a0, b0 = (Fraction(*r) + m0 for r in pc.ends0)
+            a1, b1 = (Fraction(*r) / fd.decomp.p for r in pc.ends1)
             pts0 += [a0, b0]
             pts1 += [a1, b1]
             edges.append(((a0, 1), (a1, 0)))

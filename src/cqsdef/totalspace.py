@@ -163,9 +163,7 @@ class Deformation:
 def build_deformation(model: CqsModel, decomp: Decomposition) -> Deformation:
     """Assemble the 3D cone over the two summands of a decomposition."""
     m0 = segment(model, decomp.h).m0
-    (b0, bd0), (g0, gd0) = decomp.ends0
-    ends0 = (b0 + m0 * bd0, bd0), (g0 + m0 * gd0, gd0)
-    cone = Cone3.over_summands(ends0, decomp.ends1, decomp.p)
+    cone = Cone3.over_summands(decomp.ends0, decomp.ends1, decomp.p, m0)
     defo = Deformation(model=model, decomp=decomp, sigma_prime=cone, m0=m0)
     for ray in (model.sigma.ray1, model.sigma.ray2):
         if not cone.contains(defo.phi(ray)):

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 import cqsdef.cli as cli_mod
 import cqsdef.cqs
+import cqsdef.minkowski
 import cqsdef.resolutions
 import cqsdef.totalspace
 from cqsdef.cli import CHECKPOINT_HEADER, main
@@ -56,6 +59,34 @@ def test_scan_csv(capsys):
     lines = out.strip().splitlines()
     row_83 = [l for l in lines if l.startswith("8,3,")]
     assert row_83 and row_83[0].split(",")[3] == "2"  # two components
+
+
+def test_scan_json_is_json_dumps(capsys):
+    code, out, _ = run(capsys, "scan", "--n-range", "3:12", "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_outputs_match_the_benchmark_reference(tmp_path):
+    """cli.main writes, byte for byte, the outputs whose SHA-256 digests
+    perfbench/reference.json holds: every 20th analyze pair in sorted order
+    (both pools) and the scan window 28:51, each run with the argv of the
+    benchmark worker."""
+    root = Path(__file__).resolve().parents[1]
+    digests = json.loads((root / "perfbench" / "reference.json").read_text())["digests"]
+    out, checkpoint = tmp_path / "output", tmp_path / "checkpoint.json"
+    cases = [
+        (["analyze", *key.split(","), "--json"], digest)
+        for key, digest in sorted(digests["analyze"].items())[::20]
+    ]
+    cases.append(
+        (["scan", "--n-range", "28:51", "--csv", "--checkpoint", str(checkpoint)],
+         digests["scan"]["28:51"])
+    )
+    assert len(cases) == 31
+    for argv, digest in cases:
+        assert main([*argv, "-o", str(out)]) == 0, argv
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
 def test_scan_empty_range(capsys):
@@ -150,8 +181,8 @@ def test_analyze_svg_dir(tmp_path, capsys):
 
 def test_analyze_svg_shares_the_model(tmp_path, monkeypatch, capsys):
     """--svg draws the figures from the model build_report used, so no
-    fan decomposition and no deformation is built twice, and neither the
-    report nor the figures change."""
+    decomposition, fan decomposition or deformation is built twice, and
+    neither the report nor the figures change."""
     builds = {}
 
     def count(module, name):
@@ -165,15 +196,17 @@ def test_analyze_svg_shares_the_model(tmp_path, monkeypatch, capsys):
 
     count(cqsdef.resolutions, "_build_fan_decomposition")
     count(cqsdef.totalspace, "build_deformation")
+    count(cqsdef.minkowski, "decomposition_D")
     outputs = {}
     for extra in ([], ["--svg", str(tmp_path)]):
-        builds.update(_build_fan_decomposition=0, build_deformation=0)
+        builds.update(_build_fan_decomposition=0, build_deformation=0, decomposition_D=0)
         code, out, _ = run(capsys, "analyze", "37", "11", "--json", *extra)
         assert code == 0
         outputs[bool(extra)] = (out, dict(builds))
     assert outputs[True] == outputs[False]
     assert outputs[False][1]["_build_fan_decomposition"] > 0
     assert outputs[False][1]["build_deformation"] == 16
+    assert outputs[False][1]["decomposition_D"] > 0
     model = cqsdef.cqs.cqs_new(37, 11)
     for target in FIGURE_TARGETS:
         assert (tmp_path / f"y_37_11_{target}.svg").read_text() == make_figure(model, target)

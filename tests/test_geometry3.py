@@ -23,7 +23,7 @@ from cqsdef.geometry3 import (
     is_canonical_cone3,
     roof_facets,
 )
-from cqsdef.resolutions import _ratios, assemble_fan3, fan_decomposition
+from cqsdef.resolutions import assemble_fan3, fan_decomposition
 from cqsdef.totalspace import all_deformations, components_of
 from conftest import (
     assert_hull_vertices_are_candidates,
@@ -143,8 +143,7 @@ def _summand_cones(models):
             for k in components_of(df):
                 for pc in fan_decomposition(m, k, df.decomp).pieces:
                     if not pc.degenerate:
-                        s0 = (pc.s0[0] + df.m0, pc.s0[1] + df.m0)
-                        yield Cone3.over_summands(_ratios(s0), _ratios(pc.s1), df.p)
+                        yield Cone3.over_summands(pc.ends0, pc.ends1, df.p, df.m0)
 
 
 def test_gorenstein_functional_matches_fractions():

@@ -5,7 +5,6 @@ import pytest
 
 from cqsdef.chains import enumerate_K
 from cqsdef.cqs import to_display_coords
-from cqsdef.lattice import Vec2
 from cqsdef.minkowski import (
     decomposition_D,
     decomposition_Dbar,
@@ -50,8 +49,6 @@ def test_segment_matches_division_frame():
 
 def test_segment_coord_rejects_points_off_the_slice(y83):
     seg = segment(y83, 3)
-    with pytest.raises(RuntimeError, match="is not on the slicing line"):
-        seg.coord_of(seg.origin + Vec2(0, 1))
     with pytest.raises(RuntimeError, match="does not meet the slice"):
         seg.coord(-seg.origin)
 
@@ -156,7 +153,7 @@ def test_segment_coordinate_roundtrip():
         for h in m.interior_indices():
             seg = segment(m, h)
             for c in range(-2, seg.lattice_count + 2):
-                assert seg.coord_of(seg.point_at(c)) == c
+                assert seg.coord(seg.point_at(c)) == (c, 1)
             w = m.wgen(h)
             for c in range(0, seg.lattice_count):
                 assert seg.point_at(c).dot(w) == 1

@@ -86,18 +86,31 @@ def test_p_resolution_cones_are_t_or_smooth():
                 assert found, (m.n, m.q, zc.k, tau.i, chain)
 
 
+def _fractions(ends):
+    return tuple(Fraction(*r) for r in ends)
+
+
 def test_fan_decomposition_golden_sbar(y83):
     k = k_of(y83, (1, 2, 1))
     fd = fan_decomposition(y83, k, decomposition_Dbar(segment(y83, 3), 1))
-    by_i = {pc.i: pc for pc in fd.pieces}
-    assert by_i[4].s0 == (Fraction(-1, 2), Fraction(0)) and by_i[4].s1 == (0, 0)
-    assert by_i[3].s0 == (Fraction(0), Fraction(1)) and by_i[3].s1 == (0, 0)
-    assert by_i[2].s0 == (Fraction(1), Fraction(1)) and by_i[2].s1 == (
-        Fraction(0),
-        Fraction(1, 2),
-    )
+    by_i = {pc.i: (_fractions(pc.ends0), _fractions(pc.ends1)) for pc in fd.pieces}
+    assert by_i[4] == ((Fraction(-1, 2), Fraction(0)), (0, 0))
+    assert by_i[3] == ((Fraction(0), Fraction(1)), (0, 0))
+    assert by_i[2] == ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1, 2)))
     assert fd.label == "Sbar_{3}^1[1,2,1]"
     assert fd.to_json()["kind"] == "Sbar" and fd.to_json()["d"] == 1
+
+
+def test_pieces_are_degenerate_with_their_fan_cones():
+    """A piece is degenerate exactly when its fan cone is, so every cone
+    assemble_fan3 builds reads the RDP verdict of a nondegenerate tau."""
+    for m in iter_models(30):
+        for df in all_deformations(m):
+            for k in components_of(df):
+                fd = fan_decomposition(m, k, df.decomp)
+                for pc in fd.pieces:
+                    tau = fd.fan.cone_at(pc.i)
+                    assert pc.degenerate == tau.degenerate, (m.n, m.q, df.label, k.k, pc.i)
 
 
 def test_fan_decomposition_golden_sbar2(y83):
@@ -270,7 +283,7 @@ def test_slice_intervals_match_division_frame():
                     tau.i: (_coord_of_ray(m, h, tau.ray_left), _coord_of_ray(m, h, tau.ray_right))
                     for tau in sorted(cones, key=lambda t: -t.i)
                 }
-                got = slice_intervals(m, zc, h)
+                got = {i: _fractions(ends) for i, ends in slice_intervals(m, zc, h).items()}
                 assert list(got.items()) == list(expected.items()), (m.n, m.q, zc.k, h)
 
 
@@ -342,7 +355,6 @@ def test_qgorenstein_check_survives_optimize():
     code = (
         "import sys\n"
         "from dataclasses import replace\n"
-        "from fractions import Fraction\n"
         "from cqsdef.chains import enumerate_K\n"
         "from cqsdef.cqs import cqs_new\n"
         "from cqsdef.resolutions import assemble_fan3, fan_decomposition\n"
@@ -351,8 +363,8 @@ def test_qgorenstein_check_survives_optimize():
         "df = next(d for d in all_deformations(m) if d.label == 'pi_{2,1}^1')\n"
         "fd = fan_decomposition(m, next(k for k in enumerate_K(m) if k.k == (1, 2, 1)), df.decomp)\n"
         "assemble_fan3(fd, df)\n"
-        "s0, s1 = (Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(3))\n"
-        "bad = replace(fd, pieces=(replace(fd.pieces[0], s0=s0, s1=s1),) + fd.pieces[1:])\n"
+        "ends0, ends1 = ((0, 1), (1, 2)), ((0, 1), (3, 1))\n"
+        "bad = replace(fd, pieces=(replace(fd.pieces[0], ends0=ends0, ends1=ends1),) + fd.pieces[1:])\n"
         "try:\n"
         "    assemble_fan3(bad, df)\n"
         "except RuntimeError as exc:\n"
