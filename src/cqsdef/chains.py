@@ -165,11 +165,16 @@ def blow_down_trace(
     (1, 1) (Smooth), or no entry is 1 (Singular).  It is one pass over
     the chain with a stack: every entry left of the leftmost 1 is at
     least 2, so after a blow-down the next leftmost 1 is the decremented
-    left neighbour or lies further right.
+    left neighbour or lies further right.  A nonempty chain with every
+    entry at least 2 is Singular at once, with an empty trace.
     """
+    chain = tuple(chain)
+    low = min(chain, default=1)
+    if low >= 2:
+        return NormalForm(NormalForm.SINGULAR, chain), [], chain
+    if low < 1:
+        return Invalid, [], chain
     rest = list(chain)
-    if any(c < 1 for c in rest):
-        return Invalid, [], tuple(rest)
     left: list[int] = []  # the entries left of rest[i]; all but the last are >= 2
     i = 0
     trace: list[tuple[int, int]] = []

@@ -100,7 +100,8 @@ def cqs_new(n: int, q: int) -> CqsModel:
     if e != len(a_chain) + 2:
         raise InvariantError(f"{e} dual generators for a chain of length {len(a_chain)}")
     for i in range(1, e - 1):
-        if w[i - 1] + w[i + 1] != a_chain[i - 1] * w[i]:
+        u, v, c = w[i - 1], w[i + 1], a_chain[i - 1]
+        if u.x + v.x != c * w[i].x or u.y + v.y != c * w[i].y:
             raise InvariantError(f"three-term relation fails at {i + 1}")
     return CqsModel(n=n, q=q, e=e, a_chain=a_chain, w=w, sigma=sigma)
 

@@ -55,35 +55,33 @@ def general_fiber(defo: Deformation) -> SingularityList:
     (a_h - d, a_{h+1}, ...) sits at the origin and (a_2, ..., a_{h-1}, d)
     at one other point.  A smooth fiber is checked against the smoothing
     pattern: d = 1 with p = a_h - 1, or the barred kind with a_h = 2 and
-    d = 1.
+    d = 1.  Deformations of one model share many chains, so each chain's
+    normal form is kept on the model; both checks run on every call.
     """
-    model, h, p, d = defo.model, defo.h, defo.p, defo.d
+    dec, model = defo.decomp, defo.model
+    kind, p, d = dec.kind, dec.p, dec.d
     a = model.a_chain
-    pos = h - 2
-    raw: list[tuple[tuple[int, ...], int, str]] = []
-    if defo.kind == "D":
-        origin_chain = a[:pos] + (a[pos] - p * d,) + a[pos + 1 :]
-        raw.append((origin_chain, 1, ORIGIN))
-        raw.append(((d,), p, OFF_ORIGIN))
+    pos = dec.h - 2
+    if kind == "D":
+        raw = ((a[:pos] + (a[pos] - p * d,) + a[pos + 1 :], 1, ORIGIN), ((d,), p, OFF_ORIGIN))
     else:
-        raw.append(((a[pos] - d,) + a[pos + 1 :], 1, ORIGIN))
-        raw.append((a[:pos] + (d,), 1, OFF_ORIGIN))
+        raw = (((a[pos] - d,) + a[pos + 1 :], 1, ORIGIN), (a[:pos] + (d,), 1, OFF_ORIGIN))
 
     entries = []
     for chain, mult, loc in raw:
-        nf = blow_down(chain)
+        nf = model.cached(("blow_down", chain), lambda: blow_down(chain))
         if nf.kind == NormalForm.INVALID:
             raise RuntimeError(f"fiber chain {chain} of {defo.label} blew down below 1")
         if not nf.is_smooth:
             entries.append((nf, mult, loc))
     if not entries:
-        if defo.kind == "D":
-            ok = d == 1 and p == model.a(h) - 1
+        if kind == "D":
+            ok = d == 1 and p == a[pos] - 1
         else:
-            ok = model.a(h) == 2 and d == 1
+            ok = a[pos] == 2 and d == 1
         if not ok:
             raise RuntimeError(f"{defo.label} is a smoothing outside the expected pattern")
-    return SingularityList(entries=tuple(entries), raw=tuple(raw))
+    return SingularityList(entries=tuple(entries), raw=raw)
 
 
 def is_smoothing(defo: Deformation) -> bool:

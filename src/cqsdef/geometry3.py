@@ -59,10 +59,11 @@ def cross3(a, b):
 
 
 def prim3(v: Sequence[int]) -> IVec3:
-    g = math.gcd(math.gcd(abs(v[0]), abs(v[1])), abs(v[2]))
+    x, y, z = v
+    g = math.gcd(x, y, z)
     if g == 0:
         raise ValueError("zero vector")
-    return (v[0] // g, v[1] // g, v[2] // g)
+    return (x // g, y // g, z // g)
 
 
 def prim3_rational(v) -> IVec3:
@@ -212,17 +213,25 @@ class Cone3:
         """
         (b0, bd0), (g0, gd0) = ends0
         (b1, bd1), (g1, gd1) = ends1
-        a, b = prim3((b0 + m0 * bd0, bd0, 0)), prim3((g0 + m0 * gd0, gd0, 0))
-        c, d = prim3((b1, 0, bd1 * p)), prim3((g1, 0, gd1 * p))
-        rays = [prim3(cross3(d, b))]  # first coordinate < 0
+        b0, g0, bd1, gd1 = b0 + m0 * bd0, g0 + m0 * gd0, bd1 * p, gd1 * p
+        # Each generator has a zero coordinate and a positive one, so a
+        # two-term gcd makes it primitive; a and b (y > 0) never equal c
+        # or d (y = 0).
+        ka, kb, kc, kd = math.gcd(b0, bd0), math.gcd(g0, gd0), math.gcd(b1, bd1), math.gcd(g1, gd1)
+        a, b = (b0 // ka, bd0 // ka, 0), (g0 // kb, gd0 // kb, 0)
+        c, d = (b1 // kc, 0, bd1 // kc), (g1 // kd, 0, gd1 // kd)
+        gens, rays = [a], [prim3(cross3(d, b))]  # first coordinate < 0
         if a != b:
+            gens.append(b)
             rays.append((0, 0, 1))
+        gens.append(c)
         if c != d:
+            gens.append(d)
             rays.append((0, 1, 0))
         rays.append(prim3(cross3(a, c)))  # first coordinate > 0
         if len(rays) < 3:
             raise ValueError("cone is not full-dimensional")
-        cone = cls(generators=tuple(dict.fromkeys((a, b, c, d))))
+        cone = cls(generators=tuple(gens))
         vars(cone)["dual_rays"] = tuple(rays)  # fills the cached property
         return cone
 

@@ -4,7 +4,9 @@ InvariantError, the package's one exception for a broken internal
 invariant, kept here because every other module imports this one.
 
 All arithmetic is exact; rational numbers are ``fractions.Fraction``, or
-``Ratio`` pairs where the denominator is known in advance.
+``Ratio`` pairs where the denominator is known in advance.  A ``Cone2`` is
+built from lattice rays only, so its rays and everything read off them
+are plain integers.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ class Vec2:
         return self.x == 0 and self.y == 0
 
     def is_integral(self) -> bool:
+        if type(self.x) is int and type(self.y) is int:
+            return True
         return frac(self.x).denominator == 1 and frac(self.y).denominator == 1
 
     def as_int_pair(self) -> tuple[int, int]:
@@ -81,28 +85,20 @@ def primitive(v: Vec2) -> Vec2:
     return Vec2(a // g, b // g)
 
 
-def primitive_direction(v: Vec2) -> Vec2:
-    """Primitive lattice vector on the ray through a rational point v != 0."""
-    if v.is_zero():
-        raise ValueError("zero vector has no direction")
-    fx, fy = frac(v.x), frac(v.y)
-    m = (fx.denominator * fy.denominator) // math.gcd(fx.denominator, fy.denominator)
-    return primitive(Vec2(int(fx * m), int(fy * m)))
-
-
 @dataclass(frozen=True)
 class Cone2:
     """A strictly convex oriented 2D cone with primitive integral rays.
 
-    The stored rays satisfy det(ray1, ray2) > 0; input rays are scaled to
-    primitive vectors and reordered if needed.
+    The input rays are lattice vectors (a non-lattice ray raises
+    ValueError); they are divided by the gcd of their coordinates and
+    reordered if needed, so the stored rays satisfy det(ray1, ray2) > 0.
     """
 
     ray1: Vec2
     ray2: Vec2
 
     def __init__(self, ray1: Vec2, ray2: Vec2):
-        r1, r2 = primitive_direction(ray1), primitive_direction(ray2)
+        r1, r2 = primitive(ray1), primitive(ray2)
         d = r1.det(r2)
         if d == 0:
             raise ValueError("rays are collinear; cone is not strictly convex")

@@ -5,7 +5,7 @@ deformations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import Ratio, Vec2
@@ -102,10 +102,16 @@ def segment(model: CqsModel, h: int) -> Segment:
 
 def _build_segment(model: CqsModel, h: int) -> Segment:
     w, w_next = model.wgen(h), model.wgen(h + 1)
-    left, right = model.sigma.ray2, model.sigma.ray1  # (-q, n) and (1, 0)
-    m0 = -(-left.dot(w_next) // left.dot(w))
-    frame = Segment(h=h, ends=((0, 1), (0, 1)), m0=m0, w=w, w_next=w_next)
-    seg = replace(frame, ends=(frame.coord(left), frame.coord(right)))
+    n, q = model.n, model.q
+    # <ray, w^h> and <ray, w^{h+1}> for the rays (-q, n) and (1, 0) of sigma;
+    # the ends are their coordinates, as Segment.coord gives them.
+    t_left, u_left = n * w.y - q * w.x, n * w_next.y - q * w_next.x
+    t_right, u_right = w.x, w_next.x
+    if t_left <= 0 or t_right <= 0:
+        raise RuntimeError(f"a ray of sigma does not meet the slice at w^{h}")
+    m0 = -(-u_left // t_left)
+    ends = ((u_left - t_left * m0, t_left), (u_right - t_right * m0, t_right))
+    seg = Segment(h=h, ends=ends, m0=m0, w=w, w_next=w_next)
     num, den = seg.length_ratio
     if num * w.x * (w.y * model.n - w.x * model.q) != model.n * den:
         raise RuntimeError(
@@ -255,12 +261,14 @@ def _build_decompositions(model: CqsModel) -> tuple[Decomposition, ...]:
     for h in range(2, model.e):
         seg = segment(model, h)
         num, den = seg.length_ratio
-        for p in range(1, model.a(h)):
-            for d in range(1, num // (p * den) + 1):
-                out.append(decomposition_D(seg, p, d))
+        here = [
+            decomposition_D(seg, p, d)
+            for p in range(1, model.a(h))
+            for d in range(1, num // (p * den) + 1)
+        ]
         if 3 <= h <= model.e - 2:
-            for d in range(1, seg.lattice_count + 1):
-                out.append(decomposition_Dbar(seg, d))
-    for dec in out:
-        dec.validate(segment(model, dec.h))
+            here += [decomposition_Dbar(seg, d) for d in range(1, seg.lattice_count + 1)]
+        for dec in here:
+            dec.validate(seg)
+        out += here
     return tuple(out)

@@ -144,8 +144,9 @@ class Deformation:
 
     def phi(self, v: Vec2) -> IVec3:
         """The lattice embedding of the base surface into the total space."""
-        t = v.dot(self.model.wgen(self.h))
-        return (v.dot(self.model.wgen(self.h + 1)), t, self.p * t)
+        w, w_next = self.model.w[self.h - 1], self.model.w[self.h]  # w^h, w^{h+1}
+        t = v.x * w.x + v.y * w.y
+        return (v.x * w_next.x + v.y * w_next.y, t, self.p * t)
 
     def to_json(self) -> dict:
         return {
@@ -166,8 +167,10 @@ def build_deformation(model: CqsModel, decomp: Decomposition) -> Deformation:
     cone = Cone3.over_summands(decomp.ends0, decomp.ends1, decomp.p, m0)
     defo = Deformation(model=model, decomp=decomp, sigma_prime=cone, m0=m0)
     for ray in (model.sigma.ray1, model.sigma.ray2):
-        if not cone.contains(defo.phi(ray)):
-            raise RuntimeError(f"{defo.label}: slice embedding left the cone")
+        x, y, z = defo.phi(ray)
+        for r0, r1, r2 in cone.dual_rays:
+            if r0 * x + r1 * y + r2 * z < 0:
+                raise RuntimeError(f"{defo.label}: slice embedding left the cone")
     return defo
 
 

@@ -70,20 +70,24 @@ def test_scan_json_is_json_dumps(capsys):
 def test_outputs_match_the_benchmark_reference(tmp_path):
     """cli.main writes, byte for byte, the outputs whose SHA-256 digests
     perfbench/reference.json holds: every 20th analyze pair in sorted order
-    (both pools) and the scan window 28:51, each run with the argv of the
-    benchmark worker."""
+    (both pools) and the four scan windows 28:51, 29:52, 30:53 and 31:54,
+    each run with the argv of the benchmark worker and, as there, a fresh
+    checkpoint file per window."""
     root = Path(__file__).resolve().parents[1]
     digests = json.loads((root / "perfbench" / "reference.json").read_text())["digests"]
-    out, checkpoint = tmp_path / "output", tmp_path / "checkpoint.json"
+    out = tmp_path / "output"
     cases = [
         (["analyze", *key.split(","), "--json"], digest)
         for key, digest in sorted(digests["analyze"].items())[::20]
     ]
-    cases.append(
-        (["scan", "--n-range", "28:51", "--csv", "--checkpoint", str(checkpoint)],
-         digests["scan"]["28:51"])
-    )
-    assert len(cases) == 31
+    for lo in range(28, 32):
+        window = f"{lo}:{lo + 23}"
+        checkpoint = tmp_path / f"checkpoint-{lo}.json"
+        cases.append(
+            (["scan", "--n-range", window, "--csv", "--checkpoint", str(checkpoint)],
+             digests["scan"][window])
+        )
+    assert len(cases) == 34
     for argv, digest in cases:
         assert main([*argv, "-o", str(out)]) == 0, argv
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv

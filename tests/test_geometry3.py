@@ -1,5 +1,6 @@
 """3D lattice geometry against the brute-force oracles in conftest."""
 
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from cqsdef.geometry3 import (
     dual_rays3,
     hilbert_basis_3d,
     is_canonical_cone3,
+    prim3,
     roof_facets,
 )
 from cqsdef.resolutions import assemble_fan3, fan_decomposition
@@ -175,6 +177,8 @@ def test_not_q_gorenstein_raises():
 
 coord = st.integers(-3, 3)
 vec3 = st.tuples(coord, coord, coord)
+# Entries for prim3: zero drawn often, signs mixed.
+entry = st.one_of(st.just(0), st.integers(-50, 50))
 
 
 @settings(max_examples=60, deadline=None)
@@ -201,6 +205,19 @@ def test_random_four_ray_cones(xys, height, shear):
     assume(len(rays) == 4 and all(r in pts for r in rays))
     gens = [(x, y, shear[0] * x + shear[1] * y + z) for x, y, z in rays]
     _agrees_with_oracles(gens)
+
+
+@given(st.tuples(entry, entry, entry))
+def test_prim3_matches_the_abs_gcd_formula(v):
+    g = math.gcd(math.gcd(abs(v[0]), abs(v[1])), abs(v[2]))
+    assume(g != 0)
+    assert prim3(v) == (v[0] // g, v[1] // g, v[2] // g)
+    assert prim3(list(v)) == prim3(v)
+
+
+def test_prim3_of_zero_raises():
+    with pytest.raises(ValueError, match="zero vector"):
+        prim3((0, 0, 0))
 
 
 def test_psi_check_survives_optimize():

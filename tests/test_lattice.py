@@ -117,6 +117,37 @@ def test_primitive():
         primitive(Vec2(0, 0))
 
 
+def test_cone2_takes_lattice_rays():
+    with pytest.raises(ValueError, match="not a lattice point"):
+        Cone2(Vec2(Fraction(1, 2), 1), Vec2(0, 1))
+    with pytest.raises(ValueError, match="not a lattice point"):
+        Cone2(Vec2(1, 0), Vec2(-3, Fraction(8, 3)))
+    with pytest.raises(ValueError, match="collinear"):
+        Cone2(Vec2(2, 4), Vec2(-1, -2))
+    cone = Cone2(Vec2(0, 6), Vec2(4, 0))
+    assert (cone.ray1, cone.ray2) == (Vec2(1, 0), Vec2(0, 1))
+    cone = Cone2(Vec2(Fraction(4), Fraction(-6)), Vec2(0, 5))
+    assert (cone.ray1, cone.ray2) == (Vec2(2, -3), Vec2(0, 1))
+    assert all(type(c) is int for r in (cone.ray1, cone.ray2) for c in (r.x, r.y))
+
+
+@given(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+       st.tuples(st.integers(-30, 30), st.integers(-30, 30)))
+def test_cone2_reduces_and_orders_integer_rays(u, v):
+    det = u[0] * v[1] - u[1] * v[0]
+    if det == 0:
+        with pytest.raises(ValueError):
+            Cone2(Vec2(*u), Vec2(*v))
+        return
+    gu, gv = math.gcd(*u), math.gcd(*v)
+    r1, r2 = Vec2(u[0] // gu, u[1] // gu), Vec2(v[0] // gv, v[1] // gv)
+    if det < 0:
+        r1, r2 = r2, r1
+    cone = Cone2(Vec2(*u), Vec2(*v))
+    assert (cone.ray1, cone.ray2) == (r1, r2)
+    assert cone.index() * gu * gv == abs(det)
+
+
 def test_cone_normal_form():
     assert cone_normal_form(Cone2(Vec2(1, 0), Vec2(-3, 8))) == (8, 3)
     assert cone_normal_form(Cone2(Vec2(1, 0), Vec2(0, 1))) == (1, 0)
