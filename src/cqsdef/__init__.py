@@ -3,7 +3,6 @@ two-dimensional cyclic quotient singularities."""
 
 from .lattice import (
     Cone2,
-    ContinuedFraction,
     InvariantError,
     Vec2,
     cf_eval,
@@ -42,7 +41,6 @@ from .minkowski import (
 )
 from .totalspace import (
     Deformation,
-    EquationSet,
     GeneratorRelations,
     VersalMap,
     build_deformation,

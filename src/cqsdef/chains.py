@@ -89,9 +89,6 @@ def zero_chains_bounded(bounds: Sequence[int]) -> list[ZeroChain]:
             rec(pos + 1, prefix, a_cur, a_next)
             prefix.pop()
 
-    if m == 1:
-        # Single entry: alpha_3 = k*1 - 0 = 0 forces k = 0, never in range.
-        return out
     rec(0, [], 0, 1)
     return out
 

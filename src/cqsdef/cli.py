@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     except (InvalidSingularityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
-    except (RuntimeError, ValueError) as exc:
+    except Exception as exc:  # noqa: BLE001 - any other fault is the library's
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -136,17 +136,15 @@ def display_n_point(v: Vec2, model: CqsModel) -> tuple[Fraction, Fraction]:
     )
 
 
-def is_rdp(chain_or_model) -> bool:
-    """Whether a resolution-style chain (or model) is at most a rational
-    double point: it blows down to the empty/smooth chain or to all 2's.
+def is_rdp(chain) -> bool:
+    """Whether a resolution-style chain is at most a rational double point:
+    it blows down to the empty/smooth chain or to all 2's.
     """
     from .chains import NormalForm, blow_down
 
-    if isinstance(chain_or_model, CqsModel):
-        return chain_or_model.q == chain_or_model.n - 1
-    nf = blow_down(tuple(chain_or_model))
+    nf = blow_down(tuple(chain))
     if nf.kind == NormalForm.INVALID:
-        raise ValueError(f"chain {chain_or_model} does not blow down cleanly")
+        raise ValueError(f"chain {chain} does not blow down cleanly")
     if nf.kind == NormalForm.SMOOTH:
         return True
     return all(c == 2 for c in nf.chain)

@@ -3,8 +3,9 @@ Gorenstein hyperplanes, canonicity, and the bounded-face hull over a
 cone's lattice points.
 
 A cone is a `Cone3`: its generators, normalised once when it is built,
-and the dual rays, facets and Gorenstein functional derived from them,
-each computed on first use and kept on the instance.
+its dual rays, which both constructors fill, and the facets and
+Gorenstein functional derived from them, each computed on first use and
+kept on the instance.
 
 One primitive carries the lattice work: the lattice points of the
 half-open parallelepiped of a simplicial cone (`box_points`), enumerated
@@ -23,7 +24,7 @@ integer vectors before any cone is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -176,23 +177,22 @@ def lattice_points_ineq(ineqs: Sequence[tuple[IVec3, int]]) -> list[IVec3]:
     return out
 
 
-def cone_contains3(dual: Sequence[IVec3], p: IVec3) -> bool:
-    return all(dot3(r, p) >= 0 for r in dual)
-
-
 @dataclass(frozen=True)
 class Cone3:
     """A pointed full-dimensional 3D cone given by distinct primitive
-    integral generators.  The data derived from the generators (dual
-    rays, facets, Gorenstein functional) is computed once per instance."""
+    integral generators and its dual rays, the inward primitive facet
+    normals, sorted.  The facets and the Gorenstein functional are
+    computed once per instance, on first use."""
 
     generators: tuple[IVec3, ...]
+    dual_rays: tuple[IVec3, ...] = field(compare=False)
 
     @classmethod
     def from_rays(cls, rays: Sequence[Sequence]) -> "Cone3":
         """The cone over rational rays, each replaced by its primitive
         integer vector, duplicates dropped in order."""
-        return cls(generators=tuple(dict.fromkeys(prim3_rational(tuple(r)) for r in rays)))
+        gens = tuple(dict.fromkeys(prim3_rational(tuple(r)) for r in rays))
+        return cls(generators=gens, dual_rays=tuple(dual_rays3(gens)))
 
     @classmethod
     def over_summands(
@@ -231,14 +231,7 @@ class Cone3:
         rays.append(prim3(cross3(a, c)))  # first coordinate > 0
         if len(rays) < 3:
             raise ValueError("cone is not full-dimensional")
-        cone = cls(generators=tuple(gens))
-        vars(cone)["dual_rays"] = tuple(rays)  # fills the cached property
-        return cone
-
-    @cached_property
-    def dual_rays(self) -> tuple[IVec3, ...]:
-        """The inward primitive facet normals, sorted."""
-        return tuple(dual_rays3(self.generators))
+        return cls(generators=tuple(gens), dual_rays=tuple(rays))
 
     @cached_property
     def facets(self) -> tuple[tuple[IVec3, IVec3, IVec3], ...]:
@@ -273,7 +266,7 @@ class Cone3:
         return None
 
     def contains(self, p: IVec3) -> bool:
-        return cone_contains3(self.dual_rays, p)
+        return all(dot3(r, p) >= 0 for r in self.dual_rays)
 
     def to_json(self) -> list[list[int]]:
         return [list(g) for g in self.generators]
@@ -339,23 +332,20 @@ def _parallelepiped_points(cone: Cone3):
             yield x, level, d
 
 
-def hilbert_basis_3d(cone: Cone3, psi: Optional[IVec3] = None) -> list[IVec3]:
+def hilbert_basis_3d(cone: Cone3) -> list[IVec3]:
     """Minimal generators of cone ∩ Z^3.
 
     Every lattice point of a simplicial cone is a parallelepiped point
     plus a nonnegative integer combination of its generators, so the
     basis lies among the generators and the nonzero parallelepiped points
     of the simplices of a triangulation (Bruns & Ichim, J. Algebra 324,
-    2010).  The candidates are reduced in order of the height psi, which
-    must be strictly positive on the cone; by default it is the sum of
-    the dual rays.
+    2010).  The candidates are reduced in order of the height psi, the
+    sum of the dual rays, which is positive on every nonzero point of the
+    pointed full-dimensional cone.
     """
-    gens, dual = cone.generators, cone.dual_rays
-    if psi is None:
-        psi = tuple(sum(r[i] for r in dual) for i in range(3))
-    if not all(dot3(psi, g) > 0 for g in gens):
-        raise ValueError("psi not positive on the cone")
-    cands = set(gens)
+    dual = cone.dual_rays
+    psi = tuple(sum(r[i] for r in dual) for i in range(3))
+    cands = set(cone.generators)
     cands.update(x for x, level, _ in _parallelepiped_points(cone) if level)
     pts = sorted(cands, key=lambda p: (dot3(psi, p), p))
     # A reducible point splits off some basis element of smaller height,
@@ -378,10 +368,6 @@ def hilbert_basis_3d(cone: Cone3, psi: Optional[IVec3] = None) -> list[IVec3]:
             basis.append(p)
             found.append((hp, vp))
     return sorted(basis)
-
-
-def dot3_frac(a, b) -> Fraction:
-    return Fraction(a[0]) * b[0] + Fraction(a[1]) * b[1] + Fraction(a[2]) * b[2]
 
 
 def is_canonical_cone3(cone: Cone3) -> bool:

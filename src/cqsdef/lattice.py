@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 Rat = Union[int, Fraction]
 # A rational number as (numerator, denominator) with a positive denominator,
@@ -27,10 +27,6 @@ class InvariantError(RuntimeError):
     """A consistency check of the library failed: a defect in the code,
     not in its input.  It is raised explicitly, so it holds under
     python -O as well."""
-
-
-def frac(x: Rat) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -65,7 +61,7 @@ class Vec2:
     def is_integral(self) -> bool:
         if type(self.x) is int and type(self.y) is int:
             return True
-        return frac(self.x).denominator == 1 and frac(self.y).denominator == 1
+        return Fraction(self.x).denominator == 1 and Fraction(self.y).denominator == 1
 
     def as_int_pair(self) -> tuple[int, int]:
         if not self.is_integral():
@@ -123,21 +119,9 @@ def dual_cone(cone: Cone2) -> Cone2:
     return Cone2(u1, u2)
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
-    """A Hirzebruch-Jung continued fraction [c1,...,ck] = c1 - 1/[c2,...,ck]."""
-
-    coeffs: tuple[int, ...]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.coeffs)
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-
-def cf_expand(num: int, den: int) -> ContinuedFraction:
-    """Expand num/den > 1 (in lowest terms) as [c1,...,ck] with all ci >= 2."""
+def cf_expand(num: int, den: int) -> tuple[int, ...]:
+    """Expand num/den > 1 (in lowest terms) as the Hirzebruch-Jung continued
+    fraction [c1,...,ck] = c1 - 1/[c2,...,ck] with all ci >= 2."""
     if den < 1 or num <= den:
         raise ValueError(f"{num}/{den} is not of the form num > den >= 1")
     if math.gcd(num, den) != 1:
@@ -147,10 +131,10 @@ def cf_expand(num: int, den: int) -> ContinuedFraction:
         c = -(-num // den)  # ceiling division
         coeffs.append(c)
         num, den = den, c * den - num
-    return ContinuedFraction(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def cf_eval(cf: Union[ContinuedFraction, Sequence[int]]) -> Optional[Fraction]:
+def cf_eval(cf: Sequence[int]) -> Optional[Fraction]:
     """Evaluate a continued fraction; None when a zero denominator occurs."""
     coeffs = tuple(cf)
     if not coeffs:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .lattice import Ratio, Vec2
 from .cqs import CqsModel
@@ -178,7 +179,7 @@ class Decomposition:
             raise RuntimeError(f"{self.label}: summands do not add up")
         if self.kind == "Dbar" and self.p != 1:
             raise RuntimeError(f"{self.label}: p = {self.p} != 1")
-        check_lattice_ends(self.ends0, self.ends1, self.p, self.label)
+        check_lattice_ends(self.ends0, self.ends1, self.p, lambda: self.label)
 
     def to_json(self) -> dict:
         s0, s1 = self.s0, self.s1
@@ -192,25 +193,25 @@ class Decomposition:
 
 
 def check_lattice_ends(
-    ends0: tuple[Ratio, Ratio], ends1: tuple[Ratio, Ratio], p: int, what: str
+    ends0: tuple[Ratio, Ratio], ends1: tuple[Ratio, Ratio], p: int, what: Callable[[], str]
 ) -> None:
     """The lattice-end rule of an admissible decomposition s0 + s1, given
     by the ends of its summands as integer ratios, where s1 is p times a
     summand: for p = 1 a lattice left end and a lattice right end, each in
     one of the summands; for p > 1 an integral s1 whose length is
-    divisible by p.  Raises RuntimeError naming `what`."""
+    divisible by p.  Raises RuntimeError naming what(), called only then."""
     (b0, bd0), (g0, gd0) = ends0
     (b1, bd1), (g1, gd1) = ends1
     if p == 1:
         if b0 % bd0 and b1 % bd1:
-            raise RuntimeError(f"{what} has no lattice left end")
+            raise RuntimeError(f"{what()} has no lattice left end")
         if g0 % gd0 and g1 % gd1:
-            raise RuntimeError(f"{what} has no lattice right end")
+            raise RuntimeError(f"{what()} has no lattice right end")
     else:
         if b1 % bd1 or g1 % gd1:
-            raise RuntimeError(f"{what} has a non-lattice s1")
+            raise RuntimeError(f"{what()} has a non-lattice s1")
         if (g1 // gd1 - b1 // bd1) % p:
-            raise RuntimeError(f"{what} has s1 not divisible by p")
+            raise RuntimeError(f"{what()} has s1 not divisible by p")
 
 
 def decomposition_D(seg: Segment, p: int, d: int) -> Decomposition:

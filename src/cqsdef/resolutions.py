@@ -281,9 +281,9 @@ def _less(x: Ratio, c: int) -> Ratio:
 
 
 def _validate_piece_admissibility(fd: FanDecomposition) -> None:
-    label, p = fd.label, fd.decomp.p
+    p = fd.decomp.p
     for pc in fd.pieces:
-        check_lattice_ends(pc.ends0, pc.ends1, p, f"{label}: piece {pc.i}")
+        check_lattice_ends(pc.ends0, pc.ends1, p, lambda: f"{fd.label}: piece {pc.i}")
 
 
 @dataclass(frozen=True)

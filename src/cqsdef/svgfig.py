@@ -25,11 +25,6 @@ def _fmt(x) -> str:
     return f"{float(x):.4f}".rstrip("0").rstrip(".")
 
 
-def _frac_label(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _display_label(model: CqsModel, pt) -> str:
     u, v = display_n_point(pt, model)
     den = math.lcm(u.denominator, v.denominator)
@@ -76,14 +71,14 @@ def _draw_interval(cv: _Canvas, x0: float, y: float, lo: Fraction, hi: Fraction,
     ax0, ax1 = x0 + float(lo) * scale, x0 + float(hi) * scale
     if lo == hi:
         cv.dot(ax0, y, filled=Fraction(lo).denominator == 1)
-        cv.text(ax0, y - 10, _frac_label(lo), size=11)
+        cv.text(ax0, y - 10, str(lo), size=11)
         return
     cv.line(ax0, y, ax1, y)
     for c in range(math.ceil(lo), math.floor(hi) + 1):
         cv.dot(x0 + c * scale, y)
         cv.text(x0 + c * scale, y + 18, str(c), size=10)
-    cv.text(ax0, y - 10, _frac_label(lo), size=11)
-    cv.text(ax1, y - 10, _frac_label(hi), size=11)
+    cv.text(ax0, y - 10, str(lo), size=11)
+    cv.text(ax1, y - 10, str(hi), size=11)
 
 
 def segments_figure(model: CqsModel) -> str:
@@ -173,10 +168,10 @@ def slices_figure(model: CqsModel) -> str:
             cv.line(*pos(c1, l1), *pos(c2, l2), width=1.0)
         for c in sorted(set(pts0)):
             cv.dot(*pos(c, 1), filled=Fraction(c).denominator == 1)
-            cv.text(*(lambda p: (p[0], p[1] - 8))(pos(c, 1)), _frac_label(c), size=10)
+            cv.text(*(lambda p: (p[0], p[1] - 8))(pos(c, 1)), str(c), size=10)
         for c in sorted(set(pts1)):
             cv.dot(*pos(c, 0), filled=Fraction(c).denominator == 1)
-            cv.text(*(lambda p: (p[0], p[1] + 18))(pos(c, 0)), _frac_label(c), size=10)
+            cv.text(*(lambda p: (p[0], p[1] + 18))(pos(c, 0)), str(c), size=10)
         cv.text(16, y + scale_y / 2, fd.label, size=12, anchor="start")
         width = max(width, x0 + float(hi) * UNIT + PAD)
         y += scale_y + ROW

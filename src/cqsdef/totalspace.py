@@ -42,18 +42,7 @@ class Poly:
         return not self.coeffs
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.coeffs == ({} if other == 0 else {0: other})
         return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.coeffs.items())))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return Poly(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         out = dict(self.coeffs)
@@ -313,27 +302,14 @@ class Equation:
 
     def to_json(self) -> dict:
         out = {"form": self.form, "i": self.i, "text": str(self)}
-        if self.form == "binomial":
-            out["a"] = self.a
-        elif self.form == "bar_side":
+        if self.form in ("binomial", "bar_side"):
             out["a"] = self.a
         else:
             out.update({"m": self.m, "p": self.p, "d": self.d})
         return out
 
 
-@dataclass(frozen=True)
-class EquationSet:
-    equations: tuple[Equation, ...]
-
-    def specialize_lambda_zero(self) -> tuple[Equation, ...]:
-        return tuple(eq.specialize_lambda_zero() for eq in self.equations)
-
-    def to_json(self) -> list[dict]:
-        return [eq.to_json() for eq in self.equations]
-
-
-def deformation_equations(defo: Deformation) -> EquationSet:
+def deformation_equations(defo: Deformation) -> tuple[Equation, ...]:
     """The e-2 equations cutting out the deformed surface."""
     model, h, p, d = defo.model, defo.h, defo.p, defo.d
     eqs = []
@@ -349,7 +325,7 @@ def deformation_equations(defo: Deformation) -> EquationSet:
             eqs.append(Equation(form="binomial", i=i, a=model.a(i)))
     if len(eqs) != model.e - 2:
         raise InvariantError(f"{defo.label}: {len(eqs)} equations, not {model.e - 2}")
-    return EquationSet(equations=tuple(eqs))
+    return tuple(eqs)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,8 @@ from cqsdef.geometry3 import (
     _facet_polygon_vertices,
     _simplices,
     box_points,
-    cone_contains3,
     cross3,
     dot3,
-    dot3_frac,
     dual_rays3,
     lattice_points_ineq,
     neg3,
@@ -165,7 +163,7 @@ def brute_hilbert_basis_3d(gens) -> list[tuple[int, int, int]]:
     basis = []
     for p in pts:
         if not any(
-            dot3(psi, q) < dot3(psi, p) and cone_contains3(dual, sub3(p, q))
+            dot3(psi, q) < dot3(psi, p) and all(dot3(r, sub3(p, q)) >= 0 for r in dual)
             for q in basis
         ):
             basis.append(p)
@@ -189,6 +187,10 @@ def _brute_polytope_facets(points):
         g = gcd(gcd(gcd(abs(nrm[0]), abs(nrm[1])), abs(nrm[2])), abs(b))
         facets.add(((nrm[0] // g, nrm[1] // g, nrm[2] // g), b // g))
     return sorted(facets)
+
+
+def dot3_frac(a, b) -> Fraction:
+    return Fraction(a[0]) * b[0] + Fraction(a[1]) * b[1] + Fraction(a[2]) * b[2]
 
 
 def fraction_gorenstein_functional(gens):

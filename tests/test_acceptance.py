@@ -244,8 +244,7 @@ def test_criterion_7_structural():
     for n, q in all_pairs(18):
         m = cqs_new(n, q)
         for df in all_deformations(m):
-            eqs = deformation_equations(df)
-            toric = eqs.specialize_lambda_zero()
+            toric = [e.specialize_lambda_zero() for e in deformation_equations(df)]
             assert [(e.i, e.a) for e in toric] == [
                 (i, m.a(i)) for i in m.interior_indices()
             ]

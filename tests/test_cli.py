@@ -393,6 +393,19 @@ def test_internal_value_error_exits_2(monkeypatch, capsys):
     assert "internal invariant failure: forced" in err
 
 
+def test_any_other_exception_exits_2(monkeypatch, capsys):
+    """A fault of any other type is internal too: exit 2 with one line on
+    stderr, as scan gives for the same fault in a row, not a traceback
+    with exit 1."""
+
+    def boom(*a, **kw):
+        raise ZeroDivisionError("forced")
+
+    monkeypatch.setattr(cli_mod, "build_report", boom)
+    code, out, err = run(capsys, "analyze", "8", "3")
+    assert (code, out, err) == (2, "", "internal invariant failure: forced\n")
+
+
 def test_analyze_json_is_the_same_under_optimize(capsys):
     code, out, _ = run(capsys, "analyze", "8", "3", "--json")
     assert code == 0

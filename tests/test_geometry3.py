@@ -1,16 +1,11 @@
 """3D lattice geometry against the brute-force oracles in conftest."""
 
 import math
-import os
-import subprocess
-import sys
 from itertools import chain, combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-import cqsdef
 from cqsdef.chains import enumerate_K
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import (
@@ -218,28 +213,6 @@ def test_prim3_matches_the_abs_gcd_formula(v):
 def test_prim3_of_zero_raises():
     with pytest.raises(ValueError, match="zero vector"):
         prim3((0, 0, 0))
-
-
-def test_psi_check_survives_optimize():
-    code = (
-        "import sys\n"
-        "from cqsdef.geometry3 import Cone3, hilbert_basis_3d\n"
-        "try:\n"
-        "    cone = Cone3.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])\n"
-        "    hilbert_basis_3d(cone, psi=(1, -1, 1))\n"
-        "except ValueError:\n"
-        "    print(sys.flags.optimize, 'raised')\n"
-    )
-    src = str(Path(cqsdef.__file__).resolve().parents[1])
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        timeout=60,
-        check=True,
-    )
-    assert out.stdout.split() == ["1", "raised"]
 
 
 def test_support_check_survives_optimize():

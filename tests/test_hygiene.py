@@ -147,6 +147,41 @@ def test_assert_statements_are_found(tmp_path):
     assert assert_lines(path) == [2, 4]
 
 
+def placeholder_free_fstrings(path: Path) -> list[int]:
+    """The lines of the module's f-strings that have no placeholder and
+    so are plain strings.  The format spec of a placeholder, such as
+    ``:.4f``, is stored as an f-string too, and is not one of them."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    nodes = list(ast.walk(tree))
+    specs = {id(node.format_spec) for node in nodes if isinstance(node, ast.FormattedValue)}
+    return sorted(
+        node.lineno
+        for node in nodes
+        if isinstance(node, ast.JoinedStr)
+        and id(node) not in specs
+        and not any(isinstance(v, ast.FormattedValue) for v in node.values)
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_placeholder_free_fstrings(path):
+    assert placeholder_free_fstrings(path) == []
+
+
+def test_placeholder_free_fstrings_are_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "x = 1.5\n"
+        "a = f'plain'\n"
+        "b = f'{x:.2f}'\n"
+        "c = (f'split '\n"
+        "     f'{x}')\n"
+        "d = f'{x!r:>{8}}'\n"
+        "e = f''\n"
+    )
+    assert placeholder_free_fstrings(path) == [2, 7]
+
+
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
     path for part in ("src", "tests", "perfbench") for path in (ROOT / part).rglob("*.py")

@@ -187,8 +187,8 @@ def test_lattice_end_rule_survives_optimize():
     code = (
         "import sys\n"
         "from cqsdef.minkowski import check_lattice_ends\n"
-        "check_lattice_ends(((-1, 2), (2, 2)), ((0, 1), (1, 1)), 1, 'ok')\n"
-        "check_lattice_ends(((-1, 2), (1, 3)), ((0, 5), (8, 2)), 2, 'ok')\n"
+        "check_lattice_ends(((-1, 2), (2, 2)), ((0, 1), (1, 1)), 1, lambda: 'ok')\n"
+        "check_lattice_ends(((-1, 2), (1, 3)), ((0, 5), (8, 2)), 2, lambda: 'ok')\n"
         "bad = [\n"
         "    (((-1, 2), (1, 1)), ((1, 3), (3, 3)), 1),\n"
         "    (((0, 1), (1, 2)), ((0, 1), (1, 3)), 1),\n"
@@ -197,7 +197,7 @@ def test_lattice_end_rule_survives_optimize():
         "]\n"
         "for s0, s1, p in bad:\n"
         "    try:\n"
-        "        check_lattice_ends(s0, s1, p, 'bad')\n"
+        "        check_lattice_ends(s0, s1, p, lambda: 'bad')\n"
         "    except RuntimeError as exc:\n"
         "        print(sys.flags.optimize, exc)\n"
     )

@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import sys
@@ -11,7 +12,7 @@ import cqsdef.geometry3
 import cqsdef.totalspace
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import Cone3
-from cqsdef.report import build_report, report_to_json
+from cqsdef.report import ReportInvariantError, build_report, report_to_json, validate_report
 from cqsdef.resolutions import MaxCone3
 
 
@@ -110,3 +111,61 @@ def test_build_report_derives_cone_data_once(monkeypatch):
     build_report(cqs_new(19, 7))
     assert cones and duals == []
     assert 0 < len(solves) <= len(fan_cones)
+
+
+def _drop_component(report):
+    del report["components"][0]
+
+
+def _raise_nu_count(report):
+    report["nu_table"][0]["count"] += 1
+
+
+def _drop_nu_row(report):
+    del report["nu_table"][0]
+
+
+def _drop_deformation(report):
+    del report["deformations"][0]
+
+
+def _unknown_component(report):
+    report["deformations"][0]["components"].append([9] * len(report["model"]["a_chain"]))
+
+
+def _unknown_canonical_k(report):
+    report["deformations"][0]["canonical_model"]["k"] = [9] * len(report["model"]["a_chain"])
+
+
+def _wrong_deformation_count(report):
+    report["counts"]["deformations"] += 1
+
+
+def _wrong_component_count(report):
+    report["counts"]["components"] -= 1
+
+
+@pytest.fixture(scope="module")
+def y197_report():
+    return build_report(cqs_new(19, 7))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_drop_component, "references unknown component"),
+        (_raise_nu_count, "component count mismatch at k="),
+        (_drop_nu_row, "component count mismatch at k="),
+        (_drop_deformation, "component count mismatch at k="),
+        (_unknown_component, "references unknown component"),
+        (_unknown_canonical_k, "has unknown canonical component"),
+        (_wrong_deformation_count, "^deformation count mismatch$"),
+        (_wrong_component_count, "^component count mismatch$"),
+    ],
+)
+def test_validate_report_rejects_a_corrupted_report(y197_report, corrupt, message):
+    report = copy.deepcopy(y197_report)
+    validate_report(report)
+    corrupt(report)
+    with pytest.raises(ReportInvariantError, match=message):
+        validate_report(report)

@@ -65,7 +65,7 @@ def test_generator_relations_all_models():
 
 def test_equations_golden_pi32(y83):
     df = defo_by_label(y83, "pi_{3,2}^1")
-    eqs = [str(e) for e in deformation_equations(df).equations]
+    eqs = [str(e) for e in deformation_equations(df)]
     assert eqs == [
         "x1*x3 = x2^2",
         "x2*x4 = x3^1*(x3^2 + lam)^1",
@@ -75,7 +75,7 @@ def test_equations_golden_pi32(y83):
 
 def test_equations_golden_pibar1(y83):
     df = defo_by_label(y83, "pibar_{3}^1")
-    eqs = [str(e) for e in deformation_equations(df).equations]
+    eqs = [str(e) for e in deformation_equations(df)]
     assert eqs == [
         "x1*(x3 + lam) = x2^2",
         "x2*x4 = x3^2*(x3 + lam)^1",
@@ -87,8 +87,8 @@ def test_lambda_zero_specialization():
     for m in iter_models(15):
         for df in all_deformations(m):
             eqs = deformation_equations(df)
-            assert len(eqs.equations) == m.e - 2
-            toric = eqs.specialize_lambda_zero()
+            assert len(eqs) == m.e - 2
+            toric = [e.specialize_lambda_zero() for e in eqs]
             assert [(e.i, e.a) for e in toric] == [
                 (i, m.a(i)) for i in m.interior_indices()
             ]
