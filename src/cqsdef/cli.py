@@ -28,6 +28,7 @@ from .cqs import InvalidSingularityError, cqs_new
 from .report import (
     SCHEMA_VERSION,
     build_report,
+    error_text,
     render_text,
     report_to_json,
     scan_row,
@@ -240,7 +241,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except Exception as exc:  # noqa: BLE001 - any other fault is the library's
-        print(f"internal invariant failure: {exc}", file=sys.stderr)
+        print(f"internal invariant failure: {error_text(exc)}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -3,19 +3,21 @@ Gorenstein hyperplanes, canonicity, and the bounded-face hull over a
 cone's lattice points.
 
 A cone is a `Cone3`: its generators, normalised once when it is built,
-its dual rays, which both constructors fill, and the facets and
-Gorenstein functional derived from them, each computed on first use and
-kept on the instance.
+and its dual rays and which two generators span each facet, which both
+constructors fill; the facets and the Gorenstein functional are computed
+on first use and kept on the instance.
 
 One primitive carries the lattice work: the lattice points of the
-half-open parallelepiped of a simplicial cone (`box_points`), enumerated
-as the finite group Z^3 / G Z^3.  Cones are cut into simplicial cones by
-fanning out from one ray; Hilbert bases and canonicity are read off the
-parallelepiped points, and the bounded facets of the hull are found by
-gift wrapping over the extremal rays and the parallelepiped points
-below the plane through the generators of their simplex, with no Hilbert
-basis reduction.  `lattice_points_ineq` enumerates the integer points of a
-bounded polyhedron by scanning its bounding box.
+half-open parallelepiped of a simplicial cone, enumerated as the finite
+group Z^3 / G Z^3 of their numerator vectors (`_box_group`) and turned
+into points by `box_points`.  Cones are cut into simplicial cones by
+fanning out from one ray; Hilbert bases are read off the parallelepiped
+points and canonicity off the numerators alone, and the bounded facets
+of the hull are found by gift wrapping over the extremal rays and the
+parallelepiped points below the plane through the generators of their
+simplex (`_low_box_points`), with no Hilbert basis reduction.
+`lattice_points_ineq` enumerates the integer points of a bounded
+polyhedron by scanning its bounding box.
 
 Vectors are plain integer 3-tuples; rational points are cleared to
 integer vectors before any cone is built.
@@ -102,19 +104,24 @@ def dual_rays3(gens: Sequence[IVec3]) -> list[IVec3]:
 
 def _solve3_int(rows, rhs):
     """Cramer numerators and denominator for rows * x = rhs; None if
-    singular.  The solution is (nx/den, ny/den, nz/den) with den != 0."""
-    a, b, c = rows
-    det = dot3(a, cross3(b, c))
+    singular.  The solution is (nx/den, ny/den, nz/den) with den != 0.
+
+    With rows a, b, c the numerators are those of the adjugate form
+    x = (r0 * b x c + r1 * c x a + r2 * a x b) / det(a, b, c)."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    r0, r1, r2 = rhs
+    bc0, bc1, bc2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+    det = a0 * bc0 + a1 * bc1 + a2 * bc2
     if det == 0:
         return None
-
-    def rep(col):
-        m = [list(a), list(b), list(c)]
-        for r in range(3):
-            m[r][col] = rhs[r]
-        return dot3(m[0], cross3(m[1], m[2]))
-
-    return rep(0), rep(1), rep(2), det
+    ca0, ca1, ca2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
+    ab0, ab1, ab2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    return (
+        r0 * bc0 + r1 * ca0 + r2 * ab0,
+        r0 * bc1 + r1 * ca1 + r2 * ab1,
+        r0 * bc2 + r1 * ca2 + r2 * ab2,
+        det,
+    )
 
 
 def lattice_points_ineq(ineqs: Sequence[tuple[IVec3, int]]) -> list[IVec3]:
@@ -180,19 +187,24 @@ def lattice_points_ineq(ineqs: Sequence[tuple[IVec3, int]]) -> list[IVec3]:
 @dataclass(frozen=True)
 class Cone3:
     """A pointed full-dimensional 3D cone given by distinct primitive
-    integral generators and its dual rays, the inward primitive facet
-    normals, sorted.  The facets and the Gorenstein functional are
-    computed once per instance, on first use."""
+    integral generators, its dual rays, the inward primitive facet
+    normals, sorted, and spans: for each dual ray, in the same order, the
+    indices (i, j), i < j, of the two extremal generators that span its
+    facet.  The facets and the Gorenstein functional are computed once
+    per instance, on first use."""
 
     generators: tuple[IVec3, ...]
     dual_rays: tuple[IVec3, ...] = field(compare=False)
+    spans: tuple[tuple[int, int], ...] = field(compare=False)
 
     @classmethod
     def from_rays(cls, rays: Sequence[Sequence]) -> "Cone3":
         """The cone over rational rays, each replaced by its primitive
-        integer vector, duplicates dropped in order."""
+        integer vector, duplicates dropped in order.  Its dual rays and
+        spans are derived from the generators."""
         gens = tuple(dict.fromkeys(prim3_rational(tuple(r)) for r in rays))
-        return cls(generators=gens, dual_rays=tuple(dual_rays3(gens)))
+        dual = tuple(dual_rays3(gens))
+        return cls(generators=gens, dual_rays=dual, spans=_spans(gens, dual))
 
     @classmethod
     def over_summands(
@@ -207,9 +219,12 @@ class Cone3:
         Its generators are the primitive vectors of a = (beta0 + m0, 1, 0),
         b = (gamma0 + m0, 1, 0), c = (beta1/p, 0, 1) and d = (gamma1/p, 0, 1),
         without duplicates and in that order: what from_rays gives for
-        these rays.  Its dual rays are known in closed form and stored
-        sorted: the inward normals d x b and a x c of the two slanted
-        facets, (0, 0, 1) when a != b and (0, 1, 0) when c != d.
+        these rays.  Its dual rays and spans are known in closed form and
+        stored sorted: the inward normals d x b and a x c of the two
+        slanted facets, spanned by b, d and by a, c; (0, 0, 1), of the
+        facet spanned by a and b, when a != b; and (0, 1, 0), of the facet
+        spanned by c and d, when c != d.  When a = b, the facet of d x b is
+        spanned by a and d; when c = d, by b and c.
         """
         (b0, bd0), (g0, gd0) = ends0
         (b1, bd1), (g1, gd1) = ends1
@@ -218,32 +233,36 @@ class Cone3:
         # two-term gcd makes it primitive; a and b (y > 0) never equal c
         # or d (y = 0).
         ka, kb, kc, kd = math.gcd(b0, bd0), math.gcd(g0, gd0), math.gcd(b1, bd1), math.gcd(g1, gd1)
-        a, b = (b0 // ka, bd0 // ka, 0), (g0 // kb, gd0 // kb, 0)
-        c, d = (b1 // kc, 0, bd1 // kc), (g1 // kd, 0, gd1 // kd)
-        gens, rays = [a], [prim3(cross3(d, b))]  # first coordinate < 0
-        if a != b:
-            gens.append(b)
-            rays.append((0, 0, 1))
-        gens.append(c)
-        if c != d:
-            gens.append(d)
-            rays.append((0, 1, 0))
-        rays.append(prim3(cross3(a, c)))  # first coordinate > 0
-        if len(rays) < 3:
+        ax, ay, bx, by = b0 // ka, bd0 // ka, g0 // kb, gd0 // kb
+        cx, cz, dx, dz = b1 // kc, bd1 // kc, g1 // kd, gd1 // kd
+        a, b, c, d = (ax, ay, 0), (bx, by, 0), (cx, 0, cz), (dx, 0, dz)
+        # d x b = (-dz by, dz bx, dx by) and a x c = (ay cz, -ax cz, -ay cx).
+        # As gcd(bx, by) = gcd(dx, dz) = 1, the gcd of d x b is gcd(dz, by),
+        # and likewise that of a x c is gcd(cz, ay); dz and cz are positive.
+        k = math.gcd(dz, by)
+        db = (-dz * by // k, dz * bx // k, dx * by // k)  # first coordinate < 0
+        k = math.gcd(cz, ay)
+        ac = (ay * cz // k, -ax * cz // k, -ay * cx // k)  # first coordinate > 0
+        if a != b and c != d:
+            gens, dual = (a, b, c, d), (db, (0, 0, 1), (0, 1, 0), ac)
+            spans = ((1, 3), (0, 1), (2, 3), (0, 2))
+        elif a != b:
+            gens, dual = (a, b, c), (db, (0, 0, 1), ac)
+            spans = ((1, 2), (0, 1), (0, 2))
+        elif c != d:
+            gens, dual = (a, c, d), (db, (0, 1, 0), ac)
+            spans = ((0, 2), (1, 2), (0, 1))
+        else:
             raise ValueError("cone is not full-dimensional")
-        return cls(generators=tuple(gens), dual_rays=tuple(rays))
+        return cls(generators=gens, dual_rays=dual, spans=spans)
 
     @cached_property
     def facets(self) -> tuple[tuple[IVec3, IVec3, IVec3], ...]:
-        """Each facet as (inward normal, ray a, ray b): the two extremal
-        generators that span it."""
-        dual = self.dual_rays
-        rays = [g for g in self.generators if sum(dot3(r, g) == 0 for r in dual) >= 2]
-        out = []
-        for r in dual:
-            a, b = (g for g in rays if dot3(r, g) == 0)
-            out.append((r, a, b))
-        return tuple(out)
+        """Each facet as (inward normal, ray a, ray b), a and b being the
+        two extremal generators that span it, in generator order; one
+        facet per dual ray, in the same order."""
+        gens = self.generators
+        return tuple((r, gens[i], gens[j]) for r, (i, j) in zip(self.dual_rays, self.spans))
 
     @cached_property
     def gorenstein(self) -> Optional[tuple[Fraction, Fraction, Fraction]]:
@@ -266,10 +285,22 @@ class Cone3:
         return None
 
     def contains(self, p: IVec3) -> bool:
-        return all(dot3(r, p) >= 0 for r in self.dual_rays)
+        x, y, z = p
+        return all(r0 * x + r1 * y + r2 * z >= 0 for r0, r1, r2 in self.dual_rays)
 
     def to_json(self) -> list[list[int]]:
         return [list(g) for g in self.generators]
+
+
+def _spans(gens: Sequence[IVec3], dual: Sequence[IVec3]) -> tuple[tuple[int, int], ...]:
+    """The generic derivation of Cone3.spans: for each dual ray of the cone
+    over gens, the indices of the two extremal generators it vanishes on."""
+    rays = [i for i, g in enumerate(gens) if sum(dot3(r, g) == 0 for r in dual) >= 2]
+    out = []
+    for r in dual:
+        i, j = (k for k in rays if dot3(r, gens[k]) == 0)
+        out.append((i, j))
+    return tuple(out)
 
 
 def _simplices(cone: Cone3) -> list[tuple[IVec3, IVec3, IVec3]]:
@@ -280,15 +311,15 @@ def _simplices(cone: Cone3) -> list[tuple[IVec3, IVec3, IVec3]]:
     return [(apex, a, b) for r, a, b in facets if dot3(r, apex) != 0]
 
 
-def box_points(simplex: Sequence[IVec3]) -> tuple[int, list[tuple[IVec3, int]]]:
-    """Lattice points of the half-open parallelepiped {sum l_i g_i : 0 <= l_i < 1}
-    of a simplicial cone with linearly independent generators g_i.
+def _box_group(simplex: Sequence[IVec3]) -> tuple[int, list[IVec3]]:
+    """d = |det(g_1, g_2, g_3)| and the numerator vectors nu of the lattice
+    points x = sum (nu_i / d) g_i of the half-open parallelepiped of a
+    simplicial cone with linearly independent generators g_i.
 
-    Returns (d, points) with d = |det(g_1, g_2, g_3)| and the d points as
-    pairs (x, level), where level = d * sum(l_i).  The points are the
-    group Z^3 / G Z^3: x has coefficients l_i = nu_i / d, and the
-    numerator vectors nu form the subgroup of (Z/d)^3 generated by the
-    images of the unit vectors, built coset by coset.
+    The points are the group Z^3 / G Z^3, of order d, so the nu form the
+    subgroup of (Z/d)^3 generated by the images of the unit vectors,
+    built coset by coset until it has d members; a point's level,
+    d * sum(l_i), is sum(nu).
     """
     g1, g2, g3 = simplex
     n1, n2, n3 = cross3(g2, g3), cross3(g3, g1), cross3(g1, g2)
@@ -299,6 +330,8 @@ def box_points(simplex: Sequence[IVec3]) -> tuple[int, list[tuple[IVec3, int]]]:
         n1, n2, n3, d = neg3(n1), neg3(n2), neg3(n3), -d
     group = [(0, 0, 0)]
     for j in range(3):
+        if len(group) == d:  # the group has order d
+            break
         step = (n1[j] % d, n2[j] % d, n3[j] % d)
         members = set(group)
         shifts = []
@@ -311,25 +344,43 @@ def box_points(simplex: Sequence[IVec3]) -> tuple[int, list[tuple[IVec3, int]]]:
             for s in shifts
             for e in group
         ]
-    points = []
-    for a, b, c in group:
-        x = (
-            (a * g1[0] + b * g2[0] + c * g3[0]) // d,
-            (a * g1[1] + b * g2[1] + c * g3[1]) // d,
-            (a * g1[2] + b * g2[2] + c * g3[2]) // d,
+    return d, group
+
+
+def _box_coords(simplex: Sequence[IVec3], d: int, nus: Sequence[IVec3]) -> list[IVec3]:
+    """The points sum (nu_i / d) g_i of the numerator vectors nus."""
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = simplex
+    return [
+        (
+            (a * x1 + b * x2 + c * x3) // d,
+            (a * y1 + b * y2 + c * y3) // d,
+            (a * z1 + b * z2 + c * z3) // d,
         )
-        points.append((x, a + b + c))
-    return d, points
+        for a, b, c in nus
+    ]
 
 
-def _parallelepiped_points(cone: Cone3):
-    """(x, level, d) for every parallelepiped point of every simplex of the
-    triangulation, d being the simplex's determinant; one simplex at a
-    time, so a caller that stops early enumerates no further simplex."""
+def box_points(simplex: Sequence[IVec3]) -> tuple[int, list[tuple[IVec3, int]]]:
+    """Lattice points of the half-open parallelepiped {sum l_i g_i : 0 <= l_i < 1}
+    of a simplicial cone with linearly independent generators g_i.
+
+    Returns (d, points) with d = |det(g_1, g_2, g_3)| and the d points as
+    pairs (x, level), where level = d * sum(l_i); see _box_group.
+    """
+    d, group = _box_group(simplex)
+    return d, [(x, sum(nu)) for x, nu in zip(_box_coords(simplex, d, group), group)]
+
+
+def _low_box_points(cone: Cone3) -> list[IVec3]:
+    """The parallelepiped points with 0 < level < d of every simplex of
+    the triangulation, d being the simplex's determinant: the points of
+    box_points filtered by level, with coordinates computed only for
+    those kept."""
+    out = []
     for simplex in _simplices(cone):
-        d, points = box_points(simplex)
-        for x, level in points:
-            yield x, level, d
+        d, group = _box_group(simplex)
+        out += _box_coords(simplex, d, [nu for nu in group if 0 < nu[0] + nu[1] + nu[2] < d])
+    return out
 
 
 def hilbert_basis_3d(cone: Cone3) -> list[IVec3]:
@@ -346,7 +397,8 @@ def hilbert_basis_3d(cone: Cone3) -> list[IVec3]:
     dual = cone.dual_rays
     psi = tuple(sum(r[i] for r in dual) for i in range(3))
     cands = set(cone.generators)
-    cands.update(x for x, level, _ in _parallelepiped_points(cone) if level)
+    for simplex in _simplices(cone):
+        cands.update(x for x, level in box_points(simplex)[1] if level)
     pts = sorted(cands, key=lambda p: (dot3(psi, p), p))
     # A reducible point splits off some basis element of smaller height,
     # and every basis element is a candidate, so it suffices to reduce
@@ -380,7 +432,11 @@ def is_canonical_cone3(cone: Cone3) -> bool:
     """
     if cone.gorenstein is None:
         raise ValueError("generators are not on a single affine hyperplane")
-    return not any(0 < level < d for _, level, d in _parallelepiped_points(cone))
+    for simplex in _simplices(cone):
+        d, group = _box_group(simplex)
+        if any(0 < a + b + c < d for a, b, c in group):
+            return False
+    return True
 
 
 def _facet_polygon_vertices(pts: Sequence[IVec3], normal: IVec3) -> list[IVec3]:
@@ -420,19 +476,22 @@ def _wrap(pts: Sequence[IVec3], p: IVec3, q: IVec3, nrm: IVec3, ref: IVec3) -> I
     angle.
     """
     e = sub3(q, p)
-    inward = cross3(nrm, e)
-    if dot3(inward, ref) < 0:
-        inward = neg3(inward)
+    i0, i1, i2 = cross3(nrm, e)
+    if i0 * ref[0] + i1 * ref[1] + i2 * ref[2] < 0:
+        i0, i1, i2 = -i0, -i1, -i2
+    n0, n1, n2 = nrm
+    # s and t of a point x are measured from p
+    sp, tp = i0 * p[0] + i1 * p[1] + i2 * p[2], dot3(nrm, p)
     best_s = best_t = 0
     best = None
     for x in pts:
-        v = sub3(x, p)
-        s, t = dot3(inward, v), dot3(nrm, v)
+        x0, x1, x2 = x
+        s, t = i0 * x0 + i1 * x1 + i2 * x2 - sp, n0 * x0 + n1 * x1 + n2 * x2 - tp
         if (s or t) and (best is None or best_s * t - best_t * s > 0):
-            best, best_s, best_t = v, s, t
+            best, best_s, best_t = x, s, t
     if best is None:
         raise RuntimeError("gift wrapping found no point off the edge")
-    new = cross3(e, best)
+    new = cross3(e, sub3(best, p))
     side = dot3(new, ref)
     if side == 0:
         raise RuntimeError("gift wrapping did not leave the old face")
@@ -460,7 +519,7 @@ def roof_facets(cone: Cone3) -> list[tuple[IVec3, int, list[IVec3]]]:
     """
     gens, dual = cone.generators, cone.dual_rays
     cands = {g for _, a, b in cone.facets for g in (a, b)}
-    cands.update(x for x, level, d in _parallelepiped_points(cone) if 0 < level < d)
+    cands.update(_low_box_points(cone))
     # The face's first candidate in angular order from ray a, with a,
     # spans a bounded edge.  That candidate lies on the ray of b1, a's
     # neighbour in the 2D Hilbert basis of the face: a face lattice point
@@ -470,14 +529,21 @@ def roof_facets(cone: Cone3) -> list[tuple[IVec3, int, list[IVec3]]]:
     # b1 can be box points too, so of the candidates at one angle the
     # shortest is taken.
     r, a, b = cone.facets[0]
-    c = cross3(a, b)
+    r0, r1, r2 = r
+    c0, c1, c2 = cross3(a, b)
     q = None
     for x in cands:
-        if x == a or dot3(r, x) != 0:
+        x0, x1, x2 = x
+        if r0 * x0 + r1 * x1 + r2 * x2 != 0 or x == a:
             continue
-        turn = 0 if q is None else dot3(cross3(x, q), c)
-        if q is None or turn > 0 or (turn == 0 and dot3(x, x) < dot3(q, q)):
-            q = x
+        if q is None:
+            q, qq = x, x0 * x0 + x1 * x1 + x2 * x2
+            continue
+        q0, q1, q2 = q
+        # <x cross q, c>
+        turn = (x1 * q2 - x2 * q1) * c0 + (x2 * q0 - x0 * q2) * c1 + (x0 * q1 - x1 * q0) * c2
+        if turn > 0 or (turn == 0 and x0 * x0 + x1 * x1 + x2 * x2 < qq):
+            q, qq = x, x0 * x0 + x1 * x1 + x2 * x2
     found: dict[tuple[IVec3, int], list[IVec3]] = {}
     edges = {frozenset((a, q))}
     todo = [(a, q, r, add3(a, b))]
@@ -487,16 +553,23 @@ def roof_facets(cone: Cone3) -> list[tuple[IVec3, int, list[IVec3]]]:
         off = dot3(normal, p)
         if (normal, off) in found:
             continue
-        if any(dot3(normal, g) <= 0 for g in gens) or any(
-            dot3(normal, x) < off for x in cands
+        a0, a1, a2 = normal
+        # the candidates on or below the plane: a supporting plane has
+        # none below
+        on = [x for x in cands if a0 * x[0] + a1 * x[1] + a2 * x[2] <= off]
+        if any(a0 * g0 + a1 * g1 + a2 * g2 <= 0 for g0, g1, g2 in gens) or any(
+            a0 * x0 + a1 * x1 + a2 * x2 < off for x0, x1, x2 in on
         ):
             raise RuntimeError(f"gift wrapping found a non-supporting plane {normal}, {off}")
-        verts = _facet_polygon_vertices([x for x in cands if dot3(normal, x) == off], normal)
+        verts = _facet_polygon_vertices(on, normal)
         found[(normal, off)] = verts
         for i in range(len(verts)):
             u, w = verts[i - 1], verts[i]
             edge = frozenset((u, w))
-            if edge in edges or any(dot3(s, u) == 0 == dot3(s, w) for s in dual):
+            if edge in edges or any(
+                s0 * u[0] + s1 * u[1] + s2 * u[2] == 0 == s0 * w[0] + s1 * w[1] + s2 * w[2]
+                for s0, s1, s2 in dual
+            ):
                 continue
             edges.add(edge)
             todo.append((u, w, normal, sub3(verts[i - 2], u)))

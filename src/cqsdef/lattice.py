@@ -4,7 +4,8 @@ InvariantError, the package's one exception for a broken internal
 invariant, kept here because every other module imports this one.
 
 All arithmetic is exact; rational numbers are ``fractions.Fraction``, or
-``Ratio`` pairs where the denominator is known in advance.  A ``Cone2`` is
+``Ratio`` pairs where the denominator is known in advance, which
+``ratio_text`` writes as the Fraction would print.  A ``Cone2`` is
 built from lattice rays only, so its rays and everything read off them
 are plain integers.
 """
@@ -21,6 +22,19 @@ Rat = Union[int, Fraction]
 # not necessarily in lowest terms: the form in which the slice code keeps
 # numbers whose denominators it knows in advance.
 Ratio = tuple[int, int]
+
+
+def ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)), the form in which reports write a ratio,
+    without building the Fraction: lowest terms, the sign on the
+    numerator, and no denominator when it is 1."""
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 class InvariantError(RuntimeError):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .lattice import Ratio, Vec2
+from .lattice import Ratio, Vec2, ratio_text
 from .cqs import CqsModel
 
 
@@ -88,8 +88,8 @@ class Segment:
     def to_json(self) -> dict:
         return {
             "h": self.h,
-            "beta": str(self.beta),
-            "gamma": str(self.gamma),
+            "beta": ratio_text(*self.ends[0]),
+            "gamma": ratio_text(*self.ends[1]),
             "lattice_points": self.lattice_count,
         }
 
@@ -182,13 +182,12 @@ class Decomposition:
         check_lattice_ends(self.ends0, self.ends1, self.p, lambda: self.label)
 
     def to_json(self) -> dict:
-        s0, s1 = self.s0, self.s1
         return {
             "kind": self.kind,
             "h": self.h,
             "p": self.p,
             "d": self.d,
-            "summands": [[str(s0[0]), str(s0[1])], [str(s1[0]), str(s1[1])]],
+            "summands": [[ratio_text(*r) for r in ends] for ends in (self.ends0, self.ends1)],
         }
 
 

@@ -93,10 +93,21 @@ def build_report(model: CqsModel, verbose: bool = False) -> dict:
 
 def validate_report(report: dict) -> None:
     """Cross-consistency of the assembled report: the nu table counts, for
-    each (k, h, p), the deformations of degree (h, p) in component k."""
+    each (k, h, p), the deformations of degree (h, p) in component k; a
+    deformation is a smoothing exactly when its fiber is smooth at the
+    origin and has no singular point off it; and the counts count what
+    the report lists."""
     k_set = {tuple(c["k"]) for c in report["components"]}
     catalogue = Counter()
+    smoothings = 0
     for rec in report["deformations"]:
+        fiber = rec["fiber"]
+        smooth = fiber["origin"] == "smooth" and not fiber["off_origin"]
+        if rec["is_smoothing"] != smooth:
+            raise ReportInvariantError(
+                f"{rec['label']} has is_smoothing {rec['is_smoothing']} for its fiber"
+            )
+        smoothings += smooth
         for k in rec["components"]:
             if tuple(k) not in k_set:
                 raise ReportInvariantError(
@@ -120,6 +131,8 @@ def validate_report(report: dict) -> None:
         raise ReportInvariantError("deformation count mismatch")
     if counts["components"] != len(report["components"]):
         raise ReportInvariantError("component count mismatch")
+    if counts["smoothings"] != smoothings:
+        raise ReportInvariantError("smoothing count mismatch")
 
 
 def render_text(report: dict) -> str:
@@ -177,7 +190,15 @@ def scan_row(n: int, q: int) -> dict:
             "t_singularity": is_t_singularity(model),
         }
     except Exception as exc:  # noqa: BLE001 - per-row fault isolation
-        return {"n": n, "q": q, "error": f"{type(exc).__name__}: {exc}"}
+        return {"n": n, "q": q, "error": error_text(exc)}
+
+
+def error_text(exc: BaseException) -> str:
+    """How a scan row and the command line name a failure: its type and
+    message as "Type: message", or the type alone when the message is
+    empty."""
+    message = str(exc)
+    return f"{type(exc).__name__}: {message}" if message else type(exc).__name__
 
 
 def report_to_json(report: dict | list) -> str:

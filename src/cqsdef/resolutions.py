@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .lattice import Cone2, InvariantError, Ratio, Vec2, cone_normal_form
+from .lattice import Cone2, InvariantError, Ratio, Vec2, cone_normal_form, ratio_text
 from .cqs import CqsModel
 from .chains import ZeroChain
 from .minkowski import Decomposition, check_lattice_ends, Segment, segment
@@ -175,8 +175,8 @@ class FanDecomposition:
             "pieces": [
                 {
                     "i": pc.i,
-                    "s0": [str(Fraction(*r)) for r in pc.ends0],
-                    "s1": [str(Fraction(*r)) for r in pc.ends1],
+                    "s0": [ratio_text(*r) for r in pc.ends0],
+                    "s1": [ratio_text(*r) for r in pc.ends1],
                 }
                 for pc in self.pieces
             ],

@@ -14,7 +14,7 @@ from .lattice import InvariantError, Vec2
 from .cqs import CqsModel, to_display_coords
 from .chains import ZeroChain, enumerate_K
 from .minkowski import Decomposition, segment, enum_decompositions
-from .geometry3 import Cone3, IVec3, add3, dot3
+from .geometry3 import Cone3, IVec3, add3
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +199,12 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
     model, h, p, d = defo.model, defo.h, defo.p, defo.d
     e = model.e
     seg = segment(model, h)
+    dx, dy = seg.direction.x, seg.direction.y
     base = seg.point_at(-seg.m0)  # lattice point where w^{h+1} vanishes
+    bx, by = base.x, base.y
 
-    x = [0] * (e + 1)
-    y = [0] * (e + 1)
-    for i in range(1, e + 1):
-        x[i] = seg.direction.dot(model.wgen(i))
-        y[i] = base.dot(model.wgen(i))
+    x = [0] + [dx * w.x + dy * w.y for w in model.w]
+    y = [0] + [bx * w.x + by * w.y for w in model.w]
     if (x[h], y[h], x[h + 1], y[h + 1]) != (0, 1, 1, 0):
         raise RuntimeError(f"{defo.label}: the slice frame does not fit w^{h} and w^{h + 1}")
 
@@ -221,16 +220,14 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
         for i in range(h - 2, 1, -1):
             u3[i - 1] = model.a(i) * u3[i] - u3[i + 1]
 
-    v = [None] * (e + 1)
-    for i in range(1, e + 1):
-        v[i] = (x[i], y[i] - p * u3[i], u3[i])
+    v = [None] + [(x[i], y[i] - p * u3[i], u3[i]) for i in range(1, e + 1)]
     v_tilde: IVec3 = (0, 0, 1)
     if v[h] != (0, 1, 0) or v[h + 1] != (1, 0, 0) or v[h - 1] != (-1, model.a(h) - p * d, d):
         raise RuntimeError(f"{defo.label}: v^{h - 1}, v^{h}, v^{h + 1} are not the lifts")
 
     gens = defo.sigma_prime.generators
-    for i, vi in [*enumerate(v[1:], 1), ("tilde", v_tilde)]:
-        if any(dot3(g, vi) < 0 for g in gens):
+    for i, (v0, v1, v2) in [*enumerate(v[1:], 1), ("tilde", v_tilde)]:
+        if any(g0 * v0 + g1 * v1 + g2 * v2 < 0 for g0, g1, g2 in gens):
             raise RuntimeError(f"{defo.label}: v^{i} is not in the dual cone")
 
     relations = []

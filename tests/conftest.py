@@ -193,6 +193,23 @@ def dot3_frac(a, b) -> Fraction:
     return Fraction(a[0]) * b[0] + Fraction(a[1]) * b[1] + Fraction(a[2]) * b[2]
 
 
+def cramer_solve3(rows, rhs):
+    """Cramer's rule for rows * x = rhs on integers: the numerators, each
+    the determinant of the rows with one column replaced by rhs, and the
+    determinant of the rows; None if it is 0."""
+    det = dot3(rows[0], cross3(rows[1], rows[2]))
+    if det == 0:
+        return None
+
+    def replaced(col):
+        m = [list(r) for r in rows]
+        for r in range(3):
+            m[r][col] = rhs[r]
+        return dot3(m[0], cross3(m[1], m[2]))
+
+    return replaced(0), replaced(1), replaced(2), det
+
+
 def fraction_gorenstein_functional(gens):
     """Rational u with <u, g> = 1 on every primitive generator, or None:
     Cramer's rule in Fractions on the first independent triple."""

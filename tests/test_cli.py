@@ -390,7 +390,7 @@ def test_internal_value_error_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(cqsdef.resolutions, "roof_facets", boom)
     code, _, err = run(capsys, "analyze", "8", "3")
     assert code == 2
-    assert "internal invariant failure: forced" in err
+    assert "internal invariant failure: ValueError: forced" in err
 
 
 def test_any_other_exception_exits_2(monkeypatch, capsys):
@@ -403,7 +403,27 @@ def test_any_other_exception_exits_2(monkeypatch, capsys):
 
     monkeypatch.setattr(cli_mod, "build_report", boom)
     code, out, err = run(capsys, "analyze", "8", "3")
-    assert (code, out, err) == (2, "", "internal invariant failure: forced\n")
+    assert (code, out, err) == (2, "", "internal invariant failure: ZeroDivisionError: forced\n")
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (KeyError("k"), "KeyError: 'k'"),
+        (KeyError(), "KeyError"),
+        (RuntimeError(), "RuntimeError"),
+    ],
+)
+def test_failure_line_names_the_exception_type(monkeypatch, capsys, exc, line):
+    """The line names the type as a scan row does, and an exception with
+    no arguments still gives a line that says what failed."""
+
+    def boom(*a, **kw):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "build_report", boom)
+    code, out, err = run(capsys, "analyze", "8", "3")
+    assert (code, out, err) == (2, "", f"internal invariant failure: {line}\n")
 
 
 def test_analyze_json_is_the_same_under_optimize(capsys):
@@ -429,4 +449,6 @@ def test_invariant_failure_exits_2_under_optimize():
     )
     proc = run_optimized("-c", code, check=False)
     assert proc.returncode == 2
-    assert proc.stderr.decode() == "internal invariant failure: three-term relation fails at 2\n"
+    assert proc.stderr.decode() == (
+        "internal invariant failure: InvariantError: three-term relation fails at 2\n"
+    )

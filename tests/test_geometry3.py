@@ -10,7 +10,9 @@ from cqsdef.chains import enumerate_K
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import (
     Cone3,
+    _low_box_points,
     _simplices,
+    _solve3_int,
     box_points,
     cross3,
     dot3,
@@ -27,14 +29,26 @@ from conftest import (
     brute_hilbert_basis_3d,
     brute_is_canonical,
     brute_roof_facets,
+    cramer_solve3,
     fraction_gorenstein_functional,
     iter_models,
     run_optimized,
 )
 
 
+def _box_points_below(cone):
+    """The x of every point (x, level) that box_points gives on a simplex
+    of the triangulation with 0 < level < d, simplex by simplex."""
+    out = []
+    for simplex in _simplices(cone):
+        d, points = box_points(simplex)
+        out += [x for x, level in points if 0 < level < d]
+    return out
+
+
 def _agrees_with_oracles(gens):
     cone = Cone3.from_rays(gens)
+    assert _low_box_points(cone) == _box_points_below(cone)
     assert hilbert_basis_3d(cone) == brute_hilbert_basis_3d(gens)
     brute = brute_roof_facets(gens)
     assert roof_facets(cone) == brute
@@ -154,15 +168,37 @@ def test_gorenstein_functional_matches_fractions():
 
 
 def test_closed_form_dual_rays_match_dual_rays3():
-    """The dual rays over_summands fills in closed form are those
-    dual_rays3 finds from the generators, on every sigma' and every fan
-    cone of the pairs with n <= 30 and four larger pairs."""
+    """The dual rays and facet spans over_summands fills in closed form
+    are those from_rays derives from the generators (dual_rays3, then the
+    generic derivation of the spans), and so are the facets read off them,
+    on every sigma' and every fan cone of the pairs with n <= 30 and four
+    larger pairs."""
     large = [cqs_new(n, q) for n, q in ((101, 29), (121, 39), (151, 75), (199, 57))]
     checked = 0
     for cone in _summand_cones(chain(iter_models(30), large)):
+        generic = Cone3.from_rays(cone.generators)
         assert cone.dual_rays == tuple(dual_rays3(cone.generators)), cone.generators
+        assert (cone.spans, cone.facets) == (generic.spans, generic.facets), cone.generators
         checked += 1
     assert checked == 14503
+
+
+def test_level_filtered_kernels_match_box_points():
+    """On every sigma' and every fan cone of the pairs with n <= 30, the
+    points roof_facets takes from _low_box_points are those of box_points
+    with 0 < level < d, in the same order, and is_canonical_cone3, which
+    reads only the group numerators, gives the verdict those points give:
+    canonical exactly when there are none."""
+    checked = non_canonical = 0
+    for cone in _summand_cones(iter_models(30)):
+        below = _box_points_below(cone)
+        assert _low_box_points(cone) == below, cone.generators
+        if cone.gorenstein is not None:
+            assert is_canonical_cone3(cone) == (not below), cone.generators
+            non_canonical += bool(below)
+        checked += 1
+    assert checked == 12790
+    assert 0 < non_canonical
 
 
 def test_not_q_gorenstein_raises():
@@ -200,6 +236,14 @@ def test_random_four_ray_cones(xys, height, shear):
     assume(len(rays) == 4 and all(r in pts for r in rays))
     gens = [(x, y, shear[0] * x + shear[1] * y + z) for x, y, z in rays]
     _agrees_with_oracles(gens)
+
+
+@settings(max_examples=300)
+@given(st.tuples(vec3, vec3, vec3), st.tuples(entry, entry, entry))
+def test_solve3_int_matches_cramer(rows, rhs):
+    """The adjugate numerators and determinant are those of Cramer's rule,
+    and both give None exactly when the rows are singular."""
+    assert _solve3_int(rows, rhs) == cramer_solve3(rows, rhs)
 
 
 @given(st.tuples(entry, entry, entry))

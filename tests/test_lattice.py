@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cqsdef.lattice import (
     Cone2,
@@ -13,8 +13,26 @@ from cqsdef.lattice import (
     dual_cone,
     hilbert_basis_2d,
     primitive,
+    ratio_text,
 )
 from conftest import brute_hilbert_basis_2d
+
+
+@example(0, 5, 1)
+@example(0, -3, 2)
+@example(-4, 6, 1)
+@example(4, -6, 1)
+@example(6, 3, 1)
+@example(-6, -3, 1)
+@given(st.integers(-1000, 1000), st.integers(-1000, 1000).filter(bool), st.integers(1, 12))
+def test_ratio_text_is_the_fraction_text(num, den, k):
+    """Zero, either sign, and pairs not in lowest terms (times k)."""
+    assert ratio_text(k * num, k * den) == str(Fraction(k * num, k * den))
+
+
+def test_ratio_text_of_a_zero_denominator_raises():
+    with pytest.raises(ZeroDivisionError):
+        ratio_text(1, 0)
 
 
 def test_cf_expand_examples():

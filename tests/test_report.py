@@ -2,6 +2,7 @@ import copy
 import json
 import random
 import sys
+from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
@@ -9,11 +10,19 @@ import pytest
 
 import cqsdef.fibers
 import cqsdef.geometry3
+import cqsdef.report
 import cqsdef.totalspace
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import Cone3
-from cqsdef.report import ReportInvariantError, build_report, report_to_json, validate_report
-from cqsdef.resolutions import MaxCone3
+from cqsdef.minkowski import Decomposition
+from cqsdef.report import (
+    ReportInvariantError,
+    build_report,
+    report_to_json,
+    scan_row,
+    validate_report,
+)
+from cqsdef.resolutions import FanDecomposition, MaxCone3
 
 
 def test_report_to_json_matches_json_dumps_y83():
@@ -91,13 +100,46 @@ def _count_instances(monkeypatch, cls):
     return made
 
 
+def _count_fractions_inside(monkeypatch, methods):
+    """Count the calls of each (class, name) method, and the Fractions
+    constructed while one of them runs."""
+    calls, made, inside = [], [], []
+    fraction_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        if inside:
+            made.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for cls, name in methods:
+        method = getattr(cls, name)
+
+        def wrapped(self, *args, method=method, **kwargs):
+            calls.append(self)
+            inside.append(self)
+            try:
+                return method(self, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(cls, name, wrapped)
+    return calls, made
+
+
 def test_build_report_derives_cone_data_once(monkeypatch):
-    """Every Cone3 of a report gets its dual rays in closed form from
-    Cone3.over_summands, so dual_rays3 is never called, and the Gorenstein
-    functional is computed once per fan cone."""
+    """Every Cone3 of a report gets its dual rays and facet spans in closed
+    form from Cone3.over_summands, so neither dual_rays3 nor the generic
+    derivation of the spans is called, and the Gorenstein functional is
+    computed once per fan cone.  The decompositions and fan decompositions write their
+    ends without building a Fraction."""
     cones = _count_instances(monkeypatch, Cone3)
     fan_cones = _count_instances(monkeypatch, MaxCone3)
     duals = _count_calls(monkeypatch, cqsdef.geometry3, "dual_rays3")
+    generic_spans = _count_calls(monkeypatch, cqsdef.geometry3, "_spans")
+    to_json_calls, fractions = _count_fractions_inside(
+        monkeypatch, [(Decomposition, "to_json"), (FanDecomposition, "to_json")]
+    )
     solves = []
     solve = Cone3.gorenstein.func
 
@@ -109,8 +151,18 @@ def test_build_report_derives_cone_data_once(monkeypatch):
     prop.__set_name__(Cone3, "gorenstein")
     monkeypatch.setattr(Cone3, "gorenstein", prop)
     build_report(cqs_new(19, 7))
-    assert cones and duals == []
+    assert cones and duals == [] and generic_spans == []
     assert 0 < len(solves) <= len(fan_cones)
+    kinds = {type(obj) for obj in to_json_calls}
+    assert kinds == {Decomposition, FanDecomposition} and fractions == []
+
+
+def test_scan_row_names_an_exception_without_message(monkeypatch):
+    def boom(*a, **kw):
+        raise KeyError()
+
+    monkeypatch.setattr(cqsdef.report, "cqs_new", boom)
+    assert scan_row(8, 3) == {"n": 8, "q": 3, "error": "KeyError"}
 
 
 def _drop_component(report):
@@ -145,6 +197,20 @@ def _wrong_component_count(report):
     report["counts"]["components"] -= 1
 
 
+def _raise_smoothing_count(report):
+    report["counts"]["smoothings"] += 5
+
+
+def _flip_is_smoothing(report):
+    rec = report["deformations"][0]
+    rec["is_smoothing"] = not rec["is_smoothing"]
+
+
+def _smooth_fiber_not_flagged(report):
+    rec = next(r for r in report["deformations"] if not r["fiber"]["off_origin"])
+    rec["fiber"]["origin"] = "smooth"
+
+
 @pytest.fixture(scope="module")
 def y197_report():
     return build_report(cqs_new(19, 7))
@@ -161,6 +227,9 @@ def y197_report():
         (_unknown_canonical_k, "has unknown canonical component"),
         (_wrong_deformation_count, "^deformation count mismatch$"),
         (_wrong_component_count, "^component count mismatch$"),
+        (_raise_smoothing_count, "^smoothing count mismatch$"),
+        (_flip_is_smoothing, "has is_smoothing (True|False) for its fiber"),
+        (_smooth_fiber_not_flagged, "has is_smoothing False for its fiber"),
     ],
 )
 def test_validate_report_rejects_a_corrupted_report(y197_report, corrupt, message):
