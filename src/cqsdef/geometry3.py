@@ -4,8 +4,8 @@ cone's lattice points.
 
 A cone is a `Cone3`: its generators, normalised once when it is built,
 and its dual rays and which two generators span each facet, which both
-constructors fill; the facets and the Gorenstein functional are computed
-on first use and kept on the instance.
+constructors fill; the facets and the Gorenstein functional, as
+integers, are computed on first use and kept on the instance.
 
 One primitive carries the lattice work: the lattice points of the
 half-open parallelepiped of a simplicial cone, enumerated as the finite
@@ -265,8 +265,10 @@ class Cone3:
         return tuple((r, gens[i], gens[j]) for r, (i, j) in zip(self.dual_rays, self.spans))
 
     @cached_property
-    def gorenstein(self) -> Optional[tuple[Fraction, Fraction, Fraction]]:
-        """Rational u with <u, g> = 1 for every generator, or None.
+    def gorenstein_ratio(self) -> Optional[tuple[int, int, int, int]]:
+        """The rational u with <u, g> = 1 for every generator as integers
+        (nx, ny, nz, den), u = (nx, ny, nz) / den in lowest terms with
+        den > 0, or None.
 
         Existence of u is the Q-Gorenstein condition for the affine toric
         variety of the cone.
@@ -280,9 +282,20 @@ class Cone3:
             # All generators coplanar through 0: not a full-dim cone.
             raise ValueError("generators do not span 3-space")
         nx, ny, nz, den = sol
-        if all(nx * g[0] + ny * g[1] + nz * g[2] == den for g in gens):
-            return (Fraction(nx, den), Fraction(ny, den), Fraction(nz, den))
-        return None
+        if not all(nx * g[0] + ny * g[1] + nz * g[2] == den for g in gens):
+            return None
+        k = math.gcd(nx, ny, nz, den)
+        if den < 0:
+            k = -k
+        return nx // k, ny // k, nz // k, den // k
+
+    @property
+    def gorenstein(self) -> Optional[tuple[Fraction, Fraction, Fraction]]:
+        """The Fraction view of gorenstein_ratio."""
+        if self.gorenstein_ratio is None:
+            return None
+        nx, ny, nz, den = self.gorenstein_ratio
+        return Fraction(nx, den), Fraction(ny, den), Fraction(nz, den)
 
     def contains(self, p: IVec3) -> bool:
         x, y, z = p
@@ -430,7 +443,7 @@ def is_canonical_cone3(cone: Cone3) -> bool:
     point plus generators, each with u = 1, so it suffices that every
     nonzero parallelepiped point has u = level / d >= 1.
     """
-    if cone.gorenstein is None:
+    if cone.gorenstein_ratio is None:
         raise ValueError("generators are not on a single affine hyperplane")
     for simplex in _simplices(cone):
         d, group = _box_group(simplex)

@@ -295,7 +295,7 @@ class MaxCone3:
 
     @property
     def qgorenstein(self) -> bool:
-        return self.cone.gorenstein is not None
+        return self.cone.gorenstein_ratio is not None
 
     def to_json(self) -> dict:
         return {
@@ -342,7 +342,7 @@ def assemble_fan3(fd: FanDecomposition, defo: Deformation) -> Fan3:
         if pc.degenerate:
             continue
         cone = Cone3.over_summands(pc.ends0, pc.ends1, fd.decomp.p, defo.m0)
-        if cone.gorenstein is None:
+        if cone.gorenstein_ratio is None:
             raise RuntimeError(f"{fd.label}: the cone over piece {pc.i} is not Q-Gorenstein")
         cones.append(
             MaxCone3(

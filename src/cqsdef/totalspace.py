@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .lattice import InvariantError, Vec2
@@ -96,12 +97,25 @@ class Deformation:
     where the next dual generator w^{h+1} vanishes: sigma_prime is built
     over the first summand of the stored decomposition shifted by m0.  The
     parameter realizes the difference of the monomials lam_monomials.
+
+    sigma_prime is built on first read and kept on the instance, together
+    with its check that phi maps sigma into it; a scan row never reads it.
     """
 
     model: CqsModel
     decomp: Decomposition
-    sigma_prime: Cone3
     m0: int
+
+    @cached_property
+    def sigma_prime(self) -> Cone3:
+        dec = self.decomp
+        cone = Cone3.over_summands(dec.ends0, dec.ends1, dec.p, self.m0)
+        for ray in (self.model.sigma.ray1, self.model.sigma.ray2):
+            x, y, z = self.phi(ray)
+            for r0, r1, r2 in cone.dual_rays:
+                if r0 * x + r1 * y + r2 * z < 0:
+                    raise RuntimeError(f"{self.label}: slice embedding left the cone")
+        return cone
 
     @property
     def kind(self) -> str:
@@ -151,16 +165,10 @@ class Deformation:
 
 
 def build_deformation(model: CqsModel, decomp: Decomposition) -> Deformation:
-    """Assemble the 3D cone over the two summands of a decomposition."""
-    m0 = segment(model, decomp.h).m0
-    cone = Cone3.over_summands(decomp.ends0, decomp.ends1, decomp.p, m0)
-    defo = Deformation(model=model, decomp=decomp, sigma_prime=cone, m0=m0)
-    for ray in (model.sigma.ray1, model.sigma.ray2):
-        x, y, z = defo.phi(ray)
-        for r0, r1, r2 in cone.dual_rays:
-            if r0 * x + r1 * y + r2 * z < 0:
-                raise RuntimeError(f"{defo.label}: slice embedding left the cone")
-    return defo
+    """The deformation of a decomposition: the decomposition and the shift
+    m0 of its slice.  The 3D cone over the two summands, sigma_prime, and
+    its slice-embedding check wait for the first read."""
+    return Deformation(model=model, decomp=decomp, m0=segment(model, decomp.h).m0)
 
 
 def all_deformations(model: CqsModel) -> list[Deformation]:

@@ -158,12 +158,16 @@ def _summand_cones(models):
 
 
 def test_gorenstein_functional_matches_fractions():
-    """On every sigma' and every fan cone with n <= 22."""
+    """On every sigma' and every fan cone with n <= 22; the integer form
+    is in lowest terms over a positive denominator."""
     seen = set(_summand_cones(iter_models(22)))
     assert len(seen) > 1000
     for cone in seen:
         gens = cone.generators
         assert cone.gorenstein == fraction_gorenstein_functional(gens), gens
+        if cone.gorenstein_ratio is not None:
+            *num, den = cone.gorenstein_ratio
+            assert den > 0 and math.gcd(*num, den) == 1, gens
     assert any(cone.gorenstein is None for cone in seen)
 
 

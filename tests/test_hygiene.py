@@ -12,6 +12,7 @@ import pytest
 import cqsdef
 
 MODULES = sorted(Path(cqsdef.__file__).resolve().parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 # Nodes that open a scope of their own.
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
@@ -130,6 +131,27 @@ def assert_lines(path: Path) -> list[int]:
     return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
 
 
+PYTHON_FLOOR = (3, 10)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_parses_at_the_python_floor(path):
+    """Every module parses with the grammar of the oldest Python that
+    pyproject.toml admits.  ast.parse's feature_version checks grammar
+    only, and on a best-effort basis: it does not catch a library call or
+    a typing construct that is new since the floor."""
+    floor = ".".join(map(str, PYTHON_FLOOR))
+    assert f'requires-python = ">={floor}"' in (ROOT / "pyproject.toml").read_text()
+    ast.parse(path.read_text(), filename=str(path), feature_version=PYTHON_FLOOR)
+
+
+def test_syntax_above_the_floor_is_found():
+    code = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(code)
+    with pytest.raises(SyntaxError):
+        ast.parse(code, feature_version=PYTHON_FLOOR)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert assert_lines(path) == []
@@ -182,7 +204,6 @@ def test_placeholder_free_fstrings_are_found(tmp_path):
     assert placeholder_free_fstrings(path) == [2, 7]
 
 
-ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(
     path for part in ("src", "tests", "perfbench") for path in (ROOT / part).rglob("*.py")
 )

@@ -131,8 +131,9 @@ def test_build_report_derives_cone_data_once(monkeypatch):
     """Every Cone3 of a report gets its dual rays and facet spans in closed
     form from Cone3.over_summands, so neither dual_rays3 nor the generic
     derivation of the spans is called, and the Gorenstein functional is
-    computed once per fan cone.  The decompositions and fan decompositions write their
-    ends without building a Fraction."""
+    computed once per fan cone, in integers (Cone3.gorenstein_ratio).  The
+    decompositions and fan decompositions write their ends without building
+    a Fraction."""
     cones = _count_instances(monkeypatch, Cone3)
     fan_cones = _count_instances(monkeypatch, MaxCone3)
     duals = _count_calls(monkeypatch, cqsdef.geometry3, "dual_rays3")
@@ -141,20 +142,50 @@ def test_build_report_derives_cone_data_once(monkeypatch):
         monkeypatch, [(Decomposition, "to_json"), (FanDecomposition, "to_json")]
     )
     solves = []
-    solve = Cone3.gorenstein.func
+    solve = Cone3.gorenstein_ratio.func
 
     def counting(cone):
         solves.append(cone)
         return solve(cone)
 
     prop = cached_property(counting)
-    prop.__set_name__(Cone3, "gorenstein")
-    monkeypatch.setattr(Cone3, "gorenstein", prop)
+    prop.__set_name__(Cone3, "gorenstein_ratio")
+    monkeypatch.setattr(Cone3, "gorenstein_ratio", prop)
     build_report(cqs_new(19, 7))
     assert cones and duals == [] and generic_spans == []
     assert 0 < len(solves) <= len(fan_cones)
     kinds = {type(obj) for obj in to_json_calls}
     assert kinds == {Decomposition, FanDecomposition} and fractions == []
+
+
+def test_scan_builds_no_3d_cone(monkeypatch):
+    """A scan row reads the decompositions and the general fibers, never
+    sigma', so no row with n <= 40 builds a Cone3."""
+    cones = _count_instances(monkeypatch, Cone3)
+    rows = [
+        scan_row(n, q) for n in range(3, 41) for q in range(1, n - 1) if gcd(n, q) == 1
+    ]
+    assert len(rows) == 450 and not any("error" in row for row in rows)
+    assert cones == []
+
+
+def test_report_builds_each_sigma_prime_once(monkeypatch):
+    """A report of Y(19, 7) builds its 9 sigma' and its 27 fan cones, each
+    once; reading sigma_prime again returns the cone built first."""
+    calls = []
+    build = Cone3.over_summands
+
+    def counting(cls, *args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(Cone3, "over_summands", classmethod(counting))
+    report = build_report(cqs_new(19, 7))
+    assert report["counts"]["deformations"] == 9 and len(calls) == 36
+    (df, *_) = cqsdef.totalspace.all_deformations(cqs_new(19, 7))
+    assert len(calls) == 36
+    cone = df.sigma_prime
+    assert df.sigma_prime is cone and len(calls) == 37
 
 
 def test_scan_row_names_an_exception_without_message(monkeypatch):

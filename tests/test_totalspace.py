@@ -13,7 +13,7 @@ from cqsdef.totalspace import (
     theta_rewrite,
     versal_map,
 )
-from conftest import iter_models
+from conftest import iter_models, run_optimized
 
 
 def defo_by_label(model, label):
@@ -39,6 +39,35 @@ def test_phi_maps_into_sigma_prime():
                 assert all(
                     sum(r[i] * img[i] for i in range(3)) >= 0 for r in dual
                 )
+
+
+def test_slice_embedding_check_survives_optimize():
+    """Under python -O, a phi that sends the ray (-q, n) of sigma to its
+    negative, outside sigma', fails the check on the first read of
+    sigma_prime, and analyze turns that into exit 2."""
+    code = (
+        "import sys\n"
+        "import cqsdef.cli\n"
+        "from cqsdef.cqs import cqs_new\n"
+        "from cqsdef.totalspace import Deformation, all_deformations\n"
+        "phi = Deformation.phi\n"
+        "def bad_phi(self, v):\n"
+        "    x, y, z = phi(self, v)\n"
+        "    return (-x, -y, -z) if v == self.model.sigma.ray2 else (x, y, z)\n"
+        "Deformation.phi = bad_phi\n"
+        "df = all_deformations(cqs_new(8, 3))[0]\n"
+        "try:\n"
+        "    df.sigma_prime\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "sys.exit(cqsdef.cli.main(['analyze', '8', '3', '--json']))\n"
+    )
+    proc = run_optimized("-c", code, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout.decode() == "pi_{2,1}^1: slice embedding left the cone\n"
+    assert proc.stderr.decode() == (
+        "internal invariant failure: RuntimeError: pi_{2,1}^1: slice embedding left the cone\n"
+    )
 
 
 def test_lambda_monomial_metadata(y83):
@@ -241,8 +270,8 @@ def test_deformation_json(y83):
 
 
 def test_integer_sigma_prime_matches_rational_rays():
-    """build_deformation builds sigma' from the integer summand ends; the
-    generators must be those from_rays gives for the Fraction rays."""
+    """sigma_prime is built, on first read, from the integer summand ends;
+    the generators must be those from_rays gives for the Fraction rays."""
     from fractions import Fraction
 
     from cqsdef.geometry3 import Cone3
