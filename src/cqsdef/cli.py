@@ -91,6 +91,19 @@ def _scan_pairs(n_lo: int, n_hi: int) -> list[tuple[int, int]]:
 
 
 CHECKPOINT_HEADER = {"schema_version": SCHEMA_VERSION, "version": __version__}
+# The type of each field of a scan_row, and the key sets of a finished
+# row and of a row holding an error.
+_ROW_TYPES = {
+    "n": int,
+    "q": int,
+    "e": int,
+    "num_components": int,
+    "num_deformations": int,
+    "num_smoothings": int,
+    "t_singularity": bool,
+    "error": str,
+}
+_ROW_KEYS = (frozenset(SCAN_FIELDS) - {"error"}, frozenset(("n", "q", "error")))
 
 
 def _load_checkpoint(path: str) -> tuple[dict, int]:
@@ -100,9 +113,11 @@ def _load_checkpoint(path: str) -> tuple[dict, int]:
     A checkpoint is JSON lines: CHECKPOINT_HEADER, then one row per
     finished pair.  A file with another first line (another version, or
     the old single-object format) gives ({}, 0), so it is rewritten.
-    Reading stops at the first line that does not parse or has no newline:
-    that is a write torn by a crash.  Rows holding an error are left out,
-    so they are computed again.
+    Reading stops at the first line that does not parse, has no newline,
+    or is not a row of scan_row (the keys of a finished row or of an error
+    row, each value of its type in _ROW_TYPES): that is a write torn by a
+    crash, and it and every later row are computed again.  Rows holding an error are left
+    out, so they are computed again.
     """
     try:
         with open(path, "rb") as fh:
@@ -119,10 +134,15 @@ def _load_checkpoint(path: str) -> tuple[dict, int]:
     for line in lines[1:]:
         try:
             row = json.loads(line)
-            key = (row["n"], row["q"])
-        except (ValueError, TypeError, KeyError):
+        except ValueError:
             break
-        done[key] = row
+        if not (
+            isinstance(row, dict)
+            and frozenset(row) in _ROW_KEYS
+            and all(type(value) is _ROW_TYPES[key] for key, value in row.items())
+        ):
+            break
+        done[(row["n"], row["q"])] = row
         end += len(line) + 1
     return {key: row for key, row in done.items() if "error" not in row}, end
 

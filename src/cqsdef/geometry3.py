@@ -529,6 +529,10 @@ def roof_facets(cone: Cone3) -> list[tuple[IVec3, int, list[IVec3]]]:
     rotates a plane around each edge of every facet found, and stops at
     edges on the boundary of the cone, where the neighbouring face is
     unbounded.  Every plane found is checked to support every candidate.
+
+    No CLI path calls it: resolutions.canonical_model certifies its fan by
+    convexity across the walls, and the tests compare that fan with this
+    hull.
     """
     gens, dual = cone.generators, cone.dual_rays
     cands = {g for _, a, b in cone.facets for g in (a, b)}

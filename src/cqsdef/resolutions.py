@@ -1,7 +1,7 @@
 """Partial resolutions: the two-dimensional fans attached to chains
 representing zero, fan decompositions giving simultaneous resolutions of
-the one-parameter deformations, and canonical models via the bounded-face
-hull.
+the one-parameter deformations, and canonical models, certified by the
+strict convexity of their fans across every wall.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .cqs import CqsModel
 from .chains import ZeroChain
 from .minkowski import Decomposition, check_lattice_ends, Segment, segment
 from .totalspace import Deformation, components_of, split_depth
-from .geometry3 import Cone3, IVec3, cross3, dot3, is_canonical_cone3, prim3, roof_facets
+from .geometry3 import Cone3, IVec3, cross3, dot3, is_canonical_cone3
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +361,16 @@ def assemble_fan3(fd: FanDecomposition, defo: Deformation) -> Fan3:
     return Fan3(support=support, cones=tuple(cones))
 
 
+def _walls(cones: Sequence[MaxCone3]) -> list[tuple[MaxCone3, MaxCone3]]:
+    """The consecutive cones of a fan, left to right: the pairs of cones
+    that share a wall."""
+    ordered = sorted(cones, key=lambda c: -c.tau_index)
+    return list(zip(ordered, ordered[1:]))
+
+
 def _check_fan_interfaces(cones: list[MaxCone3]) -> None:
     """Consecutive cones must lie on opposite sides of their common face."""
-    ordered = sorted(cones, key=lambda c: -c.tau_index)
-    for left, right in zip(ordered, ordered[1:]):
+    for left, right in _walls(cones):
         shared = [g for g in left.cone.generators if g in right.cone.generators]
         if len(shared) < 2:
             raise InvariantError("adjacent cones share no 2D face")
@@ -406,8 +412,21 @@ def _canonical_predicate(defo: Deformation, k: ZeroChain) -> bool:
 
 def canonical_model(defo: Deformation) -> tuple[ZeroChain, Fan3]:
     """The component whose simultaneous resolution is the canonical model
-    of the total space, with the resolved fan; the combinatorial choice is
-    cross-checked against the bounded-face hull of the cone."""
+    of the total space, with the resolved fan.
+
+    The combinatorial choice is certified to be the fan of the bounded
+    faces of the hull of the nonzero lattice points of sigma': its cones
+    are Q-Gorenstein, canonical and tile sigma' (assemble_fan3 and
+    all_canonical), and the function that is each cone's Gorenstein
+    functional on that cone is strictly convex across every wall
+    (_convex_across_walls).  That function is then the minimum of the
+    functionals, so {x in sigma' : psi(x) >= 1} is convex; it holds every
+    nonzero lattice point, by canonicity, and is the union of
+    conv(generators) + cone over the cones, so it is the hull, and its
+    bounded facets are exactly the roofs of the cones.  Conversely the
+    hull fan is strictly convex across its walls, so the certificate
+    fails exactly when the fan differs from the hull fan.
+    """
     winners = [k for k in components_of(defo) if _canonical_predicate(defo, k)]
     if len(winners) != 1:
         raise RuntimeError(
@@ -418,16 +437,27 @@ def canonical_model(defo: Deformation) -> tuple[ZeroChain, Fan3]:
     fan = assemble_fan3(fan_decomposition(defo.model, k, defo.decomp), defo)
     if not fan.all_canonical:
         raise RuntimeError(f"{defo.label}: chosen fan for {k.k} is not canonical")
-    if fan.cone_ray_sets() != hull_cone_ray_sets(defo.sigma_prime):
+    if not _convex_across_walls(fan.cones):
         raise RuntimeError(
             f"{defo.label}: predicate and hull canonical models disagree"
         )
     return k, fan
 
 
-def hull_cone_ray_sets(cone: Cone3) -> set[frozenset[IVec3]]:
-    """Maximal cones of the bounded-face hull fan, as primitive ray sets."""
-    return {frozenset(prim3(v) for v in verts) for _, _, verts in roof_facets(cone)}
+def _convex_across_walls(cones: Sequence[MaxCone3]) -> bool:
+    """Whether, for every wall, the Gorenstein functional of each of its
+    two cones exceeds 1 on every generator of the other cone off the wall:
+    the piecewise-linear function that is 1 on every generator is then
+    strictly convex across the wall, in the toric sense (it is the smaller
+    of the two functionals near the wall).  Every cone must be
+    Q-Gorenstein."""
+    for left, right in _walls(cones):
+        for cone, other in ((left.cone, right.cone), (right.cone, left.cone)):
+            nx, ny, nz, den = cone.gorenstein_ratio
+            for g in other.generators:
+                if g not in cone.generators and nx * g[0] + ny * g[1] + nz * g[2] <= den:
+                    return False
+    return True
 
 
 def lattice_points_right(model: CqsModel, k: ZeroChain, h: int) -> int:

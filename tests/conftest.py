@@ -27,6 +27,7 @@ from cqsdef.geometry3 import (
     lattice_points_ineq,
     neg3,
     prim3,
+    roof_facets,
     sub3,
 )
 
@@ -260,6 +261,12 @@ def brute_roof_facets(gens):
                 on_plane = [p for p in hb if dot3(nrm, p) == b]
                 found[(nrm, b)] = _facet_polygon_vertices(on_plane, nrm)
     return [(n, b, v) for (n, b), v in sorted(found.items())]
+
+
+def hull_cone_ray_sets(cone) -> set:
+    """Maximal cones of the bounded-face hull fan of cone, as primitive ray
+    sets: the oracle for the wall certificate of canonical_model."""
+    return {frozenset(prim3(v) for v in verts) for _, _, verts in roof_facets(cone)}
 
 
 def hull_vertex_candidates(cone) -> set:

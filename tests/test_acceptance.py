@@ -19,7 +19,6 @@ from cqsdef.resolutions import (
     assemble_fan3,
     canonical_model,
     fan_decomposition,
-    hull_cone_ray_sets,
 )
 from cqsdef.totalspace import (
     all_deformations,
@@ -36,6 +35,7 @@ from conftest import (
     brute_is_canonical,
     brute_roof_facets,
     brute_zero_chains,
+    hull_cone_ray_sets,
     iter_models,
 )
 

@@ -312,6 +312,34 @@ def test_scan_retries_error_rows(tmp_path, monkeypatch, capsys):
     assert calls == [(failed["n"], failed["q"])]
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"n": [3], "q": 1},
+        {"n": 5, "q": 2},
+        {"n": 5, "q": 2.0, "error": "x"},
+        {"n": 5, "q": 2, "e": 4, "num_components": "1", "num_deformations": 4,
+         "num_smoothings": 1, "t_singularity": False},
+        [5, 2],
+    ],
+    ids=["list-n", "missing-keys", "float-q", "str-count", "not-an-object"],
+)
+def test_scan_recomputes_rows_that_are_not_scan_rows(tmp_path, monkeypatch, capsys, bad):
+    """A line that parses but is not a scan_row is a torn write: reading
+    stops there, and it and every later row are computed again."""
+    ckpt = tmp_path / "scan.ckpt"
+    _, full, _ = run(capsys, "scan", "--n-range", "3:6", "--csv", "--checkpoint", str(ckpt))
+    lines = checkpoint_lines(ckpt)
+    ckpt.write_text("\n".join(lines[:3] + [json.dumps(bad)] + lines[3:]) + "\n")
+    kept = {(r["n"], r["q"]) for r in map(json.loads, lines[1:3])}
+
+    calls = count_scan_rows(monkeypatch)
+    code, out, _ = run(capsys, "scan", "--n-range", "3:6", "--csv", "--checkpoint", str(ckpt))
+    assert code == 0 and out == full
+    assert calls == [pq for pq in scan_pairs(full) if pq not in kept]
+    assert checkpoint_lines(ckpt) == lines
+
+
 def test_scan_exits_2_on_failed_rows(monkeypatch, capsys):
     original = cli_mod.scan_row
 
@@ -387,7 +415,7 @@ def test_internal_value_error_exits_2(monkeypatch, capsys):
     def boom(*a, **kw):
         raise ValueError("forced")
 
-    monkeypatch.setattr(cqsdef.resolutions, "roof_facets", boom)
+    monkeypatch.setattr(cqsdef.resolutions, "is_canonical_cone3", boom)
     code, _, err = run(capsys, "analyze", "8", "3")
     assert code == 2
     assert "internal invariant failure: ValueError: forced" in err

@@ -169,6 +169,16 @@ def test_scan_builds_no_3d_cone(monkeypatch):
     assert cones == []
 
 
+def test_report_makes_no_roof_facets_call(monkeypatch):
+    """canonical_model certifies its fan by convexity across the walls, so
+    a report gift-wraps no hull: roof_facets is the tests' oracle."""
+    calls = _count_calls(monkeypatch, cqsdef.geometry3, "roof_facets")
+    wraps = _count_calls(monkeypatch, cqsdef.geometry3, "_wrap")
+    for n, q in ((8, 3), (19, 7), (31, 12)):
+        assert build_report(cqs_new(n, q))["counts"]["deformations"] > 0
+    assert calls == [] and wraps == []
+
+
 def test_report_builds_each_sigma_prime_once(monkeypatch):
     """A report of Y(19, 7) builds its 9 sigma' and its 27 fan cones, each
     once; reading sigma_prime again returns the cone built first."""

@@ -8,16 +8,18 @@ from cqsdef.geometry3 import Cone3, is_canonical_cone3
 from cqsdef.lattice import Vec2
 from cqsdef.minkowski import decomposition_D, decomposition_Dbar, segment
 from cqsdef.resolutions import (
+    MaxCone3,
+    _check_fan_interfaces,
+    _convex_across_walls,
     assemble_fan3,
     canonical_model,
     fan_decomposition,
-    hull_cone_ray_sets,
     lattice_points_right,
     p_resolution_fan,
     slice_intervals,
 )
 from cqsdef.totalspace import all_deformations, build_deformation, components_of
-from conftest import division_slice_frame, iter_models, run_optimized
+from conftest import division_slice_frame, hull_cone_ray_sets, iter_models, run_optimized
 
 
 def k_of(model, chain):
@@ -235,6 +237,99 @@ def test_hull_route_smooth_and_golden(y83):
     hull = hull_cone_ray_sets(df.sigma_prime)
     fd = fan_decomposition(y83, k_of(y83, (2, 1, 2)), df.decomp)
     assert assemble_fan3(fd, df).cone_ray_sets() == hull
+
+
+def test_wall_certificate_matches_the_hull_oracle():
+    """For every all-canonical fan over a component of a deformation with
+    n <= 30, the wall certificate holds exactly when the fan is the
+    bounded-face hull fan of sigma'.  Each deformation has exactly one
+    such fan, the hull fan, so the negative side is tested on the
+    synthetic fans below."""
+    fans = defos = 0
+    for m in iter_models(30):
+        for df in all_deformations(m):
+            defos += 1
+            hull = None
+            for comp in components_of(df):
+                fan = assemble_fan3(fan_decomposition(m, comp, df.decomp), df)
+                if not fan.all_canonical:
+                    continue
+                hull = hull or hull_cone_ray_sets(df.sigma_prime)
+                assert _convex_across_walls(fan.cones) == (fan.cone_ray_sets() == hull)
+                fans += 1
+    assert fans == defos == 3455
+
+
+def _fan_of(*rays):
+    """Max cones over the given ray lists, left to right."""
+    cones = []
+    for i, r in enumerate(rays):
+        cone = Cone3.from_rays(r)
+        cones.append(MaxCone3(len(rays) - i, cone, is_canonical_cone3(cone), False))
+    return cones
+
+
+# Two canonical cones that tile a canonical support but are not its hull
+# fan: a square roof split along a diagonal (the two roofs are coplanar,
+# so each functional is exactly 1 across the wall), and the smooth octant
+# split along a plane (the wall is reflex: e1 + e2 is 0 on e3).
+# Each is (support rays, ray lists of the two cones).
+SQUARE_SPLIT = (
+    [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)],
+    ([(1, 0, 1), (0, 1, 1), (-1, 0, 1)], [(1, 0, 1), (-1, 0, 1), (0, -1, 1)]),
+)
+OCTANT_SPLIT = (
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+    ([(1, 0, 0), (0, 1, 0), (1, 0, 1)], [(1, 0, 1), (0, 1, 0), (0, 0, 1)]),
+)
+
+
+@pytest.mark.parametrize(
+    "support_rays, rays", [SQUARE_SPLIT, OCTANT_SPLIT], ids=["coplanar", "reflex"]
+)
+def test_wall_certificate_rejects_fans_that_are_not_the_hull(support_rays, rays):
+    cones = _fan_of(*rays)
+    assert all(c.canonical for c in cones)
+    _check_fan_interfaces(cones)  # they lie on opposite sides of their wall
+    support = Cone3.from_rays(support_rays)
+    assert all(support.contains(g) for c in cones for g in c.cone.generators)
+    assert is_canonical_cone3(support)
+    assert hull_cone_ray_sets(support) == {frozenset(support.generators)}
+    assert {frozenset(c.cone.generators) for c in cones} != hull_cone_ray_sets(support)
+    assert not _convex_across_walls(cones)
+    assert _convex_across_walls(_fan_of(support.generators))
+
+
+def test_wall_certificate_survives_optimize():
+    """Under python -O, canonical_model raises when handed a canonical fan
+    that is not the hull fan, and analyze exits 2."""
+    code = (
+        "import sys\n"
+        "import cqsdef.cli\n"
+        "import cqsdef.resolutions as res\n"
+        "from cqsdef.cqs import cqs_new\n"
+        "from cqsdef.geometry3 import Cone3, is_canonical_cone3\n"
+        "from cqsdef.totalspace import all_deformations\n"
+        f"rays = {OCTANT_SPLIT[1]!r}\n"
+        "def reflex(fd, defo):\n"
+        "    cones = [Cone3.from_rays(r) for r in rays]\n"
+        "    return res.Fan3(defo.sigma_prime, tuple(\n"
+        "        res.MaxCone3(2 - i, c, is_canonical_cone3(c), False) for i, c in enumerate(cones)))\n"
+        "res.assemble_fan3 = reflex\n"
+        "df = all_deformations(cqs_new(8, 3))[0]\n"
+        "try:\n"
+        "    res.canonical_model(df)\n"
+        "except RuntimeError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+        "sys.exit(cqsdef.cli.main(['analyze', '8', '3', '--json']))\n"
+    )
+    proc = run_optimized("-c", code, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout.decode() == "1 pi_{2,1}^1: predicate and hull canonical models disagree\n"
+    assert proc.stderr.decode() == (
+        "internal invariant failure: RuntimeError: "
+        "pi_{2,1}^1: predicate and hull canonical models disagree\n"
+    )
 
 
 def test_lattice_points_right_golden(y83):
