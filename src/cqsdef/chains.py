@@ -31,10 +31,6 @@ class ZeroChain:
     k: tuple[int, ...]
     alpha: tuple[int, ...]
 
-    @property
-    def alpha_interior(self) -> tuple[int, ...]:
-        return self.alpha[1:-1]
-
     def alpha_at(self, i: int) -> int:
         """alpha_i with the 1-based indexing alpha_1..alpha_e."""
         return self.alpha[i - 1]

@@ -8,8 +8,9 @@ Exit codes: 0 success, 1 invalid input (a malformed command line, a pair
 n, q that InvalidSingularityError rejects, or a path given to -o, --svg or
 --checkpoint that cannot be opened), 2 internal invariant failure (for
 scan: some row holds an error; every row is still written).
-A scan checkpoint is JSON lines, a version header then one row per pair,
-appended and flushed as each row finishes; see _load_checkpoint.
+A scan checkpoint is JSON lines, a header naming the code that wrote it
+then one row per pair, appended and flushed as each row finishes; see
+_load_checkpoint.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
 import sys
 from math import gcd
+from pathlib import Path
 
 from . import __version__
 from .cqs import InvalidSingularityError, cqs_new
@@ -39,16 +42,20 @@ EXIT_OK = 0
 EXIT_USER = 1
 EXIT_INTERNAL = 2
 
-SCAN_FIELDS = [
-    "n",
-    "q",
-    "e",
-    "num_components",
-    "num_deformations",
-    "num_smoothings",
-    "t_singularity",
-    "error",
-]
+# The type of each field of a scan_row, in CSV column order, and the key
+# sets of a finished row and of a row holding an error.
+_ROW_TYPES = {
+    "n": int,
+    "q": int,
+    "e": int,
+    "num_components": int,
+    "num_deformations": int,
+    "num_smoothings": int,
+    "t_singularity": bool,
+    "error": str,
+}
+SCAN_FIELDS = list(_ROW_TYPES)
+_ROW_KEYS = (frozenset(SCAN_FIELDS) - {"error"}, frozenset(("n", "q", "error")))
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -90,34 +97,35 @@ def _scan_pairs(n_lo: int, n_hi: int) -> list[tuple[int, int]]:
     ]
 
 
-CHECKPOINT_HEADER = {"schema_version": SCHEMA_VERSION, "version": __version__}
-# The type of each field of a scan_row, and the key sets of a finished
-# row and of a row holding an error.
-_ROW_TYPES = {
-    "n": int,
-    "q": int,
-    "e": int,
-    "num_components": int,
-    "num_deformations": int,
-    "num_smoothings": int,
-    "t_singularity": bool,
-    "error": str,
-}
-_ROW_KEYS = (frozenset(SCAN_FIELDS) - {"error"}, frozenset(("n", "q", "error")))
+@functools.cache
+def checkpoint_header() -> dict:
+    """The first line of a scan checkpoint: the report schema, the package
+    version, and a SHA-256 over the names and bytes of the package's
+    sorted source files, so that a checkpoint written by other code is
+    not reused.  Computed once per process, by a scan with a checkpoint."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode())
+        digest.update(data)
+    source = digest.hexdigest()
+    return {"schema_version": SCHEMA_VERSION, "version": __version__, "source": source}
 
 
 def _load_checkpoint(path: str) -> tuple[dict, int]:
     """The rows a checkpoint holds, keyed by (n, q), and the length in
     bytes of its valid part.
 
-    A checkpoint is JSON lines: CHECKPOINT_HEADER, then one row per
-    finished pair.  A file with another first line (another version, or
-    the old single-object format) gives ({}, 0), so it is rewritten.
+    A checkpoint is JSON lines: checkpoint_header(), then one row per
+    finished pair.  A file with another first line (other code, or the
+    old single-object format) gives ({}, 0), so it is rewritten.
     Reading stops at the first line that does not parse, has no newline,
     or is not a row of scan_row (the keys of a finished row or of an error
     row, each value of its type in _ROW_TYPES): that is a write torn by a
-    crash, and it and every later row are computed again.  Rows holding an error are left
-    out, so they are computed again.
+    crash, and it and every later row are computed again.  Rows holding
+    an error are left out, so they are computed again.
     """
     try:
         with open(path, "rb") as fh:
@@ -128,7 +136,7 @@ def _load_checkpoint(path: str) -> tuple[dict, int]:
         header = json.loads(lines[0]) if lines else None
     except ValueError:
         header = None
-    if header != CHECKPOINT_HEADER:
+    if header != checkpoint_header():
         return {}, 0
     done, end = {}, len(lines[0]) + 1
     for line in lines[1:]:
@@ -160,7 +168,7 @@ def _checkpoint_appender(path: str | None, valid_len: int):
         fh = open(path, "a")
     else:
         fh = open(path, "w")
-        fh.write(json.dumps(CHECKPOINT_HEADER) + "\n")
+        fh.write(json.dumps(checkpoint_header()) + "\n")
     with fh:
 
         def append(row: dict) -> None:

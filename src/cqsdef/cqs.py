@@ -9,9 +9,8 @@ used only when displaying coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .lattice import Cone2, InvariantError, Vec2, cf_expand, dual_cone, hilbert_basis_2d
+from .lattice import Cone2, InvariantError, Ratio, Vec2, cf_expand, dual_cone, hilbert_basis_2d
 
 
 class InvalidSingularityError(ValueError):
@@ -128,12 +127,11 @@ def from_display_coords(u: tuple[int, int], model: CqsModel) -> Vec2:
     return Vec2(u1, num // model.n)
 
 
-def display_n_point(v: Vec2, model: CqsModel) -> tuple[Fraction, Fraction]:
-    """Display a point of N (convention A) in convention-B coordinates."""
-    return (
-        Fraction(v.x) + Fraction(model.q, model.n) * Fraction(v.y),
-        Fraction(v.y, model.n),
-    )
+def display_n_point(v: Vec2, model: CqsModel) -> tuple[Ratio, Ratio]:
+    """Display a point of N (convention A) in convention-B coordinates,
+    each as an integer ratio over n."""
+    n = model.n
+    return (n * v.x + model.q * v.y, n), (v.y, n)
 
 
 def is_rdp(chain) -> bool:

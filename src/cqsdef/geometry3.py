@@ -289,14 +289,6 @@ class Cone3:
             k = -k
         return nx // k, ny // k, nz // k, den // k
 
-    @property
-    def gorenstein(self) -> Optional[tuple[Fraction, Fraction, Fraction]]:
-        """The Fraction view of gorenstein_ratio."""
-        if self.gorenstein_ratio is None:
-            return None
-        nx, ny, nz, den = self.gorenstein_ratio
-        return Fraction(nx, den), Fraction(ny, den), Fraction(nz, den)
-
     def contains(self, p: IVec3) -> bool:
         x, y, z = p
         return all(r0 * x + r1 * y + r2 * z >= 0 for r0, r1, r2 in self.dual_rays)

@@ -13,10 +13,6 @@ from .lattice import Ratio, Vec2, ratio_text
 from .cqs import CqsModel
 
 
-def _view(r: Ratio) -> Fraction:
-    return Fraction(*r)
-
-
 @dataclass(frozen=True)
 class Segment:
     """The slice Q = {<v, w^h> = 1} ∩ sigma as an interval in the rank-one
@@ -28,7 +24,7 @@ class Segment:
     and the coordinate grows toward the endpoint gamma on the (1,0)-ray.
 
     ends holds beta over its known denominator <(-q, n), w^h> and gamma
-    over w^h_1; beta, gamma and length are Fraction views of it.
+    over w^h_1.
     """
 
     h: int
@@ -36,14 +32,6 @@ class Segment:
     m0: int
     w: Vec2
     w_next: Vec2
-
-    @property
-    def beta(self) -> Fraction:
-        return _view(self.ends[0])
-
-    @property
-    def gamma(self) -> Fraction:
-        return _view(self.ends[1])
 
     @property
     def direction(self) -> Vec2:
@@ -55,18 +43,9 @@ class Segment:
         return Vec2(-self.w_next.y, self.w_next.x) + self.m0 * self.direction
 
     @property
-    def unit(self) -> Vec2:
-        """The lattice point at coordinate 1."""
-        return self.origin + self.direction
-
-    @property
     def length_ratio(self) -> Ratio:
         (b, bd), (g, gd) = self.ends
         return g * bd - b * gd, bd * gd
-
-    @property
-    def length(self) -> Fraction:
-        return _view(self.length_ratio)
 
     @property
     def lattice_count(self) -> int:
@@ -91,6 +70,7 @@ class Segment:
             "beta": ratio_text(*self.ends[0]),
             "gamma": ratio_text(*self.ends[1]),
             "lattice_points": self.lattice_count,
+            "length": ratio_text(*self.length_ratio),
         }
 
 
@@ -117,7 +97,7 @@ def _build_segment(model: CqsModel, h: int) -> Segment:
     if num * w.x * (w.y * model.n - w.x * model.q) != model.n * den:
         raise RuntimeError(
             f"slice length mismatch for (n,q)=({model.n},{model.q}) h={h}: "
-            f"geometric {seg.length} vs formula {segment_length(model, h)}"
+            f"geometric {ratio_text(num, den)} vs formula {segment_length(model, h)}"
         )
     return seg
 
@@ -142,7 +122,7 @@ class Decomposition:
     only at interior h and with p = 1.
 
     ends0 and ends1 hold the ends of the two summands as integer ratios
-    over the slice's denominators; s0 and s1 are Fraction views of them.
+    over the slice's denominators.
     """
 
     kind: str  # "D" | "Dbar"
@@ -151,14 +131,6 @@ class Decomposition:
     d: int
     ends0: tuple[Ratio, Ratio]
     ends1: tuple[Ratio, Ratio]
-
-    @property
-    def s0(self) -> tuple[Fraction, Fraction]:
-        return _view(self.ends0[0]), _view(self.ends0[1])
-
-    @property
-    def s1(self) -> tuple[Fraction, Fraction]:
-        return _view(self.ends1[0]), _view(self.ends1[1])
 
     @property
     def label(self) -> str:
@@ -217,7 +189,7 @@ def decomposition_D(seg: Segment, p: int, d: int) -> Decomposition:
     pd = p * d
     num, den = seg.length_ratio
     if not (0 <= pd and pd * den <= num):
-        raise ValueError(f"p*d = {pd} exceeds slice length {seg.length}")
+        raise ValueError(f"p*d = {pd} exceeds slice length {ratio_text(num, den)}")
     beta, (g, gd) = seg.ends
     return Decomposition(
         kind="D",

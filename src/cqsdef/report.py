@@ -11,7 +11,7 @@ from json.encoder import encode_basestring_ascii
 from .cqs import CqsModel, cqs_new, is_t_singularity
 from .lattice import InvariantError
 from .chains import enumerate_K
-from .minkowski import segment, segment_length
+from .minkowski import segment
 from .totalspace import (
     all_deformations,
     components_of,
@@ -70,10 +70,7 @@ def build_report(model: CqsModel, verbose: bool = False) -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "model": model.to_json(),
-        "segments": [
-            dict(segment(model, h).to_json(), length=str(segment_length(model, h)))
-            for h in model.interior_indices()
-        ],
+        "segments": [segment(model, h).to_json() for h in model.interior_indices()],
         "components": [
             dict(k.to_json(), p_resolution=p_resolution_fan(model, k).to_json())
             for k in ks

@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .lattice import Cone2, InvariantError, Ratio, Vec2, cone_normal_form, ratio_text
-from .cqs import CqsModel
+from .cqs import CqsModel, display_n_point
 from .chains import ZeroChain
 from .minkowski import Decomposition, check_lattice_ends, Segment, segment
 from .totalspace import Deformation, components_of, split_depth
-from .geometry3 import Cone3, IVec3, cross3, dot3, is_canonical_cone3
+from .geometry3 import Cone3, cross3, dot3, is_canonical_cone3
 
 
 # ---------------------------------------------------------------------------
@@ -67,13 +66,11 @@ class PResolutionFan:
         return self.cones[i - 2]
 
     def to_json(self) -> dict:
-        from .cqs import display_n_point
-
         return {
             "k": list(self.k.k),
             "rays": [list(v.as_int_pair()) for v in self.rays],
             "rays_display": [
-                [str(c) for c in display_n_point(v, self.model)] for v in self.rays
+                [ratio_text(*r) for r in display_n_point(v, self.model)] for v in self.rays
             ],
             "cones": [
                 {
@@ -205,7 +202,7 @@ def _build_fan_decomposition(
     intervals = slice_intervals(model, k, h)
     (ln, ld), (rn, rd) = intervals[h]
     if rn * ld - ln * rd != gap * ld * rd:
-        length = Fraction(rn, rd) - Fraction(ln, ld)
+        length = ratio_text(rn * ld - ln * rd, ld * rd)
         raise InvariantError(f"slice at h has length {length}, expected {gap}")
 
     # Every piece end is a slice end less an integer: depth, or the
@@ -317,13 +314,6 @@ class Fan3:
     @property
     def all_canonical(self) -> bool:
         return all(c.canonical for c in self.cones)
-
-    @property
-    def all_qgorenstein(self) -> bool:
-        return all(c.qgorenstein for c in self.cones)
-
-    def cone_ray_sets(self) -> set[frozenset[IVec3]]:
-        return {frozenset(c.cone.generators) for c in self.cones}
 
     def to_json(self) -> dict:
         return {
@@ -472,7 +462,7 @@ def lattice_points_right(model: CqsModel, k: ZeroChain, h: int) -> int:
     num, den = seg.coord(fan.cone_at(h).ray_right)
     if num % den:
         raise InvariantError(
-            f"the right end {Fraction(num, den)} of tau_{h} is not a lattice point"
+            f"the right end {ratio_text(num, den)} of tau_{h} is not a lattice point"
         )
     g, gd = seg.ends[1]
     return g // gd - num // den

@@ -26,7 +26,7 @@ def _fmt(x) -> str:
 
 
 def _display_label(model: CqsModel, pt) -> str:
-    u, v = display_n_point(pt, model)
+    u, v = (Fraction(*r) for r in display_n_point(pt, model))
     den = math.lcm(u.denominator, v.denominator)
     if den == 1:
         return f"({u},{v})"
@@ -85,18 +85,18 @@ def segments_figure(model: CqsModel) -> str:
     """One row per slice, drawn in canonical coordinates with lattice
     points marked and labelled in display coordinates."""
     cv = _Canvas()
-    hs = list(model.interior_indices())
-    min_b = min(segment(model, h).beta for h in hs)
-    max_g = max(segment(model, h).gamma for h in hs)
+    segs = [segment(model, h) for h in model.interior_indices()]
+    min_b = min(Fraction(*seg.ends[0]) for seg in segs)
+    max_g = max(Fraction(*seg.ends[1]) for seg in segs)
     x0 = PAD - float(min_b) * UNIT
     width = PAD * 2 + (float(max_g) - float(min_b)) * UNIT + 110
     y = PAD
-    for h in hs:
-        seg = segment(model, h)
-        cv.text(28, y + 4, f"Q(w{h})", size=13, anchor="start")
-        _draw_interval(cv, x0, y, seg.beta, seg.gamma)
+    for seg in segs:
+        beta, gamma = (Fraction(*r) for r in seg.ends)
+        cv.text(28, y + 4, f"Q(w{seg.h})", size=13, anchor="start")
+        _draw_interval(cv, x0, y, beta, gamma)
         cv.text(
-            x0 + float(seg.gamma) * UNIT + 56,
+            x0 + float(gamma) * UNIT + 56,
             y + 4,
             _display_label(model, seg.origin),
             size=10,
@@ -108,23 +108,22 @@ def segments_figure(model: CqsModel) -> str:
 def decompositions_figure(model: CqsModel) -> str:
     """One row per admissible decomposition: summand plus summand."""
     cv = _Canvas()
-    decs = enum_decompositions(model)
     spans = []
-    for dec in decs:
-        spans.append((dec.s0[1] - dec.s0[0]) + (dec.s1[1] - dec.s1[0]))
     y = PAD
     left_label = 120
-    for dec in decs:
+    for dec in enum_decompositions(model):
+        (a0, b0), (a1, b1) = ([Fraction(*r) for r in ends] for ends in (dec.ends0, dec.ends1))
+        spans.append((b0 - a0) + (b1 - a1))
         cv.text(16, y + 4, dec.label, size=12, anchor="start")
-        x0 = left_label - float(dec.s0[0]) * UNIT
-        _draw_interval(cv, x0, y, dec.s0[0], dec.s0[1])
-        plus_x = left_label + float(dec.s0[1] - dec.s0[0]) * UNIT + 36
+        x0 = left_label - float(a0) * UNIT
+        _draw_interval(cv, x0, y, a0, b0)
+        plus_x = left_label + float(b0 - a0) * UNIT + 36
         cv.text(plus_x, y + 4, "+" if dec.p == 1 else f"+ {dec.p} ·", size=13)
-        x1 = plus_x + 40 - float(dec.s1[0]) * UNIT
+        x1 = plus_x + 40 - float(a1) * UNIT
         if dec.p == 1:
-            _draw_interval(cv, x1, y, dec.s1[0], dec.s1[1])
+            _draw_interval(cv, x1, y, a1, b1)
         else:
-            _draw_interval(cv, x1, y, dec.s1[0] / dec.p, dec.s1[1] / dec.p)
+            _draw_interval(cv, x1, y, a1 / dec.p, b1 / dec.p)
         y += ROW
     width = left_label + (4 + float(max(spans, default=2))) * UNIT
     return cv.render(int(width), y - ROW + PAD)

@@ -96,7 +96,8 @@ class Deformation:
     The cone is presented so that the lattice origin of the slice sits
     where the next dual generator w^{h+1} vanishes: sigma_prime is built
     over the first summand of the stored decomposition shifted by m0.  The
-    parameter realizes the difference of the monomials lam_monomials.
+    parameter realizes the difference of the monomials of degrees (0, 0, 1)
+    and (0, p, 0).
 
     sigma_prime is built on first read and kept on the instance, together
     with its check that phi maps sigma into it; a scan row never reads it.
@@ -136,10 +137,6 @@ class Deformation:
     @property
     def label(self) -> str:
         return self.decomp.label
-
-    @property
-    def lam_monomials(self) -> tuple[IVec3, IVec3]:
-        return ((0, 0, 1), (0, self.p, 0))
 
     def degree_display(self) -> tuple[int, int]:
         u = to_display_coords(self.model.wgen(self.h), self.model)
@@ -297,13 +294,6 @@ class Equation:
             return f"x{self.i - 1}*(x{self.i + 1} + lam) = x{self.i}^{self.a}"
         inner = f"x{self.i}^{self.p} + lam" if self.p > 1 else f"x{self.i} + lam"
         return f"x{self.i - 1}*x{self.i + 1} = x{self.i}^{self.m}*({inner})^{self.d}"
-
-    def specialize_lambda_zero(self) -> "Equation":
-        if self.form == "binomial":
-            return self
-        if self.form == "main":
-            return Equation(form="binomial", i=self.i, a=self.m + self.p * self.d)
-        return Equation(form="binomial", i=self.i, a=self.a)
 
     def to_json(self) -> dict:
         out = {"form": self.form, "i": self.i, "text": str(self)}

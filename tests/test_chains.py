@@ -32,7 +32,7 @@ def test_alpha_examples():
 def test_enumerate_K_golden(y83):
     ks = enumerate_K(y83)
     assert [zc.k for zc in ks] == [(1, 2, 1), (2, 1, 2)]
-    assert [zc.alpha_interior for zc in ks] == [(1, 1, 1), (1, 2, 1)]
+    assert [zc.alpha[1:-1] for zc in ks] == [(1, 1, 1), (1, 2, 1)]
 
 
 def test_enumerate_K_contains_rdp_chain():

@@ -5,12 +5,13 @@ from pathlib import Path
 
 import pytest
 
+import cqsdef
 import cqsdef.cli as cli_mod
 import cqsdef.cqs
 import cqsdef.minkowski
 import cqsdef.resolutions
 import cqsdef.totalspace
-from cqsdef.cli import CHECKPOINT_HEADER, main
+from cqsdef.cli import checkpoint_header, main
 from cqsdef.report import build_report, render_text
 from cqsdef.svgfig import FIGURE_TARGETS, make_figure
 from conftest import run_optimized
@@ -122,6 +123,30 @@ def test_figure_deterministic(tmp_path, capsys):
     run(capsys, "figure", "8", "3", "slices", "-o", str(p1))
     run(capsys, "figure", "8", "3", "slices", "-o", str(p2))
     assert p1.read_text() == p2.read_text()
+
+
+# SHA-256 of the files `cqsdef figure n q target -o FILE` writes.
+FIGURE_DIGESTS = {
+    (8, 3, "segments"): "84bcd66c26818af2ef06a5e51d333bda250acb438390d7ce8b373696529761aa",
+    (8, 3, "decompositions"): "3e9bc59052ad096482cf297e58054fbe43685a73d566a679a4d3e2e13c340ede",
+    (8, 3, "slices"): "857070ff692312ba5df6fea3400fb77b6523ad41b27e869a4f48fe4553dd69ac",
+    (19, 7, "segments"): "0cee24874051dcdade5c215fb14eae55b1288314a01e64e936b7ace4bcde0593",
+    (19, 7, "decompositions"): "59809b276db27c2baa55d60b13f80f55cd51f91c92b5cf24f871cb9a9c7e217c",
+    (19, 7, "slices"): "eb0be9dfe1f63c8c32b4d7608f3c239dba974441f191bf0bdadd531c341c77bc",
+    (23, 5, "segments"): "2fdb9333310d67437fe97fd342341e86d5fe7b1fd05299e6d3389cfd50786d5c",
+    (23, 5, "decompositions"): "eaa3b10f41da5bedcbb9df132731314478755fcd748b0e6963b606cacf359698",
+    (23, 5, "slices"): "bdec9edfa74135eec0c74455410d145d89f739c56c4fe2ba3b906fb0ffb63328",
+    (37, 11, "segments"): "f81951f1f3cde8c3c8ab2c87aef257ec84357302c6adf726c23339cab9bdac26",
+    (37, 11, "decompositions"): "0309d87526f40881b4f74d430df33e107dd379213e5849c4c42ceba4feb1f3ae",
+    (37, 11, "slices"): "31fb8247b02733476132eba87cb38925212c1919aaa953d27f5e5187c3159a89",
+}
+
+
+@pytest.mark.parametrize("n, q, target", sorted(FIGURE_DIGESTS))
+def test_figure_bytes_are_pinned(tmp_path, capsys, n, q, target):
+    path = tmp_path / "figure.svg"
+    assert run(capsys, "figure", str(n), str(q), target, "-o", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FIGURE_DIGESTS[n, q, target]
 
 
 def test_figure_unknown_target(capsys):
@@ -242,7 +267,7 @@ def test_scan_checkpoint_is_json_lines(tmp_path, capsys):
     code, out, _ = run(capsys, "scan", "--n-range", "3:9", "--csv", "--checkpoint", str(ckpt))
     assert code == 0
     lines = checkpoint_lines(ckpt)
-    assert json.loads(lines[0]) == CHECKPOINT_HEADER
+    assert json.loads(lines[0]) == checkpoint_header()
     rows = [json.loads(line) for line in lines[1:]]
     assert [(r["n"], r["q"]) for r in rows] == scan_pairs(out)
 
@@ -295,7 +320,40 @@ def test_scan_ignores_foreign_checkpoint(tmp_path, monkeypatch, capsys, stale):
     assert code == 0
     assert calls == scan_pairs(out) and (3, 1) in calls
     assert "99" not in out
-    assert json.loads(checkpoint_lines(ckpt)[0]) == CHECKPOINT_HEADER
+    assert json.loads(checkpoint_lines(ckpt)[0]) == checkpoint_header()
+
+
+def test_checkpoint_header_digests_the_package_source():
+    """The header names the code that wrote the checkpoint: a SHA-256 over
+    the names and bytes of the package's sorted source files."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(cli_mod.__file__).parent.glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    header = checkpoint_header()
+    assert header == {"schema_version": 1, "version": cqsdef.__version__,
+                      "source": digest.hexdigest()}
+    assert checkpoint_header() is header  # computed once per process
+
+
+def test_scan_recomputes_a_checkpoint_of_other_code(tmp_path, monkeypatch, capsys):
+    """A checkpoint whose header carries another source digest is
+    recomputed in full and rewritten; one with this code's digest has no
+    row recomputed."""
+    ckpt = tmp_path / "scan.ckpt"
+    _, full, _ = run(capsys, "scan", "--n-range", "3:8", "--csv", "--checkpoint", str(ckpt))
+    lines = checkpoint_lines(ckpt)
+
+    calls = count_scan_rows(monkeypatch)
+    code, out, _ = run(capsys, "scan", "--n-range", "3:8", "--csv", "--checkpoint", str(ckpt))
+    assert code == 0 and out == full and calls == []
+
+    other = dict(json.loads(lines[0]), source="0" * 64)
+    ckpt.write_text("\n".join([json.dumps(other)] + lines[1:]) + "\n")
+    code, out, _ = run(capsys, "scan", "--n-range", "3:8", "--csv", "--checkpoint", str(ckpt))
+    assert code == 0 and out == full
+    assert calls == scan_pairs(full)
+    assert checkpoint_lines(ckpt) == lines
 
 
 def test_scan_retries_error_rows(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """3D lattice geometry against the brute-force oracles in conftest."""
 
 import math
+from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
@@ -164,11 +165,14 @@ def test_gorenstein_functional_matches_fractions():
     assert len(seen) > 1000
     for cone in seen:
         gens = cone.generators
-        assert cone.gorenstein == fraction_gorenstein_functional(gens), gens
-        if cone.gorenstein_ratio is not None:
-            *num, den = cone.gorenstein_ratio
-            assert den > 0 and math.gcd(*num, den) == 1, gens
-    assert any(cone.gorenstein is None for cone in seen)
+        expected = fraction_gorenstein_functional(gens)
+        if expected is None:
+            assert cone.gorenstein_ratio is None, gens
+            continue
+        *num, den = cone.gorenstein_ratio
+        assert tuple(Fraction(x, den) for x in num) == expected, gens
+        assert den > 0 and math.gcd(*num, den) == 1, gens
+    assert any(cone.gorenstein_ratio is None for cone in seen)
 
 
 def test_closed_form_dual_rays_match_dual_rays3():
@@ -197,7 +201,7 @@ def test_level_filtered_kernels_match_box_points():
     for cone in _summand_cones(iter_models(30)):
         below = _box_points_below(cone)
         assert _low_box_points(cone) == below, cone.generators
-        if cone.gorenstein is not None:
+        if cone.gorenstein_ratio is not None:
             assert is_canonical_cone3(cone) == (not below), cone.generators
             non_canonical += bool(below)
         checked += 1

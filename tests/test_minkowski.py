@@ -19,22 +19,22 @@ from conftest import division_slice_frame, iter_models, run_optimized
 
 def test_segment_golden(y83):
     s2 = segment(y83, 2)
-    assert (s2.beta, s2.gamma) == (Fraction(-3, 5), Fraction(1))
+    assert tuple(Fraction(*r) for r in s2.ends) == (Fraction(-3, 5), Fraction(1))
     s3 = segment(y83, 3)
-    assert s3.length == 2
+    assert Fraction(*s3.length_ratio) == 2
     assert s3.lattice_count == 2  # {-1, 0} in the drawn coordinates, {0, 1} here
     s4 = segment(y83, 4)
-    assert s4.length == Fraction(8, 5)
+    assert Fraction(*s4.length_ratio) == Fraction(8, 5)
     # mirror of the h=2 pattern: one endpoint on a lattice point
-    assert (s4.beta, s4.gamma) == (Fraction(0), Fraction(8, 5))
+    assert tuple(Fraction(*r) for r in s4.ends) == (Fraction(0), Fraction(8, 5))
 
 
 def test_segment_origin_certificates(y83):
     for h in (2, 3, 4):
         s = segment(y83, h)
         w = y83.wgen(h)
-        assert s.origin.dot(w) == 1 and s.unit.dot(w) == 1
-        assert s.point_at(s.beta).dot(w) == 1
+        assert s.origin.dot(w) == 1 and (s.origin + s.direction).dot(w) == 1
+        assert s.point_at(Fraction(*s.ends[0])).dot(w) == 1
 
 
 def test_segment_matches_division_frame():
@@ -44,7 +44,8 @@ def test_segment_matches_division_frame():
         for h in m.interior_indices():
             seg = segment(m, h)
             beta, gamma, origin, unit, _ = division_slice_frame(m, h)
-            assert (seg.beta, seg.gamma, seg.origin, seg.unit) == (beta, gamma, origin, unit)
+            ends = tuple(Fraction(*r) for r in seg.ends)
+            assert ends + (seg.origin, seg.origin + seg.direction) == (beta, gamma, origin, unit)
 
 
 def test_segment_coord_rejects_points_off_the_slice(y83):
@@ -109,8 +110,8 @@ def test_minkowski_sum_reconstructs():
     for m in iter_models(25):
         for dec in enum_decompositions(m):
             seg = segment(m, dec.h)
-            assert dec.s0[0] + dec.s1[0] == seg.beta
-            assert dec.s0[1] + dec.s1[1] == seg.gamma
+            (a0, b0), (a1, b1) = ([Fraction(*r) for r in e] for e in (dec.ends0, dec.ends1))
+            assert (a0 + a1, b0 + b1) == tuple(Fraction(*r) for r in seg.ends)
 
 
 def test_length_denominator_bound():
@@ -162,7 +163,7 @@ def test_segment_coordinate_roundtrip():
 def test_point_summands_are_first_class(y83):
     s3 = segment(y83, 3)
     dec = decomposition_D(s3, 2, 1)
-    assert dec.s0[0] == dec.s0[1] == Fraction(-1, 2)
+    assert Fraction(*dec.ends0[0]) == Fraction(*dec.ends0[1]) == Fraction(-1, 2)
     dec.validate(s3)
 
 

@@ -169,6 +169,26 @@ def test_scan_builds_no_3d_cone(monkeypatch):
     assert cones == []
 
 
+def test_report_path_builds_no_fraction(monkeypatch):
+    """Reports and scan rows hold every ratio, display coordinates and
+    slice lengths included, as integers over a known denominator and
+    write it with ratio_text, so neither builds a Fraction."""
+    made = []
+    fraction_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for n, q in ((8, 3), (101, 29), (151, 75)):
+        assert report_to_json(build_report(cqs_new(n, q)))
+    assert made == []
+    rows = [scan_row(n, q) for n in range(28, 32) for q in range(1, n - 1) if gcd(n, q) == 1]
+    assert len(rows) == 74 and not any("error" in row for row in rows)
+    assert made == []
+
+
 def test_report_makes_no_roof_facets_call(monkeypatch):
     """canonical_model certifies its fan by convexity across the walls, so
     a report gift-wraps no hull: roof_facets is the tests' oracle."""

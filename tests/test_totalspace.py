@@ -1,6 +1,7 @@
 import math
 
 from cqsdef.chains import enumerate_K, make_zero_chain
+from cqsdef.geometry3 import dot3
 from cqsdef.totalspace import (
     Poly,
     all_deformations,
@@ -71,8 +72,15 @@ def test_slice_embedding_check_survives_optimize():
 
 
 def test_lambda_monomial_metadata(y83):
+    """The parameter is the difference of the monomials of degrees
+    (0, 0, 1) and (0, p, 0): both are regular on sigma', and they agree on
+    the image of phi, the special fiber."""
     df = defo_by_label(y83, "pi_{3,2}^1")
-    assert df.lam_monomials == ((0, 0, 1), (0, 2, 0))
+    lam = ((0, 0, 1), (0, df.p, 0))
+    assert lam == ((0, 0, 1), (0, 2, 0))
+    for ray in (y83.sigma.ray1, y83.sigma.ray2):
+        assert dot3(lam[0], df.phi(ray)) == dot3(lam[1], df.phi(ray))
+    assert all(dot3(u, g) >= 0 for u in lam for g in df.sigma_prime.generators)
 
 
 def test_generator_relations_anchors(y83):
@@ -117,8 +125,8 @@ def test_lambda_zero_specialization():
         for df in all_deformations(m):
             eqs = deformation_equations(df)
             assert len(eqs) == m.e - 2
-            toric = [e.specialize_lambda_zero() for e in eqs]
-            assert [(e.i, e.a) for e in toric] == [
+            # at lam = 0 the main equation's exponents add up to a_h
+            assert [(e.i, e.m + e.p * e.d if e.form == "main" else e.a) for e in eqs] == [
                 (i, m.a(i)) for i in m.interior_indices()
             ]
 
@@ -282,7 +290,8 @@ def test_integer_sigma_prime_matches_rational_rays():
     for m in iter_models(30):
         for dec in enum_decompositions(m):
             df = build_deformation(m, dec)
-            (b0, g0), (b1, g1), p = dec.s0, dec.s1, df.p
+            (b0, g0), (b1, g1) = ([Fraction(*r) for r in e] for e in (dec.ends0, dec.ends1))
+            p = df.p
             b0, g0 = b0 + df.m0, g0 + df.m0
             rays = [
                 (b0, Fraction(1), Fraction(0)),
