@@ -5,7 +5,7 @@ blow-down calculus, and the chains attached to a singularity model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 from .lattice import InvariantError, cf_eval
 from .cqs import CqsModel
@@ -106,33 +106,16 @@ def rdp_chain(e: int) -> tuple[int, ...]:
     return (1,) + (2,) * (e - 4) + (1,)
 
 
+@dataclass(frozen=True)
 class NormalForm:
     """Result of blowing a chain down: Smooth, Singular(chain), or Invalid."""
 
-    SMOOTH = "smooth"
-    SINGULAR = "singular"
-    INVALID = "invalid"
+    SMOOTH: ClassVar[str] = "smooth"
+    SINGULAR: ClassVar[str] = "singular"
+    INVALID: ClassVar[str] = "invalid"
 
-    __slots__ = ("kind", "chain")
-
-    def __init__(self, kind: str, chain: Optional[tuple[int, ...]] = None):
-        self.kind = kind
-        self.chain = chain
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NormalForm)
-            and self.kind == other.kind
-            and self.chain == other.chain
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.chain))
-
-    def __repr__(self) -> str:
-        if self.kind == self.SINGULAR:
-            return f"Singular{self.chain}"
-        return self.kind.capitalize()
+    kind: str
+    chain: Optional[tuple[int, ...]] = None
 
     @property
     def is_smooth(self) -> bool:

@@ -29,6 +29,7 @@ from pathlib import Path
 from . import __version__
 from .cqs import InvalidSingularityError, cqs_new
 from .report import (
+    SCAN_ROW_TYPES,
     SCHEMA_VERSION,
     build_report,
     error_text,
@@ -42,19 +43,8 @@ EXIT_OK = 0
 EXIT_USER = 1
 EXIT_INTERNAL = 2
 
-# The type of each field of a scan_row, in CSV column order, and the key
-# sets of a finished row and of a row holding an error.
-_ROW_TYPES = {
-    "n": int,
-    "q": int,
-    "e": int,
-    "num_components": int,
-    "num_deformations": int,
-    "num_smoothings": int,
-    "t_singularity": bool,
-    "error": str,
-}
-SCAN_FIELDS = list(_ROW_TYPES)
+SCAN_FIELDS = list(SCAN_ROW_TYPES)
+# The key sets of a finished scan row and of a row holding an error.
 _ROW_KEYS = (frozenset(SCAN_FIELDS) - {"error"}, frozenset(("n", "q", "error")))
 
 
@@ -123,7 +113,7 @@ def _load_checkpoint(path: str) -> tuple[dict, int]:
     old single-object format) gives ({}, 0), so it is rewritten.
     Reading stops at the first line that does not parse, has no newline,
     or is not a row of scan_row (the keys of a finished row or of an error
-    row, each value of its type in _ROW_TYPES): that is a write torn by a
+    row, each value of its type in SCAN_ROW_TYPES): that is a write torn by a
     crash, and it and every later row are computed again.  Rows holding
     an error are left out, so they are computed again.
     """
@@ -147,7 +137,7 @@ def _load_checkpoint(path: str) -> tuple[dict, int]:
         if not (
             isinstance(row, dict)
             and frozenset(row) in _ROW_KEYS
-            and all(type(value) is _ROW_TYPES[key] for key, value in row.items())
+            and all(type(value) is SCAN_ROW_TYPES[key] for key, value in row.items())
         ):
             break
         done[(row["n"], row["q"])] = row

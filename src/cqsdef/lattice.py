@@ -161,17 +161,6 @@ def cf_eval(cf: Sequence[int]) -> Optional[Fraction]:
     return val
 
 
-def _extend_to_unimodular(r: Vec2) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Rows of a unimodular matrix U with U*r = (1, 0), for primitive r."""
-    a, b = r.as_int_pair()
-    g, s, t = _xgcd(a, b)
-    if g < 0:
-        g, s, t = -g, -s, -t
-    if g != 1:
-        raise InvariantError(f"{r} is not primitive")
-    return (s, t), (-b, a)
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     old_r, r = a, b
     old_s, s = 1, 0
@@ -191,51 +180,36 @@ def cone_normal_form(cone: Cone2) -> tuple[int, int]:
     n = cone.index()
     if n == 1:
         return 1, 0
-    (s, t), _ = _extend_to_unimodular(cone.ray1)
+    a, b = cone.ray1.as_int_pair()
+    g, s, t = _xgcd(a, b)
+    if abs(g) != 1:
+        raise InvariantError(f"{cone.ray1} is not primitive")
+    # The unimodular map with rows g*(s, t) and (-b, a) sends ray1 to (1, 0)
+    # and ray2 to (x, n); a shear by a multiple of n brings x to -q.
     x2, y2 = cone.ray2.as_int_pair()
-    x = s * x2 + t * y2
-    q = (-x) % n
-    return n, q
+    return n, (-g * (s * x2 + t * y2)) % n
 
 
 def hilbert_basis_2d(cone: Cone2) -> list[Vec2]:
     """Minimal generators of cone ∩ Z^2, swept from the ray2 side to ray1.
 
     Consecutive triples v_{i-1}, v_i, v_{i+1} satisfy v_{i-1}+v_{i+1} = c*v_i
-    with integers c >= 2; the staircase is produced by the continued fraction
-    expansion of the cone's normal-form parameters.
+    with integers c >= 2, the Hirzebruch-Jung expansion of n/q for the
+    normal form (n, q): the map of the cone onto cone((1,0), (-q, n))
+    sends v0 = ray1 to (1, 0) and v1 = (ray2 + q*ray1)/n to (0, 1).
     """
-    n = cone.index()
+    n, q = cone_normal_form(cone)
     if n == 1:
         return [cone.ray2, cone.ray1]
-    row1, row2 = _extend_to_unimodular(cone.ray1)
+    x1, y1 = cone.ray1.as_int_pair()
     x2, y2 = cone.ray2.as_int_pair()
-    x = row1[0] * x2 + row1[1] * y2
-    m = row2[0] * x2 + row2[1] * y2
-    if m != n:
-        raise InvariantError(f"the unimodular image of {cone.ray2} has height {m}, not {n}")
-    q = (-x) % n
-    shear = (-q - x) // n  # (x + shear*n, n) == (-q, n)
-
-    # Staircase in normal form: v0=(1,0), v1=(0,1), v_{j+1} = c_j v_j - v_{j-1}.
-    pts = [(1, 0), (0, 1)]
+    wx, wy = x2 + q * x1, y2 + q * y1
+    if wx % n or wy % n:
+        raise InvariantError(f"{cone.ray2} + {q}*{cone.ray1} is not in {n}Z^2")
+    pts = [(x1, y1), (wx // n, wy // n)]
     for c in cf_expand(n, q):
-        vx = c * pts[-1][0] - pts[-2][0]
-        vy = c * pts[-1][1] - pts[-2][1]
-        pts.append((vx, vy))
-    if pts[-1] != (-q, n):
-        raise InvariantError(f"the staircase ends at {pts[-1]}, not {(-q, n)}")
-
-    # Undo the shear and the unimodular change of basis.
-    # U = [[s, t], [-b, a]] has inverse [[a, -t], [b, s]]; the shear
-    # [[1, k], [0, 1]] has inverse [[1, -k], [0, 1]].
-    (s, t), (negb, a) = row1, row2
-    b = -negb
-    out = []
-    for px, py in pts:
-        ux, uy = px - shear * py, py
-        out.append(Vec2(a * ux - t * uy, b * ux + s * uy))
-    if out[0] != cone.ray1 or out[-1] != cone.ray2:
-        raise InvariantError(f"the Hilbert basis runs from {out[0]} to {out[-1]}")
-    out.reverse()
-    return out
+        (ux, uy), (vx, vy) = pts[-2], pts[-1]
+        pts.append((c * vx - ux, c * vy - uy))
+    if pts[-1] != (x2, y2):
+        raise InvariantError(f"the staircase ends at {pts[-1]}, not {(x2, y2)}")
+    return [Vec2(x, y) for x, y in reversed(pts)]

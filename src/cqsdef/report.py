@@ -171,6 +171,20 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+# The type of each field of a scan_row, in CSV column order; a row holding
+# an error has only n, q and error.
+SCAN_ROW_TYPES = {
+    "n": int,
+    "q": int,
+    "e": int,
+    "num_components": int,
+    "num_deformations": int,
+    "num_smoothings": int,
+    "t_singularity": bool,
+    "error": str,
+}
+
+
 def scan_row(n: int, q: int) -> dict:
     """Summary row for one singularity; errors are recorded, not raised."""
     try:

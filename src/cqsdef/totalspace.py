@@ -71,18 +71,6 @@ class Poly:
     def to_json(self) -> list[list[int]]:
         return [[e, c] for e, c in sorted(self.coeffs.items())]
 
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e, c in sorted(self.coeffs.items()):
-            if e == 0:
-                parts.append(str(c))
-            else:
-                mono = "lam" if e == 1 else f"lam^{e}"
-                parts.append(mono if c == 1 else f"{c}*{mono}")
-        return " + ".join(parts)
-
 
 # ---------------------------------------------------------------------------
 # the total-space cone
@@ -338,10 +326,6 @@ class VersalMap:
     t: dict[int, Poly] = field(default_factory=dict)
 
     def s_at(self, i: int, l: int) -> Poly:
-        if l == 0:
-            return Poly.const(1)
-        if l < 0:
-            return Poly()
         return self.s.get((i, l), Poly())
 
     def t_at(self, j: int) -> Poly:

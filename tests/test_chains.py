@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cqsdef.chains import (
+    Invalid,
     NormalForm,
     Smooth,
     alpha_seq,
@@ -88,6 +89,9 @@ def test_blow_down_examples():
     assert blow_down((1,)) == Smooth
     assert blow_down(()) == Smooth
     assert blow_down((1, 1, 1)).kind == NormalForm.INVALID
+    assert len({blow_down((1, 3, 2)), NormalForm(NormalForm.SINGULAR, (2, 2))}) == 1
+    assert Smooth == NormalForm(NormalForm.SMOOTH)
+    assert Invalid == NormalForm(NormalForm.INVALID)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -152,6 +153,9 @@ def test_figure_bytes_are_pinned(tmp_path, capsys, n, q, target):
 def test_figure_unknown_target(capsys):
     with pytest.raises(SystemExit):
         main(["figure", "8", "3", "nonsense", "-o", "/tmp/x.svg"])
+    message = "unknown figure target 'nonsense'; choose from ['decompositions', 'segments', 'slices']"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_figure(cqsdef.cqs.cqs_new(8, 3), "nonsense")
 
 
 def test_slices_figure_inventory(tmp_path, capsys):
@@ -307,8 +311,9 @@ def test_scan_recomputes_torn_last_line(tmp_path, monkeypatch, capsys):
         json.dumps({"schema_version": 1, "version": "0.0.0"}) + "\n",
         json.dumps({"schema_version": 0, "version": "0.1.0"}) + "\n",
         json.dumps({"3,1": {"n": 3, "q": 1, "e": 4, "num_components": 99}}),
+        '{"schema_version": 1, "version"\n',
     ],
-    ids=["foreign-version", "foreign-schema", "single-object"],
+    ids=["foreign-version", "foreign-schema", "single-object", "not-json"],
 )
 def test_scan_ignores_foreign_checkpoint(tmp_path, monkeypatch, capsys, stale):
     ckpt = tmp_path / "scan.ckpt"
@@ -373,22 +378,25 @@ def test_scan_retries_error_rows(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "bad",
     [
-        {"n": [3], "q": 1},
-        {"n": 5, "q": 2},
-        {"n": 5, "q": 2.0, "error": "x"},
-        {"n": 5, "q": 2, "e": 4, "num_components": "1", "num_deformations": 4,
-         "num_smoothings": 1, "t_singularity": False},
-        [5, 2],
+        json.dumps({"n": [3], "q": 1}).encode(),
+        json.dumps({"n": 5, "q": 2}).encode(),
+        json.dumps({"n": 5, "q": 2.0, "error": "x"}).encode(),
+        json.dumps({"n": 5, "q": 2, "e": 4, "num_components": "1", "num_deformations": 4,
+                    "num_smoothings": 1, "t_singularity": False}).encode(),
+        json.dumps([5, 2]).encode(),
+        b'{"n": 5, "q"\xff',
     ],
-    ids=["list-n", "missing-keys", "float-q", "str-count", "not-an-object"],
+    ids=["list-n", "missing-keys", "float-q", "str-count", "not-an-object", "not-json"],
 )
 def test_scan_recomputes_rows_that_are_not_scan_rows(tmp_path, monkeypatch, capsys, bad):
-    """A line that parses but is not a scan_row is a torn write: reading
-    stops there, and it and every later row are computed again."""
+    """A line that does not parse, or parses but is not a scan_row, is a
+    torn write: reading stops there, and it and every later row are
+    computed again."""
     ckpt = tmp_path / "scan.ckpt"
     _, full, _ = run(capsys, "scan", "--n-range", "3:6", "--csv", "--checkpoint", str(ckpt))
     lines = checkpoint_lines(ckpt)
-    ckpt.write_text("\n".join(lines[:3] + [json.dumps(bad)] + lines[3:]) + "\n")
+    raw = [line.encode() for line in lines]
+    ckpt.write_bytes(b"\n".join(raw[:3] + [bad] + raw[3:]) + b"\n")
     kept = {(r["n"], r["q"]) for r in map(json.loads, lines[1:3])}
 
     calls = count_scan_rows(monkeypatch)

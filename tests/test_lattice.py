@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cqsdef.lattice import (
     Cone2,
@@ -169,3 +169,31 @@ def test_cone2_reduces_and_orders_integer_rays(u, v):
 def test_cone_normal_form():
     assert cone_normal_form(Cone2(Vec2(1, 0), Vec2(-3, 8))) == (8, 3)
     assert cone_normal_form(Cone2(Vec2(1, 0), Vec2(0, 1))) == (1, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.integers(0, 10**6),
+    st.lists(st.tuples(st.booleans(), st.integers(-4, 4)), max_size=8),
+)
+def test_normal_form_is_invariant_under_sl2z(n, q, moves):
+    """Map cone((1,0), (-q,n)) by a product g of elementary matrices: the
+    image has normal form (n, q), and its Hilbert basis is the image under
+    g of the normal form's basis, in the same order."""
+    q %= n
+    assume(math.gcd(n, q) == 1)
+    (a, b), (c, d) = (1, 0), (0, 1)
+    for upper, k in moves:
+        if upper:
+            a, b = a + k * c, b + k * d
+        else:
+            c, d = c + k * a, d + k * b
+
+    def g(v: Vec2) -> Vec2:
+        return Vec2(a * v.x + b * v.y, c * v.x + d * v.y)
+
+    normal = Cone2(Vec2(1, 0), Vec2(-q, n))
+    cone = Cone2(g(normal.ray1), g(normal.ray2))
+    assert cone_normal_form(cone) == (n, q)
+    assert hilbert_basis_2d(cone) == [g(v) for v in hilbert_basis_2d(normal)]
