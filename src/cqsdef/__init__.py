@@ -17,17 +17,16 @@ from .cqs import (
     InvalidSingularityError,
     cqs_new,
     from_display_coords,
-    is_rdp,
-    is_t_singularity,
     to_display_coords,
 )
 from .chains import (
-    NormalForm,
     ZeroChain,
     alpha_seq,
     blow_down,
     chain_to_nq,
     enumerate_K,
+    is_rdp,
+    is_t_singularity,
     rdp_chain,
     special_k,
 )

@@ -1,11 +1,12 @@
 """Integer chains: chains representing zero, their height sequences, the
-blow-down calculus, and the chains attached to a singularity model.
+blow-down calculus and the predicates read off it, and the chains
+attached to a singularity model.  A singularity is its normal-form chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Sequence
+from typing import Optional, Sequence
 
 from .lattice import InvariantError, cf_eval
 from .cqs import CqsModel
@@ -106,50 +107,21 @@ def rdp_chain(e: int) -> tuple[int, ...]:
     return (1,) + (2,) * (e - 4) + (1,)
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """Result of blowing a chain down: Smooth, Singular(chain), or Invalid."""
-
-    SMOOTH: ClassVar[str] = "smooth"
-    SINGULAR: ClassVar[str] = "singular"
-    INVALID: ClassVar[str] = "invalid"
-
-    kind: str
-    chain: Optional[tuple[int, ...]] = None
-
-    @property
-    def is_smooth(self) -> bool:
-        return self.kind == self.SMOOTH
-
-    def to_json(self):
-        return "smooth" if self.is_smooth else list(self.chain or [])
-
-
-Smooth = NormalForm(NormalForm.SMOOTH)
-Invalid = NormalForm(NormalForm.INVALID)
-
-
-def blow_down_trace(
-    chain: Sequence[int],
-) -> tuple[NormalForm, list[tuple[int, int]], tuple[int, ...]]:
+def blow_down_trace(chain: Sequence[int]) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
     """Blow a chain down (leftmost 1 first), recording each step as
     (length before, position of the 1) so the process can be replayed as
     blow-ups.
 
-    Returns (normal form, trace, terminal chain).  The process stops as
-    soon as an entry drops below 1 (Invalid), the chain is (), (1) or
-    (1, 1) (Smooth), or no entry is 1 (Singular).  It is one pass over
-    the chain with a stack: every entry left of the leftmost 1 is at
-    least 2, so after a blow-down the next leftmost 1 is the decremented
-    left neighbour or lies further right.  A nonempty chain with every
-    entry at least 2 is Singular at once, with an empty trace.
+    Returns (trace, terminal chain).  The process stops as soon as an
+    entry drops below 1, the chain is (), (1) or (1, 1), or no entry is
+    1.  It is one pass over the chain with a stack: every entry left of
+    the leftmost 1 is at least 2, so after a blow-down the next leftmost
+    1 is the decremented left neighbour or lies further right.  A chain
+    whose least entry is not 1 is terminal at once, with an empty trace.
     """
     chain = tuple(chain)
-    low = min(chain, default=1)
-    if low >= 2:
-        return NormalForm(NormalForm.SINGULAR, chain), [], chain
-    if low < 1:
-        return Invalid, [], chain
+    if min(chain, default=1) != 1:
+        return [], chain
     rest = list(chain)
     left: list[int] = []  # the entries left of rest[i]; all but the last are >= 2
     i = 0
@@ -157,7 +129,7 @@ def blow_down_trace(
     while True:
         length = len(left) + len(rest) - i
         if length <= 2 and (length == 0 or left + rest[i:] in ([1], [1, 1])):
-            return Smooth, trace, tuple(left + rest[i:])
+            return trace, tuple(left + rest[i:])
         if left and left[-1] == 1:
             i -= 1
             rest[i] = left.pop()
@@ -165,8 +137,7 @@ def blow_down_trace(
             try:
                 j = rest.index(1, i)
             except ValueError:
-                left += rest[i:]
-                return NormalForm(NormalForm.SINGULAR, tuple(left)), trace, tuple(left)
+                return trace, tuple(left + rest[i:])
             left += rest[i:j]
             i = j
         pos = len(left)
@@ -177,13 +148,43 @@ def blow_down_trace(
         if pos < length - 1:
             rest[i] -= 1
             if rest[i] < 1:
-                return Invalid, trace, tuple(left + rest[i:])
+                return trace, tuple(left + rest[i:])
 
 
-def blow_down(chain: Sequence[int]) -> NormalForm:
-    """Normal form of a chain under the blow-down process."""
-    nf, _, _ = blow_down_trace(chain)
-    return nf
+def blow_down(chain: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """Normal form of a chain under the blow-down process: () when it
+    blows down to a smooth point (terminal chain (), (1) or (1, 1)), the
+    terminal chain when every entry is at least 2, and None when an entry
+    dropped below 1."""
+    _, final = blow_down_trace(chain)
+    low = min(final, default=2)
+    if low < 1:
+        return None
+    return final if low >= 2 else ()
+
+
+def is_rdp(chain: Sequence[int]) -> bool:
+    """Whether a resolution-style chain is at most a rational double point:
+    it blows down to the empty/smooth chain or to all 2's.
+    """
+    nf = blow_down(chain)
+    if nf is None:
+        raise ValueError(f"chain {chain} does not blow down cleanly")
+    return all(c == 2 for c in nf)
+
+
+def is_t_singularity(model: CqsModel) -> bool:
+    """Whether Y_(n,q) admits a Q-Gorenstein one-parameter smoothing.
+
+    Criterion: the chain (a_2,...,a_{e-1}) equals some zero-chain k except
+    at a single index h, where a_h = k_h + m with m >= 0.
+    """
+    a = model.a_chain
+    for zc in enumerate_K(model):
+        diff = [i for i in range(len(a)) if zc.k[i] != a[i]]
+        if len(diff) <= 1:
+            return True
+    return False
 
 
 def blow_up_step(chain: tuple[int, ...], pos: int, length_before: int) -> tuple[int, ...]:
@@ -223,8 +224,8 @@ def special_k(model: CqsModel, h: int) -> ZeroChain:
 
     a = list(model.a_chain)
     a[h - 2] = 1
-    nf, trace, final = blow_down_trace(tuple(a))
-    if nf.kind == NormalForm.INVALID:
+    trace, final = blow_down_trace(a)
+    if min(final, default=1) < 1:
         raise InvariantError(f"{tuple(a)} blew down below 1")
 
     k = rdp_chain(len(final) + 2)

@@ -9,6 +9,7 @@ used only when displaying coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from .lattice import Cone2, InvariantError, Ratio, Vec2, cf_expand, dual_cone, hilbert_basis_2d
 
@@ -79,8 +80,6 @@ def cqs_new(n: int, q: int) -> CqsModel:
     """Build the model for Y_(n,q); gcd(n,q)=1, n >= 3 and 0 < q < n-1."""
     if n < 2:
         raise InvalidSingularityError(f"n = {n} < 2 does not define a singularity")
-    from math import gcd
-
     if not 0 < q < n:
         raise InvalidSingularityError(f"q = {q} is not in (0, {n})")
     if gcd(n, q) != 1:
@@ -133,32 +132,3 @@ def display_n_point(v: Vec2, model: CqsModel) -> tuple[Ratio, Ratio]:
     n = model.n
     return (n * v.x + model.q * v.y, n), (v.y, n)
 
-
-def is_rdp(chain) -> bool:
-    """Whether a resolution-style chain is at most a rational double point:
-    it blows down to the empty/smooth chain or to all 2's.
-    """
-    from .chains import NormalForm, blow_down
-
-    nf = blow_down(tuple(chain))
-    if nf.kind == NormalForm.INVALID:
-        raise ValueError(f"chain {chain} does not blow down cleanly")
-    if nf.kind == NormalForm.SMOOTH:
-        return True
-    return all(c == 2 for c in nf.chain)
-
-
-def is_t_singularity(model: CqsModel) -> bool:
-    """Whether Y_(n,q) admits a Q-Gorenstein one-parameter smoothing.
-
-    Criterion: the chain (a_2,...,a_{e-1}) equals some zero-chain k except
-    at a single index h, where a_h = k_h + m with m >= 0.
-    """
-    from .chains import enumerate_K
-
-    a = model.a_chain
-    for zc in enumerate_K(model):
-        diff = [i for i in range(len(a)) if zc.k[i] != a[i]]
-        if len(diff) <= 1:
-            return True
-    return False

@@ -4,40 +4,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chains import NormalForm, blow_down
+from .chains import blow_down
 from .totalspace import Deformation
-
-ORIGIN = "origin"
-OFF_ORIGIN = "off-origin"
 
 
 @dataclass(frozen=True)
 class SingularityList:
-    """Singular points of the general fiber, after blowing the raw chains
-    down; entries that blow down to a smooth chain are dropped but the raw
-    chains are kept for auditing."""
+    """Singular points of the general fiber as normal-form chains: origin
+    is the chain at the origin, () when the origin is smooth, and
+    off_origin holds (chain, multiplicity) for the singular points off
+    it.  The raw chains, before blowing down, are kept for auditing."""
 
-    entries: tuple[tuple[NormalForm, int, str], ...]
+    origin: tuple[int, ...]
+    off_origin: tuple[tuple[tuple[int, ...], int], ...]
     raw: tuple[tuple[tuple[int, ...], int, str], ...]
 
     @property
     def is_empty(self) -> bool:
-        return not self.entries
-
-    def at_origin(self):
-        for nf, _, loc in self.entries:
-            if loc == ORIGIN:
-                return nf
-        return None
-
-    def off_origin(self) -> list[tuple[NormalForm, int]]:
-        return [(nf, mult) for nf, mult, loc in self.entries if loc == OFF_ORIGIN]
+        return not self.origin and not self.off_origin
 
     def to_json(self, verbose: bool = False) -> dict:
-        origin = self.at_origin()
         out = {
-            "origin": origin.to_json() if origin else "smooth",
-            "off_origin": [[nf.to_json(), mult] for nf, mult in self.off_origin()],
+            "origin": list(self.origin) if self.origin else "smooth",
+            "off_origin": [[list(ch), mult] for ch, mult in self.off_origin],
         }
         if verbose:
             out["raw_chains"] = [
@@ -63,25 +52,26 @@ def general_fiber(defo: Deformation) -> SingularityList:
     a = model.a_chain
     pos = dec.h - 2
     if kind == "D":
-        raw = ((a[:pos] + (a[pos] - p * d,) + a[pos + 1 :], 1, ORIGIN), ((d,), p, OFF_ORIGIN))
+        raw = ((a[:pos] + (a[pos] - p * d,) + a[pos + 1 :], 1, "origin"), ((d,), p, "off-origin"))
     else:
-        raw = (((a[pos] - d,) + a[pos + 1 :], 1, ORIGIN), (a[:pos] + (d,), 1, OFF_ORIGIN))
+        raw = (((a[pos] - d,) + a[pos + 1 :], 1, "origin"), (a[:pos] + (d,), 1, "off-origin"))
 
-    entries = []
-    for chain, mult, loc in raw:
+    normal = []
+    for chain, _, _ in raw:
         nf = model.cached(("blow_down", chain), lambda: blow_down(chain))
-        if nf.kind == NormalForm.INVALID:
+        if nf is None:
             raise RuntimeError(f"fiber chain {chain} of {defo.label} blew down below 1")
-        if not nf.is_smooth:
-            entries.append((nf, mult, loc))
-    if not entries:
+        normal.append(nf)
+    origin, off = normal
+    if not origin and not off:
         if kind == "D":
             ok = d == 1 and p == a[pos] - 1
         else:
             ok = a[pos] == 2 and d == 1
         if not ok:
             raise RuntimeError(f"{defo.label} is a smoothing outside the expected pattern")
-    return SingularityList(entries=tuple(entries), raw=raw)
+    off_origin = ((off, raw[1][1]),) if off else ()
+    return SingularityList(origin=origin, off_origin=off_origin, raw=raw)
 
 
 def is_smoothing(defo: Deformation) -> bool:

@@ -8,9 +8,9 @@ from __future__ import annotations
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 
-from .cqs import CqsModel, cqs_new, is_t_singularity
+from .cqs import CqsModel, cqs_new
 from .lattice import InvariantError
-from .chains import enumerate_K
+from .chains import enumerate_K, is_t_singularity
 from .minkowski import segment
 from .totalspace import (
     all_deformations,

@@ -46,7 +46,7 @@ class TauCone:
 
     @cached_property
     def at_most_rdp(self) -> bool:
-        """Smooth or a rational double point (normal form q = n - 1)."""
+        """At most a rational double point: smooth (n = 1) or q = n - 1 in normal form."""
         n, q = cone_normal_form(self.cone2())
         return n == 1 or q == n - 1
 

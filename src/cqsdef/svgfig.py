@@ -37,16 +37,16 @@ class _Canvas:
     def __init__(self):
         self.parts: list[str] = []
 
-    def line(self, x1, y1, x2, y2, width=1.5, color="black"):
+    def line(self, x1, y1, x2, y2, width=1.5):
         self.parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-            f'stroke="{color}" stroke-width="{width}"/>'
+            f'stroke="black" stroke-width="{width}"/>'
         )
 
-    def dot(self, x, y, filled=True, r=3.5):
+    def dot(self, x, y, filled=True):
         fill = "black" if filled else "white"
         self.parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{r}" fill="{fill}" stroke="black"/>'
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3.5" fill="{fill}" stroke="black"/>'
         )
 
     def text(self, x, y, s, size=12, anchor="middle"):
@@ -55,28 +55,28 @@ class _Canvas:
             f'text-anchor="{anchor}" font-family="serif">{s}</text>'
         )
 
-    def polygon(self, pts, fill="none"):
+    def polygon(self, pts):
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
         self.parts.append(
-            f'<polygon points="{coords}" fill="{fill}" stroke="black" stroke-width="1.5"/>'
+            f'<polygon points="{coords}" fill="none" stroke="black" stroke-width="1.5"/>'
         )
 
     def render(self, w, h) -> str:
         return "\n".join([_SVG_HEAD.format(w=w, h=h), *self.parts, "</svg>"])
 
 
-def _draw_interval(cv: _Canvas, x0: float, y: float, lo: Fraction, hi: Fraction, scale=UNIT):
+def _draw_interval(cv: _Canvas, x0: float, y: float, lo: Fraction, hi: Fraction):
     """One interval with lattice dots and endpoint labels; a point interval
     is drawn as an open dot."""
-    ax0, ax1 = x0 + float(lo) * scale, x0 + float(hi) * scale
+    ax0, ax1 = x0 + float(lo) * UNIT, x0 + float(hi) * UNIT
     if lo == hi:
         cv.dot(ax0, y, filled=Fraction(lo).denominator == 1)
         cv.text(ax0, y - 10, str(lo), size=11)
         return
     cv.line(ax0, y, ax1, y)
     for c in range(math.ceil(lo), math.floor(hi) + 1):
-        cv.dot(x0 + c * scale, y)
-        cv.text(x0 + c * scale, y + 18, str(c), size=10)
+        cv.dot(x0 + c * UNIT, y)
+        cv.text(x0 + c * UNIT, y + 18, str(c), size=10)
     cv.text(ax0, y - 10, str(lo), size=11)
     cv.text(ax1, y - 10, str(hi), size=11)
 
@@ -166,11 +166,13 @@ def slices_figure(model: CqsModel) -> str:
         for (c1, l1), (c2, l2) in edges:
             cv.line(*pos(c1, l1), *pos(c2, l2), width=1.0)
         for c in sorted(set(pts0)):
-            cv.dot(*pos(c, 1), filled=Fraction(c).denominator == 1)
-            cv.text(*(lambda p: (p[0], p[1] - 8))(pos(c, 1)), str(c), size=10)
+            px, py = pos(c, 1)
+            cv.dot(px, py, filled=Fraction(c).denominator == 1)
+            cv.text(px, py - 8, str(c), size=10)
         for c in sorted(set(pts1)):
-            cv.dot(*pos(c, 0), filled=Fraction(c).denominator == 1)
-            cv.text(*(lambda p: (p[0], p[1] + 18))(pos(c, 0)), str(c), size=10)
+            px, py = pos(c, 0)
+            cv.dot(px, py, filled=Fraction(c).denominator == 1)
+            cv.text(px, py + 18, str(c), size=10)
         cv.text(16, y + scale_y / 2, fd.label, size=12, anchor="start")
         width = max(width, x0 + float(hi) * UNIT + PAD)
         y += scale_y + ROW

@@ -172,14 +172,14 @@ class GeneratorRelations:
 
     v: tuple[IVec3, ...]
     v_tilde: IVec3
-    relations: tuple[tuple, ...]  # (description, lhs, rhs) with lhs == rhs
+    relations: tuple[tuple[str, IVec3], ...]  # (description, value of both sides)
 
     def to_json(self) -> dict:
         return {
             "v": [list(x) for x in self.v],
             "v_tilde": list(self.v_tilde),
             "relations": [
-                {"relation": desc, "value": list(lhs)} for desc, lhs, rhs in self.relations
+                {"relation": desc, "value": list(value)} for desc, value in self.relations
             ],
         }
 
@@ -228,7 +228,7 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
     def rel(desc, lhs, rhs):
         if lhs != rhs:
             raise RuntimeError(f"{defo.label}: relation {desc} fails: {lhs} != {rhs}")
-        relations.append((desc, lhs, rhs))
+        relations.append((desc, lhs))
 
     skip = {h} if defo.kind == "D" else {h - 1, h}
     for i in range(2, e):

@@ -15,7 +15,6 @@ import pytest
 
 import cqsdef
 from cqsdef.lattice import Cone2, Vec2, _xgcd, cf_eval
-from cqsdef.chains import NormalForm
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import (
     _facet_polygon_vertices,
@@ -136,16 +135,17 @@ def blow_down_step(chain: tuple[int, ...], pos: int) -> tuple[int, ...]:
 def quadratic_blow_down_trace(chain):
     """Blow a chain down (leftmost 1 first) by rescanning the whole chain
     before every step; returns (normal form, [(chain, pos), ...], terminal
-    chain)."""
+    chain), the normal form being None (an entry below 1), () (smooth) or
+    the terminal chain."""
     cur = tuple(chain)
     trace = []
     while True:
         if any(c < 1 for c in cur):
-            return NormalForm(NormalForm.INVALID), trace, cur
+            return None, trace, cur
         if cur in ((1,), (1, 1)) or len(cur) == 0:
-            return NormalForm(NormalForm.SMOOTH), trace, cur
+            return (), trace, cur
         if 1 not in cur:
-            return NormalForm(NormalForm.SINGULAR, cur), trace, cur
+            return cur, trace, cur
         pos = cur.index(1)
         trace.append((cur, pos))
         cur = blow_down_step(cur, pos)

@@ -8,8 +8,8 @@ import math
 import random
 from math import gcd
 
-from cqsdef.chains import enumerate_K
-from cqsdef.cqs import cqs_new, is_t_singularity, to_display_coords
+from cqsdef.chains import enumerate_K, is_t_singularity
+from cqsdef.cqs import cqs_new, to_display_coords
 from cqsdef.fibers import general_fiber, is_smoothing
 from cqsdef.geometry3 import Cone3, hilbert_basis_3d, roof_facets
 from cqsdef.lattice import Cone2, Vec2, dual_cone, hilbert_basis_2d
@@ -85,18 +85,14 @@ def test_criterion_1_golden_y83():
     fibers = {}
     for df in defos:
         fib = general_fiber(df)
-        origin = fib.at_origin()
-        fibers[df.label] = (
-            origin.chain if origin else None,
-            sorted((nf.chain, mult) for nf, mult in fib.off_origin()),
-        )
+        fibers[df.label] = (fib.origin, sorted(fib.off_origin))
     assert fibers == {
         "pi_{2,1}^1": ((2, 2), []),
         "pi_{3,1}^1": ((2, 2, 2), []),
-        "pi_{3,1}^2": (None, [((2,), 1)]),
-        "pi_{3,2}^1": (None, []),
+        "pi_{3,1}^2": ((), [((2,), 1)]),
+        "pi_{3,2}^1": ((), []),
         "pibar_{3}^1": ((2, 2), []),
-        "pibar_{3}^2": (None, [((2, 2), 1)]),
+        "pibar_{3}^2": ((), [((2, 2), 1)]),
         "pi_{4,1}^1": ((2, 2), []),
     }
     assert [df.label for df in defos if is_smoothing(df)] == ["pi_{3,2}^1"]

@@ -5,10 +5,9 @@ from cqsdef.cqs import (
     InvalidSingularityError,
     cqs_new,
     from_display_coords,
-    is_rdp,
-    is_t_singularity,
     to_display_coords,
 )
+from cqsdef.chains import enumerate_K, is_rdp, is_t_singularity
 from cqsdef.lattice import Vec2
 from cqsdef.minkowski import segment_length
 from conftest import iter_models
@@ -101,8 +100,6 @@ def test_is_t_singularity(y83):
     assert is_t_singularity(cqs_new(4, 1)) is True
     # brute-force reading for a non-T case
     m = cqs_new(7, 3)
-    from cqsdef.chains import enumerate_K
-
     expected = any(
         sum(1 for i in range(len(m.a_chain)) if zc.k[i] != m.a_chain[i]) <= 1
         for zc in enumerate_K(m)
@@ -117,6 +114,8 @@ def test_is_rdp():
     assert is_rdp((2, 1, 2)) is True  # blows down to a smooth chain
     assert is_rdp((1, 3, 2)) is True  # blows down to (2, 2)
     assert is_rdp((2, 3, 2)) is False
+    with pytest.raises(ValueError, match="does not blow down cleanly"):
+        is_rdp((1, 1, 1))
 
 
 def test_model_json(y83):
@@ -128,7 +127,6 @@ def test_model_json(y83):
 def test_results_are_memoised_per_model():
     """Derived data lives on the model that computed it: one model hands
     back the same objects, a second model of the same (n, q) its own."""
-    from cqsdef.chains import enumerate_K
     from cqsdef.minkowski import segment
     from cqsdef.resolutions import p_resolution_fan
 

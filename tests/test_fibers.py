@@ -1,7 +1,6 @@
 import pytest
 
 from cqsdef import fibers
-from cqsdef.chains import Invalid
 from cqsdef.cqs import cqs_new
 from cqsdef.fibers import general_fiber, is_smoothing
 from cqsdef.report import scan_row
@@ -13,20 +12,16 @@ def fiber_table(model):
     out = {}
     for df in all_deformations(model):
         fib = general_fiber(df)
-        origin = fib.at_origin()
-        out[df.label] = (
-            origin.chain if origin else None,
-            sorted((nf.chain, mult) for nf, mult in fib.off_origin()),
-        )
+        out[df.label] = (fib.origin, sorted(fib.off_origin))
     return out
 
 
 def test_golden_fibers(y83):
     table = fiber_table(y83)
-    assert table["pi_{3,2}^1"] == (None, [])  # smooth fiber
-    assert table["pi_{3,1}^2"] == (None, [((2,), 1)])  # one A_1 off the origin
+    assert table["pi_{3,2}^1"] == ((), [])  # smooth fiber
+    assert table["pi_{3,1}^2"] == ((), [((2,), 1)])  # one A_1 off the origin
     assert table["pibar_{3}^1"] == ((2, 2), [])  # (2,1) off-origin blows down
-    assert table["pibar_{3}^2"] == (None, [((2, 2), 1)])
+    assert table["pibar_{3}^2"] == ((), [((2, 2), 1)])
     assert table["pi_{2,1}^1"] == ((2, 2), [])  # (1,3,2) blown down
     assert table["pi_{4,1}^1"] == ((2, 2), [])  # (2,3,1) blown down
     assert table["pi_{3,1}^1"] == ((2, 2, 2), [])
@@ -72,7 +67,7 @@ def test_a0_dropped():
         for df in all_deformations(m):
             if df.kind == "D" and df.d == 1:
                 fib = general_fiber(df)
-                assert all(nf.chain != (1,) for nf, _ in fib.off_origin())
+                assert all(ch != (1,) for ch, _ in fib.off_origin)
                 assert ((1,), df.p, "off-origin") in fib.raw
 
 
@@ -138,7 +133,7 @@ def test_invalid_chain_raises_on_every_call(monkeypatch):
     assert len(sharing) == 4
     blow_down = fibers.blow_down
     monkeypatch.setattr(
-        fibers, "blow_down", lambda chain: Invalid if chain == (1,) else blow_down(chain)
+        fibers, "blow_down", lambda chain: None if chain == (1,) else blow_down(chain)
     )
     model = cqs_new(8, 3)
     failed = []
@@ -146,23 +141,22 @@ def test_invalid_chain_raises_on_every_call(monkeypatch):
         if df.label in sharing:
             with pytest.raises(RuntimeError, match=r"fiber chain \(1,\) .* blew down below 1"):
                 general_fiber(df)
-            assert model._memo[("blow_down", (1,))] is Invalid
+            assert model._memo[("blow_down", (1,))] is None
             failed.append(df.label)
     assert failed == sharing
 
 
 def test_smoothing_pattern_check_survives_optimize():
-    """With every chain blowing down to Smooth, the four deformations of
+    """With every chain blowing down to a smooth point, the four deformations of
     Y(8,3) at h = 3 other than pi_{3,2}^1 break the smoothing pattern, on
     their first call and again on a second call that reads every chain
     from the memo."""
     code = (
         "import sys\n"
         "from cqsdef import fibers\n"
-        "from cqsdef.chains import Smooth\n"
         "from cqsdef.cqs import cqs_new\n"
         "from cqsdef.totalspace import all_deformations\n"
-        "fibers.blow_down = lambda chain: Smooth\n"
+        "fibers.blow_down = lambda chain: ()\n"
         "for df in all_deformations(cqs_new(8, 3)):\n"
         "    for _ in range(2):\n"
         "        try:\n"

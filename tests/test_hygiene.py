@@ -1,8 +1,10 @@
 """Dead names in the library, found with the standard library's ast: an
 import that nothing reads, an import inside a function of a name the
 module already imports, and a local name that a function assigns and
-never reads; assert statements, which python -O drops; and module-level
-definitions, methods and properties that nothing references."""
+never reads; imports of the package's own modules inside a function,
+which hide an import cycle; assert statements, which python -O drops;
+and module-level definitions, methods and properties that nothing
+references."""
 
 import ast
 from pathlib import Path
@@ -121,6 +123,49 @@ def test_dead_names_are_found(tmp_path):
         "sample.py:7: f imports math again",
         "sample.py:8: unused import json in f",
         "sample.py:11: f assigns w and never reads it",
+    ]
+
+
+def package_imports_in_functions(path: Path) -> list[str]:
+    """The relative imports that a function of the module makes.  Every
+    module imports its package siblings at the top, so that an import
+    cycle fails on import instead of hiding in a function body; a
+    standard-library import inside a function is allowed."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno}: {func.name} imports {'.' * node.level}{node.module or ''}"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in _own_nodes(func)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_package_imports_in_functions(path):
+    assert package_imports_in_functions(path) == []
+
+
+def test_package_imports_in_functions_are_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from .lattice import cf_eval\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        "    import hashlib\n"
+        "    from math import gcd\n"
+        "    from .chains import blow_down\n"
+        "\n"
+        "    def g():\n"
+        "        from . import cqs\n"
+        "        return cqs\n"
+        "\n"
+        "    return blow_down(x), gcd(*x), hashlib, g, cf_eval\n"
+    )
+    assert package_imports_in_functions(path) == [
+        "sample.py:7: f imports .chains",
+        "sample.py:10: g imports .",
     ]
 
 

@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from cqsdef.chains import enumerate_K
+from cqsdef.chains import enumerate_K, is_rdp
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import Cone3, is_canonical_cone3
-from cqsdef.lattice import Vec2
+from cqsdef.lattice import Vec2, cf_expand, cone_normal_form
 from cqsdef.minkowski import decomposition_D, decomposition_Dbar, segment
 from cqsdef.resolutions import (
     MaxCone3,
@@ -65,8 +65,6 @@ def test_roof_lengths():
 def test_p_resolution_cones_are_t_or_smooth():
     """Every non-degenerate fan cone is smooth or admits the one-slot
     zero-chain pattern."""
-    from cqsdef.lattice import cone_normal_form
-    from cqsdef.lattice import cf_expand
     from cqsdef.chains import zero_chains_bounded
 
     for m in iter_models(20):
@@ -86,6 +84,23 @@ def test_p_resolution_cones_are_t_or_smooth():
                     for zc2 in zero_chains_bounded(chain)
                 )
                 assert found, (m.n, m.q, zc.k, tau.i, chain)
+
+
+def test_at_most_rdp_matches_the_chain_route():
+    """A fan cone is at most an RDP, read off its normal form, exactly
+    when the Hirzebruch-Jung chain of its normal form blows down to a
+    smooth point or to all 2's."""
+    verdicts = []
+    for m in iter_models(30):
+        for zc in enumerate_K(m):
+            for tau in p_resolution_fan(m, zc).cones:
+                if tau.degenerate:
+                    continue
+                n, q = cone_normal_form(tau.cone2())
+                expected = is_rdp(cf_expand(n, q) if n > 1 else ())
+                assert tau.at_most_rdp is expected, (m.n, m.q, zc.k, tau.i, n, q)
+                verdicts.append(expected)
+    assert (len(verdicts), sum(verdicts)) == (895, 745)
 
 
 def _fractions(ends):
