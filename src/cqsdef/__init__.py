@@ -4,7 +4,6 @@ two-dimensional cyclic quotient singularities."""
 from .lattice import (
     Cone2,
     InvariantError,
-    Vec2,
     cf_eval,
     cf_expand,
     dual_cone,
@@ -34,7 +33,6 @@ from .minkowski import (
     Decomposition,
     Segment,
     enum_decompositions,
-    lattice_point_count,
     segment,
     segment_length,
 )

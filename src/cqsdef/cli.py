@@ -49,11 +49,12 @@ _ROW_KEYS = (frozenset(SCAN_FIELDS) - {"error"}, frozenset(("n", "q", "error")))
 
 
 def _write_output(text: str, path: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if path and path != "-":
         with open(path, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def cmd_analyze(args) -> int:
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n-range", type=_parse_range, required=True, metavar="A:B")
     fmt = ps.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--csv", action="store_true")
+    fmt.add_argument("--csv", action="store_true", help="emit CSV rows (the default)")
     ps.add_argument(
         "--checkpoint", metavar="FILE", help="resume from / append finished rows to FILE (JSON lines)"
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .lattice import Cone2, InvariantError, Ratio, Vec2, cf_expand, dual_cone, hilbert_basis_2d
+from .lattice import Cone2, InvariantError, IVec2, Ratio, cf_expand, dual_cone, hilbert_basis_2d
 
 
 class InvalidSingularityError(ValueError):
@@ -41,7 +41,7 @@ class CqsModel:
     q: int
     e: int
     a_chain: tuple[int, ...]
-    w: tuple[Vec2, ...]
+    w: tuple[IVec2, ...]
     sigma: Cone2
     _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
 
@@ -58,7 +58,7 @@ class CqsModel:
         """The chain entry a_h, indexed like the generators (2 <= h <= e-1)."""
         return self.a_chain[h - 2]
 
-    def wgen(self, h: int) -> Vec2:
+    def wgen(self, h: int) -> IVec2:
         """Dual generator w^h, 1 <= h <= e."""
         return self.w[h - 1]
 
@@ -71,7 +71,7 @@ class CqsModel:
             "q": self.q,
             "e": self.e,
             "a_chain": list(self.a_chain),
-            "dual_generators": [list(v.as_int_pair()) for v in self.w],
+            "dual_generators": [list(v) for v in self.w],
             "dual_generators_display": [list(to_display_coords(v, self)) for v in self.w],
         }
 
@@ -84,51 +84,53 @@ def cqs_new(n: int, q: int) -> CqsModel:
         raise InvalidSingularityError(f"q = {q} is not in (0, {n})")
     if gcd(n, q) != 1:
         raise InvalidSingularityError(f"gcd({n}, {q}) != 1")
-    if q == n - 1 or n == 2:
+    if q == n - 1:
         raise HypersurfaceError(
             f"Y_({n},{q}) is a hypersurface (q = n-1); its versal base is irreducible"
         )
 
     a_chain = tuple(cf_expand(n, n - q))
-    sigma = Cone2(Vec2(1, 0), Vec2(-q, n))
+    sigma = Cone2((1, 0), (-q, n))
     w = tuple(hilbert_basis_2d(dual_cone(sigma)))
-    if w[0] != Vec2(0, 1) or w[-1] != Vec2(n, q):
+    if w[0] != (0, 1) or w[-1] != (n, q):
         raise InvariantError(f"the dual generators of Y_({n},{q}) run from {w[0]} to {w[-1]}")
     e = len(w)
     if e != len(a_chain) + 2:
         raise InvariantError(f"{e} dual generators for a chain of length {len(a_chain)}")
     for i in range(1, e - 1):
-        u, v, c = w[i - 1], w[i + 1], a_chain[i - 1]
-        if u.x + v.x != c * w[i].x or u.y + v.y != c * w[i].y:
+        (ux, uy), (vx, vy), (wx, wy), c = w[i - 1], w[i + 1], w[i], a_chain[i - 1]
+        if ux + vx != c * wx or uy + vy != c * wy:
             raise InvariantError(f"three-term relation fails at {i + 1}")
     return CqsModel(n=n, q=q, e=e, a_chain=a_chain, w=w, sigma=sigma)
 
 
-def to_display_coords(w_a: Vec2, model: CqsModel) -> tuple[int, int]:
+def to_display_coords(w_a: IVec2, model: CqsModel) -> IVec2:
     """Display a dual vector in the bigraded convention-B coordinates.
 
     The map sends (a1, a2) to [a1, n*a2 - q*a1]; its inverse is
     [u1, u2] -> (u1, (q*u1 + u2)/n).  Images satisfy q*u1 + u2 = 0 mod n.
     """
-    x, y = w_a.as_int_pair()
+    x, y = w_a
+    if x % 1 or y % 1:
+        raise ValueError(f"not a lattice point: ({x}, {y})")
     u = (x, model.n * y - model.q * x)
     if (model.q * u[0] + u[1]) % model.n:
         raise InvariantError(f"display coordinates {u} are off the display lattice")
     return u
 
 
-def from_display_coords(u: tuple[int, int], model: CqsModel) -> Vec2:
+def from_display_coords(u: IVec2, model: CqsModel) -> IVec2:
     """Inverse of to_display_coords; rejects pairs outside the image lattice."""
     u1, u2 = u
     num = model.q * u1 + u2
     if num % model.n != 0:
         raise ValueError(f"{u} is not in the display lattice for (n,q)=({model.n},{model.q})")
-    return Vec2(u1, num // model.n)
+    return u1, num // model.n
 
 
-def display_n_point(v: Vec2, model: CqsModel) -> tuple[Ratio, Ratio]:
+def display_n_point(v: IVec2, model: CqsModel) -> tuple[Ratio, Ratio]:
     """Display a point of N (convention A) in convention-B coordinates,
     each as an integer ratio over n."""
-    n = model.n
-    return (n * v.x + model.q * v.y, n), (v.y, n)
+    (x, y), n = v, model.n
+    return (n * x + model.q * y, n), (y, n)
 

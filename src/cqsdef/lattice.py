@@ -1,13 +1,15 @@
-"""Exact 2D lattice primitives: vectors, oriented cones, Hirzebruch-Jung
-continued fractions, and Hilbert bases of two-dimensional cones; and
-InvariantError, the package's one exception for a broken internal
-invariant, kept here because every other module imports this one.
+"""Exact 2D lattice primitives: integer vectors, oriented cones,
+Hirzebruch-Jung continued fractions, and Hilbert bases of
+two-dimensional cones; and InvariantError, the package's one exception
+for a broken internal invariant, kept here because every other module
+imports this one.
 
-All arithmetic is exact; rational numbers are ``fractions.Fraction``, or
-``Ratio`` pairs where the denominator is known in advance, which
-``ratio_text`` writes as the Fraction would print.  A ``Cone2`` is
-built from lattice rays only, so its rays and everything read off them
-are plain integers.
+A 2D lattice vector is a plain pair of ints (``IVec2``), as a 3D one is
+a triple in ``geometry3``.  All arithmetic is exact; rational numbers
+are ``fractions.Fraction``, or ``Ratio`` pairs where the denominator is
+known in advance, which ``ratio_text`` writes as the Fraction would
+print.  A ``Cone2`` is built from lattice rays only, so its rays and
+everything read off them are plain integers.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-Rat = Union[int, Fraction]
 # A rational number as (numerator, denominator) with a positive denominator,
 # not necessarily in lowest terms: the form in which the slice code keeps
 # numbers whose denominators it knows in advance.
@@ -43,56 +44,30 @@ class InvariantError(RuntimeError):
     python -O as well."""
 
 
-@dataclass(frozen=True)
-class Vec2:
-    """A point of the plane with exact rational coordinates."""
-
-    x: Rat
-    y: Rat
-
-    def __add__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Vec2") -> "Vec2":
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
-    def __rmul__(self, c: Rat) -> "Vec2":
-        return Vec2(c * self.x, c * self.y)
-
-    def dot(self, other: "Vec2") -> Rat:
-        return self.x * other.x + self.y * other.y
-
-    def det(self, other: "Vec2") -> Rat:
-        """Signed area det(self, other) = x1*y2 - y1*x2."""
-        return self.x * other.y - self.y * other.x
-
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
-    def is_integral(self) -> bool:
-        if type(self.x) is int and type(self.y) is int:
-            return True
-        return Fraction(self.x).denominator == 1 and Fraction(self.y).denominator == 1
-
-    def as_int_pair(self) -> tuple[int, int]:
-        if not self.is_integral():
-            raise ValueError(f"not a lattice point: {self}")
-        return int(self.x), int(self.y)
-
-    def __repr__(self) -> str:
-        return f"({self.x}, {self.y})"
+IVec2 = tuple[int, int]
 
 
-def primitive(v: Vec2) -> Vec2:
-    """Divide an integral vector by the gcd of its coordinates."""
-    if v.is_zero():
-        raise ValueError("zero vector has no primitive representative")
-    a, b = v.as_int_pair()
+def dot2(a, b):
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def det2(a, b):
+    """Signed area det(a, b) = a_x*b_y - a_y*b_x."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def primitive(v) -> IVec2:
+    """Divide an integral vector by the gcd of its coordinates; integral
+    Fractions become ints, and a non-lattice point raises ValueError."""
+    a, b = v
+    if type(a) is not int or type(b) is not int:
+        if Fraction(a).denominator != 1 or Fraction(b).denominator != 1:
+            raise ValueError(f"not a lattice point: ({a}, {b})")
+        a, b = int(a), int(b)
     g = math.gcd(a, b)
-    return Vec2(a // g, b // g)
+    if g == 0:
+        raise ValueError("zero vector has no primitive representative")
+    return a // g, b // g
 
 
 @dataclass(frozen=True)
@@ -104,12 +79,12 @@ class Cone2:
     reordered if needed, so the stored rays satisfy det(ray1, ray2) > 0.
     """
 
-    ray1: Vec2
-    ray2: Vec2
+    ray1: IVec2
+    ray2: IVec2
 
-    def __init__(self, ray1: Vec2, ray2: Vec2):
+    def __init__(self, ray1, ray2):
         r1, r2 = primitive(ray1), primitive(ray2)
-        d = r1.det(r2)
+        d = det2(r1, r2)
         if d == 0:
             raise ValueError("rays are collinear; cone is not strictly convex")
         if d < 0:
@@ -119,18 +94,17 @@ class Cone2:
 
     def index(self) -> int:
         """Index of the sublattice spanned by the rays (the ray determinant)."""
-        return int(self.ray1.det(self.ray2))
+        return det2(self.ray1, self.ray2)
 
-    def contains(self, v: Vec2) -> bool:
-        return self.ray1.det(v) >= 0 and v.det(self.ray2) >= 0
+    def contains(self, v: IVec2) -> bool:
+        return det2(self.ray1, v) >= 0 and det2(v, self.ray2) >= 0
 
 
 def dual_cone(cone: Cone2) -> Cone2:
     """The dual cone {u : <u, v> >= 0 for all v in cone}."""
-    r1, r2 = cone.ray1, cone.ray2
-    u1 = Vec2(-r1.y, r1.x)   # vanishes on ray1, positive on ray2
-    u2 = Vec2(r2.y, -r2.x)   # vanishes on ray2, positive on ray1
-    return Cone2(u1, u2)
+    (x1, y1), (x2, y2) = cone.ray1, cone.ray2
+    # (-y1, x1) vanishes on ray1 and is positive on ray2; (y2, -x2) the reverse
+    return Cone2((-y1, x1), (y2, -x2))
 
 
 def cf_expand(num: int, den: int) -> tuple[int, ...]:
@@ -180,17 +154,17 @@ def cone_normal_form(cone: Cone2) -> tuple[int, int]:
     n = cone.index()
     if n == 1:
         return 1, 0
-    a, b = cone.ray1.as_int_pair()
+    a, b = cone.ray1
     g, s, t = _xgcd(a, b)
     if abs(g) != 1:
         raise InvariantError(f"{cone.ray1} is not primitive")
     # The unimodular map with rows g*(s, t) and (-b, a) sends ray1 to (1, 0)
     # and ray2 to (x, n); a shear by a multiple of n brings x to -q.
-    x2, y2 = cone.ray2.as_int_pair()
+    x2, y2 = cone.ray2
     return n, (-g * (s * x2 + t * y2)) % n
 
 
-def hilbert_basis_2d(cone: Cone2) -> list[Vec2]:
+def hilbert_basis_2d(cone: Cone2) -> list[IVec2]:
     """Minimal generators of cone ∩ Z^2, swept from the ray2 side to ray1.
 
     Consecutive triples v_{i-1}, v_i, v_{i+1} satisfy v_{i-1}+v_{i+1} = c*v_i
@@ -201,8 +175,7 @@ def hilbert_basis_2d(cone: Cone2) -> list[Vec2]:
     n, q = cone_normal_form(cone)
     if n == 1:
         return [cone.ray2, cone.ray1]
-    x1, y1 = cone.ray1.as_int_pair()
-    x2, y2 = cone.ray2.as_int_pair()
+    (x1, y1), (x2, y2) = cone.ray1, cone.ray2
     wx, wy = x2 + q * x1, y2 + q * y1
     if wx % n or wy % n:
         raise InvariantError(f"{cone.ray2} + {q}*{cone.ray1} is not in {n}Z^2")
@@ -212,4 +185,4 @@ def hilbert_basis_2d(cone: Cone2) -> list[Vec2]:
         pts.append((c * vx - ux, c * vy - uy))
     if pts[-1] != (x2, y2):
         raise InvariantError(f"the staircase ends at {pts[-1]}, not {(x2, y2)}")
-    return [Vec2(x, y) for x, y in reversed(pts)]
+    return pts[::-1]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .lattice import Ratio, Vec2, ratio_text
+from .lattice import IVec2, Ratio, dot2, ratio_text
 from .cqs import CqsModel
 
 
@@ -30,17 +30,17 @@ class Segment:
     h: int
     ends: tuple[Ratio, Ratio]
     m0: int
-    w: Vec2
-    w_next: Vec2
+    w: IVec2
+    w_next: IVec2
 
     @property
-    def direction(self) -> Vec2:
-        return Vec2(self.w.y, -self.w.x)
+    def direction(self) -> IVec2:
+        return self.w[1], -self.w[0]
 
     @property
-    def origin(self) -> Vec2:
+    def origin(self) -> IVec2:
         """The lattice point at coordinate 0."""
-        return Vec2(-self.w_next.y, self.w_next.x) + self.m0 * self.direction
+        return self.point_at(0)
 
     @property
     def length_ratio(self) -> Ratio:
@@ -52,17 +52,19 @@ class Segment:
         (b, bd), (g, gd) = self.ends
         return g // gd + (-b) // bd + 1  # floor(gamma) - ceil(beta) + 1
 
-    def point_at(self, coord) -> Vec2:
-        """The point of the slicing line at the given lattice coordinate."""
-        return self.origin + coord * self.direction
+    def point_at(self, coord):
+        """The point of the slicing line at the given lattice coordinate,
+        which may be rational."""
+        (x, y), (nx, ny), c = self.w, self.w_next, self.m0 + coord
+        return c * y - ny, nx - c * x
 
-    def coord(self, ray: Vec2) -> Ratio:
+    def coord(self, ray: IVec2) -> Ratio:
         """Coordinate of the point where the ray meets the slicing line,
         as a ratio over the denominator <ray, w^h>."""
-        t = ray.dot(self.w)
+        t = dot2(ray, self.w)
         if t <= 0:
             raise RuntimeError(f"ray {ray} does not meet the slice at height {t}")
-        return ray.dot(self.w_next) - t * self.m0, t
+        return dot2(ray, self.w_next) - t * self.m0, t
 
     def to_json(self) -> dict:
         return {
@@ -86,15 +88,16 @@ def _build_segment(model: CqsModel, h: int) -> Segment:
     n, q = model.n, model.q
     # <ray, w^h> and <ray, w^{h+1}> for the rays (-q, n) and (1, 0) of sigma;
     # the ends are their coordinates, as Segment.coord gives them.
-    t_left, u_left = n * w.y - q * w.x, n * w_next.y - q * w_next.x
-    t_right, u_right = w.x, w_next.x
+    (x, y), (nx, ny) = w, w_next
+    t_left, u_left = n * y - q * x, n * ny - q * nx
+    t_right, u_right = x, nx
     if t_left <= 0 or t_right <= 0:
         raise RuntimeError(f"a ray of sigma does not meet the slice at w^{h}")
     m0 = -(-u_left // t_left)
     ends = ((u_left - t_left * m0, t_left), (u_right - t_right * m0, t_right))
     seg = Segment(h=h, ends=ends, m0=m0, w=w, w_next=w_next)
     num, den = seg.length_ratio
-    if num * w.x * (w.y * model.n - w.x * model.q) != model.n * den:
+    if num * x * (y * model.n - x * model.q) != model.n * den:
         raise RuntimeError(
             f"slice length mismatch for (n,q)=({model.n},{model.q}) h={h}: "
             f"geometric {ratio_text(num, den)} vs formula {segment_length(model, h)}"
@@ -104,13 +107,8 @@ def _build_segment(model: CqsModel, h: int) -> Segment:
 
 def segment_length(model: CqsModel, h: int) -> Fraction:
     """Length n / (w1 * (w2*n - w1*q)) of the slice at w^h."""
-    w1, w2 = model.wgen(h).as_int_pair()
+    w1, w2 = model.wgen(h)
     return Fraction(model.n, w1 * (w2 * model.n - w1 * model.q))
-
-
-def lattice_point_count(model: CqsModel, h: int) -> int:
-    """Number of lattice points in the closed slice; a_h - 1 at interior h."""
-    return segment(model, h).lattice_count
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .lattice import Cone2, InvariantError, Ratio, Vec2, cone_normal_form, ratio_text
+from .lattice import Cone2, InvariantError, IVec2, Ratio, cone_normal_form, dot2, ratio_text
 from .cqs import CqsModel, display_n_point
 from .chains import ZeroChain
 from .minkowski import Decomposition, check_lattice_ends, Segment, segment
@@ -30,8 +30,8 @@ class TauCone:
     with respect to w^i; right is the boundary toward the (1,0)-ray."""
 
     i: int
-    ray_right: Vec2
-    ray_left: Vec2
+    ray_right: IVec2
+    ray_left: IVec2
     alpha: int
     roof_len: int
 
@@ -59,7 +59,7 @@ class PResolutionFan:
 
     model: CqsModel
     k: ZeroChain
-    rays: tuple[Vec2, ...]
+    rays: tuple[IVec2, ...]
     cones: tuple[TauCone, ...]
 
     def cone_at(self, i: int) -> TauCone:
@@ -68,7 +68,7 @@ class PResolutionFan:
     def to_json(self) -> dict:
         return {
             "k": list(self.k.k),
-            "rays": [list(v.as_int_pair()) for v in self.rays],
+            "rays": [list(v) for v in self.rays],
             "rays_display": [
                 [ratio_text(*r) for r in display_n_point(v, self.model)] for v in self.rays
             ],
@@ -90,30 +90,30 @@ def p_resolution_fan(model: CqsModel, k: ZeroChain) -> PResolutionFan:
 
 def _build_p_resolution(model: CqsModel, k: ZeroChain) -> PResolutionFan:
     e = model.e
-    boundary: list[Vec2] = [Vec2(1, 0)]
+    boundary: list[IVec2] = [(1, 0)]
     for j in range(2, e - 1):
-        w_j, w_n = model.wgen(j), model.wgen(j + 1)
-        det = w_j.x * w_n.y - w_j.y * w_n.x
+        (xj, yj), (xn, yn) = model.wgen(j), model.wgen(j + 1)
+        det = xj * yn - yj * xn
         if det not in (1, -1):
             raise InvariantError(f"w^{j} and w^{j + 1} span a sublattice of index {abs(det)}")
         aj, an = k.alpha_at(j), k.alpha_at(j + 1)
-        ray = Vec2(det * (w_n.y * aj - w_j.y * an), det * (-w_n.x * aj + w_j.x * an))
-        if math.gcd(ray.x, ray.y) != 1:
+        ray = (det * (yn * aj - yj * an), det * (-xn * aj + xj * an))
+        if math.gcd(*ray) != 1:
             raise InvariantError(f"interior ray {ray} is not primitive")
         if not model.sigma.contains(ray):
             raise InvariantError(f"interior ray {ray} leaves the cone")
         boundary.append(ray)
-    boundary.append(Vec2(-model.q, model.n))
+    boundary.append((-model.q, model.n))
 
     cones = []
     for i in range(2, e):
         right, left = boundary[i - 2], boundary[i - 1]
         alpha = k.alpha_at(i)
-        w_i = model.wgen(i)
-        if right.dot(w_i) != alpha or left.dot(w_i) != alpha:
+        w_i, w_next = model.wgen(i), model.wgen(i + 1)
+        if dot2(right, w_i) != alpha or dot2(left, w_i) != alpha:
             raise RuntimeError(f"the roof of tau_{i} is not at height alpha_{i} = {alpha}")
         # the roof lies on <x, w^i> = alpha, whose direction is 1 on w^{i+1}
-        roof_len = (right - left).dot(model.wgen(i + 1))
+        roof_len = dot2(right, w_next) - dot2(left, w_next)
         if roof_len < 0 or roof_len != (model.a(i) - k.k_at(i)) * alpha:
             raise RuntimeError(f"tau_{i} has roof length {roof_len}")
         cones.append(

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .lattice import InvariantError, Vec2
+from .lattice import InvariantError, IVec2, dot2
 from .cqs import CqsModel, to_display_coords
 from .chains import ZeroChain, enumerate_K
 from .minkowski import Decomposition, segment, enum_decompositions
@@ -127,14 +127,14 @@ class Deformation:
         return self.decomp.label
 
     def degree_display(self) -> tuple[int, int]:
-        u = to_display_coords(self.model.wgen(self.h), self.model)
-        return (self.p * u[0], self.p * u[1])
+        u1, u2 = to_display_coords(self.model.wgen(self.h), self.model)
+        return (self.p * u1, self.p * u2)
 
-    def phi(self, v: Vec2) -> IVec3:
+    def phi(self, v: IVec2) -> IVec3:
         """The lattice embedding of the base surface into the total space."""
         w, w_next = self.model.w[self.h - 1], self.model.w[self.h]  # w^h, w^{h+1}
-        t = v.x * w.x + v.y * w.y
-        return (v.x * w_next.x + v.y * w_next.y, t, self.p * t)
+        t = dot2(v, w)
+        return (dot2(v, w_next), t, self.p * t)
 
     def to_json(self) -> dict:
         return {
@@ -192,12 +192,11 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
     model, h, p, d = defo.model, defo.h, defo.p, defo.d
     e = model.e
     seg = segment(model, h)
-    dx, dy = seg.direction.x, seg.direction.y
-    base = seg.point_at(-seg.m0)  # lattice point where w^{h+1} vanishes
-    bx, by = base.x, base.y
+    dx, dy = seg.direction
+    bx, by = seg.point_at(-seg.m0)  # lattice point where w^{h+1} vanishes
 
-    x = [0] + [dx * w.x + dy * w.y for w in model.w]
-    y = [0] + [bx * w.x + by * w.y for w in model.w]
+    x = [0] + [dx * wx + dy * wy for wx, wy in model.w]
+    y = [0] + [bx * wx + by * wy for wx, wy in model.w]
     if (x[h], y[h], x[h + 1], y[h + 1]) != (0, 1, 1, 0):
         raise RuntimeError(f"{defo.label}: the slice frame does not fit w^{h} and w^{h + 1}")
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cqsdef
-from cqsdef.lattice import Cone2, Vec2, _xgcd, cf_eval
+from cqsdef.lattice import Cone2, _xgcd, cf_eval
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import (
     _facet_polygon_vertices,
@@ -38,39 +38,40 @@ def iter_models(n_max: int, n_min: int = 3):
                 yield cqs_new(n, q)
 
 
+def _det(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
 def brute_hilbert_basis_2d(cone: Cone2) -> set[tuple[int, int]]:
     """Irreducible lattice points of the cone, found by enumerating the
     fundamental parallelogram of the two primitive rays."""
     r1, r2 = cone.ray1, cone.ray2
-    det = r1.det(r2)
+    det = _det(r1, r2)
 
-    def coeffs(v: Vec2):
-        return Fraction(v.det(r2), det), Fraction(r1.det(v), det)
+    def coeffs(v):
+        return Fraction(_det(v, r2), det), Fraction(_det(r1, v), det)
 
-    corners = [Vec2(0, 0), r1, r2, r1 + r2]
-    xs = [int(c.x) for c in corners]
-    ys = [int(c.y) for c in corners]
+    corners = [(0, 0), r1, r2, (r1[0] + r2[0], r1[1] + r2[1])]
+    xs = [c[0] for c in corners]
+    ys = [c[1] for c in corners]
     candidates = []
     for x in range(min(xs), max(xs) + 1):
         for y in range(min(ys), max(ys) + 1):
-            v = Vec2(x, y)
-            if v.is_zero():
+            if (x, y) == (0, 0):
                 continue
-            a, b = coeffs(v)
+            a, b = coeffs((x, y))
             if 0 <= a <= 1 and 0 <= b <= 1:
-                candidates.append(v)
+                candidates.append((x, y))
 
-    def in_cone(v: Vec2) -> bool:
+    def in_cone(v) -> bool:
         a, b = coeffs(v)
         return a >= 0 and b >= 0
 
     basis = set()
     for v in candidates:
-        reducible = any(
-            w != v and in_cone(v - w) and not (v - w).is_zero() for w in candidates
-        )
+        reducible = any(w != v and in_cone((v[0] - w[0], v[1] - w[1])) for w in candidates)
         if not reducible:
-            basis.add(v.as_int_pair())
+            basis.add(v)
     return basis
 
 
@@ -82,29 +83,30 @@ def division_slice_frame(model, h):
     slice at 0.  Returns (beta, gamma, origin, unit, coord), where coord
     maps a point of the line to its coordinate."""
     n, q = model.n, model.q
-    w1, w2 = model.wgen(h).as_int_pair()
+    w1, w2 = model.wgen(h)
     g, s, t = _xgcd(w1, w2)
     assert g == 1
-    base, direction = Vec2(s, t), Vec2(w2, -w1)
 
-    def from_base(pt: Vec2) -> Fraction:
-        diff = pt - base
-        if direction.x != 0:
-            return Fraction(diff.x) / direction.x
-        return Fraction(diff.y) / direction.y
+    def from_base(pt) -> Fraction:
+        if w2 != 0:
+            return Fraction(pt[0] - s) / w2
+        return Fraction(pt[1] - t) / -w1
+
+    def at(c):
+        """The point at coordinate c counted from the gcd base point."""
+        return (s + c * w2, t - c * w1)
 
     denom = n * w2 - q * w1
-    c_beta = from_base(Vec2(Fraction(-q, denom), Fraction(n, denom)))
-    c_gamma = from_base(Vec2(Fraction(1, w1), Fraction(0)))
+    c_beta = from_base((Fraction(-q, denom), Fraction(n, denom)))
+    c_gamma = from_base((Fraction(1, w1), Fraction(0)))
     shift = math.ceil(c_beta)
-    origin = base + shift * direction
 
-    def coord(pt: Vec2) -> Fraction:
-        c = from_base(pt) - shift
-        assert origin + c * direction == pt, f"{pt} is not on the slicing line"
-        return c
+    def coord(pt) -> Fraction:
+        c = from_base(pt)
+        assert at(c) == pt, f"{pt} is not on the slicing line"
+        return c - shift
 
-    return c_beta - shift, c_gamma - shift, origin, origin + direction, coord
+    return c_beta - shift, c_gamma - shift, at(shift), at(shift + 1), coord
 
 
 def brute_zero_chains(bounds) -> list[tuple[int, ...]]:

@@ -6,14 +6,15 @@ criterion.
 
 import math
 import random
+from collections import Counter
 from math import gcd
 
 from cqsdef.chains import enumerate_K, is_t_singularity
 from cqsdef.cqs import cqs_new, to_display_coords
 from cqsdef.fibers import general_fiber, is_smoothing
 from cqsdef.geometry3 import Cone3, hilbert_basis_3d, roof_facets
-from cqsdef.lattice import Cone2, Vec2, dual_cone, hilbert_basis_2d
-from cqsdef.minkowski import lattice_point_count, segment, segment_length
+from cqsdef.lattice import Cone2, dual_cone, hilbert_basis_2d
+from cqsdef.minkowski import segment, segment_length
 from cqsdef.report import scan_row
 from cqsdef.resolutions import (
     assemble_fan3,
@@ -127,7 +128,7 @@ def test_criterion_2_propositions():
         ks = enumerate_K(m)
         for h in m.interior_indices():
             if 3 <= h <= m.e - 2:
-                assert lattice_point_count(m, h) == m.a(h) - 1, (n, q, h)
+                assert segment(m, h).lattice_count == m.a(h) - 1, (n, q, h)
             assert math.floor(segment_length(m, h)) == max(
                 m.a(h) - zc.k_at(h) for zc in ks
             ), (n, q, h)
@@ -213,11 +214,9 @@ def test_criterion_6_oracles():
     rng = random.Random(60)
     pairs = all_pairs(25) + rng.sample(all_pairs(60, n_min=26), 40)
     for n, q in pairs:
-        cone = Cone2(Vec2(1, 0), Vec2(-q, n))
+        cone = Cone2((1, 0), (-q, n))
         for c in (cone, dual_cone(cone)):
-            assert {
-                v.as_int_pair() for v in hilbert_basis_2d(c)
-            } == brute_hilbert_basis_2d(c), (n, q)
+            assert set(hilbert_basis_2d(c)) == brute_hilbert_basis_2d(c), (n, q)
 
     # 3D: the lifted generators are exactly the dual Hilbert basis, and
     # the library's Hilbert bases of the cone and its dual match the
@@ -305,3 +304,49 @@ def test_criterion_9_inverse_pair_isomorphism():
             checked += 1
     assert checked == 852  # the 182 pairs with q = q' would compare a row with itself
     _ok("9 (Y(n,q) and Y(n,q^-1) have the same scan row, n <= 80)")
+
+
+def _deformation_signature(df):
+    """What the report says of one deformation, up to its labels."""
+    fib = general_fiber(df)
+    return (
+        df.kind,
+        df.h,
+        df.p,
+        df.d if df.kind == "D" else None,
+        fib.origin,
+        fib.off_origin,
+        tuple(sorted(k.k for k in components_of(df))),
+        canonical_model(df)[0].k,
+        is_smoothing(df),
+    )
+
+
+def _mirrored_signature(sig, e):
+    """The signature seen through Y(n,q) = Y(n,q^-1): degrees count from
+    the other end, chains and k run backwards, and the two summands of a
+    Dbar decomposition trade places, so its origin and off-origin chains
+    swap (its multiplicities are all 1)."""
+    kind, h, p, d, origin, off, comps, can_k, smooth = sig
+    origin, off = origin[::-1], tuple((ch[::-1], mult) for ch, mult in off)
+    if kind == "Dbar":
+        origin, off = (off[0][0] if off else ()), (((origin, 1),) if origin else ())
+    comps = tuple(sorted(k[::-1] for k in comps))
+    return (kind, e + 1 - h, p, d, origin, off, comps, can_k[::-1], smooth)
+
+
+def test_criterion_9_inverse_pair_full_report():
+    """The isomorphism Y(n,q) = Y(n,q^-1) carries the per-deformation
+    content of the report across: fibers, components, canonical model and
+    smoothing flag, every pair q <= q^-1 with n <= 40."""
+    pairs = [(n, q, pow(q, -1, n)) for n, q in all_pairs(40) if q <= pow(q, -1, n)]
+    for n, q, q_inv in pairs:
+        m, m_inv = cqs_new(n, q), cqs_new(n, q_inv)
+        sigs = Counter(_deformation_signature(df) for df in all_deformations(m))
+        mirrored = Counter(
+            _mirrored_signature(_deformation_signature(df), m.e)
+            for df in all_deformations(m_inv)
+        )
+        assert sigs == mirrored, (n, q, q_inv)
+    assert len(pairs) == 263  # 187 with q < q^-1 and 76 self-inverse
+    _ok("9 (Y(n,q) and Y(n,q^-1) have mirrored report signatures, n <= 40)")

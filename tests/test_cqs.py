@@ -8,15 +8,16 @@ from cqsdef.cqs import (
     to_display_coords,
 )
 from cqsdef.chains import enumerate_K, is_rdp, is_t_singularity
-from cqsdef.lattice import Vec2
-from cqsdef.minkowski import segment_length
+from cqsdef.lattice import dual_cone, hilbert_basis_2d
+from cqsdef.minkowski import segment, segment_length
+from cqsdef.resolutions import p_resolution_fan
 from conftest import iter_models
 
 
 def test_golden_model(y83):
     assert (y83.n, y83.q, y83.e) == (8, 3, 5)
     assert y83.a_chain == (2, 3, 2)
-    assert [w.as_int_pair() for w in y83.w] == [(0, 1), (1, 1), (2, 1), (5, 2), (8, 3)]
+    assert list(y83.w) == [(0, 1), (1, 1), (2, 1), (5, 2), (8, 3)]
     assert [to_display_coords(w, y83) for w in y83.w] == [
         (0, 8),
         (1, 5),
@@ -46,9 +47,9 @@ def test_rejections():
 
 
 def test_paper_coords_examples(y83):
-    assert to_display_coords(Vec2(2, 1), y83) == (2, 2)
-    assert to_display_coords(Vec2(0, 1), y83) == (0, 8)
-    assert to_display_coords(Vec2(1, 1), y83) == (1, 5)
+    assert to_display_coords((2, 1), y83) == (2, 2)
+    assert to_display_coords((0, 1), y83) == (0, 8)
+    assert to_display_coords((1, 1), y83) == (1, 5)
 
 
 def test_paper_coords_roundtrip():
@@ -64,7 +65,7 @@ def test_paper_coords_rejects_non_lattice(y83):
     from fractions import Fraction
 
     with pytest.raises(ValueError):
-        to_display_coords(Vec2(Fraction(1, 2), 1), y83)
+        to_display_coords((Fraction(1, 2), 1), y83)
     with pytest.raises(ValueError):
         from_display_coords((1, 1), y83)
 
@@ -82,7 +83,8 @@ def test_paper_coords_is_semigroup_iso():
 def test_three_term_relations_hold():
     for m in iter_models(40):
         for i in range(2, m.e):
-            assert m.wgen(i - 1) + m.wgen(i + 1) == m.a(i) * m.wgen(i)
+            (ux, uy), (vx, vy), (wx, wy) = m.wgen(i - 1), m.wgen(i + 1), m.wgen(i)
+            assert (ux + vx, uy + vy) == (m.a(i) * wx, m.a(i) * wy)
 
 
 def test_length_formula_cross_check():
@@ -90,7 +92,7 @@ def test_length_formula_cross_check():
     (the segment constructor raises otherwise)."""
     for m in iter_models(35):
         for h in m.interior_indices():
-            w1, w2 = m.wgen(h).as_int_pair()
+            w1, w2 = m.wgen(h)
             length = segment_length(m, h)
             assert length.numerator * (w1 * (w2 * m.n - w1 * m.q)) == m.n * length.denominator
 
@@ -137,3 +139,21 @@ def test_results_are_memoised_per_model():
         assert derive(m1) is derive(m1)
         assert derive(m1) == derive(m2) and derive(m1) is not derive(m2)
     assert enumerate_K(m1) == enumerate_K(m2)
+
+
+def _is_int_pair(v) -> bool:
+    return type(v) is tuple and len(v) == 2 and all(type(c) is int for c in v)
+
+
+def test_2d_values_are_int_pairs():
+    """A 2D lattice vector is a tuple of two ints wherever the library
+    hands one out, for every pair with n <= 30 (Y(8,3) among them)."""
+    for m in iter_models(30):
+        pairs = [*m.w, *hilbert_basis_2d(dual_cone(m.sigma)), m.sigma.ray1, m.sigma.ray2]
+        pairs += [from_display_coords(to_display_coords(w, m), m) for w in m.w]
+        for zc in enumerate_K(m):
+            pairs += p_resolution_fan(m, zc).rays
+        for h in m.interior_indices():
+            pairs += [segment(m, h).origin, segment(m, h).direction]
+        bad = [v for v in pairs if not _is_int_pair(v)]
+        assert not bad, (m.n, m.q, bad[:3])

@@ -4,9 +4,11 @@ module already imports, and a local name that a function assigns and
 never reads; imports of the package's own modules inside a function,
 which hide an import cycle; assert statements, which python -O drops;
 and module-level definitions, methods and properties that nothing
-references."""
+references.  Also: the package version is the one pyproject.toml
+declares."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -375,3 +377,12 @@ def test_unreferenced_definitions_are_found(tmp_path):
         "lib.py: Used.unread",
         "lib.py: Used.uncalled",
     ]
+
+
+def test_version_matches_pyproject():
+    """The checkpoint header writes cqsdef.__version__, so it must be the
+    version that pyproject.toml declares."""
+    text = (ROOT / "pyproject.toml").read_text()
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    declared = re.search(r'^version = "([^"]+)"$', project, re.M)
+    assert declared and declared.group(1) == cqsdef.__version__

@@ -5,11 +5,11 @@ import pytest
 
 from cqsdef.chains import enumerate_K
 from cqsdef.cqs import to_display_coords
+from cqsdef.lattice import dot2
 from cqsdef.minkowski import (
     decomposition_D,
     decomposition_Dbar,
     enum_decompositions,
-    lattice_point_count,
     segment,
     segment_length,
 )
@@ -33,8 +33,8 @@ def test_segment_origin_certificates(y83):
     for h in (2, 3, 4):
         s = segment(y83, h)
         w = y83.wgen(h)
-        assert s.origin.dot(w) == 1 and (s.origin + s.direction).dot(w) == 1
-        assert s.point_at(Fraction(*s.ends[0])).dot(w) == 1
+        assert dot2(s.origin, w) == 1 and dot2(s.direction, w) == 0
+        assert dot2(s.point_at(Fraction(*s.ends[0])), w) == 1
 
 
 def test_segment_matches_division_frame():
@@ -45,13 +45,14 @@ def test_segment_matches_division_frame():
             seg = segment(m, h)
             beta, gamma, origin, unit, _ = division_slice_frame(m, h)
             ends = tuple(Fraction(*r) for r in seg.ends)
-            assert ends + (seg.origin, seg.origin + seg.direction) == (beta, gamma, origin, unit)
+            (ox, oy), (dx, dy) = seg.origin, seg.direction
+            assert ends + (seg.origin, (ox + dx, oy + dy)) == (beta, gamma, origin, unit)
 
 
 def test_segment_coord_rejects_points_off_the_slice(y83):
     seg = segment(y83, 3)
     with pytest.raises(RuntimeError, match="does not meet the slice"):
-        seg.coord(-seg.origin)
+        seg.coord(tuple(-c for c in seg.origin))
 
 
 def test_segment_length_golden(y83):
@@ -70,11 +71,11 @@ def test_floor_length_is_max_gap():
 
 
 def test_lattice_point_count(y83):
-    assert lattice_point_count(y83, 3) == 2 == y83.a(3) - 1
-    assert lattice_point_count(y83, 2) == 2
+    assert segment(y83, 3).lattice_count == 2 == y83.a(3) - 1
+    assert segment(y83, 2).lattice_count == 2
     for m in iter_models(30):
         for h in range(3, m.e - 1):
-            assert lattice_point_count(m, h) == m.a(h) - 1
+            assert segment(m, h).lattice_count == m.a(h) - 1
 
 
 def test_enum_golden_count(y83):
@@ -117,7 +118,7 @@ def test_minkowski_sum_reconstructs():
 def test_length_denominator_bound():
     for m in iter_models(40):
         for h in m.interior_indices():
-            w1, w2 = m.wgen(h).as_int_pair()
+            w1, w2 = m.wgen(h)
             assert (w1 * (w2 * m.n - w1 * m.q)) % segment_length(m, h).denominator == 0
 
 
@@ -157,7 +158,7 @@ def test_segment_coordinate_roundtrip():
                 assert seg.coord(seg.point_at(c)) == (c, 1)
             w = m.wgen(h)
             for c in range(0, seg.lattice_count):
-                assert seg.point_at(c).dot(w) == 1
+                assert dot2(seg.point_at(c), w) == 1
 
 
 def test_point_summands_are_first_class(y83):
