@@ -5,11 +5,11 @@ attached to a singularity model.  A singularity is its normal-form chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .lattice import InvariantError, cf_eval
 from .cqs import CqsModel
+from .record import Record
 
 
 def alpha_seq(k: Sequence[int]) -> tuple[int, ...]:
@@ -23,14 +23,15 @@ def alpha_seq(k: Sequence[int]) -> tuple[int, ...]:
     return tuple(alpha)
 
 
-@dataclass(frozen=True)
-class ZeroChain:
+class ZeroChain(Record):
     """A chain whose continued fraction is defined and evaluates to zero,
     with nonnegative heights; indexes a reduced versal base component.
     """
 
-    k: tuple[int, ...]
-    alpha: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, k: tuple[int, ...], alpha: tuple[int, ...]):
+        return tuple.__new__(cls, (k, alpha))
 
     def alpha_at(self, i: int) -> int:
         """alpha_i with the 1-based indexing alpha_1..alpha_e."""

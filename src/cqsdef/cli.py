@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -184,6 +183,8 @@ def cmd_scan(args) -> int:
     if args.json:
         text = report_to_json(rows)
     else:
+        import csv  # only scan writes CSV, so the other commands never load it
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=SCAN_FIELDS)
         writer.writeheader()

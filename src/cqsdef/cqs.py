@@ -8,10 +8,10 @@ used only when displaying coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from .lattice import Cone2, InvariantError, IVec2, Ratio, cf_expand, dual_cone, hilbert_basis_2d
+from .record import Record
 
 
 class InvalidSingularityError(ValueError):
@@ -22,8 +22,7 @@ class HypersurfaceError(InvalidSingularityError):
     """q = n-1: the versal base space is irreducible and nothing here applies."""
 
 
-@dataclass(frozen=True)
-class CqsModel:
+class CqsModel(Record):
     """The singularity Y_(n,q) with its dual-generator data.
 
     a_chain is the Hirzebruch-Jung expansion of n/(n-q); w holds the
@@ -34,16 +33,16 @@ class CqsModel:
     _memo holds, through cached(), the results that segment, enumerate_K,
     p_resolution_fan, slice_intervals and fan_decomposition derive from
     this model, keyed by function and arguments; it lives and dies with
-    the model and takes no part in equality, hashing or repr.
+    the model and, kept in the instance __dict__, takes no part in
+    equality, hashing or repr.
     """
 
-    n: int
-    q: int
-    e: int
-    a_chain: tuple[int, ...]
-    w: tuple[IVec2, ...]
-    sigma: Cone2
-    _memo: dict = field(default_factory=dict, init=False, compare=False, hash=False, repr=False)
+    def __new__(
+        cls, n: int, q: int, e: int, a_chain: tuple[int, ...], w: tuple[IVec2, ...], sigma: Cone2
+    ):
+        self = tuple.__new__(cls, (n, q, e, a_chain, w, sigma))
+        self.__dict__["_memo"] = {}
+        return self
 
     def cached(self, key, build):
         """The result stored under key, computed by build() on first use;
@@ -108,15 +107,13 @@ def to_display_coords(w_a: IVec2, model: CqsModel) -> IVec2:
     """Display a dual vector in the bigraded convention-B coordinates.
 
     The map sends (a1, a2) to [a1, n*a2 - q*a1]; its inverse is
-    [u1, u2] -> (u1, (q*u1 + u2)/n).  Images satisfy q*u1 + u2 = 0 mod n.
+    [u1, u2] -> (u1, (q*u1 + u2)/n).  Images satisfy q*u1 + u2 = n*a2, so
+    they lie on the display lattice q*u1 + u2 = 0 mod n.
     """
     x, y = w_a
     if x % 1 or y % 1:
         raise ValueError(f"not a lattice point: ({x}, {y})")
-    u = (x, model.n * y - model.q * x)
-    if (model.q * u[0] + u[1]) % model.n:
-        raise InvariantError(f"display coordinates {u} are off the display lattice")
-    return u
+    return x, model.n * y - model.q * x
 
 
 def from_display_coords(u: IVec2, model: CqsModel) -> IVec2:

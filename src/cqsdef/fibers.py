@@ -2,22 +2,26 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .chains import blow_down
+from .record import Record
 from .totalspace import Deformation
 
 
-@dataclass(frozen=True)
-class SingularityList:
+class SingularityList(Record):
     """Singular points of the general fiber as normal-form chains: origin
     is the chain at the origin, () when the origin is smooth, and
     off_origin holds (chain, multiplicity) for the singular points off
     it.  The raw chains, before blowing down, are kept for auditing."""
 
-    origin: tuple[int, ...]
-    off_origin: tuple[tuple[tuple[int, ...], int], ...]
-    raw: tuple[tuple[tuple[int, ...], int, str], ...]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        origin: tuple[int, ...],
+        off_origin: tuple[tuple[tuple[int, ...], int], ...],
+        raw: tuple[tuple[tuple[int, ...], int, str], ...],
+    ):
+        return tuple.__new__(cls, (origin, off_origin, raw))
 
     @property
     def is_empty(self) -> bool:

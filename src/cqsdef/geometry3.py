@@ -26,13 +26,13 @@ integer vectors before any cone is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .lattice import Ratio
+from .record import Record
 
 IVec3 = tuple[int, int, int]
 
@@ -184,18 +184,28 @@ def lattice_points_ineq(ineqs: Sequence[tuple[IVec3, int]]) -> list[IVec3]:
     return out
 
 
-@dataclass(frozen=True)
-class Cone3:
+class Cone3(Record):
     """A pointed full-dimensional 3D cone given by distinct primitive
     integral generators, its dual rays, the inward primitive facet
     normals, sorted, and spans: for each dual ray, in the same order, the
     indices (i, j), i < j, of the two extremal generators that span its
-    facet.  The facets and the Gorenstein functional are computed once
-    per instance, on first use."""
+    facet.  Equality and hashing read the generators alone, which
+    determine the rest.  The facets and the Gorenstein functional are
+    computed once per instance, on first use."""
 
-    generators: tuple[IVec3, ...]
-    dual_rays: tuple[IVec3, ...] = field(compare=False)
-    spans: tuple[tuple[int, int], ...] = field(compare=False)
+    def __new__(
+        cls,
+        generators: tuple[IVec3, ...],
+        dual_rays: tuple[IVec3, ...],
+        spans: tuple[tuple[int, int], ...],
+    ):
+        return tuple.__new__(cls, (generators, dual_rays, spans))
+
+    def __eq__(self, other):
+        return type(other) is Cone3 and self.generators == other.generators
+
+    def __hash__(self):
+        return hash((self.generators,))
 
     @classmethod
     def from_rays(cls, rays: Sequence[Sequence]) -> "Cone3":

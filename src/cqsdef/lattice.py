@@ -15,9 +15,10 @@ everything read off them are plain integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from .record import Record
 
 # A rational number as (numerator, denominator) with a positive denominator,
 # not necessarily in lowest terms: the form in which the slice code keeps
@@ -70,8 +71,7 @@ def primitive(v) -> IVec2:
     return a // g, b // g
 
 
-@dataclass(frozen=True)
-class Cone2:
+class Cone2(Record):
     """A strictly convex oriented 2D cone with primitive integral rays.
 
     The input rays are lattice vectors (a non-lattice ray raises
@@ -79,18 +79,16 @@ class Cone2:
     reordered if needed, so the stored rays satisfy det(ray1, ray2) > 0.
     """
 
-    ray1: IVec2
-    ray2: IVec2
+    __slots__ = ()
 
-    def __init__(self, ray1, ray2):
+    def __new__(cls, ray1: IVec2, ray2: IVec2):
         r1, r2 = primitive(ray1), primitive(ray2)
         d = det2(r1, r2)
         if d == 0:
             raise ValueError("rays are collinear; cone is not strictly convex")
         if d < 0:
             r1, r2 = r2, r1
-        object.__setattr__(self, "ray1", r1)
-        object.__setattr__(self, "ray2", r2)
+        return tuple.__new__(cls, (r1, r2))
 
     def index(self) -> int:
         """Index of the sublattice spanned by the rays (the ray determinant)."""

@@ -5,16 +5,15 @@ deformations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .lattice import IVec2, Ratio, dot2, ratio_text
 from .cqs import CqsModel
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Record):
     """The slice Q = {<v, w^h> = 1} ∩ sigma as an interval in the rank-one
     lattice induced on the slicing line.
 
@@ -27,11 +26,10 @@ class Segment:
     over w^h_1.
     """
 
-    h: int
-    ends: tuple[Ratio, Ratio]
-    m0: int
-    w: IVec2
-    w_next: IVec2
+    __slots__ = ()
+
+    def __new__(cls, h: int, ends: tuple[Ratio, Ratio], m0: int, w: IVec2, w_next: IVec2):
+        return tuple.__new__(cls, (h, ends, m0, w, w_next))
 
     @property
     def direction(self) -> IVec2:
@@ -111,8 +109,7 @@ def segment_length(model: CqsModel, h: int) -> Fraction:
     return Fraction(model.n, w1 * (w2 * model.n - w1 * model.q))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """An admissible two-term Minkowski decomposition of Q_sigma(w^h).
 
     kind "D": Q = (beta, gamma - p*d) + p*(0, d).
@@ -123,12 +120,18 @@ class Decomposition:
     over the slice's denominators.
     """
 
-    kind: str  # "D" | "Dbar"
-    h: int
-    p: int
-    d: int
-    ends0: tuple[Ratio, Ratio]
-    ends1: tuple[Ratio, Ratio]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: str,
+        h: int,
+        p: int,
+        d: int,
+        ends0: tuple[Ratio, Ratio],
+        ends1: tuple[Ratio, Ratio],
+    ):
+        return tuple.__new__(cls, (kind, h, p, d, ends0, ends1))
 
     @property
     def label(self) -> str:

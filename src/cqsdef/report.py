@@ -216,7 +216,7 @@ def report_to_json(report: dict | list) -> str:
     """The text of json.dumps(report, indent=2), written in one pass; the
     report, a report dict or a list of scan rows, holds dicts with str
     keys, lists, tuples, str, int, bool and None, and any other type
-    raises TypeError."""
+    raises TypeError, a record (a tuple subclass) included."""
     out: list[str] = []
     out.append(_write_json(report, "", "\n", out))
     return "".join(out)
@@ -249,7 +249,7 @@ def _write_json(value, pending: str, newline: str, out: list[str]) -> str:
             )
             sep = "," + inner
         return pending + newline + "}"
-    if isinstance(value, (list, tuple)):
+    if type(value) is list or type(value) is tuple:  # not a record, a tuple subclass
         if not value:
             return pending + "[]"
         sep = "[" + inner

@@ -7,7 +7,6 @@ strict convexity of their fans across every wall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -17,6 +16,7 @@ from .chains import ZeroChain
 from .minkowski import Decomposition, check_lattice_ends, Segment, segment
 from .totalspace import Deformation, components_of, split_depth
 from .geometry3 import Cone3, cross3, dot3, is_canonical_cone3
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -24,16 +24,12 @@ from .geometry3 import Cone3, cross3, dot3, is_canonical_cone3
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TauCone:
+class TauCone(Record):
     """Cone number i of the fan, bounded by the rays at heights alpha_i
     with respect to w^i; right is the boundary toward the (1,0)-ray."""
 
-    i: int
-    ray_right: IVec2
-    ray_left: IVec2
-    alpha: int
-    roof_len: int
+    def __new__(cls, i: int, ray_right: IVec2, ray_left: IVec2, alpha: int, roof_len: int):
+        return tuple.__new__(cls, (i, ray_right, ray_left, alpha, roof_len))
 
     @property
     def degenerate(self) -> bool:
@@ -51,16 +47,17 @@ class TauCone:
         return n == 1 or q == n - 1
 
 
-@dataclass(frozen=True)
-class PResolutionFan:
+class PResolutionFan(Record):
     """Fan refining the singularity cone, one (possibly degenerate) cone
     per chain index, with roofs of lattice length (a_i - k_i)*alpha_i at
     height alpha_i."""
 
-    model: CqsModel
-    k: ZeroChain
-    rays: tuple[IVec2, ...]
-    cones: tuple[TauCone, ...]
+    __slots__ = ()
+
+    def __new__(
+        cls, model: CqsModel, k: ZeroChain, rays: tuple[IVec2, ...], cones: tuple[TauCone, ...]
+    ):
+        return tuple.__new__(cls, (model, k, rays, cones))
 
     def cone_at(self, i: int) -> TauCone:
         return self.cones[i - 2]
@@ -129,28 +126,34 @@ def _build_p_resolution(model: CqsModel, k: ZeroChain) -> PResolutionFan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PieceDecomposition:
+class PieceDecomposition(Record):
     """Decomposition of the slice of one fan cone, in the global canonical
     coordinates of the full slice; ends0 and ends1 hold the ends of its
     two summands as integer ratios, as in Decomposition."""
 
-    i: int
-    ends0: tuple[Ratio, Ratio]
-    ends1: tuple[Ratio, Ratio]
-    degenerate: bool
+    __slots__ = ()
+
+    def __new__(
+        cls, i: int, ends0: tuple[Ratio, Ratio], ends1: tuple[Ratio, Ratio], degenerate: bool
+    ):
+        return tuple.__new__(cls, (i, ends0, ends1, degenerate))
 
 
-@dataclass(frozen=True)
-class FanDecomposition:
+class FanDecomposition(Record):
     """Per-cone Minkowski decompositions S^d_{h,p}[k] / Sbar^d_h[k] of the
     slice decomposition decomp, whose offsets make consecutive summand
     pieces share endpoints."""
 
-    k: ZeroChain
-    decomp: Decomposition
-    fan: PResolutionFan
-    pieces: tuple[PieceDecomposition, ...]
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        k: ZeroChain,
+        decomp: Decomposition,
+        fan: PResolutionFan,
+        pieces: tuple[PieceDecomposition, ...],
+    ):
+        return tuple.__new__(cls, (k, decomp, fan, pieces))
 
     @property
     def label(self) -> str:
@@ -283,12 +286,11 @@ def _validate_piece_admissibility(fd: FanDecomposition) -> None:
         check_lattice_ends(pc.ends0, pc.ends1, p, lambda: f"{fd.label}: piece {pc.i}")
 
 
-@dataclass(frozen=True)
-class MaxCone3:
-    tau_index: int
-    cone: Cone3
-    canonical: bool
-    rdp_or_smooth: bool
+class MaxCone3(Record):
+    __slots__ = ()
+
+    def __new__(cls, tau_index: int, cone: Cone3, canonical: bool, rdp_or_smooth: bool):
+        return tuple.__new__(cls, (tau_index, cone, canonical, rdp_or_smooth))
 
     @property
     def qgorenstein(self) -> bool:
@@ -304,12 +306,13 @@ class MaxCone3:
         }
 
 
-@dataclass(frozen=True)
-class Fan3:
+class Fan3(Record):
     """A three-dimensional fan with support the total-space cone."""
 
-    support: Cone3
-    cones: tuple[MaxCone3, ...]
+    __slots__ = ()
+
+    def __new__(cls, support: Cone3, cones: tuple[MaxCone3, ...]):
+        return tuple.__new__(cls, (support, cones))
 
     @property
     def all_canonical(self) -> bool:

@@ -7,7 +7,6 @@ the versal-component membership logic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -16,6 +15,7 @@ from .cqs import CqsModel, to_display_coords
 from .chains import ZeroChain, enumerate_K
 from .minkowski import Decomposition, segment, enum_decompositions
 from .geometry3 import Cone3, IVec3, add3
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +77,7 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Deformation:
+class Deformation(Record):
     """A one-parameter toric deformation built from a slice decomposition.
 
     The cone is presented so that the lattice origin of the slice sits
@@ -91,9 +90,8 @@ class Deformation:
     with its check that phi maps sigma into it; a scan row never reads it.
     """
 
-    model: CqsModel
-    decomp: Decomposition
-    m0: int
+    def __new__(cls, model: CqsModel, decomp: Decomposition, m0: int):
+        return tuple.__new__(cls, (model, decomp, m0))
 
     @cached_property
     def sigma_prime(self) -> Cone3:
@@ -165,14 +163,17 @@ def all_deformations(model: CqsModel) -> list[Deformation]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorRelations:
+class GeneratorRelations(Record):
     """Dual vectors v^1..v^e and the extra vtilde, with the relations among
-    them verified by exact arithmetic."""
+    them verified by exact arithmetic, each as (description, value of
+    both sides)."""
 
-    v: tuple[IVec3, ...]
-    v_tilde: IVec3
-    relations: tuple[tuple[str, IVec3], ...]  # (description, value of both sides)
+    __slots__ = ()
+
+    def __new__(
+        cls, v: tuple[IVec3, ...], v_tilde: IVec3, relations: tuple[tuple[str, IVec3], ...]
+    ):
+        return tuple.__new__(cls, (v, v_tilde, relations))
 
     def to_json(self) -> dict:
         return {
@@ -258,8 +259,7 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Record):
     """One defining equation of the total space in the chart coordinates.
 
     form "binomial":  x_{i-1} x_{i+1} = x_i^a
@@ -267,12 +267,10 @@ class Equation:
     form "bar_side":  x_{h-2} (x_h + lam) = x_{h-1}^a
     """
 
-    form: str
-    i: int
-    a: int = 0
-    m: int = 0
-    p: int = 1
-    d: int = 0
+    __slots__ = ()
+
+    def __new__(cls, form: str, i: int, a: int = 0, m: int = 0, p: int = 1, d: int = 0):
+        return tuple.__new__(cls, (form, i, a, m, p, d))
 
     def __str__(self) -> str:
         if self.form == "binomial":
@@ -315,14 +313,18 @@ def deformation_equations(defo: Deformation) -> tuple[Equation, ...]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VersalMap:
+class VersalMap(Record):
     """Assignment of base-curve polynomials to the versal deformation
     parameters s_i^(l) (1 < i < e, 1 <= l < a_i) and t_j (2 < j < e-1);
-    parameters not present are zero."""
+    parameters not present are zero.  The two dicts, new and empty by
+    default, are filled in place."""
 
-    s: dict[tuple[int, int], Poly] = field(default_factory=dict)
-    t: dict[int, Poly] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(
+        cls, s: Optional[dict[tuple[int, int], Poly]] = None, t: Optional[dict[int, Poly]] = None
+    ):
+        return tuple.__new__(cls, ({} if s is None else s, {} if t is None else t))
 
     def s_at(self, i: int, l: int) -> Poly:
         return self.s.get((i, l), Poly())

@@ -141,6 +141,17 @@ def test_results_are_memoised_per_model():
     assert enumerate_K(m1) == enumerate_K(m2)
 
 
+def test_display_coords_lie_on_the_display_lattice():
+    """Every dual generator of every pair with n <= 30 displays as a point
+    [u1, u2] with q*u1 + u2 = 0 mod n, which from_display_coords maps
+    back to the generator."""
+    for m in iter_models(30):
+        for w in m.w:
+            u1, u2 = to_display_coords(w, m)
+            assert (m.q * u1 + u2) % m.n == 0, (m.n, m.q, w)
+            assert from_display_coords((u1, u2), m) == w, (m.n, m.q, w)
+
+
 def _is_int_pair(v) -> bool:
     return type(v) is tuple and len(v) == 2 and all(type(c) is int for c in v)
 

@@ -3,12 +3,16 @@ import that nothing reads, an import inside a function of a name the
 module already imports, and a local name that a function assigns and
 never reads; imports of the package's own modules inside a function,
 which hide an import cycle; assert statements, which python -O drops;
-and module-level definitions, methods and properties that nothing
-references.  Also: the package version is the one pyproject.toml
-declares."""
+code generated at import; and module-level definitions, methods and
+properties that nothing references.  Also: importing the command line
+loads no module that only start-up would pay for, and the package
+version is the one pyproject.toml declares."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -214,6 +218,93 @@ def test_assert_statements_are_found(tmp_path):
         "    return x\n"
     )
     assert assert_lines(path) == [2, 4]
+
+
+def generated_code(path: Path) -> list[str]:
+    """Where the module builds code at import: an import of dataclasses,
+    whose decorator compiles each class's methods with exec and whose
+    import loads inspect, or a use of the builtins exec and compile or of
+    namedtuple.  The library's value types are records (record.Record)
+    instead."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module]
+        else:
+            modules = []
+        if "dataclasses" in modules:
+            found.append(f"{path.name}:{node.lineno}: imports dataclasses")
+        if isinstance(node, ast.Name) and node.id in ("exec", "compile", "namedtuple"):
+            found.append(f"{path.name}:{node.lineno}: uses {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr == "namedtuple":
+            found.append(f"{path.name}:{node.lineno}: uses namedtuple")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_generated_code(path):
+    assert generated_code(path) == []
+
+
+def test_generated_code_is_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import re\n"
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "import collections\n"
+        "from collections import namedtuple\n"
+        "\n"
+        "Point = collections.namedtuple('Point', 'x y')\n"
+        "exec('z = 1')\n"
+        "pattern = re.compile('a+')\n"
+        "code = compile('1', '<s>', 'eval')\n"
+    )
+    assert generated_code(path) == [
+        "sample.py:2: imports dataclasses",
+        "sample.py:3: imports dataclasses",
+        "sample.py:7: uses namedtuple",
+        "sample.py:8: uses exec",
+        "sample.py:10: uses compile",
+    ]
+
+
+# Modules that importing the command line must not load: dataclasses and
+# inspect, which cost a few milliseconds of every start-up, and csv,
+# which only scan reads.
+STARTUP_FREE = ("csv", "dataclasses", "inspect")
+
+
+def startup_modules(statement: str) -> list[str]:
+    """Which of STARTUP_FREE running statement adds to sys.modules, in a
+    fresh interpreter with this checkout of cqsdef on its path."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        f"{statement}\n"
+        f"print(*sorted(set({STARTUP_FREE!r}) & (set(sys.modules) - before)))\n"
+    )
+    src = str(Path(cqsdef.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+        check=True,
+    )
+    return out.stdout.decode().split()
+
+
+def test_cli_import_loads_no_startup_free_module():
+    assert startup_modules("import cqsdef.cli") == []
+
+
+def test_startup_modules_are_found():
+    assert startup_modules("import cqsdef.cli, csv, dataclasses") == list(STARTUP_FREE)
+    assert startup_modules("import csv") == ["csv"]
 
 
 def placeholder_free_fstrings(path: Path) -> list[int]:

@@ -13,7 +13,7 @@ EXPECTED = re.compile(r"^print\(.*\)\s+# (.*)$")
 
 def test_readme_examples_print_what_they_say():
     blocks = BLOCK.findall(README.read_text())
-    assert len(blocks) == 3
+    assert len(blocks) == 4
     printed = []
 
     def record(*args):
@@ -29,4 +29,4 @@ def test_readme_examples_print_what_they_say():
             if match:
                 assert [text for at, text in printed if at == lineno] == [match[1]], line
                 checked += 1
-    assert checked == 6
+    assert checked == 7

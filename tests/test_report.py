@@ -14,7 +14,7 @@ import cqsdef.report
 import cqsdef.totalspace
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import Cone3
-from cqsdef.minkowski import Decomposition
+from cqsdef.minkowski import Decomposition, enum_decompositions, segment
 from cqsdef.report import (
     ReportInvariantError,
     build_report,
@@ -63,6 +63,16 @@ def test_report_to_json_rejects_other_types(bad):
         report_to_json(bad)
 
 
+def test_report_to_json_rejects_records():
+    """A record is a tuple, but one that leaks into a report is an error,
+    not a JSON list of its fields."""
+    m = cqs_new(8, 3)
+    report = build_report(m)
+    for leak, name in ((segment(m, 3), "Segment"), ([enum_decompositions(m)[0]], "Decomposition")):
+        with pytest.raises(TypeError, match=f"Object of type {name} is not JSON serializable"):
+            report_to_json({**report, "leak": leak})
+
+
 def _count_calls(monkeypatch, module, name):
     """Count calls of module.name, in every cqsdef module that binds it."""
     original = getattr(module, name)
@@ -90,13 +100,13 @@ def test_build_report_builds_each_deformation_and_fiber_once(monkeypatch):
 
 def _count_instances(monkeypatch, cls):
     made = []
-    init = cls.__init__
+    new = cls.__new__
 
-    def counting(self, *args, **kwargs):
-        made.append(self)
-        init(self, *args, **kwargs)
+    def counting(kind, *args, **kwargs):
+        made.append(new(kind, *args, **kwargs))
+        return made[-1]
 
-    monkeypatch.setattr(cls, "__init__", counting)
+    monkeypatch.setattr(cls, "__new__", staticmethod(counting))
     return made
 
 

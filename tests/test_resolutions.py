@@ -403,15 +403,14 @@ def test_slice_interval_checks_survive_optimize():
     python -O."""
     code = (
         "import sys\n"
-        "from dataclasses import replace\n"
         "from cqsdef.cqs import cqs_new\n"
         "from cqsdef.chains import enumerate_K\n"
-        "from cqsdef.minkowski import segment\n"
+        "from cqsdef.minkowski import Segment, segment\n"
         "from cqsdef.resolutions import _build_slice_intervals, p_resolution_fan\n"
         "m = cqs_new(8, 3)\n"
         "cones = p_resolution_fan(m, enumerate_K(m)[0]).cones\n"
         "seg = segment(m, 3)\n"
-        "off = replace(seg, m0=seg.m0 + 1)\n"
+        "off = Segment(h=seg.h, ends=seg.ends, m0=seg.m0 + 1, w=seg.w, w_next=seg.w_next)\n"
         "_build_slice_intervals(seg, cones)\n"
         "try:\n"
         "    _build_slice_intervals(off, cones)\n"
@@ -428,18 +427,19 @@ def test_roof_and_lift_checks_survive_optimize():
     with the wrong w^{h+1}, are internal failures."""
     code = (
         "import sys\n"
-        "from dataclasses import replace\n"
         "from cqsdef.chains import enumerate_K\n"
-        "from cqsdef.cqs import cqs_new\n"
-        "from cqsdef.minkowski import segment\n"
+        "from cqsdef.cqs import CqsModel, cqs_new\n"
+        "from cqsdef.minkowski import Segment, segment\n"
         "from cqsdef.resolutions import _build_p_resolution\n"
         "from cqsdef.totalspace import all_deformations, generator_relations\n"
         "m = cqs_new(8, 3)\n"
         "k = next(k for k in enumerate_K(m) if k.k == (1, 2, 1))\n"
         "df = next(d for d in all_deformations(m) if d.h == 2)\n"
         "generator_relations(df)\n"
-        "m._memo[('segment', 2)] = replace(segment(m, 2), w_next=m.wgen(4))\n"
-        "for call in (lambda: _build_p_resolution(replace(m, a_chain=(3, 3, 2)), k),\n"
+        "s = segment(m, 2)\n"
+        "m._memo[('segment', 2)] = Segment(h=s.h, ends=s.ends, m0=s.m0, w=s.w, w_next=m.wgen(4))\n"
+        "other = CqsModel(n=m.n, q=m.q, e=m.e, a_chain=(3, 3, 2), w=m.w, sigma=m.sigma)\n"
+        "for call in (lambda: _build_p_resolution(other, k),\n"
         "             lambda: generator_relations(df)):\n"
         "    try:\n"
         "        call()\n"
@@ -465,9 +465,9 @@ def test_qgorenstein_check_survives_optimize():
     internal failure under python -O, raised before canonicity is read."""
     code = (
         "import sys\n"
-        "from dataclasses import replace\n"
         "from cqsdef.chains import enumerate_K\n"
         "from cqsdef.cqs import cqs_new\n"
+        "from cqsdef.resolutions import FanDecomposition, PieceDecomposition\n"
         "from cqsdef.resolutions import assemble_fan3, fan_decomposition\n"
         "from cqsdef.totalspace import all_deformations\n"
         "m = cqs_new(8, 3)\n"
@@ -475,7 +475,9 @@ def test_qgorenstein_check_survives_optimize():
         "fd = fan_decomposition(m, next(k for k in enumerate_K(m) if k.k == (1, 2, 1)), df.decomp)\n"
         "assemble_fan3(fd, df)\n"
         "ends0, ends1 = ((0, 1), (1, 2)), ((0, 1), (3, 1))\n"
-        "bad = replace(fd, pieces=(replace(fd.pieces[0], ends0=ends0, ends1=ends1),) + fd.pieces[1:])\n"
+        "pc = fd.pieces[0]\n"
+        "piece = PieceDecomposition(i=pc.i, ends0=ends0, ends1=ends1, degenerate=pc.degenerate)\n"
+        "bad = FanDecomposition(fd.k, fd.decomp, fd.fan, (piece,) + fd.pieces[1:])\n"
         "try:\n"
         "    assemble_fan3(bad, df)\n"
         "except RuntimeError as exc:\n"
