@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .chains import blow_down
+from .cqs import CqsModel
+from .lattice import InvariantError, cf_expand, pair_normal_form
+from .minkowski import Decomposition
 from .record import Record
 from .totalspace import Deformation
 
@@ -44,40 +46,117 @@ def general_fiber(defo: Deformation) -> SingularityList:
     """Fiber singularities over a general parameter value.
 
     Plain kind: the chain with a_h lowered by p*d sits at the origin and p
-    points of type A_{d-1} sit elsewhere.  Barred kind: the tail chain
-    (a_h - d, a_{h+1}, ...) sits at the origin and (a_2, ..., a_{h-1}, d)
-    at one other point.  A smooth fiber is checked against the smoothing
-    pattern: d = 1 with p = a_h - 1, or the barred kind with a_h = 2 and
-    d = 1.  Deformations of one model share many chains, so each chain's
-    normal form is kept on the model; both checks run on every call.
+    points of type A_{d-1}, the chain (d,), sit elsewhere.  Barred kind:
+    the tail chain (a_h - d, a_{h+1}, ...) sits at the origin and
+    (a_2, ..., a_{h-1}, d) at one other point.  The normal forms come
+    from normal_forms, which checks them on every call; raw keeps the
+    chains as written here.
     """
-    dec, model = defo.decomp, defo.model
-    kind, p, d = dec.kind, dec.p, dec.d
-    a = model.a_chain
-    pos = dec.h - 2
+    model, dec, _ = defo
+    kind, h, p, d, _, _ = dec
+    a, pos = model.a_chain, h - 2
+    origin, off = normal_forms(defo)
     if kind == "D":
         raw = ((a[:pos] + (a[pos] - p * d,) + a[pos + 1 :], 1, "origin"), ((d,), p, "off-origin"))
     else:
         raw = (((a[pos] - d,) + a[pos + 1 :], 1, "origin"), (a[:pos] + (d,), 1, "off-origin"))
-
-    normal = []
-    for chain, _, _ in raw:
-        nf = model.cached(("blow_down", chain), lambda: blow_down(chain))
-        if nf is None:
-            raise RuntimeError(f"fiber chain {chain} of {defo.label} blew down below 1")
-        normal.append(nf)
-    origin, off = normal
-    if not origin and not off:
-        if kind == "D":
-            ok = d == 1 and p == a[pos] - 1
-        else:
-            ok = a[pos] == 2 and d == 1
-        if not ok:
-            raise RuntimeError(f"{defo.label} is a smoothing outside the expected pattern")
     off_origin = ((off, raw[1][1]),) if off else ()
     return SingularityList(origin=origin, off_origin=off_origin, raw=raw)
 
 
+def normal_forms(defo: Deformation) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The normal-form chains of the general fiber at the origin and off
+    it, each () when smooth.  They come from the continuants of the
+    fiber chains (fiber_types, chain_type), without blowing a chain down.
+
+    Two checks run on every call.  Each chain must have the type of the
+    face of sigma' over its summand (face_types), a second route through
+    the Minkowski summands.  A smooth fiber must fit the smoothing
+    pattern: d = 1 with p = a_h - 1, or the barred kind with a_h = 2 and
+    d = 1.
+    """
+    model, dec, m0 = defo
+    types = fiber_types(model, dec)
+    for (num, den), face in zip(types, face_types(dec, m0)):
+        if face != ((num, (num - den) % num) if num > 1 else (1, 0)):
+            raise InvariantError(
+                f"{defo.label}: a fiber chain with continuants {(num, den)} "
+                f"does not match its face of sigma', {face}"
+            )
+    origin, off = chain_type(*types[0]), chain_type(*types[1])
+    if not origin and not off:
+        kind, h, p, d, _, _ = dec
+        a_h = model.a_chain[h - 2]
+        if not (d == 1 and (p == a_h - 1 if kind == "D" else a_h == 2)):
+            raise InvariantError(f"{defo.label} is a smoothing outside the expected pattern")
+    return origin, off
+
+
+def fiber_types(model: CqsModel, dec: Decomposition) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The continuants (K(c), K(c_2, ...)) of the fiber chains c at the
+    origin and off it, read off the model's continuants (_continuants)
+    in a few integer operations."""
+    n, q, _, _, _, _ = model
+    kind, h, p, d, _, _ = dec
+    pos = h - 2
+    prefix, prefix2, suffix = _continuants(model)
+    if kind == "D":
+        # Lowering one entry by x lowers the continuant by x times the
+        # continuants of the two sides.
+        cut = p * d * suffix[pos + 1]
+        return (n - cut * prefix[pos], n - q - cut * prefix2[pos]), (d, 1)
+    return (
+        (suffix[pos] - d * suffix[pos + 1], suffix[pos + 1]),
+        (d * prefix[pos] - prefix[pos - 1], d * prefix2[pos] - prefix2[pos - 1]),
+    )
+
+
+def chain_type(num: int, den: int) -> tuple[int, ...]:
+    """The normal-form chain of a chain c with continuants num = K(c) and
+    den = K(c_2, ...): blowing a 1 down keeps num and den mod num, so the
+    normal form is the expansion of num / (den mod num), and () when num
+    is 0 or 1.  A negative num raises InvariantError."""
+    if num > 1:
+        den %= num
+        return (num,) if den == 1 else cf_expand(num, den)
+    if num < 0:
+        raise InvariantError(f"a fiber chain has continuant {num} < 0")
+    return ()
+
+
+def face_types(dec: Decomposition, m0: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The normal forms (n, q) of the two coordinate faces of sigma', read
+    off the summands without building the cone: z = 0 over s0 + m0, the
+    face of the fiber at the origin, and y = 0 over s1/p, that of the
+    points off it.  A face whose rays coincide is smooth, (1, 0)."""
+    _, _, p, _, ((b0, bd0), (g0, gd0)), ((b1, bd1), (g1, gd1)) = dec
+    return (
+        pair_normal_form((b0 + m0 * bd0, bd0), (g0 + m0 * gd0, gd0)),
+        pair_normal_form((b1, p * bd1), (g1, p * gd1)),
+    )
+
+
+def _continuants(model: CqsModel) -> tuple[tuple[int, ...], ...]:
+    """Continuants of the model's chain a = (a_2, ..., a_{e-1}), indexed
+    from 0: prefix[j] = K(a[:j]), prefix2[j] = K(a[1:j]) (0 at j = 0) and
+    suffix[j] = K(a[j:]), each with K() = 1."""
+
+    def build():
+        a = model.a_chain
+        prefix, prefix2 = [1, a[0]], [0, 1]
+        for c in a[1:]:
+            prefix.append(c * prefix[-1] - prefix[-2])
+            prefix2.append(c * prefix2[-1] - prefix2[-2])
+        suffix = [0, 1]
+        for c in reversed(a):
+            suffix.append(c * suffix[-1] - suffix[-2])
+        return tuple(prefix), tuple(prefix2), tuple(suffix[:0:-1])
+
+    return model.cached("continuants", build)
+
+
 def is_smoothing(defo: Deformation) -> bool:
-    """Whether the general fiber is smooth."""
-    return general_fiber(defo).is_empty
+    """Whether the general fiber is smooth, with the checks of
+    normal_forms and without building the raw chains."""
+    origin, off = normal_forms(defo)
+    return not origin and not off

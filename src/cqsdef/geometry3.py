@@ -31,7 +31,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .lattice import Ratio
+from .lattice import InvariantError, Ratio
 from .record import Record
 
 IVec3 = tuple[int, int, int]
@@ -505,11 +505,11 @@ def _wrap(pts: Sequence[IVec3], p: IVec3, q: IVec3, nrm: IVec3, ref: IVec3) -> I
         if (s or t) and (best is None or best_s * t - best_t * s > 0):
             best, best_s, best_t = x, s, t
     if best is None:
-        raise RuntimeError("gift wrapping found no point off the edge")
+        raise InvariantError("gift wrapping found no point off the edge")
     new = cross3(e, sub3(best, p))
     side = dot3(new, ref)
     if side == 0:
-        raise RuntimeError("gift wrapping did not leave the old face")
+        raise InvariantError("gift wrapping did not leave the old face")
     return prim3(new if side > 0 else neg3(new))
 
 
@@ -579,7 +579,7 @@ def roof_facets(cone: Cone3) -> list[tuple[IVec3, int, list[IVec3]]]:
         if any(a0 * g0 + a1 * g1 + a2 * g2 <= 0 for g0, g1, g2 in gens) or any(
             a0 * x0 + a1 * x1 + a2 * x2 < off for x0, x1, x2 in on
         ):
-            raise RuntimeError(f"gift wrapping found a non-supporting plane {normal}, {off}")
+            raise InvariantError(f"gift wrapping found a non-supporting plane {normal}, {off}")
         verts = _facet_polygon_vertices(on, normal)
         found[(normal, off)] = verts
         for i in range(len(verts)):

@@ -149,17 +149,39 @@ def cone_normal_form(cone: Cone2) -> tuple[int, int]:
     """Parameters (n, q) such that the cone is lattice-isomorphic to
     cone((1,0), (-q, n)) with 0 <= q < n, gcd(n, q) = 1.  n = 1 means smooth.
     """
-    n = cone.index()
+    (a, b), (c, d) = cone
+    return _normal_form(a, b, c, d)
+
+
+def pair_normal_form(u: IVec2, v: IVec2) -> tuple[int, int]:
+    """cone_normal_form of the cone spanned by two nonzero lattice
+    vectors, without building the Cone2: each is made primitive and the
+    pair is ordered positively.  Two vectors that point the same way span
+    a ray, which is smooth: (1, 0).  Opposite vectors raise ValueError."""
+    (a, b), (c, d) = u, v
+    g, k = math.gcd(a, b), math.gcd(c, d)
+    a, b, c, d = a // g, b // g, c // k, d // k
+    if a * d < b * c:
+        return _normal_form(c, d, a, b)
+    if a == c and b == d:
+        return 1, 0
+    return _normal_form(a, b, c, d)
+
+
+def _normal_form(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """(n, q) of the cone over the primitive rays (a, b) and (c, d), where
+    n = det > 0."""
+    n = a * d - b * c
     if n == 1:
         return 1, 0
-    a, b = cone.ray1
+    if n < 1:
+        raise ValueError(f"{(a, b)} and {(c, d)} do not span a strictly convex cone")
     g, s, t = _xgcd(a, b)
     if abs(g) != 1:
-        raise InvariantError(f"{cone.ray1} is not primitive")
-    # The unimodular map with rows g*(s, t) and (-b, a) sends ray1 to (1, 0)
-    # and ray2 to (x, n); a shear by a multiple of n brings x to -q.
-    x2, y2 = cone.ray2
-    return n, (-g * (s * x2 + t * y2)) % n
+        raise InvariantError(f"{(a, b)} is not primitive")
+    # The unimodular map with rows g*(s, t) and (-b, a) sends (a, b) to
+    # (1, 0) and (c, d) to (x, n); a shear by a multiple of n brings x to -q.
+    return n, (-g * (s * c + t * d)) % n
 
 
 def hilbert_basis_2d(cone: Cone2) -> list[IVec2]:

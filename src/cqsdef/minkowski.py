@@ -8,7 +8,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
-from .lattice import IVec2, Ratio, dot2, ratio_text
+from .lattice import InvariantError, IVec2, Ratio, dot2, ratio_text
 from .cqs import CqsModel
 from .record import Record
 
@@ -61,7 +61,7 @@ class Segment(Record):
         as a ratio over the denominator <ray, w^h>."""
         t = dot2(ray, self.w)
         if t <= 0:
-            raise RuntimeError(f"ray {ray} does not meet the slice at height {t}")
+            raise InvariantError(f"ray {ray} does not meet the slice at height {t}")
         return dot2(ray, self.w_next) - t * self.m0, t
 
     def to_json(self) -> dict:
@@ -90,13 +90,13 @@ def _build_segment(model: CqsModel, h: int) -> Segment:
     t_left, u_left = n * y - q * x, n * ny - q * nx
     t_right, u_right = x, nx
     if t_left <= 0 or t_right <= 0:
-        raise RuntimeError(f"a ray of sigma does not meet the slice at w^{h}")
+        raise InvariantError(f"a ray of sigma does not meet the slice at w^{h}")
     m0 = -(-u_left // t_left)
     ends = ((u_left - t_left * m0, t_left), (u_right - t_right * m0, t_right))
     seg = Segment(h=h, ends=ends, m0=m0, w=w, w_next=w_next)
     num, den = seg.length_ratio
     if num * x * (y * model.n - x * model.q) != model.n * den:
-        raise RuntimeError(
+        raise InvariantError(
             f"slice length mismatch for (n,q)=({model.n},{model.q}) h={h}: "
             f"geometric {ratio_text(num, den)} vs formula {segment_length(model, h)}"
         )
@@ -145,13 +145,13 @@ class Decomposition(Record):
         (b1, bd1), (g1, gd1) = self.ends1
         (b, bd), (g, gd) = seg.ends
         if b0 * gd0 > g0 * bd0 or b1 * gd1 > g1 * bd1:
-            raise RuntimeError(f"{self.label}: a summand runs right to left")
+            raise InvariantError(f"{self.label}: a summand runs right to left")
         if (b0 * bd1 + b1 * bd0) * bd != b * bd0 * bd1 or (
             g0 * gd1 + g1 * gd0
         ) * gd != g * gd0 * gd1:
-            raise RuntimeError(f"{self.label}: summands do not add up")
+            raise InvariantError(f"{self.label}: summands do not add up")
         if self.kind == "Dbar" and self.p != 1:
-            raise RuntimeError(f"{self.label}: p = {self.p} != 1")
+            raise InvariantError(f"{self.label}: p = {self.p} != 1")
         check_lattice_ends(self.ends0, self.ends1, self.p, lambda: self.label)
 
     def to_json(self) -> dict:
@@ -171,19 +171,19 @@ def check_lattice_ends(
     by the ends of its summands as integer ratios, where s1 is p times a
     summand: for p = 1 a lattice left end and a lattice right end, each in
     one of the summands; for p > 1 an integral s1 whose length is
-    divisible by p.  Raises RuntimeError naming what(), called only then."""
+    divisible by p.  Raises InvariantError naming what(), called only then."""
     (b0, bd0), (g0, gd0) = ends0
     (b1, bd1), (g1, gd1) = ends1
     if p == 1:
         if b0 % bd0 and b1 % bd1:
-            raise RuntimeError(f"{what()} has no lattice left end")
+            raise InvariantError(f"{what()} has no lattice left end")
         if g0 % gd0 and g1 % gd1:
-            raise RuntimeError(f"{what()} has no lattice right end")
+            raise InvariantError(f"{what()} has no lattice right end")
     else:
         if b1 % bd1 or g1 % gd1:
-            raise RuntimeError(f"{what()} has a non-lattice s1")
+            raise InvariantError(f"{what()} has a non-lattice s1")
         if (g1 // gd1 - b1 // bd1) % p:
-            raise RuntimeError(f"{what()} has s1 not divisible by p")
+            raise InvariantError(f"{what()} has s1 not divisible by p")
 
 
 def decomposition_D(seg: Segment, p: int, d: int) -> Decomposition:

@@ -108,11 +108,11 @@ def _build_p_resolution(model: CqsModel, k: ZeroChain) -> PResolutionFan:
         alpha = k.alpha_at(i)
         w_i, w_next = model.wgen(i), model.wgen(i + 1)
         if dot2(right, w_i) != alpha or dot2(left, w_i) != alpha:
-            raise RuntimeError(f"the roof of tau_{i} is not at height alpha_{i} = {alpha}")
+            raise InvariantError(f"the roof of tau_{i} is not at height alpha_{i} = {alpha}")
         # the roof lies on <x, w^i> = alpha, whose direction is 1 on w^{i+1}
         roof_len = dot2(right, w_next) - dot2(left, w_next)
         if roof_len < 0 or roof_len != (model.a(i) - k.k_at(i)) * alpha:
-            raise RuntimeError(f"tau_{i} has roof length {roof_len}")
+            raise InvariantError(f"tau_{i} has roof length {roof_len}")
         cones.append(
             TauCone(i=i, ray_right=right, ray_left=left, alpha=alpha, roof_len=roof_len)
         )
@@ -259,14 +259,14 @@ def _build_slice_intervals(
     for tau in sorted(cones, key=lambda t: -t.i):  # left to right
         left, right = seg.coord(tau.ray_left), seg.coord(tau.ray_right)
         if left[0] * right[1] > right[0] * left[1]:
-            raise RuntimeError(f"slice of tau_{tau.i} runs right to left")
+            raise InvariantError(f"slice of tau_{tau.i} runs right to left")
         intervals[tau.i] = (left, right)
     ends = list(intervals.values())
     for prev, nxt in zip(ends, ends[1:]):
         if not _same(prev[1], nxt[0]):
-            raise RuntimeError("slices are not adjacent")
+            raise InvariantError("slices are not adjacent")
     if not (_same(ends[0][0], seg.ends[0]) and _same(ends[-1][1], seg.ends[1])):
-        raise RuntimeError("slices do not cover the slice from beta to gamma")
+        raise InvariantError("slices do not cover the slice from beta to gamma")
     return intervals
 
 
@@ -336,7 +336,7 @@ def assemble_fan3(fd: FanDecomposition, defo: Deformation) -> Fan3:
             continue
         cone = Cone3.over_summands(pc.ends0, pc.ends1, fd.decomp.p, defo.m0)
         if cone.gorenstein_ratio is None:
-            raise RuntimeError(f"{fd.label}: the cone over piece {pc.i} is not Q-Gorenstein")
+            raise InvariantError(f"{fd.label}: the cone over piece {pc.i} is not Q-Gorenstein")
         cones.append(
             MaxCone3(
                 tau_index=pc.i,
@@ -349,7 +349,7 @@ def assemble_fan3(fd: FanDecomposition, defo: Deformation) -> Fan3:
     support = defo.sigma_prime
     for mc in cones:
         if not all(support.contains(g) for g in mc.cone.generators):
-            raise RuntimeError(f"{fd.label}: the cone over piece {mc.tau_index} leaves the support")
+            raise InvariantError(f"{fd.label}: the cone over piece {mc.tau_index} leaves the support")
     _check_fan_interfaces(cones)
     return Fan3(support=support, cones=tuple(cones))
 
@@ -422,16 +422,16 @@ def canonical_model(defo: Deformation) -> tuple[ZeroChain, Fan3]:
     """
     winners = [k for k in components_of(defo) if _canonical_predicate(defo, k)]
     if len(winners) != 1:
-        raise RuntimeError(
+        raise InvariantError(
             f"{defo.label}: expected exactly one canonical component, got "
             f"{[k.k for k in winners]}"
         )
     k = winners[0]
     fan = assemble_fan3(fan_decomposition(defo.model, k, defo.decomp), defo)
     if not fan.all_canonical:
-        raise RuntimeError(f"{defo.label}: chosen fan for {k.k} is not canonical")
+        raise InvariantError(f"{defo.label}: chosen fan for {k.k} is not canonical")
     if not _convex_across_walls(fan.cones):
-        raise RuntimeError(
+        raise InvariantError(
             f"{defo.label}: predicate and hull canonical models disagree"
         )
     return k, fan

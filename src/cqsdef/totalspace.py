@@ -101,7 +101,7 @@ class Deformation(Record):
             x, y, z = self.phi(ray)
             for r0, r1, r2 in cone.dual_rays:
                 if r0 * x + r1 * y + r2 * z < 0:
-                    raise RuntimeError(f"{self.label}: slice embedding left the cone")
+                    raise InvariantError(f"{self.label}: slice embedding left the cone")
         return cone
 
     @property
@@ -199,7 +199,7 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
     x = [0] + [dx * wx + dy * wy for wx, wy in model.w]
     y = [0] + [bx * wx + by * wy for wx, wy in model.w]
     if (x[h], y[h], x[h + 1], y[h + 1]) != (0, 1, 1, 0):
-        raise RuntimeError(f"{defo.label}: the slice frame does not fit w^{h} and w^{h + 1}")
+        raise InvariantError(f"{defo.label}: the slice frame does not fit w^{h} and w^{h + 1}")
 
     u3 = [0] * (e + 1)
     if h >= 2:
@@ -216,18 +216,18 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
     v = [None] + [(x[i], y[i] - p * u3[i], u3[i]) for i in range(1, e + 1)]
     v_tilde: IVec3 = (0, 0, 1)
     if v[h] != (0, 1, 0) or v[h + 1] != (1, 0, 0) or v[h - 1] != (-1, model.a(h) - p * d, d):
-        raise RuntimeError(f"{defo.label}: v^{h - 1}, v^{h}, v^{h + 1} are not the lifts")
+        raise InvariantError(f"{defo.label}: v^{h - 1}, v^{h}, v^{h + 1} are not the lifts")
 
     gens = defo.sigma_prime.generators
     for i, (v0, v1, v2) in [*enumerate(v[1:], 1), ("tilde", v_tilde)]:
         if any(g0 * v0 + g1 * v1 + g2 * v2 < 0 for g0, g1, g2 in gens):
-            raise RuntimeError(f"{defo.label}: v^{i} is not in the dual cone")
+            raise InvariantError(f"{defo.label}: v^{i} is not in the dual cone")
 
     relations = []
 
     def rel(desc, lhs, rhs):
         if lhs != rhs:
-            raise RuntimeError(f"{defo.label}: relation {desc} fails: {lhs} != {rhs}")
+            raise InvariantError(f"{defo.label}: relation {desc} fails: {lhs} != {rhs}")
         relations.append((desc, lhs))
 
     skip = {h} if defo.kind == "D" else {h - 1, h}

@@ -1,10 +1,15 @@
+import re
+
 import pytest
 
-from cqsdef import fibers
+from cqsdef import chains, fibers
+from cqsdef.chains import blow_down
 from cqsdef.cqs import cqs_new
 from cqsdef.fibers import general_fiber, is_smoothing
+from cqsdef.lattice import Cone2, InvariantError, cone_normal_form
+from cqsdef.minkowski import Decomposition
 from cqsdef.report import scan_row
-from cqsdef.totalspace import all_deformations
+from cqsdef.totalspace import Deformation, all_deformations
 from conftest import iter_models, run_optimized
 
 
@@ -79,94 +84,120 @@ def test_fiber_json(y83):
         assert "raw_chains" in js_verbose
 
 
-def _count_blow_downs(monkeypatch) -> list:
-    """Wrap fibers.blow_down; the returned list collects its arguments."""
-    calls = []
-    blow_down = fibers.blow_down
-
-    def counted(chain):
-        calls.append(chain)
-        return blow_down(chain)
-
-    monkeypatch.setattr(fibers, "blow_down", counted)
-    return calls
-
-
-def _raw_chains(model) -> set:
-    return {ch for df in all_deformations(model) for ch, _, _ in general_fiber(df).raw}
-
-
-def test_scan_row_blows_each_chain_of_a_model_down_once(monkeypatch):
-    calls = _count_blow_downs(monkeypatch)
-    rows = 0
-    for model in iter_models(31, 28):
-        del calls[:]
-        assert "error" not in scan_row(model.n, model.q)
-        made = list(calls)
-        assert len(made) == len(set(made)), (model.n, model.q)
-        assert set(made) == _raw_chains(model), (model.n, model.q)
-        rows += 1
-    assert rows == 74
+def test_general_fiber_matches_blow_down():
+    """The closed form agrees with the blow-down oracle on every
+    deformation with n <= 80: each fiber's normal forms are the blow-downs
+    of its raw chains, an off-origin point that blows down smooth is
+    dropped, and is_smoothing reads the same fiber."""
+    count = 0
+    for model in iter_models(80):
+        for df in all_deformations(model):
+            fib = general_fiber(df)
+            (origin, _, _), (off, mult, _) = fib.raw
+            nf = blow_down(off)
+            assert fib.origin == blow_down(origin), df.label
+            assert fib.off_origin == (((nf, mult),) if nf else ()), df.label
+            assert is_smoothing(df) == fib.is_empty, df.label
+            count += 1
+    assert count == 47838
 
 
-def test_a_new_model_starts_with_an_empty_memo(monkeypatch):
-    calls = _count_blow_downs(monkeypatch)
-    first = cqs_new(29, 8)
-    chains = _raw_chains(first)
-    assert len(calls) == len(chains)
-    second = cqs_new(29, 8)
-    assert not [key for key in second._memo if key[0] == "blow_down"]
-    del calls[:]
-    assert _raw_chains(second) == chains
-    assert len(calls) == len(chains)
+def _with_d_plus_one(df) -> Deformation:
+    kind, h, p, d, ends0, ends1 = df.decomp
+    return Deformation(df.model, Decomposition(kind, h, p, d + 1, ends0, ends1), df.m0)
 
 
-def test_invalid_chain_raises_on_every_call(monkeypatch):
-    """The chain (1,) is shared by the D deformations with d = 1 of Y(8,3).
-    After the first of them keeps its normal form on the model, the
-    others read it from there and must fail the check all the same."""
-    sharing = [
-        df.label
-        for df in all_deformations(cqs_new(8, 3))
-        if (1,) in {ch for ch, _, _ in general_fiber(df).raw}
-    ]
-    assert len(sharing) == 4
-    blow_down = fibers.blow_down
-    monkeypatch.setattr(
-        fibers, "blow_down", lambda chain: None if chain == (1,) else blow_down(chain)
+def test_wrong_d_raises_on_every_call():
+    """A decomposition whose d is one too large for its summands makes
+    the fiber chains disagree with the faces of sigma'; for every
+    deformation with n <= 30 the check fires in general_fiber and in
+    is_smoothing, on a second call as well."""
+    count = 0
+    for model in iter_models(30):
+        for df in all_deformations(model):
+            bad = _with_d_plus_one(df)
+            for call in (general_fiber, is_smoothing, general_fiber):
+                with pytest.raises(InvariantError, match=re.escape(bad.label)):
+                    call(bad)
+            count += 1
+    assert count == 3455
+
+
+def test_face_check_survives_optimize():
+    """Under python -O, every deformation of Y(8,3) with d one too large
+    fails the face check in general_fiber and in is_smoothing."""
+    code = (
+        "import sys\n"
+        "from cqsdef.cqs import cqs_new\n"
+        "from cqsdef.fibers import general_fiber, is_smoothing\n"
+        "from cqsdef.lattice import InvariantError\n"
+        "from cqsdef.minkowski import Decomposition\n"
+        "from cqsdef.totalspace import Deformation, all_deformations\n"
+        "for df in all_deformations(cqs_new(8, 3)):\n"
+        "    kind, h, p, d, ends0, ends1 = df.decomp\n"
+        "    bad = Deformation(df.model, Decomposition(kind, h, p, d + 1, ends0, ends1), df.m0)\n"
+        "    for call in (general_fiber, is_smoothing):\n"
+        "        try:\n"
+        "            call(bad)\n"
+        "        except InvariantError as exc:\n"
+        "            print(sys.flags.optimize, str(exc).split(':')[0])\n"
     )
-    model = cqs_new(8, 3)
-    failed = []
-    for df in all_deformations(model):
-        if df.label in sharing:
-            with pytest.raises(RuntimeError, match=r"fiber chain \(1,\) .* blew down below 1"):
-                general_fiber(df)
-            assert model._memo[("blow_down", (1,))] is None
-            failed.append(df.label)
-    assert failed == sharing
+    lines = run_optimized("-c", code).stdout.decode().splitlines()
+    labels = [_with_d_plus_one(df).label for df in all_deformations(cqs_new(8, 3))]
+    assert len(labels) == 7
+    assert lines == [f"1 {label}" for label in labels for _ in range(2)]
+
+
+def test_face_types_are_the_cone_normal_forms():
+    """face_types reads the coordinate faces of sigma' off the summands;
+    they are the faces z = 0 and y = 0 of the Cone3 that sigma_prime
+    builds, whose normal forms cone_normal_form gives."""
+    for model in iter_models(20):
+        for df in all_deformations(model):
+            gens = df.sigma_prime.generators
+            faces = []
+            for axis in (2, 1):
+                rays = [(g[0], g[3 - axis]) for g in gens if g[axis] == 0]
+                faces.append(cone_normal_form(Cone2(*rays)) if len(rays) == 2 else (1, 0))
+            assert fibers.face_types(df.decomp, df.m0) == tuple(faces), df.label
+
+
+def test_general_fiber_blows_nothing_down(monkeypatch):
+    """Neither general_fiber over Y(8,3) nor the 74 scan rows with n in
+    28..31 blow a chain down."""
+
+    def refuse(chain):
+        raise AssertionError(f"blew {chain} down")
+
+    monkeypatch.setattr(chains, "blow_down", refuse)
+    monkeypatch.setattr(chains, "blow_down_trace", refuse)
+    assert fiber_table(cqs_new(8, 3))["pi_{3,1}^1"] == ((2, 2, 2), [])
+    rows = [scan_row(model.n, model.q) for model in iter_models(31, 28)]
+    assert len(rows) == 74 and not any("error" in row for row in rows)
 
 
 def test_smoothing_pattern_check_survives_optimize():
-    """With every chain blowing down to a smooth point, the four deformations of
-    Y(8,3) at h = 3 other than pi_{3,2}^1 break the smoothing pattern, on
-    their first call and again on a second call that reads every chain
-    from the memo."""
+    """With both routes forced to a smooth point, the four deformations
+    of Y(8,3) at h = 3 other than pi_{3,2}^1 break the smoothing pattern,
+    in general_fiber, in is_smoothing and in general_fiber again."""
     code = (
         "import sys\n"
         "from cqsdef import fibers\n"
         "from cqsdef.cqs import cqs_new\n"
+        "from cqsdef.lattice import InvariantError\n"
         "from cqsdef.totalspace import all_deformations\n"
-        "fibers.blow_down = lambda chain: ()\n"
+        "fibers.fiber_types = lambda model, dec: ((1, 0), (1, 0))\n"
+        "fibers.face_types = lambda dec, m0: ((1, 0), (1, 0))\n"
         "for df in all_deformations(cqs_new(8, 3)):\n"
-        "    for _ in range(2):\n"
+        "    for call in (fibers.general_fiber, fibers.is_smoothing, fibers.general_fiber):\n"
         "        try:\n"
-        "            fibers.general_fiber(df)\n"
-        "        except RuntimeError as exc:\n"
+        "            call(df)\n"
+        "        except InvariantError as exc:\n"
         "            print(sys.flags.optimize, exc)\n"
     )
     lines = run_optimized("-c", code).stdout.decode().splitlines()
     assert lines == [
         f"1 {label} is a smoothing outside the expected pattern"
         for label in ("pi_{3,1}^1", "pi_{3,1}^2", "pibar_{3}^1", "pibar_{3}^2")
-        for _ in range(2)
+        for _ in range(3)
     ]

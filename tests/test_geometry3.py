@@ -270,12 +270,13 @@ def test_prim3_of_zero_raises():
 def test_support_check_survives_optimize():
     code = (
         "import sys\n"
+        "from cqsdef.lattice import InvariantError\n"
         "from cqsdef import geometry3\n"
         "wrap = geometry3._wrap\n"
         "geometry3._wrap = lambda *args: geometry3.neg3(wrap(*args))\n"
         "try:\n"
         "    geometry3.roof_facets(geometry3.Cone3.from_rays([(7, 192, 0), (0, 1, 0), (0, 0, 1)]))\n"
-        "except RuntimeError as exc:\n"
+        "except InvariantError as exc:\n"
         "    print(sys.flags.optimize, exc)\n"
     )
     out = run_optimized("-c", code).stdout.decode()

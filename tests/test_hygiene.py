@@ -3,7 +3,8 @@ import that nothing reads, an import inside a function of a name the
 module already imports, and a local name that a function assigns and
 never reads; imports of the package's own modules inside a function,
 which hide an import cycle; assert statements, which python -O drops;
-code generated at import; and module-level definitions, methods and
+a bare RuntimeError raised where a check raises InvariantError; code
+generated at import; and module-level definitions, methods and
 properties that nothing references.  Also: importing the command line
 loads no module that only start-up would pay for, and the package
 version is the one pyproject.toml declares."""
@@ -218,6 +219,45 @@ def test_assert_statements_are_found(tmp_path):
         "    return x\n"
     )
     assert assert_lines(path) == [2, 4]
+
+
+def runtime_error_lines(path: Path) -> list[int]:
+    """The lines where the module raises a bare RuntimeError, called or
+    not; a failed check of the library raises InvariantError, so that a
+    caller can tell a broken check from any other error."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                found.append(node.lineno)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_runtime_error_raises(path):
+    assert runtime_error_lines(path) == []
+
+
+def test_runtime_error_raises_are_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from .lattice import InvariantError\n"
+        "\n"
+        "def f(x):\n"
+        "    if x < 0:\n"
+        "        raise RuntimeError(f'{x} < 0')\n"
+        "    if x == 0:\n"
+        "        raise RuntimeError\n"
+        "    if x == 1:\n"
+        "        raise InvariantError('x is 1')\n"
+        "    try:\n"
+        "        return 1 / x\n"
+        "    except RuntimeError:\n"
+        "        raise\n"
+    )
+    assert runtime_error_lines(path) == [5, 7]
 
 
 def generated_code(path: Path) -> list[str]:

@@ -11,6 +11,7 @@ from cqsdef.lattice import (
     cone_normal_form,
     dual_cone,
     hilbert_basis_2d,
+    pair_normal_form,
     primitive,
     ratio_text,
 )
@@ -168,6 +169,31 @@ def test_cone2_reduces_and_orders_integer_rays(u, v):
 def test_cone_normal_form():
     assert cone_normal_form(Cone2((1, 0), (-3, 8))) == (8, 3)
     assert cone_normal_form(Cone2((1, 0), (0, 1))) == (1, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+    st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+    st.integers(1, 4),
+    st.integers(1, 4),
+)
+def test_pair_normal_form_is_the_cone_normal_form(u, v, ku, kv):
+    """On two non-collinear vectors, in either order and scaled by any
+    positive factors, pair_normal_form is cone_normal_form of their
+    Cone2; a vector and a positive multiple of it span a smooth ray."""
+    assume(u != (0, 0) and v != (0, 0))
+    big_u, big_v = (ku * u[0], ku * u[1]), (kv * v[0], kv * v[1])
+    if u[0] * v[1] - u[1] * v[0]:
+        nf = cone_normal_form(Cone2(u, v))
+        assert pair_normal_form(big_u, big_v) == pair_normal_form(big_v, big_u) == nf
+    else:
+        assert pair_normal_form(big_u, (kv * u[0], kv * u[1])) == (1, 0)
+
+
+def test_pair_normal_form_rejects_opposite_vectors():
+    with pytest.raises(ValueError, match="do not span a strictly convex cone"):
+        pair_normal_form((2, -4), (-1, 2))
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 
 from cqsdef.chains import enumerate_K
 from cqsdef.cqs import to_display_coords
-from cqsdef.lattice import dot2
+from cqsdef.lattice import InvariantError, dot2
 from cqsdef.minkowski import (
     decomposition_D,
     decomposition_Dbar,
@@ -51,7 +51,7 @@ def test_segment_matches_division_frame():
 
 def test_segment_coord_rejects_points_off_the_slice(y83):
     seg = segment(y83, 3)
-    with pytest.raises(RuntimeError, match="does not meet the slice"):
+    with pytest.raises(InvariantError, match="does not meet the slice"):
         seg.coord(tuple(-c for c in seg.origin))
 
 
@@ -188,6 +188,7 @@ def test_lattice_end_rule_survives_optimize():
     need not be in lowest terms."""
     code = (
         "import sys\n"
+        "from cqsdef.lattice import InvariantError\n"
         "from cqsdef.minkowski import check_lattice_ends\n"
         "check_lattice_ends(((-1, 2), (2, 2)), ((0, 1), (1, 1)), 1, lambda: 'ok')\n"
         "check_lattice_ends(((-1, 2), (1, 3)), ((0, 5), (8, 2)), 2, lambda: 'ok')\n"
@@ -200,7 +201,7 @@ def test_lattice_end_rule_survives_optimize():
         "for s0, s1, p in bad:\n"
         "    try:\n"
         "        check_lattice_ends(s0, s1, p, lambda: 'bad')\n"
-        "    except RuntimeError as exc:\n"
+        "    except InvariantError as exc:\n"
         "        print(sys.flags.optimize, exc)\n"
     )
     assert run_optimized("-c", code).stdout.decode().splitlines() == [

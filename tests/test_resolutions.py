@@ -321,6 +321,7 @@ def test_wall_certificate_survives_optimize():
     that is not the hull fan, and analyze exits 2."""
     code = (
         "import sys\n"
+        "from cqsdef.lattice import InvariantError\n"
         "import cqsdef.cli\n"
         "import cqsdef.resolutions as res\n"
         "from cqsdef.cqs import cqs_new\n"
@@ -335,7 +336,7 @@ def test_wall_certificate_survives_optimize():
         "df = all_deformations(cqs_new(8, 3))[0]\n"
         "try:\n"
         "    res.canonical_model(df)\n"
-        "except RuntimeError as exc:\n"
+        "except InvariantError as exc:\n"
         "    print(sys.flags.optimize, exc)\n"
         "sys.exit(cqsdef.cli.main(['analyze', '8', '3', '--json']))\n"
     )
@@ -343,7 +344,7 @@ def test_wall_certificate_survives_optimize():
     assert proc.returncode == 2
     assert proc.stdout.decode() == "1 pi_{2,1}^1: predicate and hull canonical models disagree\n"
     assert proc.stderr.decode() == (
-        "internal invariant failure: RuntimeError: "
+        "internal invariant failure: InvariantError: "
         "pi_{2,1}^1: predicate and hull canonical models disagree\n"
     )
 
@@ -403,6 +404,7 @@ def test_slice_interval_checks_survive_optimize():
     python -O."""
     code = (
         "import sys\n"
+        "from cqsdef.lattice import InvariantError\n"
         "from cqsdef.cqs import cqs_new\n"
         "from cqsdef.chains import enumerate_K\n"
         "from cqsdef.minkowski import Segment, segment\n"
@@ -414,7 +416,7 @@ def test_slice_interval_checks_survive_optimize():
         "_build_slice_intervals(seg, cones)\n"
         "try:\n"
         "    _build_slice_intervals(off, cones)\n"
-        "except RuntimeError as exc:\n"
+        "except InvariantError as exc:\n"
         "    print(sys.flags.optimize, 'raised:', exc)\n"
     )
     out = run_optimized("-c", code).stdout.decode()
@@ -427,6 +429,7 @@ def test_roof_and_lift_checks_survive_optimize():
     with the wrong w^{h+1}, are internal failures."""
     code = (
         "import sys\n"
+        "from cqsdef.lattice import InvariantError\n"
         "from cqsdef.chains import enumerate_K\n"
         "from cqsdef.cqs import CqsModel, cqs_new\n"
         "from cqsdef.minkowski import Segment, segment\n"
@@ -443,7 +446,7 @@ def test_roof_and_lift_checks_survive_optimize():
         "             lambda: generator_relations(df)):\n"
         "    try:\n"
         "        call()\n"
-        "    except RuntimeError as exc:\n"
+        "    except InvariantError as exc:\n"
         "        print(sys.flags.optimize, exc)\n"
     )
     assert run_optimized("-c", code).stdout.decode().splitlines() == [
@@ -465,6 +468,7 @@ def test_qgorenstein_check_survives_optimize():
     internal failure under python -O, raised before canonicity is read."""
     code = (
         "import sys\n"
+        "from cqsdef.lattice import InvariantError\n"
         "from cqsdef.chains import enumerate_K\n"
         "from cqsdef.cqs import cqs_new\n"
         "from cqsdef.resolutions import FanDecomposition, PieceDecomposition\n"
@@ -480,7 +484,7 @@ def test_qgorenstein_check_survives_optimize():
         "bad = FanDecomposition(fd.k, fd.decomp, fd.fan, (piece,) + fd.pieces[1:])\n"
         "try:\n"
         "    assemble_fan3(bad, df)\n"
-        "except RuntimeError as exc:\n"
+        "except InvariantError as exc:\n"
         "    print(sys.flags.optimize, 'raised:', exc)\n"
     )
     out = run_optimized("-c", code).stdout.decode()

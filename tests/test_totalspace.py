@@ -48,6 +48,7 @@ def test_slice_embedding_check_survives_optimize():
     sigma_prime, and analyze turns that into exit 2."""
     code = (
         "import sys\n"
+        "from cqsdef.lattice import InvariantError\n"
         "import cqsdef.cli\n"
         "from cqsdef.cqs import cqs_new\n"
         "from cqsdef.totalspace import Deformation, all_deformations\n"
@@ -59,7 +60,7 @@ def test_slice_embedding_check_survives_optimize():
         "df = all_deformations(cqs_new(8, 3))[0]\n"
         "try:\n"
         "    df.sigma_prime\n"
-        "except RuntimeError as exc:\n"
+        "except InvariantError as exc:\n"
         "    print(exc)\n"
         "sys.exit(cqsdef.cli.main(['analyze', '8', '3', '--json']))\n"
     )
@@ -67,7 +68,7 @@ def test_slice_embedding_check_survives_optimize():
     assert proc.returncode == 2
     assert proc.stdout.decode() == "pi_{2,1}^1: slice embedding left the cone\n"
     assert proc.stderr.decode() == (
-        "internal invariant failure: RuntimeError: pi_{2,1}^1: slice embedding left the cone\n"
+        "internal invariant failure: InvariantError: pi_{2,1}^1: slice embedding left the cone\n"
     )
 
 
