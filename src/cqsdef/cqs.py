@@ -44,13 +44,13 @@ class CqsModel(Record):
         self.__dict__["_memo"] = {}
         return self
 
-    def cached(self, key, build):
-        """The result stored under key, computed by build() on first use;
-        a build that raises stores nothing."""
+    def cached(self, key, build, *args):
+        """The result stored under key, computed by build(*args) on first
+        use; a build that raises stores nothing."""
         try:
             return self._memo[key]
         except KeyError:
-            value = self._memo[key] = build()
+            value = self._memo[key] = build(*args)
             return value
 
     def a(self, h: int) -> int:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from math import gcd
+
 from .cqs import CqsModel
-from .lattice import InvariantError, cf_expand, pair_normal_form
+from .lattice import InvariantError, cf_expand
 from .minkowski import Decomposition
 from .record import Record
 from .totalspace import Deformation
@@ -66,40 +68,51 @@ def general_fiber(defo: Deformation) -> SingularityList:
 
 def normal_forms(defo: Deformation) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The normal-form chains of the general fiber at the origin and off
-    it, each () when smooth.  They come from the continuants of the
-    fiber chains (fiber_types, chain_type), without blowing a chain down.
+    it, each () when smooth: the continuants of the fiber chains, checked
+    by checked_types, expanded by chain_type, without blowing a chain
+    down."""
+    (n0, d0), (n1, d1) = checked_types(defo)
+    return chain_type(n0, d0), chain_type(n1, d1)
 
-    Two checks run on every call.  Each chain must have the type of the
-    face of sigma' over its summand (face_types), a second route through
-    the Minkowski summands.  A smooth fiber must fit the smoothing
-    pattern: d = 1 with p = a_h - 1, or the barred kind with a_h = 2 and
-    d = 1.
+
+def is_smoothing(defo: Deformation) -> bool:
+    """Whether the general fiber is smooth: both fiber chains have
+    continuant K(c) <= 1.  The checks of checked_types run; no chain is
+    expanded and no raw chain is built."""
+    (n0, _), (n1, _) = checked_types(defo)
+    return n0 <= 1 and n1 <= 1
+
+
+def checked_types(defo: Deformation) -> tuple[tuple[int, int], tuple[int, int]]:
+    """fiber_types of the deformation, after three checks that run on
+    every call.  Each chain must have the type of the face of sigma' over
+    its summand (check_faces), a second route through the Minkowski
+    summands.  No continuant K(c) may be negative.  A smooth fiber must
+    fit the smoothing pattern: d = 1 with p = a_h - 1, or the barred kind
+    with a_h = 2 and d = 1.
     """
     model, dec, m0 = defo
     types = fiber_types(model, dec)
-    for (num, den), face in zip(types, face_types(dec, m0)):
-        if face != ((num, (num - den) % num) if num > 1 else (1, 0)):
-            raise InvariantError(
-                f"{defo.label}: a fiber chain with continuants {(num, den)} "
-                f"does not match its face of sigma', {face}"
-            )
-    origin, off = chain_type(*types[0]), chain_type(*types[1])
-    if not origin and not off:
+    check_faces(dec, m0, types)
+    (n0, _), (n1, _) = types
+    if n0 < 0 or n1 < 0:
+        raise InvariantError(f"{dec.label}: a fiber chain has continuant {min(n0, n1)} < 0")
+    if n0 <= 1 and n1 <= 1:
         kind, h, p, d, _, _ = dec
         a_h = model.a_chain[h - 2]
         if not (d == 1 and (p == a_h - 1 if kind == "D" else a_h == 2)):
-            raise InvariantError(f"{defo.label} is a smoothing outside the expected pattern")
-    return origin, off
+            raise InvariantError(f"{dec.label} is a smoothing outside the expected pattern")
+    return types
 
 
 def fiber_types(model: CqsModel, dec: Decomposition) -> tuple[tuple[int, int], tuple[int, int]]:
     """The continuants (K(c), K(c_2, ...)) of the fiber chains c at the
     origin and off it, read off the model's continuants (_continuants)
-    in a few integer operations."""
-    n, q, _, _, _, _ = model
+    in a few integer operations.  They are kept once per model."""
+    n, q, _, a, _, _ = model
     kind, h, p, d, _, _ = dec
     pos = h - 2
-    prefix, prefix2, suffix = _continuants(model)
+    prefix, prefix2, suffix = model.cached("continuants", _continuants, a)
     if kind == "D":
         # Lowering one entry by x lowers the continuant by x times the
         # continuants of the two sides.
@@ -112,51 +125,65 @@ def fiber_types(model: CqsModel, dec: Decomposition) -> tuple[tuple[int, int], t
 
 
 def chain_type(num: int, den: int) -> tuple[int, ...]:
-    """The normal-form chain of a chain c with continuants num = K(c) and
-    den = K(c_2, ...): blowing a 1 down keeps num and den mod num, so the
-    normal form is the expansion of num / (den mod num), and () when num
-    is 0 or 1.  A negative num raises InvariantError."""
+    """The normal-form chain of a chain c with continuants num = K(c) >= 0
+    and den = K(c_2, ...): blowing a 1 down keeps num and den mod num, so
+    the normal form is the expansion of num / (den mod num), and () when
+    num is 0 or 1."""
     if num > 1:
         den %= num
         return (num,) if den == 1 else cf_expand(num, den)
-    if num < 0:
-        raise InvariantError(f"a fiber chain has continuant {num} < 0")
     return ()
 
 
-def face_types(dec: Decomposition, m0: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The normal forms (n, q) of the two coordinate faces of sigma', read
-    off the summands without building the cone: z = 0 over s0 + m0, the
-    face of the fiber at the origin, and y = 0 over s1/p, that of the
-    points off it.  A face whose rays coincide is smooth, (1, 0)."""
+def check_faces(dec: Decomposition, m0: int, types: tuple[tuple[int, int], ...]) -> None:
+    """Check the continuants (N, D) of the fiber chains at the origin and
+    off it against the coordinate faces of sigma', read off the summands
+    without building the cone: z = 0 over s0 + m0, the face of the fiber
+    at the origin, and y = 0 over s1/p, that of the points off it.  Each
+    face must have the normal form (N, -D mod N), or be smooth when
+    N <= 1 (face_is); otherwise InvariantError names the decomposition."""
     _, _, p, _, ((b0, bd0), (g0, gd0)), ((b1, bd1), (g1, gd1)) = dec
-    return (
-        pair_normal_form((b0 + m0 * bd0, bd0), (g0 + m0 * gd0, gd0)),
-        pair_normal_form((b1, p * bd1), (g1, p * gd1)),
-    )
+    (n0, d0), (n1, d1) = types
+    if not (
+        face_is(b0 + m0 * bd0, bd0, g0 + m0 * gd0, gd0, n0, -d0)
+        and face_is(b1, p * bd1, g1, p * gd1, n1, -d1)
+    ):
+        raise InvariantError(
+            f"{dec.label}: the fiber chains' continuants {types} "
+            f"do not match the faces of sigma'"
+        )
 
 
-def _continuants(model: CqsModel) -> tuple[tuple[int, ...], ...]:
-    """Continuants of the model's chain a = (a_2, ..., a_{e-1}), indexed
-    from 0: prefix[j] = K(a[:j]), prefix2[j] = K(a[1:j]) (0 at j = 0) and
+def face_is(ux: int, uy: int, vx: int, vy: int, n: int, q: int) -> bool:
+    """Whether the cone over the nonzero lattice vectors u and v has the
+    normal form (n, q mod n), with n <= 1 standing for smooth.
+
+    Made primitive and ordered so that det(u, v) >= 0, the rays span a
+    cone of normal form (n, q mod n), n > 1, exactly when det(u, v) = n
+    and v + q*u lies in n*Z^2: the map of the cone onto
+    cone((1, 0), (-q, n)) sends u to (1, 0).  As v is primitive, the
+    congruence makes gcd(n, q) = 1.  A smooth cone has det(u, v) = 1, or
+    u = v when the two rays coincide.
+    """
+    g, k = gcd(ux, uy), gcd(vx, vy)
+    ux, uy, vx, vy = ux // g, uy // g, vx // k, vy // k
+    det = ux * vy - uy * vx
+    if det < 0:
+        ux, uy, vx, vy, det = vx, vy, ux, uy, -det
+    if n > 1:
+        return det == n and not (vx + q * ux) % n and not (vy + q * uy) % n
+    return det == 1 or (ux == vx and uy == vy)
+
+
+def _continuants(a: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Continuants of a chain a = (a_2, ..., a_{e-1}), indexed from 0:
+    prefix[j] = K(a[:j]), prefix2[j] = K(a[1:j]) (0 at j = 0) and
     suffix[j] = K(a[j:]), each with K() = 1."""
-
-    def build():
-        a = model.a_chain
-        prefix, prefix2 = [1, a[0]], [0, 1]
-        for c in a[1:]:
-            prefix.append(c * prefix[-1] - prefix[-2])
-            prefix2.append(c * prefix2[-1] - prefix2[-2])
-        suffix = [0, 1]
-        for c in reversed(a):
-            suffix.append(c * suffix[-1] - suffix[-2])
-        return tuple(prefix), tuple(prefix2), tuple(suffix[:0:-1])
-
-    return model.cached("continuants", build)
-
-
-def is_smoothing(defo: Deformation) -> bool:
-    """Whether the general fiber is smooth, with the checks of
-    normal_forms and without building the raw chains."""
-    origin, off = normal_forms(defo)
-    return not origin and not off
+    prefix, prefix2 = [1, a[0]], [0, 1]
+    for c in a[1:]:
+        prefix.append(c * prefix[-1] - prefix[-2])
+        prefix2.append(c * prefix2[-1] - prefix2[-2])
+    suffix = [0, 1]
+    for c in reversed(a):
+        suffix.append(c * suffix[-1] - suffix[-2])
+    return tuple(prefix), tuple(prefix2), tuple(suffix[:0:-1])

@@ -26,7 +26,6 @@ integer vectors before any cone is built.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
@@ -71,6 +70,8 @@ def prim3(v: Sequence[int]) -> IVec3:
 
 def prim3_rational(v) -> IVec3:
     """Primitive integer vector on the ray through a rational point."""
+    from fractions import Fraction
+
     fs = [Fraction(c) for c in v]
     m = 1
     for f in fs:

@@ -15,10 +15,12 @@ everything read off them are plain integers.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .record import Record
+
+if TYPE_CHECKING:
+    import fractions
 
 # A rational number as (numerator, denominator) with a positive denominator,
 # not necessarily in lowest terms: the form in which the slice code keeps
@@ -62,6 +64,8 @@ def primitive(v) -> IVec2:
     Fractions become ints, and a non-lattice point raises ValueError."""
     a, b = v
     if type(a) is not int or type(b) is not int:
+        from fractions import Fraction
+
         if Fraction(a).denominator != 1 or Fraction(b).denominator != 1:
             raise ValueError(f"not a lattice point: ({a}, {b})")
         a, b = int(a), int(b)
@@ -120,8 +124,10 @@ def cf_expand(num: int, den: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def cf_eval(cf: Sequence[int]) -> Optional[Fraction]:
+def cf_eval(cf: Sequence[int]) -> Optional[fractions.Fraction]:
     """Evaluate a continued fraction; None when a zero denominator occurs."""
+    from fractions import Fraction
+
     coeffs = tuple(cf)
     if not coeffs:
         return None
@@ -150,21 +156,6 @@ def cone_normal_form(cone: Cone2) -> tuple[int, int]:
     cone((1,0), (-q, n)) with 0 <= q < n, gcd(n, q) = 1.  n = 1 means smooth.
     """
     (a, b), (c, d) = cone
-    return _normal_form(a, b, c, d)
-
-
-def pair_normal_form(u: IVec2, v: IVec2) -> tuple[int, int]:
-    """cone_normal_form of the cone spanned by two nonzero lattice
-    vectors, without building the Cone2: each is made primitive and the
-    pair is ordered positively.  Two vectors that point the same way span
-    a ray, which is smooth: (1, 0).  Opposite vectors raise ValueError."""
-    (a, b), (c, d) = u, v
-    g, k = math.gcd(a, b), math.gcd(c, d)
-    a, b, c, d = a // g, b // g, c // k, d // k
-    if a * d < b * c:
-        return _normal_form(c, d, a, b)
-    if a == c and b == d:
-        return 1, 0
     return _normal_form(a, b, c, d)
 
 

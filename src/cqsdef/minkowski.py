@@ -5,12 +5,14 @@ deformations.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .lattice import InvariantError, IVec2, Ratio, dot2, ratio_text
 from .cqs import CqsModel
 from .record import Record
+
+if TYPE_CHECKING:
+    import fractions
 
 
 class Segment(Record):
@@ -76,12 +78,12 @@ class Segment(Record):
 
 def segment(model: CqsModel, h: int) -> Segment:
     """The slice Q_sigma(w^h) in canonical coordinates, 2 <= h <= e-1."""
-    if not 2 <= h <= model.e - 1:
-        raise ValueError(f"h = {h} out of range 2..{model.e - 1}")
-    return model.cached(("segment", h), lambda: _build_segment(model, h))
+    return model.cached(("segment", h), _build_segment, model, h)
 
 
 def _build_segment(model: CqsModel, h: int) -> Segment:
+    if not 2 <= h <= model.e - 1:
+        raise ValueError(f"h = {h} out of range 2..{model.e - 1}")
     w, w_next = model.wgen(h), model.wgen(h + 1)
     n, q = model.n, model.q
     # <ray, w^h> and <ray, w^{h+1}> for the rays (-q, n) and (1, 0) of sigma;
@@ -93,7 +95,7 @@ def _build_segment(model: CqsModel, h: int) -> Segment:
         raise InvariantError(f"a ray of sigma does not meet the slice at w^{h}")
     m0 = -(-u_left // t_left)
     ends = ((u_left - t_left * m0, t_left), (u_right - t_right * m0, t_right))
-    seg = Segment(h=h, ends=ends, m0=m0, w=w, w_next=w_next)
+    seg = Segment(h, ends, m0, w, w_next)
     num, den = seg.length_ratio
     if num * x * (y * model.n - x * model.q) != model.n * den:
         raise InvariantError(
@@ -103,8 +105,10 @@ def _build_segment(model: CqsModel, h: int) -> Segment:
     return seg
 
 
-def segment_length(model: CqsModel, h: int) -> Fraction:
+def segment_length(model: CqsModel, h: int) -> fractions.Fraction:
     """Length n / (w1 * (w2*n - w1*q)) of the slice at w^h."""
+    from fractions import Fraction
+
     w1, w2 = model.wgen(h)
     return Fraction(model.n, w1 * (w2 * model.n - w1 * model.q))
 
@@ -141,18 +145,19 @@ class Decomposition(Record):
 
     def validate(self, seg: Segment) -> None:
         """Re-check the admissibility invariants against the slice."""
-        (b0, bd0), (g0, gd0) = self.ends0
-        (b1, bd1), (g1, gd1) = self.ends1
-        (b, bd), (g, gd) = seg.ends
+        kind, _, p, _, ends0, ends1 = self
+        (b0, bd0), (g0, gd0) = ends0
+        (b1, bd1), (g1, gd1) = ends1
+        _, ((b, bd), (g, gd)), _, _, _ = seg
         if b0 * gd0 > g0 * bd0 or b1 * gd1 > g1 * bd1:
             raise InvariantError(f"{self.label}: a summand runs right to left")
         if (b0 * bd1 + b1 * bd0) * bd != b * bd0 * bd1 or (
             g0 * gd1 + g1 * gd0
         ) * gd != g * gd0 * gd1:
             raise InvariantError(f"{self.label}: summands do not add up")
-        if self.kind == "Dbar" and self.p != 1:
-            raise InvariantError(f"{self.label}: p = {self.p} != 1")
-        check_lattice_ends(self.ends0, self.ends1, self.p, lambda: self.label)
+        if kind == "Dbar" and p != 1:
+            raise InvariantError(f"{self.label}: p = {p} != 1")
+        check_lattice_ends(ends0, ends1, p, lambda: self.label)
 
     def to_json(self) -> dict:
         return {
@@ -187,35 +192,21 @@ def check_lattice_ends(
 
 
 def decomposition_D(seg: Segment, p: int, d: int) -> Decomposition:
+    h, (beta, (g, gd)), _, _, _ = seg
     pd = p * d
     num, den = seg.length_ratio
     if not (0 <= pd and pd * den <= num):
         raise ValueError(f"p*d = {pd} exceeds slice length {ratio_text(num, den)}")
-    beta, (g, gd) = seg.ends
-    return Decomposition(
-        kind="D",
-        h=seg.h,
-        p=p,
-        d=d,
-        ends0=(beta, (g - pd * gd, gd)),
-        ends1=((0, 1), (pd, 1)),
-    )
+    return Decomposition("D", h, p, d, (beta, (g - pd * gd, gd)), ((0, 1), (pd, 1)))
 
 
 def decomposition_Dbar(seg: Segment, d: int) -> Decomposition:
     cnt = seg.lattice_count
     if not 1 <= d <= cnt:
         raise ValueError(f"d = {d} out of range 1..{cnt}")
-    (b, bd), (g, gd) = seg.ends
+    h, ((b, bd), (g, gd)), _, _, _ = seg
     e_cut = -(-(b + (cnt - d) * bd) // bd)  # ceil(beta + cnt - d)
-    return Decomposition(
-        kind="Dbar",
-        h=seg.h,
-        p=1,
-        d=d,
-        ends0=((b, bd), (e_cut, 1)),
-        ends1=((0, 1), (g - e_cut * gd, gd)),
-    )
+    return Decomposition("Dbar", h, 1, d, ((b, bd), (e_cut, 1)), ((0, 1), (g - e_cut * gd, gd)))
 
 
 def enum_decompositions(model: CqsModel) -> list[Decomposition]:
@@ -226,7 +217,7 @@ def enum_decompositions(model: CqsModel) -> list[Decomposition]:
     length; the Dbar family exists only at interior h (at the boundary
     indices each Dbar coincides with a D up to lattice shift).
     """
-    return list(model.cached("decompositions", lambda: _build_decompositions(model)))
+    return list(model.cached("decompositions", _build_decompositions, model))
 
 
 def _build_decompositions(model: CqsModel) -> tuple[Decomposition, ...]:

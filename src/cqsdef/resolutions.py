@@ -82,7 +82,7 @@ class PResolutionFan(Record):
 
 
 def p_resolution_fan(model: CqsModel, k: ZeroChain) -> PResolutionFan:
-    return model.cached(("p_resolution", k.k), lambda: _build_p_resolution(model, k))
+    return model.cached(("p_resolution", k.k), _build_p_resolution, model, k)
 
 
 def _build_p_resolution(model: CqsModel, k: ZeroChain) -> PResolutionFan:
@@ -189,8 +189,7 @@ def fan_decomposition(model: CqsModel, k: ZeroChain, decomp: Decomposition) -> F
     depth split_depth gives.  Raises ValueError when the deformation of
     decomp does not map to the component of k."""
     return model.cached(
-        ("fan_decomposition", k.k, decomp),
-        lambda: _build_fan_decomposition(model, k, decomp),
+        ("fan_decomposition", k.k, decomp), _build_fan_decomposition, model, k, decomp
     )
 
 

@@ -6,13 +6,16 @@ exact rationals; floats appear only in the final attribute strings.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .cqs import CqsModel, display_n_point
 from .chains import enumerate_K
 from .minkowski import enum_decompositions, segment
 from .totalspace import split_depth
 from .resolutions import fan_decomposition
+
+if TYPE_CHECKING:
+    import fractions
 
 UNIT = 70  # pixels per lattice unit
 PAD = 60
@@ -26,6 +29,8 @@ def _fmt(x) -> str:
 
 
 def _display_label(model: CqsModel, pt) -> str:
+    from fractions import Fraction
+
     u, v = (Fraction(*r) for r in display_n_point(pt, model))
     den = math.lcm(u.denominator, v.denominator)
     if den == 1:
@@ -65,12 +70,14 @@ class _Canvas:
         return "\n".join([_SVG_HEAD.format(w=w, h=h), *self.parts, "</svg>"])
 
 
-def _draw_interval(cv: _Canvas, x0: float, y: float, lo: Fraction, hi: Fraction):
+def _draw_interval(
+    cv: _Canvas, x0: float, y: float, lo: fractions.Fraction, hi: fractions.Fraction
+):
     """One interval with lattice dots and endpoint labels; a point interval
     is drawn as an open dot."""
     ax0, ax1 = x0 + float(lo) * UNIT, x0 + float(hi) * UNIT
     if lo == hi:
-        cv.dot(ax0, y, filled=Fraction(lo).denominator == 1)
+        cv.dot(ax0, y, filled=lo.denominator == 1)
         cv.text(ax0, y - 10, str(lo), size=11)
         return
     cv.line(ax0, y, ax1, y)
@@ -84,6 +91,8 @@ def _draw_interval(cv: _Canvas, x0: float, y: float, lo: Fraction, hi: Fraction)
 def segments_figure(model: CqsModel) -> str:
     """One row per slice, drawn in canonical coordinates with lattice
     points marked and labelled in display coordinates."""
+    from fractions import Fraction
+
     cv = _Canvas()
     segs = [segment(model, h) for h in model.interior_indices()]
     min_b = min(Fraction(*seg.ends[0]) for seg in segs)
@@ -107,6 +116,8 @@ def segments_figure(model: CqsModel) -> str:
 
 def decompositions_figure(model: CqsModel) -> str:
     """One row per admissible decomposition: summand plus summand."""
+    from fractions import Fraction
+
     cv = _Canvas()
     spans = []
     y = PAD
@@ -132,6 +143,8 @@ def decompositions_figure(model: CqsModel) -> str:
 def slices_figure(model: CqsModel) -> str:
     """One panel per simultaneous resolution: the affine slice of the 3D
     fan where the two carrier levels sum to one."""
+    from fractions import Fraction
+
     cv = _Canvas()
     panels = [
         (fan_decomposition(model, k, dec), segment(model, dec.h).m0)
@@ -167,11 +180,11 @@ def slices_figure(model: CqsModel) -> str:
             cv.line(*pos(c1, l1), *pos(c2, l2), width=1.0)
         for c in sorted(set(pts0)):
             px, py = pos(c, 1)
-            cv.dot(px, py, filled=Fraction(c).denominator == 1)
+            cv.dot(px, py, filled=c.denominator == 1)
             cv.text(px, py - 8, str(c), size=10)
         for c in sorted(set(pts1)):
             px, py = pos(c, 0)
-            cv.dot(px, py, filled=Fraction(c).denominator == 1)
+            cv.dot(px, py, filled=c.denominator == 1)
             cv.text(px, py + 18, str(c), size=10)
         cv.text(16, y + scale_y / 2, fd.label, size=12, anchor="start")
         width = max(width, x0 + float(hi) * UNIT + PAD)

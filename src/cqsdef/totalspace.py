@@ -151,7 +151,7 @@ def build_deformation(model: CqsModel, decomp: Decomposition) -> Deformation:
     """The deformation of a decomposition: the decomposition and the shift
     m0 of its slice.  The 3D cone over the two summands, sigma_prime, and
     its slice-embedding check wait for the first read."""
-    return Deformation(model=model, decomp=decomp, m0=segment(model, decomp.h).m0)
+    return Deformation(model, decomp, segment(model, decomp.h).m0)
 
 
 def all_deformations(model: CqsModel) -> list[Deformation]:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cqsdef
-from cqsdef.lattice import Cone2, _xgcd, cf_eval
+from cqsdef.lattice import Cone2, _normal_form, _xgcd, cf_eval
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import (
     _facet_polygon_vertices,
@@ -40,6 +40,22 @@ def iter_models(n_max: int, n_min: int = 3):
 
 def _det(u, v):
     return u[0] * v[1] - u[1] * v[0]
+
+
+def pair_normal_form(u, v) -> tuple[int, int]:
+    """cone_normal_form of the cone spanned by two nonzero lattice
+    vectors, without building the Cone2: each is made primitive and the
+    pair is ordered positively.  Two vectors that point the same way span
+    a ray, which is smooth: (1, 0).  Opposite vectors raise ValueError.
+    The oracle for fibers.face_is."""
+    (a, b), (c, d) = u, v
+    g, k = math.gcd(a, b), math.gcd(c, d)
+    a, b, c, d = a // g, b // g, c // k, d // k
+    if a * d < b * c:
+        return _normal_form(c, d, a, b)
+    if a == c and b == d:
+        return 1, 0
+    return _normal_form(a, b, c, d)
 
 
 def brute_hilbert_basis_2d(cone: Cone2) -> set[tuple[int, int]]:

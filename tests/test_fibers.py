@@ -5,12 +5,12 @@ import pytest
 from cqsdef import chains, fibers
 from cqsdef.chains import blow_down
 from cqsdef.cqs import cqs_new
-from cqsdef.fibers import general_fiber, is_smoothing
+from cqsdef.fibers import face_is, general_fiber, is_smoothing
 from cqsdef.lattice import Cone2, InvariantError, cone_normal_form
 from cqsdef.minkowski import Decomposition
 from cqsdef.report import scan_row
 from cqsdef.totalspace import Deformation, all_deformations
-from conftest import iter_models, run_optimized
+from conftest import iter_models, pair_normal_form, run_optimized
 
 
 def fiber_table(model):
@@ -148,18 +148,66 @@ def test_face_check_survives_optimize():
     assert lines == [f"1 {label}" for label in labels for _ in range(2)]
 
 
+def sigma_prime_faces(df):
+    """The rays (u, v) of the faces z = 0 and y = 0 of the Cone3 that
+    sigma_prime builds, with u = v for a face that is a single ray."""
+    gens = df.sigma_prime.generators
+    faces = []
+    for axis in (2, 1):
+        rays = [(g[0], g[3 - axis]) for g in gens if g[axis] == 0]
+        faces.append((rays[0], rays[-1]))
+    return faces
+
+
+def face_normal_form(u, v):
+    return cone_normal_form(Cone2(u, v)) if u != v else (1, 0)
+
+
 def test_face_types_are_the_cone_normal_forms():
-    """face_types reads the coordinate faces of sigma' off the summands;
+    """check_faces reads the coordinate faces of sigma' off the summands;
     they are the faces z = 0 and y = 0 of the Cone3 that sigma_prime
-    builds, whose normal forms cone_normal_form gives."""
+    builds, whose normal forms (n, q) cone_normal_form gives.  For every
+    deformation with n <= 20 the fiber chains' continuants (N, D) give
+    these normal forms as (N, -D mod N), check_faces accepts them as
+    continuants (n, n - q), and it rejects (n + 1, n - q) on either face."""
     for model in iter_models(20):
         for df in all_deformations(model):
-            gens = df.sigma_prime.generators
-            faces = []
-            for axis in (2, 1):
-                rays = [(g[0], g[3 - axis]) for g in gens if g[axis] == 0]
-                faces.append(cone_normal_form(Cone2(*rays)) if len(rays) == 2 else (1, 0))
-            assert fibers.face_types(df.decomp, df.m0) == tuple(faces), df.label
+            faces = tuple(face_normal_form(u, v) for u, v in sigma_prime_faces(df))
+            types = fibers.fiber_types(model, df.decomp)
+            assert tuple((N, -D % N) if N > 1 else (1, 0) for N, D in types) == faces, df.label
+            as_types = [(n, n - q) for n, q in faces]
+            fibers.check_faces(df.decomp, df.m0, tuple(as_types))
+            for i, (n, d) in enumerate(as_types):
+                wrong = list(as_types)
+                wrong[i] = (n + 1, d)
+                with pytest.raises(InvariantError, match=re.escape(df.label)):
+                    fibers.check_faces(df.decomp, df.m0, tuple(wrong))
+
+
+def test_face_congruence_matches_pair_normal_form():
+    """The face congruence agrees with the normal form that the extended
+    gcd gives (pair_normal_form) on all 44,808 faces of sigma' of the
+    22,404 deformations with n <= 60: face_is accepts (n, q) for the rays
+    in either order and scaled, rejects (n, q + 1) and (n, q - 1) when
+    n > 1, rejects (n + 1, q), and rejects a smooth type (1, 0) for a
+    singular face.  Coinciding rays span a smooth face, opposite ones
+    none."""
+    faces = 0
+    for model in iter_models(60):
+        for df in all_deformations(model):
+            for (ux, uy), (vx, vy) in sigma_prime_faces(df):
+                n, q = pair_normal_form((ux, uy), (vx, vy))
+                assert face_is(ux, uy, vx, vy, n, q), df.label
+                assert face_is(3 * vx, 3 * vy, 2 * ux, 2 * uy, n, q), df.label
+                assert not face_is(ux, uy, vx, vy, n + 1, q), df.label
+                if n > 1:
+                    assert not face_is(ux, uy, vx, vy, n, q + 1), df.label
+                    assert not face_is(ux, uy, vx, vy, n, q - 1), df.label
+                    assert not face_is(ux, uy, vx, vy, 1, 0), df.label
+                faces += 1
+    assert faces == 44808
+    assert face_is(2, 4, 1, 2, 1, 0) and face_is(1, 0, 0, 3, 1, 0)
+    assert not face_is(2, -4, -1, 2, 1, 0) and not face_is(1, 0, 0, 3, 3, 0)
 
 
 def test_general_fiber_blows_nothing_down(monkeypatch):
@@ -176,6 +224,25 @@ def test_general_fiber_blows_nothing_down(monkeypatch):
     assert len(rows) == 74 and not any("error" in row for row in rows)
 
 
+def test_is_smoothing_expands_no_chain(monkeypatch):
+    """is_smoothing reads the continuants and expands no chain: with
+    cf_expand patched to raise in cqsdef.fibers, the 74 scan rows with n
+    in 28..31 still work and equal the unpatched rows, while
+    general_fiber, which does expand, raises."""
+    models = list(iter_models(31, 28))
+    expected = [scan_row(model.n, model.q) for model in models]
+
+    def refuse(num, den):
+        raise AssertionError(f"expanded {num}/{den}")
+
+    monkeypatch.setattr(fibers, "cf_expand", refuse)
+    rows = [scan_row(model.n, model.q) for model in models]
+    assert len(rows) == 74 and not any("error" in row for row in rows)
+    assert rows == expected
+    with pytest.raises(AssertionError, match="expanded"):
+        fiber_table(cqs_new(8, 3))
+
+
 def test_smoothing_pattern_check_survives_optimize():
     """With both routes forced to a smooth point, the four deformations
     of Y(8,3) at h = 3 other than pi_{3,2}^1 break the smoothing pattern,
@@ -187,7 +254,7 @@ def test_smoothing_pattern_check_survives_optimize():
         "from cqsdef.lattice import InvariantError\n"
         "from cqsdef.totalspace import all_deformations\n"
         "fibers.fiber_types = lambda model, dec: ((1, 0), (1, 0))\n"
-        "fibers.face_types = lambda dec, m0: ((1, 0), (1, 0))\n"
+        "fibers.check_faces = lambda dec, m0, types: None\n"
         "for df in all_deformations(cqs_new(8, 3)):\n"
         "    for call in (fibers.general_fiber, fibers.is_smoothing, fibers.general_fiber):\n"
         "        try:\n"
@@ -200,4 +267,32 @@ def test_smoothing_pattern_check_survives_optimize():
         f"1 {label} is a smoothing outside the expected pattern"
         for label in ("pi_{3,1}^1", "pi_{3,1}^2", "pibar_{3}^1", "pibar_{3}^2")
         for _ in range(3)
+    ]
+
+
+def test_negative_continuant_check_survives_optimize():
+    """With the fiber chains' continuants forced to N = -1 at the origin
+    and the face check passed over, every deformation of Y(8,3) fails the
+    check for a negative continuant, in general_fiber, in is_smoothing
+    and in general_fiber again."""
+    code = (
+        "import sys\n"
+        "from cqsdef import fibers\n"
+        "from cqsdef.cqs import cqs_new\n"
+        "from cqsdef.lattice import InvariantError\n"
+        "from cqsdef.totalspace import all_deformations\n"
+        "fibers.fiber_types = lambda model, dec: ((-1, 0), (3, 1))\n"
+        "fibers.check_faces = lambda dec, m0, types: None\n"
+        "for df in all_deformations(cqs_new(8, 3)):\n"
+        "    for call in (fibers.general_fiber, fibers.is_smoothing, fibers.general_fiber):\n"
+        "        try:\n"
+        "            call(df)\n"
+        "        except InvariantError as exc:\n"
+        "            print(sys.flags.optimize, exc)\n"
+    )
+    lines = run_optimized("-c", code).stdout.decode().splitlines()
+    labels = [df.label for df in all_deformations(cqs_new(8, 3))]
+    assert len(labels) == 7
+    assert lines == [
+        f"1 {label}: a fiber chain has continuant -1 < 0" for label in labels for _ in range(3)
     ]

@@ -313,9 +313,10 @@ def test_generated_code_is_found(tmp_path):
 
 
 # Modules that importing the command line must not load: dataclasses and
-# inspect, which cost a few milliseconds of every start-up, and csv,
-# which only scan reads.
-STARTUP_FREE = ("csv", "dataclasses", "inspect")
+# inspect, which cost a few milliseconds of every start-up; csv, which
+# only scan reads; and fractions (with decimal, which it imports), which
+# only the figures and a few helpers off the report path read.
+STARTUP_FREE = ("csv", "dataclasses", "fractions", "inspect")
 
 
 def startup_modules(statement: str) -> list[str]:
@@ -343,8 +344,13 @@ def test_cli_import_loads_no_startup_free_module():
 
 
 def test_startup_modules_are_found():
-    assert startup_modules("import cqsdef.cli, csv, dataclasses") == list(STARTUP_FREE)
+    assert startup_modules("import cqsdef.cli, csv, dataclasses, fractions") == list(
+        STARTUP_FREE
+    )
     assert startup_modules("import csv") == ["csv"]
+    assert startup_modules("from cqsdef.lattice import cf_eval; cf_eval((2, 2))") == [
+        "fractions"
+    ]
 
 
 def placeholder_free_fstrings(path: Path) -> list[int]:

@@ -11,11 +11,10 @@ from cqsdef.lattice import (
     cone_normal_form,
     dual_cone,
     hilbert_basis_2d,
-    pair_normal_form,
     primitive,
     ratio_text,
 )
-from conftest import brute_hilbert_basis_2d
+from conftest import brute_hilbert_basis_2d, pair_normal_form
 
 
 @example(0, 5, 1)

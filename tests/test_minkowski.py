@@ -210,3 +210,41 @@ def test_lattice_end_rule_survives_optimize():
         "1 bad has a non-lattice s1",
         "1 bad has s1 not divisible by p",
     ]
+
+
+def test_validate_checks_survive_optimize():
+    """Decomposition.validate rejects each way of breaking an admissible
+    decomposition of the slice of Y(8,3) at h = 3, (-1/2, 3/2), under
+    python -O and on a second call as well."""
+    code = (
+        "import sys\n"
+        "from cqsdef.cqs import cqs_new\n"
+        "from cqsdef.lattice import InvariantError\n"
+        "from cqsdef.minkowski import Decomposition, segment\n"
+        "seg = segment(cqs_new(8, 3), 3)\n"
+        "Decomposition('D', 3, 1, 1, ((-1, 2), (1, 2)), ((0, 1), (1, 1))).validate(seg)\n"
+        "bad = [\n"
+        "    Decomposition('D', 3, 1, 1, ((1, 2), (-1, 2)), ((-1, 1), (2, 1))),\n"
+        "    Decomposition('D', 3, 1, 1, ((-1, 2), (1, 2)), ((0, 1), (2, 1))),\n"
+        "    Decomposition('Dbar', 3, 2, 1, ((-1, 2), (1, 1)), ((0, 1), (1, 2))),\n"
+        "    Decomposition('D', 3, 1, 1, ((-1, 4), (1, 2)), ((-1, 4), (1, 1))),\n"
+        "    Decomposition('D', 3, 2, 1, ((-1, 2), (1, 2)), ((0, 1), (1, 1))),\n"
+        "]\n"
+        "for dec in bad:\n"
+        "    for _ in range(2):\n"
+        "        try:\n"
+        "            dec.validate(seg)\n"
+        "        except InvariantError as exc:\n"
+        "            print(sys.flags.optimize, exc)\n"
+    )
+    assert run_optimized("-c", code).stdout.decode().splitlines() == [
+        line
+        for line in (
+            "1 pi_{3,1}^1: a summand runs right to left",
+            "1 pi_{3,1}^1: summands do not add up",
+            "1 pibar_{3}^1: p = 2 != 1",
+            "1 pi_{3,1}^1 has no lattice left end",
+            "1 pi_{3,2}^1 has s1 not divisible by p",
+        )
+        for _ in range(2)
+    ]
