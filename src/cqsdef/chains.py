@@ -93,7 +93,7 @@ def zero_chains_bounded(bounds: Sequence[int]) -> list[ZeroChain]:
 
 def enumerate_K(model: CqsModel) -> list[ZeroChain]:
     """All zero chains below the model's chain, lexicographically ordered."""
-    return list(model.cached("K", lambda: tuple(zero_chains_bounded(model.a_chain))))
+    return list(model.cached("K", zero_chains_bounded, model.a_chain))
 
 
 def rdp_chain(e: int) -> tuple[int, ...]:

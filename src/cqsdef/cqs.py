@@ -30,11 +30,12 @@ class CqsModel(Record):
     w[e-1] = (n,q), which makes w^{i-1} + w^{i+1} = a_i * w^i hold at
     every interior index.
 
-    _memo holds, through cached(), the results that segment, enumerate_K,
+    _memo holds, through cached(), the results that segment,
+    enum_decompositions, enumerate_K, fiber_types (the continuants),
     p_resolution_fan, slice_intervals and fan_decomposition derive from
-    this model, keyed by function and arguments; it lives and dies with
-    the model and, kept in the instance __dict__, takes no part in
-    equality, hashing or repr.
+    this model, keyed by function and arguments; each passes cached() a
+    named builder.  The memo lives and dies with the model and, kept in
+    the instance __dict__, takes no part in equality, hashing or repr.
     """
 
     def __new__(

@@ -15,7 +15,6 @@ from .minkowski import segment
 from .totalspace import (
     all_deformations,
     components_of,
-    deformation_equations,
     generator_relations,
     nu_count,
     versal_map,
@@ -42,10 +41,11 @@ def build_report(model: CqsModel, verbose: bool = False) -> dict:
         fiber = general_fiber(defo)
         smoothing_count += fiber.is_empty
         can_k, can_fan = canonical_model(defo)
+        relations = generator_relations(defo)
         rec = defo.to_json()
         rec.update(
-            generator_relations=generator_relations(defo).to_json(),
-            equations=[eq.to_json() for eq in deformation_equations(defo)],
+            generator_relations=relations.to_json(),
+            equations=[eq.to_json() for eq, _ in relations.relations],
             versal_map=versal_map(defo).to_json(),
             components=[list(k.k) for k in comps],
             fiber=fiber.to_json(verbose=verbose),

@@ -245,10 +245,8 @@ def slice_intervals(model: CqsModel, k: ZeroChain, h: int) -> dict[int, tuple[Ra
     """The slice interval of every cone of the fan of k, in the global
     canonical coordinates of the slice at w^h, keyed by cone index from
     left to right; each end is the ratio Segment.coord gives for a ray."""
-    return model.cached(
-        ("slice_intervals", k.k, h),
-        lambda: _build_slice_intervals(segment(model, h), p_resolution_fan(model, k).cones),
-    )
+    seg, fan = segment(model, h), p_resolution_fan(model, k)
+    return model.cached(("slice_intervals", k.k, h), _build_slice_intervals, seg, fan.cones)
 
 
 def _build_slice_intervals(

@@ -164,23 +164,25 @@ def all_deformations(model: CqsModel) -> list[Deformation]:
 
 
 class GeneratorRelations(Record):
-    """Dual vectors v^1..v^e and the extra vtilde, with the relations among
-    them verified by exact arithmetic, each as (description, value of
-    both sides)."""
+    """Dual vectors v^1..v^e and the extra vtilde, and one (Equation,
+    value) pair per equation of deformation_equations, in index order:
+    the value of both sides of its lattice relation, checked exactly."""
 
     __slots__ = ()
 
     def __new__(
-        cls, v: tuple[IVec3, ...], v_tilde: IVec3, relations: tuple[tuple[str, IVec3], ...]
+        cls, v: tuple[IVec3, ...], v_tilde: IVec3, relations: tuple[tuple[Equation, IVec3], ...]
     ):
         return tuple.__new__(cls, (v, v_tilde, relations))
 
     def to_json(self) -> dict:
+        # binomials, then the bar-side relation at h-1 and the main one at h
+        ordered = sorted(self.relations, key=lambda rel: rel[0].form != "binomial")
         return {
             "v": [list(x) for x in self.v],
             "v_tilde": list(self.v_tilde),
             "relations": [
-                {"relation": desc, "value": list(value)} for desc, value in self.relations
+                {"relation": eq.relation_text(), "value": list(value)} for eq, value in ordered
             ],
         }
 
@@ -188,10 +190,13 @@ class GeneratorRelations(Record):
 def generator_relations(defo: Deformation) -> GeneratorRelations:
     """Lift each dual generator of the surface into the dual of the total
     space cone: v^h = [0,1,0], vtilde^h = [0,0,1], v^{h+1} = [1,0,0] and
-    v^{h-1} = [-1, a_h - p*d, d], the rest following the three-term
-    recurrences appropriate to the decomposition kind."""
+    v^{h-1} = [-1, a_h - p*d, d], the rest read off deformation_equations,
+    the owner of the equation rule.  Each equation is checked as the
+    lattice relation of its monomials; a mismatch raises InvariantError
+    naming the deformation and the relation."""
     model, h, p, d = defo.model, defo.h, defo.p, defo.d
     e = model.e
+    eqs = deformation_equations(defo)
     seg = segment(model, h)
     dx, dy = seg.direction
     bx, by = seg.point_at(-seg.m0)  # lattice point where w^{h+1} vanishes
@@ -201,17 +206,12 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
     if (x[h], y[h], x[h + 1], y[h + 1]) != (0, 1, 1, 0):
         raise InvariantError(f"{defo.label}: the slice frame does not fit w^{h} and w^{h + 1}")
 
+    # Third coordinates down from the main equation: below h, u3[i-1] =
+    # a_i u3[i] - u3[i+1], vtilde's 1 taking u3[i+1]'s place if bar-side.
     u3 = [0] * (e + 1)
-    if h >= 2:
-        u3[h - 1] = d
-    if defo.kind == "D":
-        for i in range(h - 1, 1, -1):
-            u3[i - 1] = model.a(i) * u3[i] - u3[i + 1]
-    else:
-        if h >= 3:
-            u3[h - 2] = model.a(h - 1) * d - 1
-        for i in range(h - 2, 1, -1):
-            u3[i - 1] = model.a(i) * u3[i] - u3[i + 1]
+    u3[h - 1] = eqs[h - 2].d
+    for form, i, a, _, _, _ in reversed(eqs[: h - 2]):
+        u3[i - 1] = a * u3[i] - (1 if form == "bar_side" else u3[i + 1])
 
     v = [None] + [(x[i], y[i] - p * u3[i], u3[i]) for i in range(1, e + 1)]
     v_tilde: IVec3 = (0, 0, 1)
@@ -223,34 +223,19 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
         if any(g0 * v0 + g1 * v1 + g2 * v2 < 0 for g0, g1, g2 in gens):
             raise InvariantError(f"{defo.label}: v^{i} is not in the dual cone")
 
+    # v^{i-1} + (vtilde or v^{i+1}) = (a or m) v^i + d vtilde, where a main
+    # equation has a = 0 and the others have d = 0
     relations = []
-
-    def rel(desc, lhs, rhs):
+    for eq in eqs:
+        form, i, a, m, _, eq_d = eq
+        (v0, v1, v2), c = v[i], a or m
+        lhs = add3(v[i - 1], v_tilde if form == "bar_side" else v[i + 1])
+        rhs = (c * v0, c * v1, c * v2 + eq_d)
         if lhs != rhs:
-            raise InvariantError(f"{defo.label}: relation {desc} fails: {lhs} != {rhs}")
-        relations.append((desc, lhs))
-
-    skip = {h} if defo.kind == "D" else {h - 1, h}
-    for i in range(2, e):
-        if i in skip:
-            continue
-        rel(
-            f"v{i - 1} + v{i + 1} = {model.a(i)} v{i}",
-            add3(v[i - 1], v[i + 1]),
-            tuple(model.a(i) * c for c in v[i]),
-        )
-    if defo.kind == "Dbar":
-        rel(
-            f"v{h - 2} + vtilde = {model.a(h - 1)} v{h - 1}",
-            add3(v[h - 2], v_tilde),
-            tuple(model.a(h - 1) * c for c in v[h - 1]),
-        )
-    m = model.a(h) - p * d
-    rel(
-        f"v{h - 1} + v{h + 1} = {m} v{h} + {d} vtilde",
-        add3(v[h - 1], v[h + 1]),
-        tuple(m * a + d * b for a, b in zip(v[h], v_tilde)),
-    )
+            raise InvariantError(
+                f"{defo.label}: relation {eq.relation_text()} fails: {lhs} != {rhs}"
+            )
+        relations.append((eq, lhs))
     return GeneratorRelations(v=tuple(v[1:]), v_tilde=v_tilde, relations=tuple(relations))
 
 
@@ -265,6 +250,8 @@ class Equation(Record):
     form "binomial":  x_{i-1} x_{i+1} = x_i^a
     form "main":      x_{h-1} x_{h+1} = x_h^m (x_h^p + lam)^d
     form "bar_side":  x_{h-2} (x_h + lam) = x_{h-1}^a
+
+    A main equation keeps a = 0, the others m = 0 and d = 0.
     """
 
     __slots__ = ()
@@ -280,6 +267,14 @@ class Equation(Record):
         inner = f"x{self.i}^{self.p} + lam" if self.p > 1 else f"x{self.i} + lam"
         return f"x{self.i - 1}*x{self.i + 1} = x{self.i}^{self.m}*({inner})^{self.d}"
 
+    def relation_text(self) -> str:
+        """The lattice relation that the monomials rest on: v{i-1} + (vtilde
+        if bar-side, else v{i+1}) = (a or m) v{i}, plus d vtilde if d > 0."""
+        form, i, a, m, _, d = self
+        right = "vtilde" if form == "bar_side" else f"v{i + 1}"
+        text = f"v{i - 1} + {right} = {a or m} v{i}"
+        return f"{text} + {d} vtilde" if d else text
+
     def to_json(self) -> dict:
         out = {"form": self.form, "i": self.i, "text": str(self)}
         if self.form in ("binomial", "bar_side"):
@@ -290,19 +285,21 @@ class Equation(Record):
 
 
 def deformation_equations(defo: Deformation) -> tuple[Equation, ...]:
-    """The e-2 equations cutting out the deformed surface."""
+    """The e-2 equations cutting out the deformed surface, one per
+    interior index.  The one owner of the equation rule, as split_depth
+    is of the component rule: the main equation at h, for the barred
+    kind the bar-side equation at h-1, and binomials elsewhere."""
     model, h, p, d = defo.model, defo.h, defo.p, defo.d
     eqs = []
     for i in range(2, model.e):
         if i == h:
-            m = model.a(h) - p * d
-            eqs.append(Equation(form="main", i=h, m=m, p=p, d=d))
+            eqs.append(Equation("main", h, 0, model.a(h) - p * d, p, d))
         elif defo.kind == "Dbar" and i == h - 1:
             # x_{h-2} (x_h + lam) = x_{h-1}^{a_{h-1}}; stored with i = h-1
             # so that str() renders the neighbours of x_{h-1}.
-            eqs.append(Equation(form="bar_side", i=h - 1, a=model.a(h - 1)))
+            eqs.append(Equation("bar_side", h - 1, model.a(h - 1)))
         else:
-            eqs.append(Equation(form="binomial", i=i, a=model.a(i)))
+            eqs.append(Equation("binomial", i, model.a(i)))
     if len(eqs) != model.e - 2:
         raise InvariantError(f"{defo.label}: {len(eqs)} equations, not {model.e - 2}")
     return tuple(eqs)
@@ -341,18 +338,13 @@ class VersalMap(Record):
 
 def versal_map(defo: Deformation) -> VersalMap:
     """The map of the parameter line into the versal base inducing the
-    deformation: s_h^(p*l) = C(d,l) lam^l for the plain kind; t_h = lam
-    and s_h^(l) = C(d-1,l) lam^l for the barred kind."""
+    deformation, read off its main equation: with bar = 1 for the barred
+    kind and 0 for the plain one, s_h^(p*l) = C(d-bar, l) lam^l for
+    1 <= l <= d-bar, and t_h = lam when bar = 1."""
     h, p, d = defo.h, defo.p, defo.d
-    vm = VersalMap()
-    if defo.kind == "D":
-        for l in range(1, d + 1):
-            vm.s[(h, p * l)] = Poly.lam(math.comb(d, l), l)
-    else:
-        vm.t[h] = Poly.lam()
-        for l in range(1, d):
-            vm.s[(h, l)] = Poly.lam(math.comb(d - 1, l), l)
-    return vm
+    bar = int(defo.kind == "Dbar")
+    s = {(h, p * l): Poly.lam(math.comb(d - bar, l), l) for l in range(1, d - bar + 1)}
+    return VersalMap(s, {h: Poly.lam()} if bar else None)
 
 
 def theta_rewrite(k: ZeroChain, vm: VersalMap, model: CqsModel) -> VersalMap:

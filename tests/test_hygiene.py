@@ -260,6 +260,45 @@ def test_runtime_error_raises_are_found(tmp_path):
     assert runtime_error_lines(path) == [5, 7]
 
 
+def unnamed_builders(path: Path) -> list[int]:
+    """The lines of the module's .cached(key, build, *args) calls whose
+    build is not a named function, such as a lambda: a builder is a
+    function of the arguments that cached() is given, not a fresh closure
+    made on every lookup."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "cached"
+        and not (len(node.args) >= 2 and isinstance(node.args[1], (ast.Name, ast.Attribute)))
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_cached_builders_are_named(path):
+    assert unnamed_builders(path) == []
+
+
+def test_unnamed_builders_are_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from . import chains\n"
+        "\n"
+        "def f(model, h):\n"
+        "    a = model.cached('K', lambda: tuple(chains.zero_chains(model)))\n"
+        "    b = model.cached(('segment', h), _build_segment, model, h)\n"
+        "    c = model.cached('K', chains.zero_chains_bounded, model.a_chain)\n"
+        "    d = model.cached(\n"
+        "        ('s', h), lambda m: m.e, model\n"
+        "    )\n"
+        "    e = model.cached('x', build=lambda: 1)\n"
+        "    return a, b, c, d, e\n"
+    )
+    assert unnamed_builders(path) == [4, 7, 10]
+
+
 def generated_code(path: Path) -> list[str]:
     """Where the module builds code at import: an import of dataclasses,
     whose decorator compiles each class's methods with exec and whose

@@ -72,6 +72,51 @@ def test_slice_embedding_check_survives_optimize():
     )
 
 
+def test_relation_lift_and_dual_cone_checks_survive_optimize():
+    """Under python -O, generator_relations rejects equations that do not
+    fit the lattice: a binomial exponent one too high above h fails its
+    relation, one below h lifts v^1 out of the dual cone, and a main
+    equation with d one too high misses the lifts at h-1, h and h+1.
+    Each message names the deformation, and analyze exits 2."""
+    code = (
+        "import sys\n"
+        "import cqsdef.cli\n"
+        "import cqsdef.totalspace as ts\n"
+        "from cqsdef.lattice import InvariantError\n"
+        "from cqsdef.cqs import cqs_new\n"
+        "equations = ts.deformation_equations\n"
+        "def patched(label, i, da, dd):\n"
+        "    def eqs(defo):\n"
+        "        out = list(equations(defo))\n"
+        "        if defo.label == label:\n"
+        "            form, i_, a, m, p, d = out[i - 2]\n"
+        "            out[i - 2] = ts.Equation(form, i_, a + da, m, p, d + dd)\n"
+        "        return tuple(out)\n"
+        "    return eqs\n"
+        "m = cqs_new(8, 3)\n"
+        "defos = {df.label: df for df in ts.all_deformations(m)}\n"
+        "for label, i, da, dd in [('pi_{2,1}^1', 3, 1, 0), ('pi_{3,1}^1', 2, 1, 0),\n"
+        "                         ('pibar_{3}^1', 3, 0, 1)]:\n"
+        "    ts.deformation_equations = patched(label, i, da, dd)\n"
+        "    try:\n"
+        "        ts.generator_relations(defos[label])\n"
+        "    except InvariantError as exc:\n"
+        "        print(sys.flags.optimize, exc)\n"
+        "sys.exit(cqsdef.cli.main(['analyze', '8', '3', '--json']))\n"
+    )
+    proc = run_optimized("-c", code, check=False)
+    assert proc.stdout.decode().splitlines() == [
+        "1 pi_{2,1}^1: relation v2 + v4 = 4 v3 fails: (3, 0, 0) != (4, 0, 0)",
+        "1 pi_{3,1}^1: v^1 is not in the dual cone",
+        "1 pibar_{3}^1: v^2, v^3, v^4 are not the lifts",
+    ]
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == (
+        "internal invariant failure: InvariantError: pibar_{3}^1: "
+        "v^2, v^3, v^4 are not the lifts\n"
+    )
+
+
 def test_lambda_monomial_metadata(y83):
     """The parameter is the difference of the monomials of degrees
     (0, 0, 1) and (0, p, 0): both are regular on sigma', and they agree on
@@ -144,6 +189,34 @@ def test_versal_map_examples(y83):
 
     vm = versal_map(defo_by_label(y83, "pi_{2,1}^1"))
     assert vm.s == {(2, 1): Poly.lam()}
+
+
+def test_versal_map_is_the_expanded_main_equation():
+    """For every deformation with n <= 60, the s coefficients of the
+    versal map are those of x^m (x^p + lam)^(d - bar) below its top
+    degree, with bar = 1 for the barred kind, whose one factor x + lam
+    is t_h = lam instead.  The expansion is repeated Poly multiplication
+    in one variable z, with x = z^B and lam = z for a B above every
+    power of lam, so that z^(B*i + l) stands for x^i lam^l."""
+    count = 0
+    for m in iter_models(60):
+        for df in all_deformations(m):
+            main = deformation_equations(df)[df.h - 2]
+            bar = 1 if df.kind == "Dbar" else 0
+            k = main.d - bar
+            base = k + 1
+            poly = Poly.lam(1, base * main.m) * Poly({base * main.p: 1, 1: 1}).pow(k)
+            top = main.m + main.p * k
+            terms: dict[int, dict[int, int]] = {}
+            for power, c in poly.coeffs.items():
+                i, l = divmod(power, base)
+                if i < top:
+                    terms.setdefault(top - i, {})[l] = c
+            vm = versal_map(df)
+            assert vm.s == {(main.i, j): Poly(lam) for j, lam in terms.items()}, df.label
+            assert vm.t == ({main.i: Poly.lam()} if bar else {}), df.label
+            count += 1
+    assert count == 22404
 
 
 def test_theta_identity_for_plain_kind(y83):
