@@ -54,7 +54,7 @@ def general_fiber(defo: Deformation) -> SingularityList:
     from normal_forms, which checks them on every call; raw keeps the
     chains as written here.
     """
-    model, dec, _ = defo
+    model, dec = defo
     kind, h, p, d, _, _ = dec
     a, pos = model.a_chain, h - 2
     origin, off = normal_forms(defo)
@@ -91,9 +91,9 @@ def checked_types(defo: Deformation) -> tuple[tuple[int, int], tuple[int, int]]:
     fit the smoothing pattern: d = 1 with p = a_h - 1, or the barred kind
     with a_h = 2 and d = 1.
     """
-    model, dec, m0 = defo
+    model, dec = defo
     types = fiber_types(model, dec)
-    check_faces(dec, m0, types)
+    check_faces(dec, types)
     (n0, _), (n1, _) = types
     if n0 < 0 or n1 < 0:
         raise InvariantError(f"{dec.label}: a fiber chain has continuant {min(n0, n1)} < 0")
@@ -107,21 +107,20 @@ def checked_types(defo: Deformation) -> tuple[tuple[int, int], tuple[int, int]]:
 
 def fiber_types(model: CqsModel, dec: Decomposition) -> tuple[tuple[int, int], tuple[int, int]]:
     """The continuants (K(c), K(c_2, ...)) of the fiber chains c at the
-    origin and off it, read off the model's continuants (_continuants)
-    in a few integer operations.  They are kept once per model."""
-    n, q, _, a, _, _ = model
+    origin and off it, read off the dual generators w^{h-1} and w^h in a
+    few integer operations: w^i = (x_i, y_i) has x_i = K(a_2, ..., a_{i-1})
+    and x_i - y_i = K(a_3, ..., a_{i-1}), and s_i = <w^i, (-q, n)> is
+    K(a_{i+1}, ..., a_{e-1})."""
+    n, q, _, _, w, _ = model
     kind, h, p, d, _, _ = dec
-    pos = h - 2
-    prefix, prefix2, suffix = model.cached("continuants", _continuants, a)
+    (x0, y0), (x, y) = w[h - 2], w[h - 1]
+    s = n * y - q * x
     if kind == "D":
-        # Lowering one entry by x lowers the continuant by x times the
+        # Lowering a_h by pd lowers the continuant by pd times the
         # continuants of the two sides.
-        cut = p * d * suffix[pos + 1]
-        return (n - cut * prefix[pos], n - q - cut * prefix2[pos]), (d, 1)
-    return (
-        (suffix[pos] - d * suffix[pos + 1], suffix[pos + 1]),
-        (d * prefix[pos] - prefix[pos - 1], d * prefix2[pos] - prefix2[pos - 1]),
-    )
+        cut = p * d * s
+        return (n - cut * x, n - q - cut * (x - y)), (d, 1)
+    return (n * y0 - q * x0 - d * s, s), (d * x - x0, d * (x - y) - (x0 - y0))
 
 
 def chain_type(num: int, den: int) -> tuple[int, ...]:
@@ -135,18 +134,20 @@ def chain_type(num: int, den: int) -> tuple[int, ...]:
     return ()
 
 
-def check_faces(dec: Decomposition, m0: int, types: tuple[tuple[int, int], ...]) -> None:
+def check_faces(dec: Decomposition, types: tuple[tuple[int, int], ...]) -> None:
     """Check the continuants (N, D) of the fiber chains at the origin and
     off it against the coordinate faces of sigma', read off the summands
-    without building the cone: z = 0 over s0 + m0, the face of the fiber
-    at the origin, and y = 0 over s1/p, that of the points off it.  Each
-    face must have the normal form (N, -D mod N), or be smooth when
-    N <= 1 (face_is); otherwise InvariantError names the decomposition."""
+    without building the cone: z = 0 over s0, the face of the fiber at
+    the origin, and y = 0 over s1/p, that of the points off it.  sigma'
+    shifts s0 by the integer c of the slice frame, but the shear
+    (x, y) -> (x - c*y, y) in SL2(Z) maps that face onto the cone over
+    s0 x {1}, and face_is reads only what the shear keeps.  Each face
+    must have the normal form (N, -D mod N), or be smooth when N <= 1
+    (face_is); otherwise InvariantError names the decomposition."""
     _, _, p, _, ((b0, bd0), (g0, gd0)), ((b1, bd1), (g1, gd1)) = dec
     (n0, d0), (n1, d1) = types
     if not (
-        face_is(b0 + m0 * bd0, bd0, g0 + m0 * gd0, gd0, n0, -d0)
-        and face_is(b1, p * bd1, g1, p * gd1, n1, -d1)
+        face_is(b0, bd0, g0, gd0, n0, -d0) and face_is(b1, p * bd1, g1, p * gd1, n1, -d1)
     ):
         raise InvariantError(
             f"{dec.label}: the fiber chains' continuants {types} "
@@ -174,16 +175,3 @@ def face_is(ux: int, uy: int, vx: int, vy: int, n: int, q: int) -> bool:
         return det == n and not (vx + q * ux) % n and not (vy + q * uy) % n
     return det == 1 or (ux == vx and uy == vy)
 
-
-def _continuants(a: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Continuants of a chain a = (a_2, ..., a_{e-1}), indexed from 0:
-    prefix[j] = K(a[:j]), prefix2[j] = K(a[1:j]) (0 at j = 0) and
-    suffix[j] = K(a[j:]), each with K() = 1."""
-    prefix, prefix2 = [1, a[0]], [0, 1]
-    for c in a[1:]:
-        prefix.append(c * prefix[-1] - prefix[-2])
-        prefix2.append(c * prefix2[-1] - prefix2[-2])
-    suffix = [0, 1]
-    for c in reversed(a):
-        suffix.append(c * suffix[-1] - suffix[-2])
-    return tuple(prefix), tuple(prefix2), tuple(suffix[:0:-1])

@@ -34,10 +34,6 @@ class Segment(Record):
         return tuple.__new__(cls, (h, ends, m0, w, w_next))
 
     @property
-    def direction(self) -> IVec2:
-        return self.w[1], -self.w[0]
-
-    @property
     def origin(self) -> IVec2:
         """The lattice point at coordinate 0."""
         return self.point_at(0)

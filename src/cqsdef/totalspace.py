@@ -82,16 +82,16 @@ class Deformation(Record):
 
     The cone is presented so that the lattice origin of the slice sits
     where the next dual generator w^{h+1} vanishes: sigma_prime is built
-    over the first summand of the stored decomposition shifted by m0.  The
-    parameter realizes the difference of the monomials of degrees (0, 0, 1)
-    and (0, p, 0).
+    over the first summand of the stored decomposition shifted by m0, the
+    slice's shift, which only the 3D cones read.  The parameter realizes
+    the difference of the monomials of degrees (0, 0, 1) and (0, p, 0).
 
     sigma_prime is built on first read and kept on the instance, together
     with its check that phi maps sigma into it; a scan row never reads it.
     """
 
-    def __new__(cls, model: CqsModel, decomp: Decomposition, m0: int):
-        return tuple.__new__(cls, (model, decomp, m0))
+    def __new__(cls, model: CqsModel, decomp: Decomposition):
+        return tuple.__new__(cls, (model, decomp))
 
     @cached_property
     def sigma_prime(self) -> Cone3:
@@ -103,6 +103,11 @@ class Deformation(Record):
                 if r0 * x + r1 * y + r2 * z < 0:
                     raise InvariantError(f"{self.label}: slice embedding left the cone")
         return cone
+
+    @property
+    def m0(self) -> int:
+        """The shift of the slice at h (Segment.m0), from the model's memo."""
+        return segment(self.model, self.h).m0
 
     @property
     def kind(self) -> str:
@@ -148,10 +153,10 @@ class Deformation(Record):
 
 
 def build_deformation(model: CqsModel, decomp: Decomposition) -> Deformation:
-    """The deformation of a decomposition: the decomposition and the shift
-    m0 of its slice.  The 3D cone over the two summands, sigma_prime, and
-    its slice-embedding check wait for the first read."""
-    return Deformation(model, decomp, segment(model, decomp.h).m0)
+    """The deformation of a decomposition.  It looks up no slice: the 3D
+    cone over the two summands, sigma_prime, its slice-embedding check and
+    the slice's m0 wait for the first read."""
+    return Deformation(model, decomp)
 
 
 def all_deformations(model: CqsModel) -> list[Deformation]:
@@ -197,14 +202,12 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
     model, h, p, d = defo.model, defo.h, defo.p, defo.d
     e = model.e
     eqs = deformation_equations(defo)
-    seg = segment(model, h)
-    dx, dy = seg.direction
-    bx, by = seg.point_at(-seg.m0)  # lattice point where w^{h+1} vanishes
-
-    x = [0] + [dx * wx + dy * wy for wx, wy in model.w]
-    y = [0] + [bx * wx + by * wy for wx, wy in model.w]
+    (hx, hy), (nx, ny) = model.w[h - 1], model.w[h]  # w^h, w^{h+1}
+    # x_i = det(w^i, w^h) and y_i = det(w^{h+1}, w^i)
+    x = [0] + [wx * hy - wy * hx for wx, wy in model.w]
+    y = [0] + [nx * wy - ny * wx for wx, wy in model.w]
     if (x[h], y[h], x[h + 1], y[h + 1]) != (0, 1, 1, 0):
-        raise InvariantError(f"{defo.label}: the slice frame does not fit w^{h} and w^{h + 1}")
+        raise InvariantError(f"{defo.label}: the lift frame does not fit w^{h} and w^{h + 1}")
 
     # Third coordinates down from the main equation: below h, u3[i-1] =
     # a_i u3[i] - u3[i+1], vtilde's 1 taking u3[i+1]'s place if bar-side.
@@ -300,8 +303,6 @@ def deformation_equations(defo: Deformation) -> tuple[Equation, ...]:
             eqs.append(Equation("bar_side", h - 1, model.a(h - 1)))
         else:
             eqs.append(Equation("binomial", i, model.a(i)))
-    if len(eqs) != model.e - 2:
-        raise InvariantError(f"{defo.label}: {len(eqs)} equations, not {model.e - 2}")
     return tuple(eqs)
 
 

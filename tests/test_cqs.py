@@ -165,6 +165,7 @@ def test_2d_values_are_int_pairs():
         for zc in enumerate_K(m):
             pairs += p_resolution_fan(m, zc).rays
         for h in m.interior_indices():
-            pairs += [segment(m, h).origin, segment(m, h).direction]
+            seg = segment(m, h)
+            pairs += [seg.origin, (seg.w[1], -seg.w[0])]
         bad = [v for v in pairs if not _is_int_pair(v)]
         assert not bad, (m.n, m.q, bad[:3])

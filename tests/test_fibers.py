@@ -102,9 +102,34 @@ def test_general_fiber_matches_blow_down():
     assert count == 47838
 
 
+def continuants(chain) -> tuple[int, int]:
+    """K(c) and K(c_2, ...) of a nonempty chain c by the recurrence
+    K(c_i, ...) = c_i K(c_{i+1}, ...) - K(c_{i+2}, ...), with K() = 1."""
+    num, den = 1, 0
+    for c in reversed(chain):
+        num, den = c * num - den, num
+    return num, den
+
+
+def test_fiber_types_are_the_raw_continuants():
+    """fiber_types, read off the dual generators w^{h-1} and w^h, gives
+    exactly the continuants (K(c), K(c_2, ...)) of general_fiber's raw
+    chains at the origin and off it, for all 22,404 deformations with
+    n <= 60; the continuants are not reduced mod K(c)."""
+    assert continuants((2, 3, 2)) == (8, 5) and continuants((5,)) == (5, 1)
+    count = 0
+    for model in iter_models(60):
+        for df in all_deformations(model):
+            raw = general_fiber(df).raw
+            expected = tuple(continuants(chain) for chain, _, _ in raw)
+            assert fibers.fiber_types(model, df.decomp) == expected, df.label
+            count += 1
+    assert count == 22404
+
+
 def _with_d_plus_one(df) -> Deformation:
     kind, h, p, d, ends0, ends1 = df.decomp
-    return Deformation(df.model, Decomposition(kind, h, p, d + 1, ends0, ends1), df.m0)
+    return Deformation(df.model, Decomposition(kind, h, p, d + 1, ends0, ends1))
 
 
 def test_wrong_d_raises_on_every_call():
@@ -135,7 +160,7 @@ def test_face_check_survives_optimize():
         "from cqsdef.totalspace import Deformation, all_deformations\n"
         "for df in all_deformations(cqs_new(8, 3)):\n"
         "    kind, h, p, d, ends0, ends1 = df.decomp\n"
-        "    bad = Deformation(df.model, Decomposition(kind, h, p, d + 1, ends0, ends1), df.m0)\n"
+        "    bad = Deformation(df.model, Decomposition(kind, h, p, d + 1, ends0, ends1))\n"
         "    for call in (general_fiber, is_smoothing):\n"
         "        try:\n"
         "            call(bad)\n"
@@ -164,24 +189,26 @@ def face_normal_form(u, v):
 
 
 def test_face_types_are_the_cone_normal_forms():
-    """check_faces reads the coordinate faces of sigma' off the summands;
-    they are the faces z = 0 and y = 0 of the Cone3 that sigma_prime
-    builds, whose normal forms (n, q) cone_normal_form gives.  For every
-    deformation with n <= 20 the fiber chains' continuants (N, D) give
-    these normal forms as (N, -D mod N), check_faces accepts them as
-    continuants (n, n - q), and it rejects (n + 1, n - q) on either face."""
+    """check_faces reads the coordinate faces of sigma' off the summands,
+    the first one unshifted; they are the faces z = 0 and y = 0 of the
+    Cone3 that sigma_prime builds over the shifted summand, whose normal
+    forms (n, q) cone_normal_form gives, so the shear between the two is
+    checked too.  For every deformation with n <= 20 the fiber chains'
+    continuants (N, D) give these normal forms as (N, -D mod N),
+    check_faces accepts them as continuants (n, n - q), and it rejects
+    (n + 1, n - q) on either face."""
     for model in iter_models(20):
         for df in all_deformations(model):
             faces = tuple(face_normal_form(u, v) for u, v in sigma_prime_faces(df))
             types = fibers.fiber_types(model, df.decomp)
             assert tuple((N, -D % N) if N > 1 else (1, 0) for N, D in types) == faces, df.label
             as_types = [(n, n - q) for n, q in faces]
-            fibers.check_faces(df.decomp, df.m0, tuple(as_types))
+            fibers.check_faces(df.decomp, tuple(as_types))
             for i, (n, d) in enumerate(as_types):
                 wrong = list(as_types)
                 wrong[i] = (n + 1, d)
                 with pytest.raises(InvariantError, match=re.escape(df.label)):
-                    fibers.check_faces(df.decomp, df.m0, tuple(wrong))
+                    fibers.check_faces(df.decomp, tuple(wrong))
 
 
 def test_face_congruence_matches_pair_normal_form():
@@ -254,7 +281,7 @@ def test_smoothing_pattern_check_survives_optimize():
         "from cqsdef.lattice import InvariantError\n"
         "from cqsdef.totalspace import all_deformations\n"
         "fibers.fiber_types = lambda model, dec: ((1, 0), (1, 0))\n"
-        "fibers.check_faces = lambda dec, m0, types: None\n"
+        "fibers.check_faces = lambda dec, types: None\n"
         "for df in all_deformations(cqs_new(8, 3)):\n"
         "    for call in (fibers.general_fiber, fibers.is_smoothing, fibers.general_fiber):\n"
         "        try:\n"
@@ -282,7 +309,7 @@ def test_negative_continuant_check_survives_optimize():
         "from cqsdef.lattice import InvariantError\n"
         "from cqsdef.totalspace import all_deformations\n"
         "fibers.fiber_types = lambda model, dec: ((-1, 0), (3, 1))\n"
-        "fibers.check_faces = lambda dec, m0, types: None\n"
+        "fibers.check_faces = lambda dec, types: None\n"
         "for df in all_deformations(cqs_new(8, 3)):\n"
         "    for call in (fibers.general_fiber, fibers.is_smoothing, fibers.general_fiber):\n"
         "        try:\n"

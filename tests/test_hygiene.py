@@ -4,8 +4,9 @@ module already imports, and a local name that a function assigns and
 never reads; imports of the package's own modules inside a function,
 which hide an import cycle; assert statements, which python -O drops;
 a bare RuntimeError raised where a check raises InvariantError; code
-generated at import; and module-level definitions, methods and
-properties that nothing references.  Also: importing the command line
+generated at import; a memo user that the CqsModel docstring does not
+name, or a name there that uses no memo; and module-level definitions,
+methods and properties that nothing references.  Also: importing the command line
 loads no module that only start-up would pay for, and the package
 version is the one pyproject.toml declares."""
 
@@ -297,6 +298,95 @@ def test_unnamed_builders_are_found(tmp_path):
         "    return a, b, c, d, e\n"
     )
     assert unnamed_builders(path) == [4, 7, 10]
+
+
+def memo_user_drift(paths: list[Path], model_path: Path) -> list[str]:
+    """How the functions of the modules that call .cached( differ from
+    the memo users that the CqsModel docstring in model_path names, in
+    its sentence "the results that f, g and h derive from": a call inside
+    a lambda or a comprehension counts for the function around it."""
+    callers = set()
+    for path in paths:
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            todo = list(ast.iter_child_nodes(func))
+            while todo:
+                node = todo.pop()
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "cached"
+                ):
+                    callers.add(func.name)
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    todo.extend(ast.iter_child_nodes(node))
+    tree = ast.parse(model_path.read_text(), filename=str(model_path))
+    doc = next(
+        ast.get_docstring(node) or ""
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "CqsModel"
+    )
+    listed = re.search(r"the results that (.+?) derive from", doc, re.DOTALL)
+    named = set(re.split(r",\s*|\s+and\s+", listed.group(1))) if listed else set()
+    return sorted(
+        [
+            f"{name} calls cached() but the CqsModel docstring does not name it"
+            for name in callers - named
+        ]
+        + [
+            f"the CqsModel docstring names {name}, which calls no cached()"
+            for name in named - callers
+        ]
+    )
+
+
+def test_memo_users_are_the_documented_ones():
+    """The functions that call .cached( in the library are exactly those
+    the CqsModel docstring names as the memo's users."""
+    cqs = next(path for path in MODULES if path.name == "cqs.py")
+    assert memo_user_drift(MODULES, cqs) == []
+
+
+def test_memo_user_drift_is_found(tmp_path):
+    model = tmp_path / "cqs.py"
+    model.write_text(
+        "class CqsModel:\n"
+        "    \"\"\"_memo holds the results that segment, fiber_types\n"
+        "    and slices derive from this model.\"\"\"\n"
+        "\n"
+        "    def cached(self, key, build, *args):\n"
+        "        return build(*args)\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text(
+        "def segment(model, h):\n"
+        "    return model.cached(('segment', h), _build, model, h)\n"
+        "\n"
+        "\n"
+        "def slices(model):\n"
+        "    return [model.cached(('s', h), _build, model, h) for h in range(3)]\n"
+        "\n"
+        "\n"
+        "def fiber_types(model):\n"
+        "    def inner():\n"
+        "        return model.cached('k', _build, model, 0)\n"
+        "\n"
+        "    return inner()\n"
+        "\n"
+        "\n"
+        "def _build(model, h):\n"
+        "    return h\n"
+    )
+    assert memo_user_drift([model, user], model) == [
+        "inner calls cached() but the CqsModel docstring does not name it",
+        "the CqsModel docstring names fiber_types, which calls no cached()",
+    ]
+    model.write_text("class CqsModel:\n    pass\n")
+    assert memo_user_drift([user], model) == [
+        f"{name} calls cached() but the CqsModel docstring does not name it"
+        for name in ("inner", "segment", "slices")
+    ]
 
 
 def generated_code(path: Path) -> list[str]:

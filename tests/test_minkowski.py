@@ -33,7 +33,8 @@ def test_segment_origin_certificates(y83):
     for h in (2, 3, 4):
         s = segment(y83, h)
         w = y83.wgen(h)
-        assert dot2(s.origin, w) == 1 and dot2(s.direction, w) == 0
+        (ox, oy), (wx, wy) = s.origin, w
+        assert dot2(s.origin, w) == 1 and s.point_at(1) == (ox + wy, oy - wx)
         assert dot2(s.point_at(Fraction(*s.ends[0])), w) == 1
 
 
@@ -45,7 +46,7 @@ def test_segment_matches_division_frame():
             seg = segment(m, h)
             beta, gamma, origin, unit, _ = division_slice_frame(m, h)
             ends = tuple(Fraction(*r) for r in seg.ends)
-            (ox, oy), (dx, dy) = seg.origin, seg.direction
+            (ox, oy), (dx, dy) = seg.origin, (seg.w[1], -seg.w[0])
             assert ends + (seg.origin, (ox + dx, oy + dy)) == (beta, gamma, origin, unit)
 
 

@@ -43,7 +43,7 @@ FIELDS = {
     Segment: ("h", "ends", "m0", "w", "w_next"),
     Decomposition: ("kind", "h", "p", "d", "ends0", "ends1"),
     Cone3: ("generators", "dual_rays", "spans"),
-    Deformation: ("model", "decomp", "m0"),
+    Deformation: ("model", "decomp"),
     GeneratorRelations: ("v", "v_tilde", "relations"),
     Equation: ("form", "i", "a", "m", "p", "d"),
     VersalMap: ("s", "t"),

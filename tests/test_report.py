@@ -12,7 +12,7 @@ import cqsdef.fibers
 import cqsdef.geometry3
 import cqsdef.report
 import cqsdef.totalspace
-from cqsdef.cqs import cqs_new
+from cqsdef.cqs import CqsModel, cqs_new
 from cqsdef.geometry3 import Cone3
 from cqsdef.minkowski import Decomposition, enum_decompositions, segment
 from cqsdef.report import (
@@ -177,6 +177,33 @@ def test_scan_builds_no_3d_cone(monkeypatch):
     ]
     assert len(rows) == 450 and not any("error" in row for row in rows)
     assert cones == []
+
+
+def test_scan_looks_up_each_slice_once(monkeypatch):
+    """A scan row asks its model's memo for the slice at each of the
+    e - 2 interior indices once, when it builds the decompositions: no
+    deformation looks its slice up, and the fibers ask for no continuant
+    table.  Checked on every row with n <= 40."""
+    asked = []
+    cached = CqsModel.cached
+
+    def recording(model, key, build, *args):
+        asked.append(key)
+        return cached(model, key, build, *args)
+
+    monkeypatch.setattr(CqsModel, "cached", recording)
+    rows = 0
+    for n in range(3, 41):
+        for q in range(1, n - 1):
+            if gcd(n, q) == 1:
+                asked.clear()
+                row = scan_row(n, q)
+                assert "error" not in row, row
+                slices = [key for key in asked if isinstance(key, tuple) and key[0] == "segment"]
+                assert slices == [("segment", h) for h in range(2, row["e"])], (n, q)
+                assert "continuants" not in asked, (n, q)
+                rows += 1
+    assert rows == 450
 
 
 def test_report_path_builds_no_fraction(monkeypatch):

@@ -425,25 +425,24 @@ def test_slice_interval_checks_survive_optimize():
 
 def test_roof_and_lift_checks_survive_optimize():
     """Under python -O, a partial resolution fan whose roof lengths miss
-    (a_i - k_i) * alpha_i, and lifted generators read from a slice frame
-    with the wrong w^{h+1}, are internal failures."""
+    (a_i - k_i) * alpha_i, and generators lifted in the frame of a model
+    whose w^{h+1} is wrong, are internal failures."""
     code = (
         "import sys\n"
         "from cqsdef.lattice import InvariantError\n"
         "from cqsdef.chains import enumerate_K\n"
         "from cqsdef.cqs import CqsModel, cqs_new\n"
-        "from cqsdef.minkowski import Segment, segment\n"
         "from cqsdef.resolutions import _build_p_resolution\n"
-        "from cqsdef.totalspace import all_deformations, generator_relations\n"
+        "from cqsdef.totalspace import Deformation, all_deformations, generator_relations\n"
         "m = cqs_new(8, 3)\n"
         "k = next(k for k in enumerate_K(m) if k.k == (1, 2, 1))\n"
         "df = next(d for d in all_deformations(m) if d.h == 2)\n"
         "generator_relations(df)\n"
-        "s = segment(m, 2)\n"
-        "m._memo[('segment', 2)] = Segment(h=s.h, ends=s.ends, m0=s.m0, w=s.w, w_next=m.wgen(4))\n"
         "other = CqsModel(n=m.n, q=m.q, e=m.e, a_chain=(3, 3, 2), w=m.w, sigma=m.sigma)\n"
+        "w = m.w[:2] + (m.wgen(4),) + m.w[3:]\n"
+        "skew = CqsModel(n=m.n, q=m.q, e=m.e, a_chain=m.a_chain, w=w, sigma=m.sigma)\n"
         "for call in (lambda: _build_p_resolution(other, k),\n"
-        "             lambda: generator_relations(df)):\n"
+        "             lambda: generator_relations(Deformation(skew, df.decomp))):\n"
         "    try:\n"
         "        call()\n"
         "    except InvariantError as exc:\n"
@@ -451,7 +450,7 @@ def test_roof_and_lift_checks_survive_optimize():
     )
     assert run_optimized("-c", code).stdout.decode().splitlines() == [
         "1 tau_2 has roof length 1",
-        "1 pi_{2,1}^1: the slice frame does not fit w^2 and w^3",
+        "1 pi_{2,1}^1: the lift frame does not fit w^2 and w^3",
     ]
 
 
