@@ -44,9 +44,7 @@ from .totalspace import (
     components_of,
     deformation_equations,
     generator_relations,
-    lies_in_component,
     nu_count,
-    theta_rewrite,
     versal_map,
 )
 from .fibers import SingularityList, general_fiber, is_smoothing
@@ -57,7 +55,6 @@ from .resolutions import (
     assemble_fan3,
     canonical_model,
     fan_decomposition,
-    lattice_points_right,
     p_resolution_fan,
 )
 

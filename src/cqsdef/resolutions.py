@@ -449,20 +449,3 @@ def _convex_across_walls(cones: Sequence[MaxCone3]) -> bool:
                     return False
     return True
 
-
-def lattice_points_right(model: CqsModel, k: ZeroChain, h: int) -> int:
-    """Number of slice lattice points strictly to the right of the cone at
-    index h, counted geometrically."""
-    if not 3 <= h <= model.e - 2:
-        raise ValueError(f"h = {h} not interior (3..{model.e - 2})")
-    if k.alpha_at(h) != 1:
-        raise ValueError(f"alpha_{h} = {k.alpha_at(h)} != 1")
-    fan = p_resolution_fan(model, k)
-    seg = segment(model, h)
-    num, den = seg.coord(fan.cone_at(h).ray_right)
-    if num % den:
-        raise InvariantError(
-            f"the right end {ratio_text(num, den)} of tau_{h} is not a lattice point"
-        )
-    g, gd = seg.ends[1]
-    return g // gd - num // den

@@ -28,45 +28,15 @@ class Poly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Optional[dict[int, int]] = None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c != 0}
-
-    @classmethod
-    def const(cls, c: int) -> "Poly":
-        return cls({0: c})
+    def __init__(self, coeffs: dict[int, int]):
+        self.coeffs = {e: c for e, c in coeffs.items() if c != 0}
 
     @classmethod
     def lam(cls, coeff: int = 1, power: int = 1) -> "Poly":
         return cls({power: coeff})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return Poly(out)
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, int):
-            return Poly({e: c * other for e, c in self.coeffs.items()})
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def pow(self, n: int) -> "Poly":
-        out = Poly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def to_json(self) -> list[list[int]]:
         return [[e, c] for e, c in sorted(self.coeffs.items())]
@@ -203,11 +173,12 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
     e = model.e
     eqs = deformation_equations(defo)
     (hx, hy), (nx, ny) = model.w[h - 1], model.w[h]  # w^h, w^{h+1}
-    # x_i = det(w^i, w^h) and y_i = det(w^{h+1}, w^i)
+    # x_i = det(w^i, w^h) and y_i = det(w^{h+1}, w^i): x_h = y_{h+1} = 0,
+    # and x_{h+1} = y_h = det(w^{h+1}, w^h) is the one value to check
+    if nx * hy - ny * hx != 1:
+        raise InvariantError(f"{defo.label}: the lift frame does not fit w^{h} and w^{h + 1}")
     x = [0] + [wx * hy - wy * hx for wx, wy in model.w]
     y = [0] + [nx * wy - ny * wx for wx, wy in model.w]
-    if (x[h], y[h], x[h + 1], y[h + 1]) != (0, 1, 1, 0):
-        raise InvariantError(f"{defo.label}: the lift frame does not fit w^{h} and w^{h + 1}")
 
     # Third coordinates down from the main equation: below h, u3[i-1] =
     # a_i u3[i] - u3[i+1], vtilde's 1 taking u3[i+1]'s place if bar-side.
@@ -314,21 +285,13 @@ def deformation_equations(defo: Deformation) -> tuple[Equation, ...]:
 class VersalMap(Record):
     """Assignment of base-curve polynomials to the versal deformation
     parameters s_i^(l) (1 < i < e, 1 <= l < a_i) and t_j (2 < j < e-1);
-    parameters not present are zero.  The two dicts, new and empty by
-    default, are filled in place."""
+    parameters not present are zero.  Every value is a monomial
+    Poly.lam(c, l)."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, s: Optional[dict[tuple[int, int], Poly]] = None, t: Optional[dict[int, Poly]] = None
-    ):
-        return tuple.__new__(cls, ({} if s is None else s, {} if t is None else t))
-
-    def s_at(self, i: int, l: int) -> Poly:
-        return self.s.get((i, l), Poly())
-
-    def t_at(self, j: int) -> Poly:
-        return self.t.get(j, Poly())
+    def __new__(cls, s: dict[tuple[int, int], Poly], t: dict[int, Poly]):
+        return tuple.__new__(cls, (s, t))
 
     def to_json(self) -> dict:
         return {
@@ -345,41 +308,7 @@ def versal_map(defo: Deformation) -> VersalMap:
     h, p, d = defo.h, defo.p, defo.d
     bar = int(defo.kind == "Dbar")
     s = {(h, p * l): Poly.lam(math.comb(d - bar, l), l) for l in range(1, d - bar + 1)}
-    return VersalMap(s, {h: Poly.lam()} if bar else None)
-
-
-def theta_rewrite(k: ZeroChain, vm: VersalMap, model: CqsModel) -> VersalMap:
-    """Express a parameter curve in the coordinates adapted to the
-    component of k, by inverting the triangular substitution
-
-        s_i^(l) -> sum_j C(alpha_{i-1}-1, j) t_i^j s_i^(l-j).
-    """
-    out = VersalMap(t=dict(vm.t))
-    for i in range(2, model.e):
-        alpha_prev = k.alpha_at(i - 1)
-        t_i = vm.t_at(i)
-        solved: dict[int, Poly] = {0: Poly.const(1)}
-        for l in range(1, model.a(i)):
-            val = vm.s_at(i, l)
-            for j in range(1, min(l, alpha_prev - 1) + 1):
-                val = val - math.comb(alpha_prev - 1, j) * (t_i.pow(j) * solved[l - j])
-            solved[l] = val
-            if not val.is_zero():
-                out.s[(i, l)] = val
-    return out
-
-
-def lies_in_component(k: ZeroChain, rewritten: VersalMap, model: CqsModel) -> bool:
-    """Component equations in the adapted coordinates: s_i^(l) = 0 for
-    l > a_i - k_i, and t_i = 0 wherever alpha_i != 1."""
-    for i in range(2, model.e):
-        for l in range(model.a(i) - k.k_at(i) + 1, model.a(i)):
-            if not rewritten.s_at(i, l).is_zero():
-                return False
-    for j in range(3, model.e - 1):
-        if k.alpha_at(j) != 1 and not rewritten.t_at(j).is_zero():
-            return False
-    return True
+    return VersalMap(s, {h: Poly.lam()} if bar else {})
 
 
 def split_depth(model: CqsModel, k: ZeroChain, decomp: Decomposition) -> Optional[int]:
@@ -403,17 +332,6 @@ def components_of(defo: Deformation) -> list[ZeroChain]:
     deformation maps to."""
     model = defo.model
     return [k for k in enumerate_K(model) if split_depth(model, k, defo.decomp) is not None]
-
-
-def components_of_symbolic(defo: Deformation) -> list[ZeroChain]:
-    """Membership decided through the versal map and the coordinate
-    change; must agree with components_of."""
-    vm = versal_map(defo)
-    out = []
-    for k in enumerate_K(defo.model):
-        if lies_in_component(k, theta_rewrite(k, vm, defo.model), defo.model):
-            out.append(k)
-    return out
 
 
 def nu_count(model: CqsModel, k: ZeroChain, h: int, p: int) -> int:

@@ -14,8 +14,12 @@ from pathlib import Path
 import pytest
 
 import cqsdef
-from cqsdef.lattice import Cone2, _normal_form, _xgcd, cf_eval
+from cqsdef.lattice import Cone2, InvariantError, _normal_form, _xgcd, cf_eval, ratio_text
 from cqsdef.cqs import cqs_new
+from cqsdef.chains import enumerate_K
+from cqsdef.minkowski import segment
+from cqsdef.resolutions import p_resolution_fan
+from cqsdef.totalspace import Poly, VersalMap, versal_map
 from cqsdef.geometry3 import (
     _facet_polygon_vertices,
     _simplices,
@@ -303,6 +307,96 @@ def assert_hull_vertices_are_candidates(cone, facets) -> None:
     candidate of the vertex lemma."""
     verts = {v for _, _, vs in facets for v in vs}
     assert verts <= hull_vertex_candidates(cone), sorted(verts - hull_vertex_candidates(cone))
+
+
+def poly_sub(a: Poly, b: Poly, times: int) -> Poly:
+    """a - times * b."""
+    out = dict(a.coeffs)
+    for e, c in b.coeffs.items():
+        out[e] = out.get(e, 0) - times * c
+    return Poly(out)
+
+
+def poly_mul(a: Poly, b: Poly) -> Poly:
+    out: dict[int, int] = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return Poly(out)
+
+
+def poly_pow(a: Poly, n: int) -> Poly:
+    out = Poly({0: 1})
+    for _ in range(n):
+        out = poly_mul(out, a)
+    return out
+
+
+def theta_rewrite(k, vm: VersalMap, model) -> VersalMap:
+    """Express a parameter curve in the coordinates adapted to the
+    component of k, by inverting the triangular substitution
+
+        s_i^(l) -> sum_j C(alpha_{i-1}-1, j) t_i^j s_i^(l-j).
+
+    Parameters not present in the result are zero."""
+    s = {}
+    for i in range(2, model.e):
+        alpha_prev = k.alpha_at(i - 1)
+        t_i = vm.t.get(i, Poly({}))
+        solved = {0: Poly({0: 1})}
+        for l in range(1, model.a(i)):
+            val = vm.s.get((i, l), Poly({}))
+            for j in range(1, min(l, alpha_prev - 1) + 1):
+                term = poly_mul(poly_pow(t_i, j), solved[l - j])
+                val = poly_sub(val, term, math.comb(alpha_prev - 1, j))
+            solved[l] = val
+            if val.coeffs:
+                s[(i, l)] = val
+    return VersalMap(s, dict(vm.t))
+
+
+def lies_in_component(k, rewritten: VersalMap, model) -> bool:
+    """Component equations in the adapted coordinates: s_i^(l) = 0 for
+    l > a_i - k_i, and t_i = 0 wherever alpha_i != 1."""
+    for i in range(2, model.e):
+        for l in range(model.a(i) - k.k_at(i) + 1, model.a(i)):
+            if rewritten.s.get((i, l), Poly({})).coeffs:
+                return False
+    for j in range(3, model.e - 1):
+        if k.alpha_at(j) != 1 and rewritten.t.get(j, Poly({})).coeffs:
+            return False
+    return True
+
+
+def components_of_symbolic(defo) -> list:
+    """Component membership through the versal map and the coordinate
+    change, reading no split_depth: criterion 3's oracle for
+    components_of."""
+    vm = versal_map(defo)
+    return [
+        k
+        for k in enumerate_K(defo.model)
+        if lies_in_component(k, theta_rewrite(k, vm, defo.model), defo.model)
+    ]
+
+
+def lattice_points_right(model, k, h: int) -> int:
+    """Number of slice lattice points strictly to the right of the cone at
+    index h, counted geometrically: the oracle for alpha_{h-1} - 1 in
+    split_depth's Dbar rule."""
+    if not 3 <= h <= model.e - 2:
+        raise ValueError(f"h = {h} not interior (3..{model.e - 2})")
+    if k.alpha_at(h) != 1:
+        raise ValueError(f"alpha_{h} = {k.alpha_at(h)} != 1")
+    fan = p_resolution_fan(model, k)
+    seg = segment(model, h)
+    num, den = seg.coord(fan.cone_at(h).ray_right)
+    if num % den:
+        raise InvariantError(
+            f"the right end {ratio_text(num, den)} of tau_{h} is not a lattice point"
+        )
+    g, gd = seg.ends[1]
+    return g // gd - num // den
 
 
 def run_optimized(*args: str, check: bool = True) -> subprocess.CompletedProcess:

@@ -21,10 +21,10 @@ from cqsdef.resolutions import (
     canonical_model,
     fan_decomposition,
 )
+from cqsdef import totalspace
 from cqsdef.totalspace import (
     all_deformations,
     components_of,
-    components_of_symbolic,
     deformation_equations,
     generator_relations,
     nu_count,
@@ -36,6 +36,7 @@ from conftest import (
     brute_is_canonical,
     brute_roof_facets,
     brute_zero_chains,
+    components_of_symbolic,
     hull_cone_ray_sets,
     iter_models,
 )
@@ -135,16 +136,33 @@ def test_criterion_2_propositions():
     _ok(f"2 (proposition suite, {len(sample)} models over 20 random n <= 60)")
 
 
+def component_mismatches(model) -> list[str]:
+    """Labels of the deformations of model whose closed-form components
+    differ from those of the symbolic versal-map route."""
+    return [
+        df.label
+        for df in all_deformations(model)
+        if [k.k for k in components_of(df)] != [k.k for k in components_of_symbolic(df)]
+    ]
+
+
 def test_criterion_3_theorem_vs_symbolic():
     """Closed-form component membership equals the versal-map route for
     every deformation and every chain; all models with n <= 40; exact."""
     for n, q in all_pairs(40):
-        m = cqs_new(n, q)
-        for df in all_deformations(m):
-            closed = [k.k for k in components_of(df)]
-            symbolic = [k.k for k in components_of_symbolic(df)]
-            assert closed == symbolic, (n, q, df.label)
+        assert component_mismatches(cqs_new(n, q)) == [], (n, q)
     _ok("3 (component theorem vs symbolic oracle, n <= 40)")
+
+
+def test_criterion_3_oracle_reads_no_split_depth(monkeypatch):
+    """A wrong component rule in split_depth, under which every
+    deformation maps to every component, changes components_of but not
+    the symbolic oracle, so criterion 3's comparison fails at Y(8,3)."""
+    m = cqs_new(8, 3)
+    symbolic = [[k.k for k in components_of_symbolic(df)] for df in all_deformations(m)]
+    monkeypatch.setattr(totalspace, "split_depth", lambda model, k, decomp: 1)
+    assert component_mismatches(m) != []
+    assert [[k.k for k in components_of_symbolic(df)] for df in all_deformations(m)] == symbolic
 
 
 def test_criterion_4_nu_counts():

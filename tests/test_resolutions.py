@@ -14,12 +14,17 @@ from cqsdef.resolutions import (
     assemble_fan3,
     canonical_model,
     fan_decomposition,
-    lattice_points_right,
     p_resolution_fan,
     slice_intervals,
 )
 from cqsdef.totalspace import all_deformations, build_deformation, components_of
-from conftest import division_slice_frame, hull_cone_ray_sets, iter_models, run_optimized
+from conftest import (
+    division_slice_frame,
+    hull_cone_ray_sets,
+    iter_models,
+    lattice_points_right,
+    run_optimized,
+)
 
 
 def k_of(model, chain):
