@@ -5,6 +5,7 @@ attached to a singularity model.  A singularity is its normal-form chain.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Optional, Sequence
 
 from .lattice import InvariantError, cf_eval
@@ -61,33 +62,39 @@ def zero_chains_bounded(bounds: Sequence[int]) -> list[ZeroChain]:
     """All chains k with 1 <= k_i <= bounds[i] representing zero, in
     lexicographic order.
 
-    Depth-first search carrying (alpha_{i-1}, alpha_i); a branch dies as
-    soon as an interior height drops below 1, and the final entry must
-    bring the last height to exactly 0.
+    Depth-first search over the heights alpha, with the chain and the
+    heights as stacks: at each position k runs up from the least entry
+    that keeps the next interior height at least 1, and the final entry
+    must bring the last height to exactly 0.
     """
     m = len(bounds)
     out: list[ZeroChain] = []
     if m == 0:
         return out
-
-    def rec(pos: int, prefix: list[int], a_prev: int, a_cur: int) -> None:
+    make = ZeroChain._make
+    # chain[pos] is the entry last tried at pos; on entering pos it is set
+    # one below the least entry that keeps the next height at least 1.
+    chain = [0] * m
+    alpha = [0, 1] + [0] * m  # alpha_1 .. alpha_e
+    pos = 0
+    while pos >= 0:
+        a_prev, a_cur = alpha[pos], alpha[pos + 1]
         if pos == m - 1:
             # alpha_e = k*a_cur - a_prev must equal 0.
-            if a_prev % a_cur == 0:
-                k_last = a_prev // a_cur
-                if 1 <= k_last <= bounds[pos]:
-                    chain = tuple(prefix) + (k_last,)
-                    out.append(ZeroChain(k=chain, alpha=alpha_seq(chain)))
-            return
-        for k in range(1, bounds[pos] + 1):
-            a_next = k * a_cur - a_prev
-            if a_next < 1:
-                continue
-            prefix.append(k)
-            rec(pos + 1, prefix, a_cur, a_next)
-            prefix.pop()
-
-    rec(0, [], 0, 1)
+            k_last, rest = divmod(a_prev, a_cur)
+            if not rest and 1 <= k_last <= bounds[pos]:
+                chain[pos] = k_last
+                out.append(make((tuple(chain), tuple(alpha))))
+            pos -= 1
+            continue
+        k = chain[pos] + 1
+        if k > bounds[pos]:
+            pos -= 1
+            continue
+        chain[pos] = k
+        alpha[pos + 2] = k * a_cur - a_prev
+        pos += 1
+        chain[pos] = alpha[pos] // alpha[pos + 1]
     return out
 
 
@@ -178,13 +185,33 @@ def is_t_singularity(model: CqsModel) -> bool:
     """Whether Y_(n,q) admits a Q-Gorenstein one-parameter smoothing.
 
     Criterion: the chain (a_2,...,a_{e-1}) equals some zero-chain k except
-    at a single index h, where a_h = k_h + m with m >= 0.
+    at a single index h, where a_h = k_h + m with m >= 0.  Every call
+    checks the answer against the arithmetic criterion ksb_t_singularity
+    and raises InvariantError when the two disagree.
     """
     a = model.a_chain
-    for zc in enumerate_K(model):
-        diff = [i for i in range(len(a)) if zc.k[i] != a[i]]
-        if len(diff) <= 1:
-            return True
+    found = any(
+        sum(k_i != a_i for k_i, a_i in zip(zc.k, a)) <= 1 for zc in enumerate_K(model)
+    )
+    if found != ksb_t_singularity(model.n, model.q):
+        raise InvariantError(
+            f"Y_({model.n},{model.q}): the zero chains and the KSB criterion "
+            "disagree on whether it is a T-singularity"
+        )
+    return found
+
+
+def ksb_t_singularity(n: int, q: int) -> bool:
+    """The criterion of Kollar and Shepherd-Barron for 0 < q < n - 1:
+    Y_(n,q) is a T-singularity exactly when n = d*m^2 and q = d*m*a - 1
+    with m >= 2, d >= 1, 0 < a < m and gcd(a, m) = 1."""
+    m = 2
+    while m * m <= n:
+        if not n % (m * m):
+            a, rest = divmod(q + 1, n // m)  # n // m = d*m
+            if not rest and 0 < a < m and gcd(a, m) == 1:
+                return True
+        m += 1
     return False
 
 

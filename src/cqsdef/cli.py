@@ -186,10 +186,9 @@ def cmd_scan(args) -> int:
         import csv  # only scan writes CSV, so the other commands never load it
 
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=SCAN_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({f: row.get(f, "") for f in SCAN_FIELDS})
+        writer = csv.writer(buf)
+        writer.writerow(SCAN_FIELDS)
+        writer.writerows([row.get(f, "") for f in SCAN_FIELDS] for row in rows)
         text = buf.getvalue()
     _write_output(text, args.output)
     failed = sum(1 for row in rows if "error" in row)
@@ -215,7 +214,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USER, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves
+    it unchanged, so repeated main calls share it."""
     parser = _Parser(
         prog="cqsdef",
         description="One-parameter toric deformations of cyclic quotient singularities",

@@ -127,9 +127,9 @@ def from_display_coords(u: IVec2, model: CqsModel) -> IVec2:
     return u1, num // model.n
 
 
-def display_n_point(v: IVec2, model: CqsModel) -> tuple[Ratio, Ratio]:
-    """Display a point of N (convention A) in convention-B coordinates,
-    each as an integer ratio over n."""
-    (x, y), n = v, model.n
-    return (n * x + model.q * y, n), (y, n)
+def display_n_point(v: IVec2, n: int, q: int) -> tuple[Ratio, Ratio]:
+    """Display a point of N (convention A) of Y_(n,q) in convention-B
+    coordinates, each as an integer ratio over n."""
+    x, y = v
+    return (n * x + q * y, n), (y, n)
 

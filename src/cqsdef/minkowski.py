@@ -5,7 +5,7 @@ deformations.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .lattice import InvariantError, IVec2, Ratio, dot2, ratio_text
 from .cqs import CqsModel
@@ -78,10 +78,10 @@ def segment(model: CqsModel, h: int) -> Segment:
 
 
 def _build_segment(model: CqsModel, h: int) -> Segment:
-    if not 2 <= h <= model.e - 1:
-        raise ValueError(f"h = {h} out of range 2..{model.e - 1}")
-    w, w_next = model.wgen(h), model.wgen(h + 1)
-    n, q = model.n, model.q
+    n, q, e, _, ws, _ = model
+    if not 2 <= h <= e - 1:
+        raise ValueError(f"h = {h} out of range 2..{e - 1}")
+    w, w_next = ws[h - 1], ws[h]  # w^h, w^{h+1}
     # <ray, w^h> and <ray, w^{h+1}> for the rays (-q, n) and (1, 0) of sigma;
     # the ends are their coordinates, as Segment.coord gives them.
     (x, y), (nx, ny) = w, w_next
@@ -91,11 +91,11 @@ def _build_segment(model: CqsModel, h: int) -> Segment:
         raise InvariantError(f"a ray of sigma does not meet the slice at w^{h}")
     m0 = -(-u_left // t_left)
     ends = ((u_left - t_left * m0, t_left), (u_right - t_right * m0, t_right))
-    seg = Segment(h, ends, m0, w, w_next)
+    seg = Segment._make((h, ends, m0, w, w_next))
     num, den = seg.length_ratio
-    if num * x * (y * model.n - x * model.q) != model.n * den:
+    if num * x * t_left != n * den:
         raise InvariantError(
-            f"slice length mismatch for (n,q)=({model.n},{model.q}) h={h}: "
+            f"slice length mismatch for (n,q)=({n},{q}) h={h}: "
             f"geometric {ratio_text(num, den)} vs formula {segment_length(model, h)}"
         )
     return seg
@@ -140,7 +140,9 @@ class Decomposition(Record):
         return f"pibar_{{{self.h}}}^{self.d}"
 
     def validate(self, seg: Segment) -> None:
-        """Re-check the admissibility invariants against the slice."""
+        """Re-check the admissibility invariants against the slice: both
+        summands run left to right, they add up to the slice, a Dbar has
+        p = 1, and the lattice-end rule holds (lattice_end_fault)."""
         kind, _, p, _, ends0, ends1 = self
         (b0, bd0), (g0, gd0) = ends0
         (b1, bd1), (g1, gd1) = ends1
@@ -153,7 +155,9 @@ class Decomposition(Record):
             raise InvariantError(f"{self.label}: summands do not add up")
         if kind == "Dbar" and p != 1:
             raise InvariantError(f"{self.label}: p = {p} != 1")
-        check_lattice_ends(ends0, ends1, p, lambda: self.label)
+        fault = lattice_end_fault(ends0, ends1, p)
+        if fault:
+            raise InvariantError(self.label + fault)
 
     def to_json(self) -> dict:
         return {
@@ -165,44 +169,27 @@ class Decomposition(Record):
         }
 
 
-def check_lattice_ends(
-    ends0: tuple[Ratio, Ratio], ends1: tuple[Ratio, Ratio], p: int, what: Callable[[], str]
-) -> None:
+def lattice_end_fault(ends0: tuple[Ratio, Ratio], ends1: tuple[Ratio, Ratio], p: int) -> str:
     """The lattice-end rule of an admissible decomposition s0 + s1, given
     by the ends of its summands as integer ratios, where s1 is p times a
     summand: for p = 1 a lattice left end and a lattice right end, each in
     one of the summands; for p > 1 an integral s1 whose length is
-    divisible by p.  Raises InvariantError naming what(), called only then."""
+    divisible by p.  Returns "" when the rule holds, and otherwise how it
+    breaks, as the text that follows the name of the decomposition or
+    piece in an error."""
     (b0, bd0), (g0, gd0) = ends0
     (b1, bd1), (g1, gd1) = ends1
     if p == 1:
         if b0 % bd0 and b1 % bd1:
-            raise InvariantError(f"{what()} has no lattice left end")
+            return " has no lattice left end"
         if g0 % gd0 and g1 % gd1:
-            raise InvariantError(f"{what()} has no lattice right end")
+            return " has no lattice right end"
     else:
         if b1 % bd1 or g1 % gd1:
-            raise InvariantError(f"{what()} has a non-lattice s1")
+            return " has a non-lattice s1"
         if (g1 // gd1 - b1 // bd1) % p:
-            raise InvariantError(f"{what()} has s1 not divisible by p")
-
-
-def decomposition_D(seg: Segment, p: int, d: int) -> Decomposition:
-    h, (beta, (g, gd)), _, _, _ = seg
-    pd = p * d
-    num, den = seg.length_ratio
-    if not (0 <= pd and pd * den <= num):
-        raise ValueError(f"p*d = {pd} exceeds slice length {ratio_text(num, den)}")
-    return Decomposition("D", h, p, d, (beta, (g - pd * gd, gd)), ((0, 1), (pd, 1)))
-
-
-def decomposition_Dbar(seg: Segment, d: int) -> Decomposition:
-    cnt = seg.lattice_count
-    if not 1 <= d <= cnt:
-        raise ValueError(f"d = {d} out of range 1..{cnt}")
-    h, ((b, bd), (g, gd)), _, _, _ = seg
-    e_cut = -(-(b + (cnt - d) * bd) // bd)  # ceil(beta + cnt - d)
-    return Decomposition("Dbar", h, 1, d, ((b, bd), (e_cut, 1)), ((0, 1), (g - e_cut * gd, gd)))
+            return " has s1 not divisible by p"
+    return ""
 
 
 def enum_decompositions(model: CqsModel) -> list[Decomposition]:
@@ -217,18 +204,31 @@ def enum_decompositions(model: CqsModel) -> list[Decomposition]:
 
 
 def _build_decompositions(model: CqsModel) -> tuple[Decomposition, ...]:
+    """Each slice's D family, then its Dbar family, in one pass over the
+    slice's ends, length and lattice count #Q:
+
+    D:    Q = (beta, gamma - p*d) + p*(0, d), 1 <= p < a_h, p*d <= length;
+    Dbar: Q = (beta, E) + (0, gamma - E) with E = ceil(beta + #Q - d),
+          1 <= d <= #Q, at interior h.
+
+    Every decomposition is checked by Decomposition.validate."""
+    make = Decomposition._make
     out: list[Decomposition] = []
     for h in range(2, model.e):
         seg = segment(model, h)
+        beta, (g, gd) = seg.ends
+        b, bd = beta
         num, den = seg.length_ratio
-        here = [
-            decomposition_D(seg, p, d)
-            for p in range(1, model.a(h))
-            for d in range(1, num // (p * den) + 1)
-        ]
+        first = len(out)
+        for p in range(1, model.a(h)):
+            for d in range(1, num // (p * den) + 1):
+                pd = p * d
+                out.append(make(("D", h, p, d, (beta, (g - pd * gd, gd)), ((0, 1), (pd, 1)))))
         if 3 <= h <= model.e - 2:
-            here += [decomposition_Dbar(seg, d) for d in range(1, seg.lattice_count + 1)]
-        for dec in here:
+            cnt = seg.lattice_count
+            for d in range(1, cnt + 1):
+                cut = -(-(b + (cnt - d) * bd) // bd)  # ceil(beta + cnt - d)
+                out.append(make(("Dbar", h, 1, d, (beta, (cut, 1)), ((0, 1), (g - cut * gd, gd)))))
+        for dec in out[first:]:
             dec.validate(seg)
-        out += here
     return tuple(out)

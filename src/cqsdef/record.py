@@ -7,6 +7,12 @@ record never equals a plain tuple or a record of another class; the hash
 is the tuple hash of the fields, and no attribute can be assigned.  A
 modified copy is made with the constructor.
 
+``X._make(fields)``, as for a namedtuple, builds a record from an
+iterable of its fields without calling ``__new__``.  It is only for a
+record whose ``__new__`` just packs its parameters, as
+``return tuple.__new__(cls, (a, b, ...))``; tests/test_hygiene.py keeps
+it so, so that no check or memo that a ``__new__`` sets up is skipped.
+
 The fields are properties over tuple items, set up when the class is
 defined, without generated code: building the classes costs next to
 nothing at import.  A class that caches properties on its instances
@@ -22,6 +28,7 @@ from operator import itemgetter
 class Record(tuple):
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _make = classmethod(tuple.__new__)
 
     def __init_subclass__(cls):
         code = cls.__new__.__code__

@@ -13,7 +13,7 @@ from typing import Sequence
 from .lattice import Cone2, InvariantError, IVec2, Ratio, cone_normal_form, dot2, ratio_text
 from .cqs import CqsModel, display_n_point
 from .chains import ZeroChain
-from .minkowski import Decomposition, check_lattice_ends, Segment, segment
+from .minkowski import Decomposition, Segment, lattice_end_fault, segment
 from .totalspace import Deformation, components_of, split_depth
 from .geometry3 import Cone3, cross3, dot3, is_canonical_cone3
 from .record import Record
@@ -48,16 +48,17 @@ class TauCone(Record):
 
 
 class PResolutionFan(Record):
-    """Fan refining the singularity cone, one (possibly degenerate) cone
-    per chain index, with roofs of lattice length (a_i - k_i)*alpha_i at
-    height alpha_i."""
+    """Fan refining the singularity cone of Y_(n,q), one (possibly
+    degenerate) cone per chain index, with roofs of lattice length
+    (a_i - k_i)*alpha_i at height alpha_i.  It holds n and q, not the
+    model, whose memo holds the fan."""
 
     __slots__ = ()
 
     def __new__(
-        cls, model: CqsModel, k: ZeroChain, rays: tuple[IVec2, ...], cones: tuple[TauCone, ...]
+        cls, n: int, q: int, k: ZeroChain, rays: tuple[IVec2, ...], cones: tuple[TauCone, ...]
     ):
-        return tuple.__new__(cls, (model, k, rays, cones))
+        return tuple.__new__(cls, (n, q, k, rays, cones))
 
     def cone_at(self, i: int) -> TauCone:
         return self.cones[i - 2]
@@ -67,7 +68,7 @@ class PResolutionFan(Record):
             "k": list(self.k.k),
             "rays": [list(v) for v in self.rays],
             "rays_display": [
-                [ratio_text(*r) for r in display_n_point(v, self.model)] for v in self.rays
+                [ratio_text(*r) for r in display_n_point(v, self.n, self.q)] for v in self.rays
             ],
             "cones": [
                 {
@@ -118,7 +119,7 @@ def _build_p_resolution(model: CqsModel, k: ZeroChain) -> PResolutionFan:
         )
 
     rays = tuple(dict.fromkeys(boundary))
-    return PResolutionFan(model=model, k=k, rays=rays, cones=tuple(cones))
+    return PResolutionFan(n=model.n, q=model.q, k=k, rays=rays, cones=tuple(cones))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +281,9 @@ def _less(x: Ratio, c: int) -> Ratio:
 def _validate_piece_admissibility(fd: FanDecomposition) -> None:
     p = fd.decomp.p
     for pc in fd.pieces:
-        check_lattice_ends(pc.ends0, pc.ends1, p, lambda: f"{fd.label}: piece {pc.i}")
+        fault = lattice_end_fault(pc.ends0, pc.ends1, p)
+        if fault:
+            raise InvariantError(f"{fd.label}: piece {pc.i}{fault}")
 
 
 class MaxCone3(Record):
@@ -325,7 +328,8 @@ class Fan3(Record):
 def assemble_fan3(fd: FanDecomposition, defo: Deformation) -> Fan3:
     """Cone over each per-cone decomposition; the full-dimensional cones
     tile the total-space cone of defo, the deformation of fd.decomp."""
-    if defo.model != fd.fan.model or defo.decomp != fd.decomp:
+    fan, model = fd.fan, defo.model
+    if (fan.n, fan.q) != (model.n, model.q) or defo.decomp != fd.decomp:
         raise ValueError(f"{defo.label} is not the deformation of {fd.label}")
     cones = []
     for pc in fd.pieces:
@@ -339,7 +343,7 @@ def assemble_fan3(fd: FanDecomposition, defo: Deformation) -> Fan3:
                 tau_index=pc.i,
                 cone=cone,
                 canonical=is_canonical_cone3(cone),
-                rdp_or_smooth=fd.fan.cone_at(pc.i).at_most_rdp,
+                rdp_or_smooth=fan.cone_at(pc.i).at_most_rdp,
             )
         )
 

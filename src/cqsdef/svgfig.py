@@ -31,7 +31,7 @@ def _fmt(x) -> str:
 def _display_label(model: CqsModel, pt) -> str:
     from fractions import Fraction
 
-    u, v = (Fraction(*r) for r in display_n_point(pt, model))
+    u, v = (Fraction(*r) for r in display_n_point(pt, model.n, model.q))
     den = math.lcm(u.denominator, v.denominator)
     if den == 1:
         return f"({u},{v})"

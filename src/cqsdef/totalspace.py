@@ -126,7 +126,7 @@ def build_deformation(model: CqsModel, decomp: Decomposition) -> Deformation:
     """The deformation of a decomposition.  It looks up no slice: the 3D
     cone over the two summands, sigma_prime, its slice-embedding check and
     the slice's m0 wait for the first read."""
-    return Deformation(model, decomp)
+    return Deformation._make((model, decomp))
 
 
 def all_deformations(model: CqsModel) -> list[Deformation]:

@@ -17,7 +17,7 @@ import cqsdef
 from cqsdef.lattice import Cone2, InvariantError, _normal_form, _xgcd, cf_eval, ratio_text
 from cqsdef.cqs import cqs_new
 from cqsdef.chains import enumerate_K
-from cqsdef.minkowski import segment
+from cqsdef.minkowski import Decomposition, segment
 from cqsdef.resolutions import p_resolution_fan
 from cqsdef.totalspace import Poly, VersalMap, versal_map
 from cqsdef.geometry3 import (
@@ -127,6 +127,30 @@ def division_slice_frame(model, h):
         return c - shift
 
     return c_beta - shift, c_gamma - shift, at(shift), at(shift + 1), coord
+
+
+def decomposition_D(seg, p: int, d: int) -> Decomposition:
+    """pi_{h,p}^d built alone from the slice: Q = (beta, gamma - p*d) +
+    p*(0, d), for 0 <= p*d <= the slice length.  With decomposition_Dbar
+    the per-decomposition oracle of the library's one-pass slice builder
+    (minkowski._build_decompositions)."""
+    h, (beta, (g, gd)), _, _, _ = seg
+    pd = p * d
+    num, den = seg.length_ratio
+    if not (0 <= pd and pd * den <= num):
+        raise ValueError(f"p*d = {pd} exceeds slice length {ratio_text(num, den)}")
+    return Decomposition("D", h, p, d, (beta, (g - pd * gd, gd)), ((0, 1), (pd, 1)))
+
+
+def decomposition_Dbar(seg, d: int) -> Decomposition:
+    """pibar_h^d built alone from the slice: Q = (beta, E) + (0, gamma - E)
+    with E = ceil(beta + #Q - d), for 1 <= d <= #Q."""
+    cnt = seg.lattice_count
+    if not 1 <= d <= cnt:
+        raise ValueError(f"d = {d} out of range 1..{cnt}")
+    h, ((b, bd), (g, gd)), _, _, _ = seg
+    e_cut = -(-(b + (cnt - d) * bd) // bd)  # ceil(beta + cnt - d)
+    return Decomposition("Dbar", h, 1, d, ((b, bd), (e_cut, 1)), ((0, 1), (g - e_cut * gd, gd)))
 
 
 def brute_zero_chains(bounds) -> list[tuple[int, ...]]:

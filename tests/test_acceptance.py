@@ -37,6 +37,7 @@ from conftest import (
     brute_roof_facets,
     brute_zero_chains,
     components_of_symbolic,
+    decomposition_D,
     hull_cone_ray_sets,
     iter_models,
 )
@@ -286,7 +287,6 @@ def test_criterion_8_smoothing_consistency():
                     assert m.a(df.h) == 2 and df.d == 1
 
     from cqsdef.totalspace import build_deformation
-    from cqsdef.minkowski import decomposition_D
 
     for n, q in all_pairs(60):
         m = cqs_new(n, q)

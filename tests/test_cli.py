@@ -229,17 +229,17 @@ def test_analyze_svg_shares_the_model(tmp_path, monkeypatch, capsys):
 
     count(cqsdef.resolutions, "_build_fan_decomposition")
     count(cqsdef.totalspace, "build_deformation")
-    count(cqsdef.minkowski, "decomposition_D")
+    count(cqsdef.minkowski, "_build_decompositions")
     outputs = {}
     for extra in ([], ["--svg", str(tmp_path)]):
-        builds.update(_build_fan_decomposition=0, build_deformation=0, decomposition_D=0)
+        builds.update(_build_fan_decomposition=0, build_deformation=0, _build_decompositions=0)
         code, out, _ = run(capsys, "analyze", "37", "11", "--json", *extra)
         assert code == 0
         outputs[bool(extra)] = (out, dict(builds))
     assert outputs[True] == outputs[False]
     assert outputs[False][1]["_build_fan_decomposition"] > 0
     assert outputs[False][1]["build_deformation"] == 16
-    assert outputs[False][1]["decomposition_D"] > 0
+    assert outputs[False][1]["_build_decompositions"] > 0
     model = cqsdef.cqs.cqs_new(37, 11)
     for target in FIGURE_TARGETS:
         assert (tmp_path / f"y_37_11_{target}.svg").read_text() == make_figure(model, target)
@@ -438,6 +438,29 @@ def test_scan_builds_each_model_once(monkeypatch, capsys):
     code, out, _ = run(capsys, "scan", "--n-range", "3:20", "--csv")
     assert code == 0
     assert calls == scan_pairs(out)
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    """main builds its parser once per process: a second call builds no
+    ArgumentParser, and a usage error on the shared parser still exits 1
+    without spoiling the next call."""
+    assert run(capsys, "analyze", "8", "3", "--json")[0] == 0
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    original = cli_mod._Parser.__init__
+    monkeypatch.setattr(cli_mod._Parser, "__init__", counting)
+    code, out, _ = run(capsys, "analyze", "8", "3", "--json")
+    assert code == 0 and json.loads(out)["counts"]["deformations"] == 7
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "8"])
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+    assert run(capsys, "scan", "--n-range", "3:6", "--json")[0] == 0
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -7,11 +7,11 @@ from cqsdef.cqs import (
     from_display_coords,
     to_display_coords,
 )
-from cqsdef.chains import enumerate_K, is_rdp, is_t_singularity
+from cqsdef.chains import enumerate_K, is_rdp, is_t_singularity, ksb_t_singularity
 from cqsdef.lattice import dual_cone, hilbert_basis_2d
 from cqsdef.minkowski import segment, segment_length
 from cqsdef.resolutions import p_resolution_fan
-from conftest import iter_models
+from conftest import iter_models, run_optimized
 
 
 def test_golden_model(y83):
@@ -107,6 +107,39 @@ def test_is_t_singularity(y83):
         for zc in enumerate_K(m)
     )
     assert is_t_singularity(m) is expected
+
+
+def test_t_singularities_by_both_routes():
+    """The T-singularities with n <= 25, 1/(d m^2)(1, d m a - 1), by the
+    KSB arithmetic; is_t_singularity, which checks its zero-chain answer
+    against it on every call, agrees for every pair with n <= 120."""
+    assert [(m.n, m.q) for m in iter_models(25) if ksb_t_singularity(m.n, m.q)] == [
+        (4, 1), (8, 3), (9, 2), (9, 5), (12, 5), (16, 3), (16, 7), (16, 11),
+        (18, 5), (18, 11), (20, 9), (24, 11), (25, 4), (25, 9), (25, 14), (25, 19),
+    ]
+    found = [(m.n, m.q) for m in iter_models(120) if is_t_singularity(m)]
+    assert found == [(m.n, m.q) for m in iter_models(120) if ksb_t_singularity(m.n, m.q)]
+
+
+def test_t_singularity_mismatch_survives_optimize():
+    """With the zero-chain list patched, is_t_singularity disagrees with
+    the KSB criterion, under python -O too, and a scan records the row as
+    failed: Y(4,1) loses its zero chains, and Y(7,3) gets its own chain."""
+    code = (
+        "import sys\n"
+        "import cqsdef.chains\n"
+        "from cqsdef.chains import ZeroChain, alpha_seq\n"
+        "from cqsdef.report import scan_row\n"
+        "cqsdef.chains.enumerate_K = lambda model: [] if model.n == 4 else [\n"
+        "    ZeroChain(model.a_chain, alpha_seq(model.a_chain))]\n"
+        "for n, q in [(4, 1), (7, 3)]:\n"
+        "    print(sys.flags.optimize, scan_row(n, q))\n"
+    )
+    assert run_optimized("-c", code).stdout.decode().splitlines() == [
+        f"1 {{'n': {n}, 'q': {q}, 'error': 'InvariantError: Y_({n},{q}): the zero chains "
+        "and the KSB criterion disagree on whether it is a T-singularity'}"
+        for n, q in [(4, 1), (7, 3)]
+    ]
 
 
 def test_is_rdp():

@@ -4,8 +4,10 @@ module already imports, and a local name that a function assigns and
 never reads; imports of the package's own modules inside a function,
 which hide an import cycle; assert statements, which python -O drops;
 a bare RuntimeError raised where a check raises InvariantError; code
-generated at import; a memo user that the CqsModel docstring does not
-name, or a name there that uses no memo; and module-level definitions,
+generated at import; X._make for a record whose __new__ does more than
+pack its parameters; a nested function that calls itself; a memo user
+that the CqsModel docstring does not name, or a name there that uses no
+memo; and module-level definitions,
 methods and properties that nothing references.  Also: importing the command line
 loads no module that only start-up would pay for, and the package
 version is the one pyproject.toml declares."""
@@ -298,6 +300,149 @@ def test_unnamed_builders_are_found(tmp_path):
         "    return a, b, c, d, e\n"
     )
     assert unnamed_builders(path) == [4, 7, 10]
+
+
+def _packs_its_parameters(func: ast.FunctionDef) -> bool:
+    """Whether a __new__ is exactly return tuple.__new__(cls, (<its other
+    parameters, in order>))."""
+    args = func.args
+    if args.vararg or args.kwarg or args.kwonlyargs or args.posonlyargs or len(func.body) != 1:
+        return False
+    names = [arg.arg for arg in args.args]
+    ret = func.body[0]
+    return (
+        isinstance(ret, ast.Return)
+        and isinstance(ret.value, ast.Call)
+        and ast.unparse(ret.value.func) == "tuple.__new__"
+        and not ret.value.keywords
+        and len(ret.value.args) == 2
+        and ast.unparse(ret.value.args[0]) == names[0]
+        and isinstance(ret.value.args[1], ast.Tuple)
+        and [ast.unparse(elt) for elt in ret.value.args[1].elts] == names[1:]
+    )
+
+
+def unsafe_makes(paths: list[Path]) -> list[str]:
+    """Where the modules read X._make for a class X whose __new__ does more
+    than pack its parameters, or that defines no __new__ of its own:
+    _make builds a record without calling __new__, so it would skip a
+    memo or a normalisation that __new__ sets up."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    plain = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(
+            isinstance(item, ast.FunctionDef)
+            and item.name == "__new__"
+            and _packs_its_parameters(item)
+            for item in node.body
+        )
+    }
+    found = [
+        (path.name, node.lineno, node.col_offset, ast.unparse(node))
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "_make"
+        and not (isinstance(node.value, ast.Name) and node.value.id in plain)
+    ]
+    return [f"{name}:{line}: {text}" for name, line, _, text in sorted(found)]
+
+
+def test_make_only_for_plain_records():
+    assert unsafe_makes(MODULES) == []
+
+
+def test_unsafe_makes_are_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "class Plain(Record):\n"
+        "    def __new__(cls, a, b=0):\n"
+        "        return tuple.__new__(cls, (a, b))\n"
+        "\n"
+        "class Memo(Record):\n"
+        "    def __new__(cls, a, b):\n"
+        "        self = tuple.__new__(cls, (a, b))\n"
+        "        self.__dict__['_memo'] = {}\n"
+        "        return self\n"
+        "\n"
+        "class Swapped(Record):\n"
+        "    def __new__(cls, a, b):\n"
+        "        return tuple.__new__(cls, (b, a))\n"
+        "\n"
+        "class Sub(Plain):\n"
+        "    pass\n"
+        "\n"
+        "make = Plain._make\n"
+        "x = make((1, 2)), Plain._make((3, 4))\n"
+        "y = Memo._make((1, 2)), Swapped._make((1, 2)), Sub._make((1, 2))\n"
+        "z = records.Plain._make((1, 2))\n"
+    )
+    assert unsafe_makes([path]) == [
+        "sample.py:20: Memo._make",
+        "sample.py:20: Swapped._make",
+        "sample.py:20: Sub._make",
+        "sample.py:21: records.Plain._make",
+    ]
+
+
+def recursive_closures(path: Path) -> list[str]:
+    """The functions nested in a function that call themselves by name.
+    Such a closure holds the cell that holds it, so every call of the
+    enclosing function leaves a reference cycle that only the cyclic
+    garbage collector frees, with whatever the closure reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = set()
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(outer):
+            if (
+                inner is not outer
+                and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and any(
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == inner.name
+                    for node in ast.walk(inner)
+                )
+            ):
+                found.add((inner.lineno, inner.name))
+    return [f"{path.name}:{line}: {name}" for line, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_recursive_closures(path):
+    assert recursive_closures(path) == []
+
+
+def test_recursive_closures_are_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def top(n):\n"
+        "    return top(n - 1) if n else 0\n"
+        "\n"
+        "def outer(bounds):\n"
+        "    def rec(pos):\n"
+        "        return [rec(pos + 1)] if pos < len(bounds) else []\n"
+        "\n"
+        "    def helper(x):\n"
+        "        return top(x)\n"
+        "\n"
+        "    def middle():\n"
+        "        def deep(k):\n"
+        "            return deep(k - 1) if k else helper(k)\n"
+        "        return deep(3)\n"
+        "\n"
+        "    return rec(0), middle()\n"
+        "\n"
+        "class C:\n"
+        "    def method(self, n):\n"
+        "        return self.method(n - 1) if n else 0\n"
+    )
+    assert recursive_closures(path) == ["sample.py:5: rec", "sample.py:12: deep"]
 
 
 def memo_user_drift(paths: list[Path], model_path: Path) -> list[str]:

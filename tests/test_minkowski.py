@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,15 +7,15 @@ import pytest
 from cqsdef.chains import enumerate_K
 from cqsdef.cqs import to_display_coords
 from cqsdef.lattice import InvariantError, dot2
-from cqsdef.minkowski import (
+from cqsdef.minkowski import enum_decompositions, segment, segment_length
+from cqsdef.totalspace import nu_count
+from conftest import (
     decomposition_D,
     decomposition_Dbar,
-    enum_decompositions,
-    segment,
-    segment_length,
+    division_slice_frame,
+    iter_models,
+    run_optimized,
 )
-from cqsdef.totalspace import nu_count
-from conftest import division_slice_frame, iter_models, run_optimized
 
 
 def test_segment_golden(y83):
@@ -102,6 +103,36 @@ def test_enum_golden_h3_labels(y83):
     }
 
 
+def oracle_decompositions(m) -> list:
+    """Each slice's decompositions one call at a time, through the
+    per-decomposition oracles, in the library's order: D by p, then d,
+    while decomposition_D accepts p*d, then Dbar by d at interior h, while
+    decomposition_Dbar accepts d."""
+    out = []
+    for h in range(2, m.e):
+        seg = segment(m, h)
+        for p in range(1, m.a(h)):
+            for d in itertools.count(1):
+                try:
+                    out.append(decomposition_D(seg, p, d))
+                except ValueError:
+                    break
+        if 3 <= h <= m.e - 2:
+            for d in itertools.count(1):
+                try:
+                    out.append(decomposition_Dbar(seg, d))
+                except ValueError:
+                    break
+    return out
+
+
+def test_enum_decompositions_equal_the_oracle():
+    """The one-pass slice builder gives the oracle's list, in order, for
+    every pair with n <= 60."""
+    for m in iter_models(60):
+        assert enum_decompositions(m) == oracle_decompositions(m), (m.n, m.q)
+
+
 def test_decompositions_revalidate(y83):
     for m in iter_models(25):
         for dec in enum_decompositions(m):
@@ -183,16 +214,15 @@ def test_decomposition_bounds(y83):
 
 
 def test_lattice_end_rule_survives_optimize():
-    """check_lattice_ends, which Decomposition.validate and the fan
-    decompositions share, rejects each way of breaking the rule under
-    python -O and accepts admissible pairs, given as integer ratios that
-    need not be in lowest terms."""
+    """lattice_end_fault, which Decomposition.validate and the fan
+    decompositions share, names each way of breaking the rule under
+    python -O and gives "" for admissible pairs, given as integer ratios
+    that need not be in lowest terms."""
     code = (
         "import sys\n"
-        "from cqsdef.lattice import InvariantError\n"
-        "from cqsdef.minkowski import check_lattice_ends\n"
-        "check_lattice_ends(((-1, 2), (2, 2)), ((0, 1), (1, 1)), 1, lambda: 'ok')\n"
-        "check_lattice_ends(((-1, 2), (1, 3)), ((0, 5), (8, 2)), 2, lambda: 'ok')\n"
+        "from cqsdef.minkowski import lattice_end_fault\n"
+        "print(repr(lattice_end_fault(((-1, 2), (2, 2)), ((0, 1), (1, 1)), 1)))\n"
+        "print(repr(lattice_end_fault(((-1, 2), (1, 3)), ((0, 5), (8, 2)), 2)))\n"
         "bad = [\n"
         "    (((-1, 2), (1, 1)), ((1, 3), (3, 3)), 1),\n"
         "    (((0, 1), (1, 2)), ((0, 1), (1, 3)), 1),\n"
@@ -200,12 +230,11 @@ def test_lattice_end_rule_survives_optimize():
         "    (((0, 1), (1, 1)), ((0, 1), (6, 2)), 2),\n"
         "]\n"
         "for s0, s1, p in bad:\n"
-        "    try:\n"
-        "        check_lattice_ends(s0, s1, p, lambda: 'bad')\n"
-        "    except InvariantError as exc:\n"
-        "        print(sys.flags.optimize, exc)\n"
+        "    print(sys.flags.optimize, 'bad' + lattice_end_fault(s0, s1, p))\n"
     )
     assert run_optimized("-c", code).stdout.decode().splitlines() == [
+        "''",
+        "''",
         "1 bad has no lattice left end",
         "1 bad has no lattice right end",
         "1 bad has a non-lattice s1",

@@ -49,7 +49,7 @@ FIELDS = {
     VersalMap: ("s", "t"),
     SingularityList: ("origin", "off_origin", "raw"),
     TauCone: ("i", "ray_right", "ray_left", "alpha", "roof_len"),
-    PResolutionFan: ("model", "k", "rays", "cones"),
+    PResolutionFan: ("n", "q", "k", "rays", "cones"),
     PieceDecomposition: ("i", "ends0", "ends1", "degenerate"),
     FanDecomposition: ("k", "decomp", "fan", "pieces"),
     MaxCone3: ("tau_index", "cone", "canonical", "rdp_or_smooth"),

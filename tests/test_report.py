@@ -336,3 +336,29 @@ def test_validate_report_rejects_a_corrupted_report(y197_report, corrupt, messag
     corrupt(report)
     with pytest.raises(ReportInvariantError, match=message):
         validate_report(report)
+
+
+def test_reports_and_rows_leave_no_reference_cycles():
+    """A model, its memo and what the memo holds are freed by reference
+    counting alone: with the cyclic collector off, building and writing
+    the reports of Y(8,3) and Y(101,29), and the scan rows with n in
+    28..31, leave nothing for gc.collect() to find."""
+    import gc
+
+    def work():
+        for n, q in [(8, 3), (101, 29)]:
+            report_to_json(build_report(cqs_new(n, q)))
+        for n in range(28, 32):
+            for q in range(1, n - 1):
+                if gcd(n, q) == 1:
+                    scan_row(n, q)
+
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        work()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -6,7 +6,7 @@ from cqsdef.chains import enumerate_K, is_rdp
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import Cone3, is_canonical_cone3
 from cqsdef.lattice import cf_expand, cone_normal_form, dot2
-from cqsdef.minkowski import decomposition_D, decomposition_Dbar, segment
+from cqsdef.minkowski import segment
 from cqsdef.resolutions import (
     MaxCone3,
     _check_fan_interfaces,
@@ -17,8 +17,10 @@ from cqsdef.resolutions import (
     p_resolution_fan,
     slice_intervals,
 )
-from cqsdef.totalspace import all_deformations, build_deformation, components_of
+from cqsdef.totalspace import Deformation, all_deformations, build_deformation, components_of
 from conftest import (
+    decomposition_D,
+    decomposition_Dbar,
     division_slice_frame,
     hull_cone_ray_sets,
     iter_models,
@@ -465,6 +467,54 @@ def test_assemble_fan3_rejects_another_deformation(y83):
     fd = fan_decomposition(y83, k_of(y83, (1, 2, 1)), df.decomp)
     with pytest.raises(ValueError, match="is not the deformation of"):
         assemble_fan3(fd, other)
+    # the same decomposition over another model: the fan holds n and q
+    assemble_fan3(fd, Deformation(cqs_new(8, 3), df.decomp))
+    with pytest.raises(ValueError, match="is not the deformation of"):
+        assemble_fan3(fd, Deformation(cqs_new(11, 3), df.decomp))
+
+
+def test_piece_lattice_end_rule_survives_optimize():
+    """Each fan piece obeys the lattice-end rule under python -O, and a
+    broken piece is named by its fan decomposition and index."""
+    code = (
+        "import sys\n"
+        "from cqsdef.lattice import InvariantError\n"
+        "from cqsdef.chains import enumerate_K\n"
+        "from cqsdef.cqs import cqs_new\n"
+        "from cqsdef.resolutions import FanDecomposition, PieceDecomposition\n"
+        "from cqsdef.resolutions import _validate_piece_admissibility, fan_decomposition\n"
+        "from cqsdef.totalspace import all_deformations\n"
+        "m = cqs_new(8, 3)\n"
+        "for label, chain, ends0, ends1 in [\n"
+        "    ('pi_{3,1}^1', (1, 2, 1), ((1, 2), (1, 1)), ((1, 3), (3, 3))),\n"
+        "    ('pi_{3,1}^1', (1, 2, 1), ((0, 1), (1, 2)), ((0, 1), (1, 3))),\n"
+        "    ('pi_{3,2}^1', (2, 1, 2), ((0, 1), (1, 1)), ((1, 2), (4, 2))),\n"
+        "    ('pi_{3,2}^1', (2, 1, 2), ((0, 1), (1, 1)), ((0, 1), (6, 2))),\n"
+        "]:\n"
+        "    df = next(d for d in all_deformations(m) if d.label == label)\n"
+        "    k = next(k for k in enumerate_K(m) if k.k == chain)\n"
+        "    fd = fan_decomposition(m, k, df.decomp)\n"
+        "    _validate_piece_admissibility(fd)\n"
+        "    pc = fd.pieces[1]\n"
+        "    piece = PieceDecomposition(pc.i, ends0, ends1, pc.degenerate)\n"
+        "    pieces = (fd.pieces[0], piece) + fd.pieces[2:]\n"
+        "    bad = FanDecomposition(fd.k, fd.decomp, fd.fan, pieces)\n"
+        "    for _ in range(2):\n"
+        "        try:\n"
+        "            _validate_piece_admissibility(bad)\n"
+        "        except InvariantError as exc:\n"
+        "            print(sys.flags.optimize, exc)\n"
+    )
+    assert run_optimized("-c", code).stdout.decode().splitlines() == [
+        line
+        for line in (
+            "1 S_{3,1}^1[1,2,1]: piece 3 has no lattice left end",
+            "1 S_{3,1}^1[1,2,1]: piece 3 has no lattice right end",
+            "1 S_{3,2}^1[2,1,2]: piece 3 has a non-lattice s1",
+            "1 S_{3,2}^1[2,1,2]: piece 3 has s1 not divisible by p",
+        )
+        for _ in range(2)
+    ]
 
 
 def test_qgorenstein_check_survives_optimize():
