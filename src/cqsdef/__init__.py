@@ -4,7 +4,6 @@ two-dimensional cyclic quotient singularities."""
 from .lattice import (
     Cone2,
     InvariantError,
-    cf_eval,
     cf_expand,
     dual_cone,
     hilbert_basis_2d,
@@ -18,17 +17,7 @@ from .cqs import (
     from_display_coords,
     to_display_coords,
 )
-from .chains import (
-    ZeroChain,
-    alpha_seq,
-    blow_down,
-    chain_to_nq,
-    enumerate_K,
-    is_rdp,
-    is_t_singularity,
-    rdp_chain,
-    special_k,
-)
+from .chains import ZeroChain, enumerate_K, is_t_singularity
 from .minkowski import (
     Decomposition,
     Segment,

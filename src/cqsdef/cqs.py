@@ -13,6 +13,9 @@ from math import gcd
 from .lattice import Cone2, InvariantError, IVec2, Ratio, cf_expand, dual_cone, hilbert_basis_2d
 from .record import Record
 
+# The memo's marker for a key not yet built; no builder returns it.
+_MISSING = object()
+
 
 class InvalidSingularityError(ValueError):
     """The pair (n, q) does not define a singularity we handle."""
@@ -49,11 +52,10 @@ class CqsModel(Record):
     def cached(self, key, build, *args):
         """The result stored under key, computed by build(*args) on first
         use; a build that raises stores nothing."""
-        try:
-            return self._memo[key]
-        except KeyError:
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
             value = self._memo[key] = build(*args)
-            return value
+        return value
 
     def a(self, h: int) -> int:
         """The chain entry a_h, indexed like the generators (2 <= h <= e-1)."""

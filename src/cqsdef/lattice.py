@@ -15,12 +15,8 @@ everything read off them are plain integers.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional, Sequence
 
 from .record import Record
-
-if TYPE_CHECKING:
-    import fractions
 
 # A rational number as (numerator, denominator) with a positive denominator,
 # not necessarily in lowest terms: the form in which the slice code keeps
@@ -122,21 +118,6 @@ def cf_expand(num: int, den: int) -> tuple[int, ...]:
         coeffs.append(c)
         num, den = den, c * den - num
     return tuple(coeffs)
-
-
-def cf_eval(cf: Sequence[int]) -> Optional[fractions.Fraction]:
-    """Evaluate a continued fraction; None when a zero denominator occurs."""
-    from fractions import Fraction
-
-    coeffs = tuple(cf)
-    if not coeffs:
-        return None
-    val = Fraction(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        if val == 0:
-            return None
-        val = c - 1 / val
-    return val
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

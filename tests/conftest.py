@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import subprocess
@@ -14,9 +15,9 @@ from pathlib import Path
 import pytest
 
 import cqsdef
-from cqsdef.lattice import Cone2, InvariantError, _normal_form, _xgcd, cf_eval, ratio_text
+from cqsdef.lattice import Cone2, InvariantError, _normal_form, _xgcd, ratio_text
 from cqsdef.cqs import cqs_new
-from cqsdef.chains import enumerate_K
+from cqsdef.chains import ZeroChain, enumerate_K
 from cqsdef.minkowski import Decomposition, segment
 from cqsdef.resolutions import p_resolution_fan
 from cqsdef.totalspace import Poly, VersalMap, versal_map
@@ -153,19 +154,70 @@ def decomposition_Dbar(seg, d: int) -> Decomposition:
     return Decomposition("Dbar", h, 1, d, ((b, bd), (e_cut, 1)), ((0, 1), (g - e_cut * gd, gd)))
 
 
+def cf_eval(cf) -> Fraction | None:
+    """Evaluate a continued fraction; None when a zero denominator occurs."""
+    coeffs = tuple(cf)
+    if not coeffs:
+        return None
+    val = Fraction(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        if val == 0:
+            return None
+        val = c - 1 / val
+    return val
+
+
+def alpha_seq(k) -> tuple[int, ...]:
+    """Heights alpha_1..alpha_e for a chain (k_2,...,k_{e-1}):
+    alpha_1 = 0, alpha_2 = 1, alpha_{i-1} + alpha_{i+1} = k_i * alpha_i."""
+    alpha = [0, 1]
+    for entry in k:
+        alpha.append(entry * alpha[-1] - alpha[-2])
+    return tuple(alpha)
+
+
+def zero_chain(k) -> ZeroChain:
+    """The ZeroChain of a chain k representing zero, with its heights."""
+    return ZeroChain(tuple(k), alpha_seq(k))
+
+
+def rdp_chain(e: int) -> tuple[int, ...]:
+    """The zero chain (1, 2, ..., 2, 1) of length e - 2 >= 2, which indexes
+    the Artin component: (1, 1) for e = 4."""
+    return (1,) + (2,) * (e - 4) + (1,)
+
+
 def brute_zero_chains(bounds) -> list[tuple[int, ...]]:
     """Filter the full product space by the defining conditions."""
-    out = []
-    for k in product(*[range(1, b + 1) for b in bounds]):
-        val = cf_eval(k)
-        if val != 0:
-            continue
-        alpha = [0, 1]
-        for entry in k:
-            alpha.append(entry * alpha[-1] - alpha[-2])
-        if all(a >= 0 for a in alpha):
-            out.append(k)
-    return out
+    return [
+        k
+        for k in product(*[range(1, b + 1) for b in bounds])
+        if cf_eval(k) == 0 and min(alpha_seq(k)) >= 0
+    ]
+
+
+@functools.cache
+def _triangle_counts(m: int) -> tuple[tuple[int, ...], ...]:
+    """For each triangulation of the polygon with vertices 0..m (an edge
+    when m = 1), the number of triangles at each vertex.  The edge (0, m)
+    lies in exactly one triangle (0, j, m), which splits off the polygons
+    0..j and j..m."""
+    if m == 1:
+        return ((0, 0),)
+    return tuple(
+        (left[0] + 1,) + left[1:-1] + (left[-1] + 1 + right[0],) + right[1:-1] + (right[-1] + 1,)
+        for j in range(1, m)
+        for left in _triangle_counts(j)
+        for right in _triangle_counts(m - j)
+    )
+
+
+@functools.cache
+def triangulation_zero_chains(r: int) -> tuple[tuple[int, ...], ...]:
+    """The zero chains of length r >= 2 in lexicographic order, read off
+    the triangulations of an (r+1)-gon (Conway-Coxeter): k_i is the number
+    of triangles at vertex i, and vertex 0 is dropped."""
+    return tuple(sorted(counts[1:] for counts in _triangle_counts(r)))
 
 
 def blow_down_step(chain: tuple[int, ...], pos: int) -> tuple[int, ...]:

@@ -40,6 +40,7 @@ from conftest import (
     decomposition_D,
     hull_cone_ray_sets,
     iter_models,
+    triangulation_zero_chains,
 )
 
 
@@ -228,6 +229,18 @@ def test_criterion_6_oracles():
         if math.prod(m.a_chain) > 10**6:
             continue
         assert [zc.k for zc in enumerate_K(m)] == brute_zero_chains(m.a_chain)
+
+    # chains vs polygon triangulations below the model's chain, n <= 60
+    # and chain length e - 2 <= 12
+    checked = 0
+    for m in iter_models(60):
+        if m.e - 2 > 12:
+            continue
+        a = m.a_chain
+        below = [k for k in triangulation_zero_chains(m.e - 2) if all(map(int.__le__, k, a))]
+        assert [zc.k for zc in enumerate_K(m)] == below, (m.n, m.q)
+        checked += 1
+    assert checked == 910
 
     # 2D Hilbert bases: all models to n = 25, sampled models to n = 60
     rng = random.Random(60)

@@ -1,24 +1,25 @@
 import math
-from itertools import product
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from cqsdef.chains import (
-    alpha_seq,
-    blow_down,
-    blow_down_trace,
-    chain_to_nq,
-    enumerate_K,
-    make_zero_chain,
-    rdp_chain,
-    special_k,
-    zero_chains_bounded,
-)
+from cqsdef.chains import enumerate_K, zero_chains_bounded
 from cqsdef.cqs import cqs_new
-from cqsdef.lattice import cf_eval
 from cqsdef.minkowski import segment_length
-from conftest import blow_down_step, brute_zero_chains, iter_models, quadratic_blow_down_trace
+from conftest import (
+    alpha_seq,
+    blow_down_step,
+    brute_zero_chains,
+    iter_models,
+    quadratic_blow_down_trace,
+    rdp_chain,
+    triangulation_zero_chains,
+)
+
+
+def blow_down(chain):
+    """The normal form of the quadratic blow-down oracle: () for a chain
+    that blows down smooth, None when an entry drops below 1."""
+    return quadratic_blow_down_trace(chain)[0]
 
 
 def test_alpha_examples():
@@ -62,13 +63,14 @@ def test_all_twos_bounds():
             assert chains == [rdp_chain(m_len + 2)]
 
 
-def test_rdp_chain():
-    assert rdp_chain(5) == (1, 2, 1)
-    assert rdp_chain(4) == (1, 1)
-    assert rdp_chain(3) == (0,)
-    assert rdp_chain(7) == (1, 2, 2, 2, 1)
-    with pytest.raises(ValueError):
-        rdp_chain(2)
+def test_triangulation_zero_chains_are_all_zero_chains():
+    """The triangulations of an (r+1)-gon give the Catalan number C(r-1)
+    of chains, exactly the zero chains of length r with entries at most
+    r - 1."""
+    for r in range(2, 9):
+        chains = triangulation_zero_chains(r)
+        assert len(chains) == math.comb(2 * r - 2, r - 1) // r
+        assert list(chains) == [zc.k for zc in zero_chains_bounded((r - 1,) * r)]
 
 
 def test_zero_chains_blow_down_smooth():
@@ -114,60 +116,26 @@ def test_blow_down_order_independent(chain, rng):
     assert reference == result
 
 
-def test_blow_down_trace_matches_quadratic_oracle():
-    """The one-pass blow-down gives the trace (as lengths before each
-    step) and the terminal chain of the process that rescans the chain
-    before every step, and blow_down its normal form, on every chain of
-    length <= 8 with entries 0..3."""
+def test_k_h_one_attains_the_floor_of_the_slice_length():
+    """At an interior h where some zero chain has k_h = 1, that chain
+    attains max_K (a_h - k_h), and the maximum is the floor of the slice
+    length; one such chain agrees with the model's chain at every other
+    index where its height is not 1."""
     checked = 0
-    for length in range(9):
-        for chain in product(range(4), repeat=length):
-            nf, trace, final = quadratic_blow_down_trace(chain)
-            assert blow_down_trace(chain) == ([(len(c), pos) for c, pos in trace], final), chain
-            assert blow_down(chain) == nf, chain
-            checked += 1
-    assert checked == 87381
-
-
-def test_chain_to_nq():
-    assert chain_to_nq((2, 3, 2)) == (8, 3)
-    assert chain_to_nq((5,)) == (5, 4)
-    # cf_eval((2, 2)) = 3/2 = n/(n-q), so (n, q) = (3, 1)
-    assert chain_to_nq((2, 2)) == (3, 1)
-    assert cf_eval((2, 2)) == chain_to_nq((2, 2))[0] / (
-        chain_to_nq((2, 2))[0] - chain_to_nq((2, 2))[1]
-    )
-    with pytest.raises(ValueError):
-        chain_to_nq((1, 2))
-
-
-def test_special_k_golden(y83):
-    assert special_k(y83, 3).k == (2, 1, 2)
-
-
-def test_special_k_membership_and_floor():
     for m in iter_models(30):
         ks = enumerate_K(m)
         for h in range(3, m.e - 1):
-            if not any(zc.k_at(h) == 1 for zc in ks):
-                with pytest.raises(ValueError):
-                    special_k(m, h)
+            ones = [zc for zc in ks if zc.k_at(h) == 1]
+            if not ones:
                 continue
-            sk = special_k(m, h)
-            assert sk in ks
-            assert sk.k_at(h) == 1
-            assert m.a(h) - sk.k_at(h) == math.floor(segment_length(m, h))
-            assert m.a(h) - sk.k_at(h) == max(m.a(h) - zc.k_at(h) for zc in ks)
-            for j in range(2, m.e):
-                if j != h:
-                    assert sk.alpha_at(j) == 1 or sk.k_at(j) == m.a(j)
-
-
-def test_make_zero_chain_rejects():
-    with pytest.raises(ValueError):
-        make_zero_chain((2, 2))
-    with pytest.raises(ValueError):
-        make_zero_chain((1, 2, 2))
+            best = max(m.a(h) - zc.k_at(h) for zc in ks)
+            assert best == m.a(h) - 1 == math.floor(segment_length(m, h)), (m.n, m.q, h)
+            assert any(
+                all(zc.alpha_at(j) == 1 or zc.k_at(j) == m.a(j) for j in range(2, m.e) if j != h)
+                for zc in ones
+            ), (m.n, m.q, h)
+            checked += 1
+    assert checked == 136
 
 
 def test_zero_chains_bounded_empty_cases():

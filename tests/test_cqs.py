@@ -7,7 +7,7 @@ from cqsdef.cqs import (
     from_display_coords,
     to_display_coords,
 )
-from cqsdef.chains import enumerate_K, is_rdp, is_t_singularity, ksb_t_singularity
+from cqsdef.chains import enumerate_K, is_t_singularity, ksb_t_singularity
 from cqsdef.lattice import dual_cone, hilbert_basis_2d
 from cqsdef.minkowski import segment, segment_length
 from cqsdef.resolutions import p_resolution_fan
@@ -124,14 +124,15 @@ def test_t_singularities_by_both_routes():
 def test_t_singularity_mismatch_survives_optimize():
     """With the zero-chain list patched, is_t_singularity disagrees with
     the KSB criterion, under python -O too, and a scan records the row as
-    failed: Y(4,1) loses its zero chains, and Y(7,3) gets its own chain."""
+    failed: Y(4,1) loses its zero chains, and Y(7,3) gets its own chain,
+    without heights, which is_t_singularity does not read."""
     code = (
         "import sys\n"
         "import cqsdef.chains\n"
-        "from cqsdef.chains import ZeroChain, alpha_seq\n"
+        "from cqsdef.chains import ZeroChain\n"
         "from cqsdef.report import scan_row\n"
         "cqsdef.chains.enumerate_K = lambda model: [] if model.n == 4 else [\n"
-        "    ZeroChain(model.a_chain, alpha_seq(model.a_chain))]\n"
+        "    ZeroChain(model.a_chain, ())]\n"
         "for n, q in [(4, 1), (7, 3)]:\n"
         "    print(sys.flags.optimize, scan_row(n, q))\n"
     )
@@ -140,17 +141,6 @@ def test_t_singularity_mismatch_survives_optimize():
         "and the KSB criterion disagree on whether it is a T-singularity'}"
         for n, q in [(4, 1), (7, 3)]
     ]
-
-
-def test_is_rdp():
-    assert is_rdp((2, 2)) is True
-    assert is_rdp((3,)) is False
-    assert is_rdp((1, 1)) is True
-    assert is_rdp((2, 1, 2)) is True  # blows down to a smooth chain
-    assert is_rdp((1, 3, 2)) is True  # blows down to (2, 2)
-    assert is_rdp((2, 3, 2)) is False
-    with pytest.raises(ValueError, match="does not blow down cleanly"):
-        is_rdp((1, 1, 1))
 
 
 def test_model_json(y83):
@@ -172,6 +162,25 @@ def test_results_are_memoised_per_model():
         assert derive(m1) is derive(m1)
         assert derive(m1) == derive(m2) and derive(m1) is not derive(m2)
     assert enumerate_K(m1) == enumerate_K(m2)
+
+
+def test_a_failed_build_stores_nothing():
+    """A build that raises stores nothing under its key, so the next call
+    builds again; a build that returns None is stored like any value."""
+    model = cqs_new(8, 3)
+    calls = []
+
+    def build(fail):
+        calls.append(fail)
+        if fail:
+            raise ValueError("build failed")
+        return None
+
+    with pytest.raises(ValueError, match="build failed"):
+        model.cached("probe", build, True)
+    assert model.cached("probe", build, False) is None
+    assert model.cached("probe", build, True) is None
+    assert calls == [True, False]
 
 
 def test_display_coords_lie_on_the_display_lattice():

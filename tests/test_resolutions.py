@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cqsdef.chains import enumerate_K, is_rdp
+from cqsdef.chains import enumerate_K
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import Cone3, is_canonical_cone3
 from cqsdef.lattice import cf_expand, cone_normal_form, dot2
@@ -25,6 +25,8 @@ from conftest import (
     hull_cone_ray_sets,
     iter_models,
     lattice_points_right,
+    quadratic_blow_down_trace,
+    rdp_chain,
     run_optimized,
 )
 
@@ -104,7 +106,8 @@ def test_at_most_rdp_matches_the_chain_route():
                 if tau.degenerate:
                     continue
                 n, q = cone_normal_form(tau.cone2())
-                expected = is_rdp(cf_expand(n, q) if n > 1 else ())
+                nf = quadratic_blow_down_trace(cf_expand(n, q) if n > 1 else ())[0]
+                expected = all(c == 2 for c in nf)
                 assert tau.at_most_rdp is expected, (m.n, m.q, zc.k, tau.i, n, q)
                 verdicts.append(expected)
     assert (len(verdicts), sum(verdicts)) == (895, 745)
@@ -236,8 +239,6 @@ def test_canonical_model_golden(y83):
 def test_artin_mapping_deformations_identify_artin():
     """Below the RDP depth bound the canonical model sits over the RDP
     chain."""
-    from cqsdef.chains import rdp_chain
-
     for m in iter_models(16):
         for df in all_deformations(m):
             bound = m.a(df.h) - (2 if 3 <= df.h <= m.e - 2 else 1)

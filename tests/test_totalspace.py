@@ -1,6 +1,6 @@
 import math
 
-from cqsdef.chains import enumerate_K, make_zero_chain
+from cqsdef.chains import enumerate_K
 from cqsdef.geometry3 import dot3
 from cqsdef.totalspace import (
     Poly,
@@ -16,8 +16,10 @@ from conftest import (
     lies_in_component,
     poly_mul,
     poly_pow,
+    rdp_chain,
     run_optimized,
     theta_rewrite,
+    zero_chain,
 )
 
 
@@ -235,7 +237,7 @@ def test_theta_identity_for_plain_kind(y83):
 
 def test_theta_rewrite_barred(y83):
     """After the coordinate change the barred map reads C(d - alpha, l)."""
-    k = make_zero_chain((2, 1, 2))  # alpha_2 = 1 ... alpha_3 = 2
+    k = zero_chain((2, 1, 2))  # alpha_2 = 1 ... alpha_3 = 2
     df = defo_by_label(y83, "pibar_{3}^2")
     out = theta_rewrite(k, versal_map(df), y83)
     a_prev = k.alpha_at(2)
@@ -275,7 +277,7 @@ def test_vandermonde_identity():
 
 
 def test_lies_in_component_golden(y83):
-    k_non_artin = make_zero_chain((2, 1, 2))
+    k_non_artin = zero_chain((2, 1, 2))
     cases = {
         "pi_{3,1}^1": True,
         "pi_{2,1}^1": False,  # s_2^(1) != 0 while a_2 - k_2 = 0
@@ -302,8 +304,6 @@ def test_components_golden(y83):
 
 
 def test_every_deformation_has_a_component_and_artin_closure():
-    from cqsdef.chains import rdp_chain
-
     for m in iter_models(25):
         ks = enumerate_K(m)
         rdp = rdp_chain(m.e)
@@ -315,8 +315,8 @@ def test_every_deformation_has_a_component_and_artin_closure():
 
 
 def test_nu_count_examples(y83):
-    k1 = make_zero_chain((1, 2, 1))
-    k2 = make_zero_chain((2, 1, 2))
+    k1 = zero_chain((1, 2, 1))
+    k2 = zero_chain((2, 1, 2))
     assert nu_count(y83, k1, 3, 1) == 3
     assert nu_count(y83, k2, 3, 1) == 2
     assert nu_count(y83, k2, 2, 1) == 0
