@@ -50,29 +50,22 @@ def general_fiber(defo: Deformation) -> SingularityList:
     Plain kind: the chain with a_h lowered by p*d sits at the origin and p
     points of type A_{d-1}, the chain (d,), sit elsewhere.  Barred kind:
     the tail chain (a_h - d, a_{h+1}, ...) sits at the origin and
-    (a_2, ..., a_{h-1}, d) at one other point.  The normal forms come
-    from normal_forms, which checks them on every call; raw keeps the
-    chains as written here.
+    (a_2, ..., a_{h-1}, d) at one other point.  The normal forms, each
+    () when smooth, are the continuants of the fiber chains, checked by
+    checked_types on every call and expanded by chain_type, without
+    blowing a chain down; raw keeps the chains as written here.
     """
     model, dec = defo
     kind, h, p, d, _, _ = dec
     a, pos = model.a_chain, h - 2
-    origin, off = normal_forms(defo)
+    (n0, d0), (n1, d1) = checked_types(defo)
+    origin, off = chain_type(n0, d0), chain_type(n1, d1)
     if kind == "D":
         raw = ((a[:pos] + (a[pos] - p * d,) + a[pos + 1 :], 1, "origin"), ((d,), p, "off-origin"))
     else:
         raw = (((a[pos] - d,) + a[pos + 1 :], 1, "origin"), (a[:pos] + (d,), 1, "off-origin"))
     off_origin = ((off, raw[1][1]),) if off else ()
     return SingularityList(origin=origin, off_origin=off_origin, raw=raw)
-
-
-def normal_forms(defo: Deformation) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The normal-form chains of the general fiber at the origin and off
-    it, each () when smooth: the continuants of the fiber chains, checked
-    by checked_types, expanded by chain_type, without blowing a chain
-    down."""
-    (n0, d0), (n1, d1) = checked_types(defo)
-    return chain_type(n0, d0), chain_type(n1, d1)
 
 
 def is_smoothing(defo: Deformation) -> bool:

@@ -190,9 +190,8 @@ class Cone3(Record):
     integral generators, its dual rays, the inward primitive facet
     normals, sorted, and spans: for each dual ray, in the same order, the
     indices (i, j), i < j, of the two extremal generators that span its
-    facet.  Equality and hashing read the generators alone, which
-    determine the rest.  The facets and the Gorenstein functional are
-    computed once per instance, on first use."""
+    facet.  The facets and the Gorenstein functional are computed once
+    per instance, on first use."""
 
     def __new__(
         cls,
@@ -201,12 +200,6 @@ class Cone3(Record):
         spans: tuple[tuple[int, int], ...],
     ):
         return tuple.__new__(cls, (generators, dual_rays, spans))
-
-    def __eq__(self, other):
-        return type(other) is Cone3 and self.generators == other.generators
-
-    def __hash__(self):
-        return hash((self.generators,))
 
     @classmethod
     def from_rays(cls, rays: Sequence[Sequence]) -> "Cone3":

@@ -90,10 +90,6 @@ class Cone2(Record):
             r1, r2 = r2, r1
         return tuple.__new__(cls, (r1, r2))
 
-    def index(self) -> int:
-        """Index of the sublattice spanned by the rays (the ray determinant)."""
-        return det2(self.ray1, self.ray2)
-
     def contains(self, v: IVec2) -> bool:
         return det2(self.ray1, v) >= 0 and det2(v, self.ray2) >= 0
 

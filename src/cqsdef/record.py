@@ -5,7 +5,9 @@ its class's ``__new__``, and reads each field by name.  Two records are
 equal when they are of the same class and their fields are equal, so a
 record never equals a plain tuple or a record of another class; the hash
 is the tuple hash of the fields, and no attribute can be assigned.  A
-modified copy is made with the constructor.
+modified copy is made with the constructor.  Record is the package's one
+class that defines equality or a hash, and a record answers index and
+count as the tuple it is; tests/test_hygiene.py keeps both so.
 
 ``X._make(fields)``, as for a namedtuple, builds a record from an
 iterable of its fields without calling ``__new__``.  It is only for a

@@ -25,10 +25,6 @@ from .resolutions import canonical_model, fan_decomposition, p_resolution_fan
 SCHEMA_VERSION = 1
 
 
-class ReportInvariantError(InvariantError):
-    """The assembled report is internally inconsistent."""
-
-
 def build_report(model: CqsModel, verbose: bool = False) -> dict:
     """Assemble the complete analysis of the singularity of model."""
     ks = enumerate_K(model)
@@ -101,35 +97,31 @@ def validate_report(report: dict) -> None:
         fiber = rec["fiber"]
         smooth = fiber["origin"] == "smooth" and not fiber["off_origin"]
         if rec["is_smoothing"] != smooth:
-            raise ReportInvariantError(
+            raise InvariantError(
                 f"{rec['label']} has is_smoothing {rec['is_smoothing']} for its fiber"
             )
         smoothings += smooth
         for k in rec["components"]:
             if tuple(k) not in k_set:
-                raise ReportInvariantError(
-                    f"{rec['label']} references unknown component {k}"
-                )
+                raise InvariantError(f"{rec['label']} references unknown component {k}")
             catalogue[tuple(k), rec["h"], rec["p"]] += 1
         if tuple(rec["canonical_model"]["k"]) not in k_set:
-            raise ReportInvariantError(
-                f"{rec['label']} has unknown canonical component"
-            )
+            raise InvariantError(f"{rec['label']} has unknown canonical component")
     table = {(tuple(r["k"]), r["h"], r["p"]): r["count"] for r in report["nu_table"]}
     for key in catalogue.keys() | table.keys():
         if catalogue[key] != table.get(key, 0):
             k, h, p = key
-            raise ReportInvariantError(
+            raise InvariantError(
                 f"component count mismatch at k={k}, h={h}, p={p}: "
                 f"catalogue {catalogue[key]}, table {table.get(key, 0)}"
             )
     counts = report["counts"]
     if counts["deformations"] != len(report["deformations"]):
-        raise ReportInvariantError("deformation count mismatch")
+        raise InvariantError("deformation count mismatch")
     if counts["components"] != len(report["components"]):
-        raise ReportInvariantError("component count mismatch")
+        raise InvariantError("component count mismatch")
     if counts["smoothings"] != smoothings:
-        raise ReportInvariantError("smoothing count mismatch")
+        raise InvariantError("smoothing count mismatch")
 
 
 def render_text(report: dict) -> str:

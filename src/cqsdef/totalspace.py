@@ -23,23 +23,22 @@ from .record import Record
 # ---------------------------------------------------------------------------
 
 
-class Poly:
-    """Polynomial in the base-curve parameter with integer coefficients."""
+class Poly(Record):
+    """Polynomial in the base-curve parameter with integer coefficients,
+    given as a dict of coefficients by power or as its (power, coeff)
+    pairs; coeffs holds the nonzero pairs, sorted by power."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs: dict[int, int]):
-        self.coeffs = {e: c for e, c in coeffs.items() if c != 0}
+    def __new__(cls, coeffs: dict[int, int]):
+        return tuple.__new__(cls, (tuple(sorted((e, c) for e, c in dict(coeffs).items() if c)),))
 
     @classmethod
     def lam(cls, coeff: int = 1, power: int = 1) -> "Poly":
         return cls({power: coeff})
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
     def to_json(self) -> list[list[int]]:
-        return [[e, c] for e, c in sorted(self.coeffs.items())]
+        return [[e, c] for e, c in self.coeffs]
 
 
 # ---------------------------------------------------------------------------

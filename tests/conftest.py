@@ -388,15 +388,15 @@ def assert_hull_vertices_are_candidates(cone, facets) -> None:
 def poly_sub(a: Poly, b: Poly, times: int) -> Poly:
     """a - times * b."""
     out = dict(a.coeffs)
-    for e, c in b.coeffs.items():
+    for e, c in b.coeffs:
         out[e] = out.get(e, 0) - times * c
     return Poly(out)
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
     out: dict[int, int] = {}
-    for e1, c1 in a.coeffs.items():
-        for e2, c2 in b.coeffs.items():
+    for e1, c1 in a.coeffs:
+        for e2, c2 in b.coeffs:
             out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
     return Poly(out)
 

@@ -178,15 +178,16 @@ def test_gorenstein_functional_matches_fractions():
 def test_closed_form_dual_rays_match_dual_rays3():
     """The dual rays and facet spans over_summands fills in closed form
     are those from_rays derives from the generators (dual_rays3, then the
-    generic derivation of the spans), and so are the facets read off them,
-    on every sigma' and every fan cone of the pairs with n <= 30 and four
-    larger pairs."""
+    generic derivation of the spans), and so are the facets read off them
+    and the cones themselves, on every sigma' and every fan cone of the
+    pairs with n <= 30 and four larger pairs."""
     large = [cqs_new(n, q) for n, q in ((101, 29), (121, 39), (151, 75), (199, 57))]
     checked = 0
     for cone in _summand_cones(chain(iter_models(30), large)):
         generic = Cone3.from_rays(cone.generators)
         assert cone.dual_rays == tuple(dual_rays3(cone.generators)), cone.generators
         assert (cone.spans, cone.facets) == (generic.spans, generic.facets), cone.generators
+        assert cone == generic, cone.generators
         checked += 1
     assert checked == 14503
 

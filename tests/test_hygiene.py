@@ -3,8 +3,9 @@ import that nothing reads, an import inside a function of a name the
 module already imports, and a local name that a function assigns and
 never reads; imports of the package's own modules inside a function,
 which hide an import cycle; assert statements, which python -O drops;
-a bare RuntimeError raised where a check raises InvariantError; code
-generated at import; X._make for a record whose __new__ does more than
+a bare RuntimeError raised where a check raises InvariantError, or a
+class derived from InvariantError; equality or a hash defined outside
+Record, or a record's own index or count; code generated at import; X._make for a record whose __new__ does more than
 pack its parameters; a nested function that calls itself; a memo user
 that the CqsModel docstring does not name, or a name there that uses no
 memo; and module-level definitions,
@@ -29,6 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # Nodes that open a scope of their own.
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _own_nodes(scope):
@@ -261,6 +263,135 @@ def test_runtime_error_raises_are_found(tmp_path):
         "        raise\n"
     )
     assert runtime_error_lines(path) == [5, 7]
+
+
+def _subclasses(trees, root: str) -> set[str]:
+    """The names of the classes of trees that derive from the class named
+    root, directly or through one another; a base is read by its name,
+    as X or module.X."""
+    bases = {
+        node.name: {ast.unparse(base).split(".")[-1] for base in node.bases}
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    found = {root}
+    while True:
+        more = {name for name, names in bases.items() if names & found} - found
+        if not more:
+            return found - {root}
+        found |= more
+
+
+def _class_members(cls: ast.ClassDef):
+    """The names that the class body defines or assigns."""
+    for item in cls.body:
+        if isinstance(item, DEFINITIONS):
+            yield item.name
+        elif isinstance(item, ast.Assign):
+            yield from (target.id for target in item.targets if isinstance(target, ast.Name))
+
+
+def value_contract_breaks(paths: list[Path]) -> list[str]:
+    """The methods of the modules' classes that break the records' one
+    value contract: __eq__, __ne__ or __hash__ in a class other than
+    Record, which alone gives equality and a hash, and index or count in
+    a record, which would shadow the tuple's."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    records = _subclasses(trees.values(), "Record")
+    return [
+        f"{path.name}: {node.name}.{name}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name != "Record"
+        for name in _class_members(node)
+        if name in ("__eq__", "__ne__", "__hash__")
+        or (name in ("index", "count") and node.name in records)
+    ]
+
+
+def test_only_record_defines_equality_and_no_record_shadows_a_tuple_method():
+    assert value_contract_breaks(MODULES) == []
+
+
+def test_value_contract_breaks_are_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "class Record(tuple):\n"
+        "    def __eq__(self, other):\n"
+        "        return type(other) is type(self) and tuple.__eq__(self, other)\n"
+        "\n"
+        "    __hash__ = tuple.__hash__\n"
+        "\n"
+        "class Cone(Record):\n"
+        "    def __hash__(self):\n"
+        "        return hash(self[0])\n"
+        "\n"
+        "    def index(self):\n"
+        "        return 1\n"
+        "\n"
+        "class Fan(Cone):\n"
+        "    count = property(len)\n"
+        "\n"
+        "class Value:\n"
+        "    def __ne__(self, other):\n"
+        "        return False\n"
+        "\n"
+        "    __hash__ = None\n"
+        "\n"
+        "    def index(self):\n"
+        "        return 0\n"
+    )
+    assert value_contract_breaks([path]) == [
+        "sample.py: Cone.__hash__",
+        "sample.py: Cone.index",
+        "sample.py: Fan.count",
+        "sample.py: Value.__ne__",
+        "sample.py: Value.__hash__",
+    ]
+
+
+def invariant_error_subclasses(paths: list[Path]) -> list[str]:
+    """The classes of the modules that derive from InvariantError: a
+    broken check raises InvariantError itself, so that its type alone
+    names a failure."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    subclasses = _subclasses(trees.values(), "InvariantError")
+    return [
+        f"{path.name}: {node.name}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name in subclasses
+    ]
+
+
+def test_no_invariant_error_subclasses():
+    assert invariant_error_subclasses(MODULES) == []
+
+
+def test_invariant_error_subclasses_are_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from . import lattice\n"
+        "from .lattice import InvariantError\n"
+        "\n"
+        "class InvalidInput(ValueError):\n"
+        "    pass\n"
+        "\n"
+        "class ReportError(InvariantError):\n"
+        "    pass\n"
+        "\n"
+        "class FanError(lattice.InvariantError):\n"
+        "    pass\n"
+        "\n"
+        "class WallError(FanError, KeyError):\n"
+        "    pass\n"
+    )
+    assert invariant_error_subclasses([path]) == [
+        "sample.py: ReportError",
+        "sample.py: FanError",
+        "sample.py: WallError",
+    ]
 
 
 def unnamed_builders(path: Path) -> list[int]:
@@ -665,13 +796,13 @@ def test_placeholder_free_fstrings_are_found(tmp_path):
 SOURCES = sorted(
     path for part in ("src", "tests", "perfbench") for path in (ROOT / part).rglob("*.py")
 )
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _referenced(path: Path, unread: frozenset = frozenset()) -> set[str]:
-    """Every name the file reads, imports or spells as a (dotted) string,
-    except where a definition reads its own name and inside a definition
-    whose name is in unread."""
+    """Every name the file reads or spells as a (dotted) string, except
+    where a definition reads its own name and inside a definition whose
+    name is in unread.  An import is not a read: a name imported at the
+    top and read only inside unread definitions is not found."""
     found = set()
     todo = [(ast.parse(path.read_text(), filename=str(path)), frozenset())]
     while todo:
@@ -684,8 +815,6 @@ def _referenced(path: Path, unread: frozenset = frozenset()) -> set[str]:
             names = [node.id]
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
-        elif isinstance(node, ast.alias):
-            names = [node.name.split(".")[-1]]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names = node.value.split(".")
         else:
@@ -757,14 +886,19 @@ def test_the_library_reads_what_it_defines():
 
 
 def test_unreferenced_definitions_are_found(tmp_path):
+    helpers = tmp_path / "helpers.py"
+    helpers.write_text("def kept():\n    return 2\n\n\ndef imported():\n    return 4\n")
     lib = tmp_path / "lib.py"
     lib.write_text(
+        "from helpers import imported, kept\n"
+        "\n"
+        "\n"
         "def used():\n"
         "    return 1\n"
         "\n"
         "\n"
         "def by_name():\n"
-        "    return 2\n"
+        "    return kept()\n"
         "\n"
         "\n"
         "def recursive(n):\n"
@@ -800,11 +934,12 @@ def test_unreferenced_definitions_are_found(tmp_path):
         "        return self.unread\n"
         "\n"
         "    def uncalled(self):\n"
-        "        return self.called() + middle()\n"
+        "        return self.called() + middle() + imported()\n"
     )
     user = tmp_path / "user.py"
     user.write_text("import lib\n\nlib.used()\ngetattr(lib, 'by_name')\nlib.Used().called()\n")
-    assert unreferenced_definitions([lib], [lib, user]) == [
+    assert unreferenced_definitions([helpers, lib], [helpers, lib, user]) == [
+        "helpers.py: imported",
         "lib.py: recursive",
         "lib.py: middle",
         "lib.py: leaf",

@@ -8,6 +8,7 @@ from cqsdef.lattice import (
     Cone2,
     cf_expand,
     cone_normal_form,
+    det2,
     dual_cone,
     hilbert_basis_2d,
     primitive,
@@ -161,7 +162,7 @@ def test_cone2_reduces_and_orders_integer_rays(u, v):
         r1, r2 = r2, r1
     cone = Cone2(u, v)
     assert (cone.ray1, cone.ray2) == (r1, r2)
-    assert cone.index() * gu * gv == abs(det)
+    assert det2(cone.ray1, cone.ray2) * gu * gv == abs(det)
 
 
 def test_cone_normal_form():

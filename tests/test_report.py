@@ -14,9 +14,9 @@ import cqsdef.report
 import cqsdef.totalspace
 from cqsdef.cqs import CqsModel, cqs_new
 from cqsdef.geometry3 import Cone3
+from cqsdef.lattice import InvariantError
 from cqsdef.minkowski import Decomposition, enum_decompositions, segment
 from cqsdef.report import (
-    ReportInvariantError,
     build_report,
     report_to_json,
     scan_row,
@@ -334,8 +334,9 @@ def test_validate_report_rejects_a_corrupted_report(y197_report, corrupt, messag
     report = copy.deepcopy(y197_report)
     validate_report(report)
     corrupt(report)
-    with pytest.raises(ReportInvariantError, match=message):
+    with pytest.raises(InvariantError, match=message) as caught:
         validate_report(report)
+    assert type(caught.value) is InvariantError
 
 
 def test_reports_and_rows_leave_no_reference_cycles():

@@ -215,7 +215,7 @@ def test_versal_map_is_the_expanded_main_equation():
             poly = poly_mul(Poly.lam(1, base * main.m), factor)
             top = main.m + main.p * k
             terms: dict[int, dict[int, int]] = {}
-            for power, c in poly.coeffs.items():
+            for power, c in poly.coeffs:
                 i, l = divmod(power, base)
                 if i < top:
                     terms.setdefault(top - i, {})[l] = c
