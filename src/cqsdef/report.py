@@ -33,7 +33,7 @@ def build_report(model: CqsModel, verbose: bool = False) -> dict:
     defo_records = []
     smoothing_count = 0
     for defo in deformations:
-        comps = components_of(defo)
+        comps = components_of(model, defo.decomp)
         fiber = general_fiber(defo)
         smoothing_count += fiber.is_empty
         can_k, can_fan = canonical_model(defo)

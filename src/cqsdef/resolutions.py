@@ -142,19 +142,16 @@ class PieceDecomposition(Record):
 
 class FanDecomposition(Record):
     """Per-cone Minkowski decompositions S^d_{h,p}[k] / Sbar^d_h[k] of the
-    slice decomposition decomp, whose offsets make consecutive summand
+    slice decomposition decomp, one piece per cone of the fan of k
+    (p_resolution_fan(model, k)), whose offsets make consecutive summand
     pieces share endpoints."""
 
     __slots__ = ()
 
     def __new__(
-        cls,
-        k: ZeroChain,
-        decomp: Decomposition,
-        fan: PResolutionFan,
-        pieces: tuple[PieceDecomposition, ...],
+        cls, k: ZeroChain, decomp: Decomposition, pieces: tuple[PieceDecomposition, ...]
     ):
-        return tuple.__new__(cls, (k, decomp, fan, pieces))
+        return tuple.__new__(cls, (k, decomp, pieces))
 
     @property
     def label(self) -> str:
@@ -235,9 +232,7 @@ def _build_fan_decomposition(
             raise InvariantError(f"the pieces do not add up to {decomp.label}")
     pieces.sort(key=lambda pc: pc.i)
 
-    fd = FanDecomposition(
-        k=k, decomp=decomp, fan=p_resolution_fan(model, k), pieces=tuple(pieces)
-    )
+    fd = FanDecomposition(k=k, decomp=decomp, pieces=tuple(pieces))
     _validate_piece_admissibility(fd)
     return fd
 
@@ -325,17 +320,19 @@ class Fan3(Record):
         }
 
 
-def assemble_fan3(fd: FanDecomposition, defo: Deformation) -> Fan3:
-    """Cone over each per-cone decomposition; the full-dimensional cones
-    tile the total-space cone of defo, the deformation of fd.decomp."""
-    fan, model = fd.fan, defo.model
-    if (fan.n, fan.q) != (model.n, model.q) or defo.decomp != fd.decomp:
-        raise ValueError(f"{defo.label} is not the deformation of {fd.label}")
+def assemble_fan3(defo: Deformation, k: ZeroChain) -> Fan3:
+    """Cone over each piece of the fan decomposition of defo over k, with
+    the slice's shift segment(model, h).m0; the full-dimensional cones
+    tile the total-space cone of defo.  Raises ValueError, as
+    fan_decomposition does, when defo does not map to the component of k."""
+    model, dec = defo
+    fd = fan_decomposition(model, k, dec)
+    fan, m0 = p_resolution_fan(model, k), segment(model, dec.h).m0
     cones = []
     for pc in fd.pieces:
         if pc.degenerate:
             continue
-        cone = Cone3.over_summands(pc.ends0, pc.ends1, fd.decomp.p, defo.m0)
+        cone = Cone3.over_summands(pc.ends0, pc.ends1, dec.p, m0)
         if cone.gorenstein_ratio is None:
             raise InvariantError(f"{fd.label}: the cone over piece {pc.i} is not Q-Gorenstein")
         cones.append(
@@ -391,14 +388,15 @@ def _sign(x) -> int:
 def _canonical_predicate(defo: Deformation, k: ZeroChain) -> bool:
     """Combinatorial criterion for the fan decomposition over k to give
     the canonical model of the deformation's total space."""
-    model, h = defo.model, defo.h
+    model, dec = defo
+    h = dec.h
     fan = p_resolution_fan(model, k)
     for tau in fan.cones:
         if tau.i == h or tau.degenerate:
             continue
         if not tau.at_most_rdp:
             return False
-    if split_depth(model, k, defo.decomp) == model.a(h) - k.k_at(h):
+    if split_depth(model, k, dec) == model.a(h) - k.k_at(h):
         return True
     tau_h = fan.cone_at(h)
     return (not tau_h.degenerate) and tau_h.at_most_rdp
@@ -421,20 +419,19 @@ def canonical_model(defo: Deformation) -> tuple[ZeroChain, Fan3]:
     hull fan is strictly convex across its walls, so the certificate
     fails exactly when the fan differs from the hull fan.
     """
-    winners = [k for k in components_of(defo) if _canonical_predicate(defo, k)]
+    model, dec = defo
+    winners = [k for k in components_of(model, dec) if _canonical_predicate(defo, k)]
     if len(winners) != 1:
         raise InvariantError(
-            f"{defo.label}: expected exactly one canonical component, got "
+            f"{dec.label}: expected exactly one canonical component, got "
             f"{[k.k for k in winners]}"
         )
     k = winners[0]
-    fan = assemble_fan3(fan_decomposition(defo.model, k, defo.decomp), defo)
+    fan = assemble_fan3(defo, k)
     if not fan.all_canonical:
-        raise InvariantError(f"{defo.label}: chosen fan for {k.k} is not canonical")
+        raise InvariantError(f"{dec.label}: chosen fan for {k.k} is not canonical")
     if not _convex_across_walls(fan.cones):
-        raise InvariantError(
-            f"{defo.label}: predicate and hull canonical models disagree"
-        )
+        raise InvariantError(f"{dec.label}: predicate and hull canonical models disagree")
     return k, fan
 
 

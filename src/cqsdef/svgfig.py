@@ -9,9 +9,8 @@ import math
 from typing import TYPE_CHECKING
 
 from .cqs import CqsModel, display_n_point
-from .chains import enumerate_K
 from .minkowski import enum_decompositions, segment
-from .totalspace import split_depth
+from .totalspace import components_of
 from .resolutions import fan_decomposition
 
 if TYPE_CHECKING:
@@ -147,14 +146,14 @@ def slices_figure(model: CqsModel) -> str:
 
     cv = _Canvas()
     panels = [
-        (fan_decomposition(model, k, dec), segment(model, dec.h).m0)
+        fan_decomposition(model, k, dec)
         for dec in enum_decompositions(model)
-        for k in enumerate_K(model)
-        if split_depth(model, k, dec) is not None
+        for k in components_of(model, dec)
     ]
     y = PAD
     width = 0.0
-    for fd, m0 in panels:
+    for fd in panels:
+        m0 = segment(model, fd.decomp.h).m0
         pts0, pts1 = [], []
         edges = []
         for pc in fd.pieces:

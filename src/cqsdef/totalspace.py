@@ -47,13 +47,15 @@ class Poly(Record):
 
 
 class Deformation(Record):
-    """A one-parameter toric deformation built from a slice decomposition.
+    """A one-parameter toric deformation built from a slice decomposition:
+    the record (model, decomp), whose facts are decomp's fields.
 
     The cone is presented so that the lattice origin of the slice sits
     where the next dual generator w^{h+1} vanishes: sigma_prime is built
-    over the first summand of the stored decomposition shifted by m0, the
-    slice's shift, which only the 3D cones read.  The parameter realizes
-    the difference of the monomials of degrees (0, 0, 1) and (0, p, 0).
+    over the first summand of the stored decomposition shifted by the
+    slice's shift segment(model, h).m0, which only the 3D cones read.
+    The parameter realizes the difference of the monomials of degrees
+    (0, 0, 1) and (0, p, 0).
 
     sigma_prime is built on first read and kept on the instance, together
     with its check that phi maps sigma into it; a scan row never reads it.
@@ -64,59 +66,37 @@ class Deformation(Record):
 
     @cached_property
     def sigma_prime(self) -> Cone3:
-        dec = self.decomp
-        cone = Cone3.over_summands(dec.ends0, dec.ends1, dec.p, self.m0)
-        for ray in (self.model.sigma.ray1, self.model.sigma.ray2):
+        model, dec = self
+        cone = Cone3.over_summands(dec.ends0, dec.ends1, dec.p, segment(model, dec.h).m0)
+        for ray in (model.sigma.ray1, model.sigma.ray2):
             x, y, z = self.phi(ray)
             for r0, r1, r2 in cone.dual_rays:
                 if r0 * x + r1 * y + r2 * z < 0:
-                    raise InvariantError(f"{self.label}: slice embedding left the cone")
+                    raise InvariantError(f"{dec.label}: slice embedding left the cone")
         return cone
 
-    @property
-    def m0(self) -> int:
-        """The shift of the slice at h (Segment.m0), from the model's memo."""
-        return segment(self.model, self.h).m0
-
-    @property
-    def kind(self) -> str:
-        return self.decomp.kind
-
-    @property
-    def h(self) -> int:
-        return self.decomp.h
-
-    @property
-    def p(self) -> int:
-        return self.decomp.p
-
-    @property
-    def d(self) -> int:
-        return self.decomp.d
-
-    @property
-    def label(self) -> str:
-        return self.decomp.label
-
     def degree_display(self) -> tuple[int, int]:
-        u1, u2 = to_display_coords(self.model.wgen(self.h), self.model)
-        return (self.p * u1, self.p * u2)
+        model, dec = self
+        u1, u2 = to_display_coords(model.wgen(dec.h), model)
+        return (dec.p * u1, dec.p * u2)
 
     def phi(self, v: IVec2) -> IVec3:
         """The lattice embedding of the base surface into the total space."""
-        w, w_next = self.model.w[self.h - 1], self.model.w[self.h]  # w^h, w^{h+1}
+        model, dec = self
+        w, w_next = model.w[dec.h - 1], model.w[dec.h]  # w^h, w^{h+1}
         t = dot2(v, w)
-        return (dot2(v, w_next), t, self.p * t)
+        return (dot2(v, w_next), t, dec.p * t)
 
     def to_json(self) -> dict:
+        dec = self.decomp
         return {
-            "label": self.label,
-            "kind": self.kind,
-            "h": self.h,
-            "p": self.p,
-            "d": self.d,
+            "label": dec.label,
+            "kind": dec.kind,
+            "h": dec.h,
+            "p": dec.p,
+            "d": dec.d,
             "degree_display": list(self.degree_display()),
-            "decomposition": self.decomp.to_json(),
+            "decomposition": dec.to_json(),
             "sigma_prime_rays": self.sigma_prime.to_json(),
         }
 
@@ -168,14 +148,15 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
     the owner of the equation rule.  Each equation is checked as the
     lattice relation of its monomials; a mismatch raises InvariantError
     naming the deformation and the relation."""
-    model, h, p, d = defo.model, defo.h, defo.p, defo.d
+    model, dec = defo
+    h, p, d = dec.h, dec.p, dec.d
     e = model.e
     eqs = deformation_equations(defo)
     (hx, hy), (nx, ny) = model.w[h - 1], model.w[h]  # w^h, w^{h+1}
     # x_i = det(w^i, w^h) and y_i = det(w^{h+1}, w^i): x_h = y_{h+1} = 0,
     # and x_{h+1} = y_h = det(w^{h+1}, w^h) is the one value to check
     if nx * hy - ny * hx != 1:
-        raise InvariantError(f"{defo.label}: the lift frame does not fit w^{h} and w^{h + 1}")
+        raise InvariantError(f"{dec.label}: the lift frame does not fit w^{h} and w^{h + 1}")
     x = [0] + [wx * hy - wy * hx for wx, wy in model.w]
     y = [0] + [nx * wy - ny * wx for wx, wy in model.w]
 
@@ -189,12 +170,12 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
     v = [None] + [(x[i], y[i] - p * u3[i], u3[i]) for i in range(1, e + 1)]
     v_tilde: IVec3 = (0, 0, 1)
     if v[h] != (0, 1, 0) or v[h + 1] != (1, 0, 0) or v[h - 1] != (-1, model.a(h) - p * d, d):
-        raise InvariantError(f"{defo.label}: v^{h - 1}, v^{h}, v^{h + 1} are not the lifts")
+        raise InvariantError(f"{dec.label}: v^{h - 1}, v^{h}, v^{h + 1} are not the lifts")
 
     gens = defo.sigma_prime.generators
     for i, (v0, v1, v2) in [*enumerate(v[1:], 1), ("tilde", v_tilde)]:
         if any(g0 * v0 + g1 * v1 + g2 * v2 < 0 for g0, g1, g2 in gens):
-            raise InvariantError(f"{defo.label}: v^{i} is not in the dual cone")
+            raise InvariantError(f"{dec.label}: v^{i} is not in the dual cone")
 
     # v^{i-1} + (vtilde or v^{i+1}) = (a or m) v^i + d vtilde, where a main
     # equation has a = 0 and the others have d = 0
@@ -206,7 +187,7 @@ def generator_relations(defo: Deformation) -> GeneratorRelations:
         rhs = (c * v0, c * v1, c * v2 + eq_d)
         if lhs != rhs:
             raise InvariantError(
-                f"{defo.label}: relation {eq.relation_text()} fails: {lhs} != {rhs}"
+                f"{dec.label}: relation {eq.relation_text()} fails: {lhs} != {rhs}"
             )
         relations.append((eq, lhs))
     return GeneratorRelations(v=tuple(v[1:]), v_tilde=v_tilde, relations=tuple(relations))
@@ -262,12 +243,13 @@ def deformation_equations(defo: Deformation) -> tuple[Equation, ...]:
     interior index.  The one owner of the equation rule, as split_depth
     is of the component rule: the main equation at h, for the barred
     kind the bar-side equation at h-1, and binomials elsewhere."""
-    model, h, p, d = defo.model, defo.h, defo.p, defo.d
+    model, dec = defo
+    h, p, d = dec.h, dec.p, dec.d
     eqs = []
     for i in range(2, model.e):
         if i == h:
             eqs.append(Equation("main", h, 0, model.a(h) - p * d, p, d))
-        elif defo.kind == "Dbar" and i == h - 1:
+        elif dec.kind == "Dbar" and i == h - 1:
             # x_{h-2} (x_h + lam) = x_{h-1}^{a_{h-1}}; stored with i = h-1
             # so that str() renders the neighbours of x_{h-1}.
             eqs.append(Equation("bar_side", h - 1, model.a(h - 1)))
@@ -304,8 +286,9 @@ def versal_map(defo: Deformation) -> VersalMap:
     deformation, read off its main equation: with bar = 1 for the barred
     kind and 0 for the plain one, s_h^(p*l) = C(d-bar, l) lam^l for
     1 <= l <= d-bar, and t_h = lam when bar = 1."""
-    h, p, d = defo.h, defo.p, defo.d
-    bar = int(defo.kind == "Dbar")
+    dec = defo.decomp
+    h, p, d = dec.h, dec.p, dec.d
+    bar = int(dec.kind == "Dbar")
     s = {(h, p * l): Poly.lam(math.comb(d - bar, l), l) for l in range(1, d - bar + 1)}
     return VersalMap(s, {h: Poly.lam()} if bar else {})
 
@@ -326,11 +309,11 @@ def split_depth(model: CqsModel, k: ZeroChain, decomp: Decomposition) -> Optiona
     return depth if least <= depth <= model.a(h) - k.k_at(h) else None
 
 
-def components_of(defo: Deformation) -> list[ZeroChain]:
-    """Closed-form list of the reduced versal base components the
-    deformation maps to."""
-    model = defo.model
-    return [k for k in enumerate_K(model) if split_depth(model, k, defo.decomp) is not None]
+def components_of(model: CqsModel, decomp: Decomposition) -> list[ZeroChain]:
+    """The reduced versal base components that the deformation of decomp
+    maps to, keyed as split_depth and fan_decomposition are: the zero
+    chains k of the model for which split_depth gives a depth."""
+    return [k for k in enumerate_K(model) if split_depth(model, k, decomp) is not None]
 
 
 def nu_count(model: CqsModel, k: ZeroChain, h: int, p: int) -> int:

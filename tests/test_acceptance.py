@@ -79,7 +79,7 @@ def test_criterion_1_golden_y83():
         degree_counts[df.degree_display()] = degree_counts.get(df.degree_display(), 0) + 1
     assert degree_counts == {(1, 5): 1, (2, 2): 4, (4, 4): 1, (5, 1): 1}
 
-    comp = {df.label: [k.k for k in components_of(df)] for df in defos}
+    comp = {df.decomp.label: [k.k for k in components_of(df.model, df.decomp)] for df in defos}
     assert comp["pi_{3,1}^2"] == [(2, 1, 2)]
     assert comp["pi_{3,2}^1"] == [(2, 1, 2)]
     assert comp["pi_{3,1}^1"] == [(1, 2, 1), (2, 1, 2)]
@@ -89,7 +89,7 @@ def test_criterion_1_golden_y83():
     fibers = {}
     for df in defos:
         fib = general_fiber(df)
-        fibers[df.label] = (fib.origin, sorted(fib.off_origin))
+        fibers[df.decomp.label] = (fib.origin, sorted(fib.off_origin))
     assert fibers == {
         "pi_{2,1}^1": ((2, 2), []),
         "pi_{3,1}^1": ((2, 2, 2), []),
@@ -99,13 +99,13 @@ def test_criterion_1_golden_y83():
         "pibar_{3}^2": ((), [((2, 2), 1)]),
         "pi_{4,1}^1": ((2, 2), []),
     }
-    assert [df.label for df in defos if is_smoothing(df)] == ["pi_{3,2}^1"]
+    assert [df.decomp.label for df in defos if is_smoothing(df)] == ["pi_{3,2}^1"]
 
     panel_flags = {}
     for df in defos:
-        for k in components_of(df):
+        for k in components_of(df.model, df.decomp):
             fd = fan_decomposition(df.model, k, df.decomp)
-            panel_flags[fd.label] = assemble_fan3(fd, df).all_canonical
+            panel_flags[fd.label] = assemble_fan3(df, k).all_canonical
     assert len(panel_flags) == 8
     assert panel_flags == {
         "S_{2,1}^1[1,2,1]": True,
@@ -142,9 +142,10 @@ def component_mismatches(model) -> list[str]:
     """Labels of the deformations of model whose closed-form components
     differ from those of the symbolic versal-map route."""
     return [
-        df.label
+        df.decomp.label
         for df in all_deformations(model)
-        if [k.k for k in components_of(df)] != [k.k for k in components_of_symbolic(df)]
+        if [k.k for k in components_of(df.model, df.decomp)]
+        != [k.k for k in components_of_symbolic(df)]
     ]
 
 
@@ -173,14 +174,14 @@ def test_criterion_4_nu_counts():
     for n, q in all_pairs(40):
         m = cqs_new(n, q)
         defos = all_deformations(m)
-        member = {df.label: {k.k for k in components_of(df)} for df in defos}
+        member = {df.decomp: {k.k for k in components_of(df.model, df.decomp)} for df in defos}
         for zc in enumerate_K(m):
             for h in m.interior_indices():
                 for p in range(1, m.a(h)):
                     direct = sum(
                         1
-                        for df in defos
-                        if df.h == h and df.p == p and zc.k in member[df.label]
+                        for dec, comps in member.items()
+                        if dec.h == h and dec.p == p and zc.k in comps
                     )
                     assert direct == nu_count(m, zc, h, p), (n, q, zc.k, h, p)
     _ok("4 (degreewise component counts, n <= 40)")
@@ -199,11 +200,10 @@ def test_criterion_5_canonical_equivalence():
             assert fan_rays == hull_cone_ray_sets(df.sigma_prime)
             gens = df.sigma_prime.generators
             brute = brute_roof_facets(gens)
-            assert roof_facets(df.sigma_prime) == brute, (n, q, df.label)
+            assert roof_facets(df.sigma_prime) == brute, (n, q, df.decomp.label)
             assert_hull_vertices_are_candidates(df.sigma_prime, brute)
-            for comp in components_of(df):
-                fd = fan_decomposition(df.model, comp, df.decomp)
-                for c in assemble_fan3(fd, df).cones:
+            for comp in components_of(df.model, df.decomp):
+                for c in assemble_fan3(df, comp).cones:
                     assert c.canonical == brute_is_canonical(c.cone.generators)
     _ok("5 (canonical model: predicate route = hull route = brute force, n <= 30)")
 
@@ -259,8 +259,8 @@ def test_criterion_6_oracles():
             lemma_set = set(gr.v) | {gr.v_tilde}
             dual = list(df.sigma_prime.dual_rays)
             brute = brute_hilbert_basis_3d(dual)
-            assert set(brute) == lemma_set, (m.n, m.q, df.label)
-            assert hilbert_basis_3d(Cone3.from_rays(dual)) == brute, (m.n, m.q, df.label)
+            assert set(brute) == lemma_set, (m.n, m.q, df.decomp.label)
+            assert hilbert_basis_3d(Cone3.from_rays(dual)) == brute, (m.n, m.q, df.decomp.label)
             gens = df.sigma_prime.generators
             assert hilbert_basis_3d(df.sigma_prime) == brute_hilbert_basis_3d(gens)
     _ok("6 (enumeration oracles: chains, 2D and 3D Hilbert bases)")
@@ -278,8 +278,8 @@ def test_criterion_7_structural():
             assert [(e.i, e.m + e.p * e.d if e.form == "main" else e.a) for e in eqs] == [
                 (i, m.a(i)) for i in m.interior_indices()
             ]
-            for k in components_of(df):
-                fan3 = assemble_fan3(fan_decomposition(df.model, k, df.decomp), df)
+            for k in components_of(df.model, df.decomp):
+                fan3 = assemble_fan3(df, k)
                 assert all(c.qgorenstein for c in fan3.cones)
                 assert set(fan3.support.generators) == set(
                     df.sigma_prime.generators
@@ -294,10 +294,11 @@ def test_criterion_8_smoothing_consistency():
         m = cqs_new(n, q)
         for df in all_deformations(m):
             if is_smoothing(df):  # raises when the pattern is violated
-                if df.kind == "D":
-                    assert df.d == 1 and df.p == m.a(df.h) - 1
+                kind, h, p, d, _, _ = df.decomp
+                if kind == "D":
+                    assert d == 1 and p == m.a(h) - 1
                 else:
-                    assert m.a(df.h) == 2 and df.d == 1
+                    assert m.a(h) == 2 and d == 1
 
     from cqsdef.totalspace import build_deformation
 
@@ -340,14 +341,15 @@ def test_criterion_9_inverse_pair_isomorphism():
 def _deformation_signature(df):
     """What the report says of one deformation, up to its labels."""
     fib = general_fiber(df)
+    kind, h, p, d, _, _ = df.decomp
     return (
-        df.kind,
-        df.h,
-        df.p,
-        df.d if df.kind == "D" else None,
+        kind,
+        h,
+        p,
+        d if kind == "D" else None,
         fib.origin,
         fib.off_origin,
-        tuple(sorted(k.k for k in components_of(df))),
+        tuple(sorted(k.k for k in components_of(df.model, df.decomp))),
         canonical_model(df)[0].k,
         is_smoothing(df),
     )

@@ -11,10 +11,13 @@ import cqsdef.cli as cli_mod
 import cqsdef.cqs
 import cqsdef.minkowski
 import cqsdef.resolutions
+import cqsdef.svgfig
 import cqsdef.totalspace
 from cqsdef.cli import checkpoint_header, main
 from cqsdef.report import build_report, render_text
+from cqsdef.resolutions import fan_decomposition
 from cqsdef.svgfig import FIGURE_TARGETS, make_figure
+from cqsdef.totalspace import components_of
 from conftest import run_optimized
 
 
@@ -165,6 +168,27 @@ def test_slices_figure_inventory(tmp_path, capsys):
     assert body.count("<polygon") == 8
     for label in ("S_{2,1}^1[1,2,1]", "S_{3,1}^1[2,1,2]", "Sbar_{3}^2[1,2,1]"):
         assert label in body
+
+
+def test_slices_figure_reads_components_of(monkeypatch):
+    """The slice figure draws one panel for each component that
+    components_of lists for a decomposition, and finds the components
+    nowhere else: with components_of cut to the first component of each
+    decomposition, the panels are exactly those fan decompositions."""
+    m = cqsdef.cqs.cqs_new(37, 11)
+    panel_label = re.compile(r'text-anchor="start" font-family="serif">([^<]+)</text>')
+    every = panel_label.findall(cqsdef.svgfig.slices_figure(m))
+
+    def first_only(model, decomp):
+        return components_of(model, decomp)[:1]
+
+    monkeypatch.setattr(cqsdef.svgfig, "components_of", first_only)
+    expected = [
+        fan_decomposition(m, first_only(m, dec)[0], dec).label
+        for dec in cqsdef.minkowski.enum_decompositions(m)
+    ]
+    assert panel_label.findall(cqsdef.svgfig.slices_figure(m)) == expected
+    assert len(expected) < len(every)
 
 
 def test_segments_figure_endpoints(tmp_path, capsys):

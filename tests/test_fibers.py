@@ -16,7 +16,7 @@ def fiber_table(model):
     out = {}
     for df in all_deformations(model):
         fib = general_fiber(df)
-        out[df.label] = (fib.origin, sorted(fib.off_origin))
+        out[df.decomp.label] = (fib.origin, sorted(fib.off_origin))
     return out
 
 
@@ -33,16 +33,16 @@ def test_golden_fibers(y83):
 
 def test_golden_raw_chains(y83):
     for df in all_deformations(y83):
-        if df.label == "pi_{2,1}^1":
+        if df.decomp.label == "pi_{2,1}^1":
             raw = general_fiber(df).raw
             assert ((1, 3, 2), 1, "origin") in raw
-        if df.label == "pibar_{3}^1":
+        if df.decomp.label == "pibar_{3}^1":
             raw = general_fiber(df).raw
             assert ((2, 2), 1, "origin") in raw and ((2, 1), 1, "off-origin") in raw
 
 
 def test_smoothing_golden(y83):
-    flags = {df.label: is_smoothing(df) for df in all_deformations(y83)}
+    flags = {df.decomp.label: is_smoothing(df) for df in all_deformations(y83)}
     assert flags == {
         "pi_{2,1}^1": False,
         "pi_{3,1}^1": False,
@@ -60,19 +60,20 @@ def test_smoothing_necessary_conditions():
     for m in iter_models(35):
         for df in all_deformations(m):
             if is_smoothing(df):
-                if df.kind == "D":
-                    assert df.d == 1 and df.p == m.a(df.h) - 1
+                kind, h, p, d, _, _ = df.decomp
+                if kind == "D":
+                    assert d == 1 and p == m.a(h) - 1
                 else:
-                    assert m.a(df.h) == 2 and df.d == 1
+                    assert m.a(h) == 2 and d == 1
 
 
 def test_a0_dropped():
     for m in iter_models(15):
         for df in all_deformations(m):
-            if df.kind == "D" and df.d == 1:
+            if df.decomp.kind == "D" and df.decomp.d == 1:
                 fib = general_fiber(df)
                 assert all(ch != (1,) for ch, _ in fib.off_origin)
-                assert ((1,), df.p, "off-origin") in fib.raw
+                assert ((1,), df.decomp.p, "off-origin") in fib.raw
 
 
 def test_fiber_json(y83):
@@ -94,9 +95,9 @@ def test_general_fiber_matches_blow_down():
             fib = general_fiber(df)
             (origin, _, _), (off, mult, _) = fib.raw
             nf = quadratic_blow_down_trace(off)[0]
-            assert fib.origin == quadratic_blow_down_trace(origin)[0], df.label
-            assert fib.off_origin == (((nf, mult),) if nf else ()), df.label
-            assert is_smoothing(df) == fib.is_empty, df.label
+            assert fib.origin == quadratic_blow_down_trace(origin)[0], df.decomp.label
+            assert fib.off_origin == (((nf, mult),) if nf else ()), df.decomp.label
+            assert is_smoothing(df) == fib.is_empty, df.decomp.label
             count += 1
     assert count == 47838
 
@@ -121,7 +122,7 @@ def test_fiber_types_are_the_raw_continuants():
         for df in all_deformations(model):
             raw = general_fiber(df).raw
             expected = tuple(continuants(chain) for chain, _, _ in raw)
-            assert fibers.fiber_types(model, df.decomp) == expected, df.label
+            assert fibers.fiber_types(model, df.decomp) == expected, df.decomp.label
             count += 1
     assert count == 22404
 
@@ -141,7 +142,7 @@ def test_wrong_d_raises_on_every_call():
         for df in all_deformations(model):
             bad = _with_d_plus_one(df)
             for call in (general_fiber, is_smoothing, general_fiber):
-                with pytest.raises(InvariantError, match=re.escape(bad.label)):
+                with pytest.raises(InvariantError, match=re.escape(bad.decomp.label)):
                     call(bad)
             count += 1
     assert count == 3455
@@ -167,7 +168,7 @@ def test_face_check_survives_optimize():
         "            print(sys.flags.optimize, str(exc).split(':')[0])\n"
     )
     lines = run_optimized("-c", code).stdout.decode().splitlines()
-    labels = [_with_d_plus_one(df).label for df in all_deformations(cqs_new(8, 3))]
+    labels = [_with_d_plus_one(df).decomp.label for df in all_deformations(cqs_new(8, 3))]
     assert len(labels) == 7
     assert lines == [f"1 {label}" for label in labels for _ in range(2)]
 
@@ -200,13 +201,14 @@ def test_face_types_are_the_cone_normal_forms():
         for df in all_deformations(model):
             faces = tuple(face_normal_form(u, v) for u, v in sigma_prime_faces(df))
             types = fibers.fiber_types(model, df.decomp)
-            assert tuple((N, -D % N) if N > 1 else (1, 0) for N, D in types) == faces, df.label
+            expected = tuple((N, -D % N) if N > 1 else (1, 0) for N, D in types)
+            assert expected == faces, df.decomp.label
             as_types = [(n, n - q) for n, q in faces]
             fibers.check_faces(df.decomp, tuple(as_types))
             for i, (n, d) in enumerate(as_types):
                 wrong = list(as_types)
                 wrong[i] = (n + 1, d)
-                with pytest.raises(InvariantError, match=re.escape(df.label)):
+                with pytest.raises(InvariantError, match=re.escape(df.decomp.label)):
                     fibers.check_faces(df.decomp, tuple(wrong))
 
 
@@ -223,13 +225,13 @@ def test_face_congruence_matches_pair_normal_form():
         for df in all_deformations(model):
             for (ux, uy), (vx, vy) in sigma_prime_faces(df):
                 n, q = pair_normal_form((ux, uy), (vx, vy))
-                assert face_is(ux, uy, vx, vy, n, q), df.label
-                assert face_is(3 * vx, 3 * vy, 2 * ux, 2 * uy, n, q), df.label
-                assert not face_is(ux, uy, vx, vy, n + 1, q), df.label
+                assert face_is(ux, uy, vx, vy, n, q), df.decomp.label
+                assert face_is(3 * vx, 3 * vy, 2 * ux, 2 * uy, n, q), df.decomp.label
+                assert not face_is(ux, uy, vx, vy, n + 1, q), df.decomp.label
                 if n > 1:
-                    assert not face_is(ux, uy, vx, vy, n, q + 1), df.label
-                    assert not face_is(ux, uy, vx, vy, n, q - 1), df.label
-                    assert not face_is(ux, uy, vx, vy, 1, 0), df.label
+                    assert not face_is(ux, uy, vx, vy, n, q + 1), df.decomp.label
+                    assert not face_is(ux, uy, vx, vy, n, q - 1), df.decomp.label
+                    assert not face_is(ux, uy, vx, vy, 1, 0), df.decomp.label
                 faces += 1
     assert faces == 44808
     assert face_is(2, 4, 1, 2, 1, 0) and face_is(1, 0, 0, 3, 1, 0)
@@ -303,7 +305,7 @@ def test_negative_continuant_check_survives_optimize():
         "            print(sys.flags.optimize, exc)\n"
     )
     lines = run_optimized("-c", code).stdout.decode().splitlines()
-    labels = [df.label for df in all_deformations(cqs_new(8, 3))]
+    labels = [df.decomp.label for df in all_deformations(cqs_new(8, 3))]
     assert len(labels) == 7
     assert lines == [
         f"1 {label}: a fiber chain has continuant -1 < 0" for label in labels for _ in range(3)

@@ -23,6 +23,7 @@ from cqsdef.geometry3 import (
     prim3,
     roof_facets,
 )
+from cqsdef.minkowski import segment
 from cqsdef.resolutions import assemble_fan3, fan_decomposition
 from cqsdef.totalspace import all_deformations, components_of
 from conftest import (
@@ -91,7 +92,7 @@ def test_unimodular_cone():
 
 
 def _y83_deformation(label):
-    return next(df for df in all_deformations(cqs_new(8, 3)) if df.label == label)
+    return next(df for df in all_deformations(cqs_new(8, 3)) if df.decomp.label == label)
 
 
 def _zero_chain(df, k):
@@ -135,7 +136,7 @@ def test_non_extremal_generator_is_not_a_start_point():
 def test_y83_fan_cones_canonical_and_not():
     df = _y83_deformation("pi_{3,1}^1")
     canonical, exception = (
-        assemble_fan3(fan_decomposition(df.model, _zero_chain(df, k), df.decomp), df)
+        assemble_fan3(df, _zero_chain(df, k))
         for k in ((1, 2, 1), (2, 1, 2))
     )
     assert canonical.all_canonical
@@ -152,10 +153,12 @@ def _summand_cones(models):
     for m in models:
         for df in all_deformations(m):
             yield df.sigma_prime
-            for k in components_of(df):
-                for pc in fan_decomposition(m, k, df.decomp).pieces:
+            dec = df.decomp
+            m0 = segment(m, dec.h).m0
+            for k in components_of(m, dec):
+                for pc in fan_decomposition(m, k, dec).pieces:
                     if not pc.degenerate:
-                        yield Cone3.over_summands(pc.ends0, pc.ends1, df.p, df.m0)
+                        yield Cone3.over_summands(pc.ends0, pc.ends1, dec.p, m0)
 
 
 def test_gorenstein_functional_matches_fractions():

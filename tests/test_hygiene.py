@@ -5,7 +5,8 @@ never reads; imports of the package's own modules inside a function,
 which hide an import cycle; assert statements, which python -O drops;
 a bare RuntimeError raised where a check raises InvariantError, or a
 class derived from InvariantError; equality or a hash defined outside
-Record, or a record's own index or count; code generated at import; X._make for a record whose __new__ does more than
+Record, or a record's own index or count; a record's property that only
+forwards an attribute of one of its fields; code generated at import; X._make for a record whose __new__ does more than
 pack its parameters; a nested function that calls itself; a memo user
 that the CqsModel docstring does not name, or a name there that uses no
 memo; and module-level definitions,
@@ -348,6 +349,93 @@ def test_value_contract_breaks_are_found(tmp_path):
         "sample.py: Fan.count",
         "sample.py: Value.__ne__",
         "sample.py: Value.__hash__",
+    ]
+
+
+def _forwards(func: ast.FunctionDef) -> bool:
+    """Whether the function's body, docstring aside, is only
+    return self.<name>.<name>."""
+    body = func.body[1:] if ast.get_docstring(func) is not None else func.body
+    return (
+        len(body) == 1
+        and isinstance(body[0], ast.Return)
+        and body[0].value is not None
+        and re.fullmatch(r"self\.\w+\.\w+", ast.unparse(body[0].value)) is not None
+    )
+
+
+def forwarding_properties(paths: list[Path]) -> list[str]:
+    """The properties of the modules' records whose body, docstring
+    aside, is only return self.<field>.<attr>: a second spelling of a
+    fact that the field's own value already names, to be read there."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    records = _subclasses(trees.values(), "Record")
+    return [
+        f"{path.name}: {cls.name}.{item.name}"
+        for path, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name in records
+        for item in cls.body
+        if isinstance(item, ast.FunctionDef)
+        and {ast.unparse(dec) for dec in item.decorator_list} & {"property", "cached_property"}
+        and _forwards(item)
+    ]
+
+
+def test_no_forwarding_properties_on_records():
+    assert forwarding_properties(MODULES) == []
+
+
+def test_forwarding_properties_are_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "class Record(tuple):\n"
+        "    pass\n"
+        "\n"
+        "class Pair(Record):\n"
+        "    @property\n"
+        "    def h(self):\n"
+        "        return self.decomp.h\n"
+        "\n"
+        "    @property\n"
+        "    def label(self):\n"
+        "        \"\"\"The decomposition's label.\"\"\"\n"
+        "        return self.decomp.label\n"
+        "\n"
+        "    @cached_property\n"
+        "    def n(self):\n"
+        "        return self.model.n\n"
+        "\n"
+        "    @property\n"
+        "    def decomp(self):\n"
+        "        return self[1]\n"
+        "\n"
+        "    @property\n"
+        "    def width(self):\n"
+        "        return self.decomp.p * self.decomp.d\n"
+        "\n"
+        "    @property\n"
+        "    def shift(self):\n"
+        "        return segment(self.model, self.decomp.h).m0\n"
+        "\n"
+        "    def kind(self):\n"
+        "        return self.decomp.kind\n"
+        "\n"
+        "class Triple(Pair):\n"
+        "    @property\n"
+        "    def q(self):\n"
+        "        return self.model.q\n"
+        "\n"
+        "class Plain:\n"
+        "    @property\n"
+        "    def h(self):\n"
+        "        return self.decomp.h\n"
+    )
+    assert forwarding_properties([path]) == [
+        "sample.py: Pair.h",
+        "sample.py: Pair.label",
+        "sample.py: Pair.n",
+        "sample.py: Triple.q",
     ]
 
 

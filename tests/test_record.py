@@ -53,7 +53,7 @@ FIELDS = {
     TauCone: ("i", "ray_right", "ray_left", "alpha", "roof_len"),
     PResolutionFan: ("n", "q", "k", "rays", "cones"),
     PieceDecomposition: ("i", "ends0", "ends1", "degenerate"),
-    FanDecomposition: ("k", "decomp", "fan", "pieces"),
+    FanDecomposition: ("k", "decomp", "pieces"),
     MaxCone3: ("tau_index", "cone", "canonical", "rdp_or_smooth"),
     Fan3: ("support", "cones"),
 }
@@ -75,7 +75,7 @@ def _instances(n, q):
         found += [defo, defo.sigma_prime, generator_relations(defo), vm]
         found += [*vm.s.values(), *vm.t.values()]
         found += [general_fiber(defo), *deformation_equations(defo)]
-        fd = fan_decomposition(m, components_of(defo)[0], defo.decomp)
+        fd = fan_decomposition(m, components_of(defo.model, defo.decomp)[0], defo.decomp)
         fan3 = canonical_model(defo)[1]
         found += [fd, *fd.pieces, fan3, *fan3.cones]
     return found

@@ -17,7 +17,7 @@ from cqsdef.resolutions import (
     p_resolution_fan,
     slice_intervals,
 )
-from cqsdef.totalspace import Deformation, all_deformations, build_deformation, components_of
+from cqsdef.totalspace import all_deformations, build_deformation, components_of
 from conftest import (
     decomposition_D,
     decomposition_Dbar,
@@ -40,7 +40,7 @@ def k_of(model, chain):
 
 def defo_by_label(model, label):
     for df in all_deformations(model):
-        if df.label == label:
+        if df.decomp.label == label:
             return df
     raise KeyError(label)
 
@@ -133,19 +133,18 @@ def test_pieces_are_degenerate_with_their_fan_cones():
     assemble_fan3 builds reads the RDP verdict of a nondegenerate tau."""
     for m in iter_models(30):
         for df in all_deformations(m):
-            for k in components_of(df):
+            for k in components_of(df.model, df.decomp):
                 fd = fan_decomposition(m, k, df.decomp)
                 for pc in fd.pieces:
-                    tau = fd.fan.cone_at(pc.i)
-                    assert pc.degenerate == tau.degenerate, (m.n, m.q, df.label, k.k, pc.i)
+                    tau = p_resolution_fan(m, k).cone_at(pc.i)
+                    assert pc.degenerate == tau.degenerate, (m.n, m.q, df.decomp.label, k.k, pc.i)
 
 
 def test_fan_decomposition_golden_sbar2(y83):
     """The barred depth-2 panel: one top interval and two bottom intervals,
     three full-dimensional cones in all."""
     k = k_of(y83, (1, 2, 1))
-    fd = fan_decomposition(y83, k, decomposition_Dbar(segment(y83, 3), 2))
-    fan3 = assemble_fan3(fd, build_deformation(y83, fd.decomp))
+    fan3 = assemble_fan3(build_deformation(y83, decomposition_Dbar(segment(y83, 3), 2)), k)
     assert len(fan3.cones) == 3
     rays = {c.tau_index: set(c.cone.generators) for c in fan3.cones}
     assert rays[4] == {(1, 2, 0), (1, 1, 0), (0, 0, 1)}
@@ -156,8 +155,7 @@ def test_fan_decomposition_golden_sbar2(y83):
 
 def test_fan_decomposition_golden_s_triangle(y83):
     k = k_of(y83, (2, 1, 2))
-    fd = fan_decomposition(y83, k, decomposition_D(segment(y83, 3), 2, 1))
-    fan3 = assemble_fan3(fd, build_deformation(y83, fd.decomp))
+    fan3 = assemble_fan3(build_deformation(y83, decomposition_D(segment(y83, 3), 2, 1)), k)
     assert len(fan3.cones) == 1
     # scaled slice: one top vertex, bottom edge of lattice length one
     assert len(fan3.cones[0].cone.generators) == 3
@@ -183,8 +181,8 @@ def test_fan_decomposition_preconditions(y83):
 
 def test_assemble_support_equals_sigma_prime(y83):
     for df in all_deformations(y83):
-        for k in components_of(df):
-            fan3 = assemble_fan3(fan_decomposition(df.model, k, df.decomp), df)
+        for k in components_of(df.model, df.decomp):
+            fan3 = assemble_fan3(df, k)
             assert set(fan3.support.generators) == set(df.sigma_prime.generators)
             assert all(c.qgorenstein for c in fan3.cones)
 
@@ -192,9 +190,9 @@ def test_assemble_support_equals_sigma_prime(y83):
 def test_golden_panel_canonicity(y83):
     flags = {}
     for df in all_deformations(y83):
-        for k in components_of(df):
+        for k in components_of(df.model, df.decomp):
             fd = fan_decomposition(df.model, k, df.decomp)
-            flags[fd.label] = assemble_fan3(fd, df).all_canonical
+            flags[fd.label] = assemble_fan3(df, k).all_canonical
     assert len(flags) == 8
     assert flags == {
         "S_{2,1}^1[1,2,1]": True,
@@ -215,7 +213,7 @@ def test_is_canonical_examples(y83):
     assert is_canonical_cone3(a1)
     # the single cone of the rejected panel is itself non-canonical
     df = defo_by_label(y83, "pi_{3,1}^1")
-    fan3 = assemble_fan3(fan_decomposition(y83, k_of(y83, (2, 1, 2)), df.decomp), df)
+    fan3 = assemble_fan3(df, k_of(y83, (2, 1, 2)))
     assert len(fan3.cones) == 1
     assert not is_canonical_cone3(fan3.cones[0].cone)
 
@@ -232,7 +230,7 @@ def test_canonical_model_golden(y83):
     }
     for df in all_deformations(y83):
         k, fan = canonical_model(df)
-        assert k.k == expected[df.label]
+        assert k.k == expected[df.decomp.label]
         assert fan.all_canonical
 
 
@@ -241,8 +239,9 @@ def test_artin_mapping_deformations_identify_artin():
     chain."""
     for m in iter_models(16):
         for df in all_deformations(m):
-            bound = m.a(df.h) - (2 if 3 <= df.h <= m.e - 2 else 1)
-            if df.kind == "D" and df.p * df.d < bound or df.kind == "Dbar":
+            kind, h, p, d, _, _ = df.decomp
+            bound = m.a(h) - (2 if 3 <= h <= m.e - 2 else 1)
+            if kind == "D" and p * d < bound or kind == "Dbar":
                 k, _ = canonical_model(df)
                 assert k.k == rdp_chain(m.e)
 
@@ -251,15 +250,14 @@ def test_hull_route_smooth_and_golden(y83):
     smooth = Cone3.from_rays([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert hull_cone_ray_sets(smooth) == {frozenset(smooth.generators)}
 
+    k = k_of(y83, (2, 1, 2))
     df = defo_by_label(y83, "pi_{3,2}^1")
     hull = hull_cone_ray_sets(df.sigma_prime)
-    fd = fan_decomposition(y83, k_of(y83, (2, 1, 2)), df.decomp)
-    assert {frozenset(c.cone.generators) for c in assemble_fan3(fd, df).cones} == hull
+    assert {frozenset(c.cone.generators) for c in assemble_fan3(df, k).cones} == hull
 
     df = defo_by_label(y83, "pi_{3,1}^2")
     hull = hull_cone_ray_sets(df.sigma_prime)
-    fd = fan_decomposition(y83, k_of(y83, (2, 1, 2)), df.decomp)
-    assert {frozenset(c.cone.generators) for c in assemble_fan3(fd, df).cones} == hull
+    assert {frozenset(c.cone.generators) for c in assemble_fan3(df, k).cones} == hull
 
 
 def test_wall_certificate_matches_the_hull_oracle():
@@ -273,8 +271,8 @@ def test_wall_certificate_matches_the_hull_oracle():
         for df in all_deformations(m):
             defos += 1
             hull = None
-            for comp in components_of(df):
-                fan = assemble_fan3(fan_decomposition(m, comp, df.decomp), df)
+            for comp in components_of(df.model, df.decomp):
+                fan = assemble_fan3(df, comp)
                 if not fan.all_canonical:
                     continue
                 hull = hull or hull_cone_ray_sets(df.sigma_prime)
@@ -336,7 +334,7 @@ def test_wall_certificate_survives_optimize():
         "from cqsdef.geometry3 import Cone3, is_canonical_cone3\n"
         "from cqsdef.totalspace import all_deformations\n"
         f"rays = {OCTANT_SPLIT[1]!r}\n"
-        "def reflex(fd, defo):\n"
+        "def reflex(defo, k):\n"
         "    cones = [Cone3.from_rays(r) for r in rays]\n"
         "    return res.Fan3(defo.sigma_prime, tuple(\n"
         "        res.MaxCone3(2 - i, c, is_canonical_cone3(c), False) for i, c in enumerate(cones)))\n"
@@ -444,7 +442,7 @@ def test_roof_and_lift_checks_survive_optimize():
         "from cqsdef.totalspace import Deformation, all_deformations, generator_relations\n"
         "m = cqs_new(8, 3)\n"
         "k = next(k for k in enumerate_K(m) if k.k == (1, 2, 1))\n"
-        "df = next(d for d in all_deformations(m) if d.h == 2)\n"
+        "df = next(d for d in all_deformations(m) if d.decomp.h == 2)\n"
         "generator_relations(df)\n"
         "other = CqsModel(n=m.n, q=m.q, e=m.e, a_chain=(3, 3, 2), w=m.w, sigma=m.sigma)\n"
         "w = m.w[:2] + (m.wgen(4),) + m.w[3:]\n"
@@ -462,16 +460,17 @@ def test_roof_and_lift_checks_survive_optimize():
     ]
 
 
-def test_assemble_fan3_rejects_another_deformation(y83):
-    df = defo_by_label(y83, "pi_{3,1}^1")
-    other = defo_by_label(y83, "pi_{3,1}^2")
-    fd = fan_decomposition(y83, k_of(y83, (1, 2, 1)), df.decomp)
-    with pytest.raises(ValueError, match="is not the deformation of"):
-        assemble_fan3(fd, other)
-    # the same decomposition over another model: the fan holds n and q
-    assemble_fan3(fd, Deformation(cqs_new(8, 3), df.decomp))
-    with pytest.raises(ValueError, match="is not the deformation of"):
-        assemble_fan3(fd, Deformation(cqs_new(11, 3), df.decomp))
+def test_assemble_fan3_rejects_a_component_it_does_not_map_to(y83):
+    """assemble_fan3 reads the fan decomposition of its deformation over k,
+    so a k outside components_of raises fan_decomposition's ValueError."""
+    for df in all_deformations(y83):
+        comps = components_of(df.model, df.decomp)
+        for k in enumerate_K(y83):
+            if k in comps:
+                assemble_fan3(df, k)
+            else:
+                with pytest.raises(ValueError, match="does not map to the component"):
+                    assemble_fan3(df, k)
 
 
 def test_piece_lattice_end_rule_survives_optimize():
@@ -492,14 +491,14 @@ def test_piece_lattice_end_rule_survives_optimize():
         "    ('pi_{3,2}^1', (2, 1, 2), ((0, 1), (1, 1)), ((1, 2), (4, 2))),\n"
         "    ('pi_{3,2}^1', (2, 1, 2), ((0, 1), (1, 1)), ((0, 1), (6, 2))),\n"
         "]:\n"
-        "    df = next(d for d in all_deformations(m) if d.label == label)\n"
+        "    df = next(d for d in all_deformations(m) if d.decomp.label == label)\n"
         "    k = next(k for k in enumerate_K(m) if k.k == chain)\n"
         "    fd = fan_decomposition(m, k, df.decomp)\n"
         "    _validate_piece_admissibility(fd)\n"
         "    pc = fd.pieces[1]\n"
         "    piece = PieceDecomposition(pc.i, ends0, ends1, pc.degenerate)\n"
         "    pieces = (fd.pieces[0], piece) + fd.pieces[2:]\n"
-        "    bad = FanDecomposition(fd.k, fd.decomp, fd.fan, pieces)\n"
+        "    bad = FanDecomposition(fd.k, fd.decomp, pieces)\n"
         "    for _ in range(2):\n"
         "        try:\n"
         "            _validate_piece_admissibility(bad)\n"
@@ -526,19 +525,22 @@ def test_qgorenstein_check_survives_optimize():
         "from cqsdef.lattice import InvariantError\n"
         "from cqsdef.chains import enumerate_K\n"
         "from cqsdef.cqs import cqs_new\n"
+        "import cqsdef.resolutions as res\n"
         "from cqsdef.resolutions import FanDecomposition, PieceDecomposition\n"
         "from cqsdef.resolutions import assemble_fan3, fan_decomposition\n"
         "from cqsdef.totalspace import all_deformations\n"
         "m = cqs_new(8, 3)\n"
-        "df = next(d for d in all_deformations(m) if d.label == 'pi_{2,1}^1')\n"
-        "fd = fan_decomposition(m, next(k for k in enumerate_K(m) if k.k == (1, 2, 1)), df.decomp)\n"
-        "assemble_fan3(fd, df)\n"
+        "df = next(d for d in all_deformations(m) if d.decomp.label == 'pi_{2,1}^1')\n"
+        "k = next(k for k in enumerate_K(m) if k.k == (1, 2, 1))\n"
+        "assemble_fan3(df, k)\n"
+        "fd = fan_decomposition(m, k, df.decomp)\n"
         "ends0, ends1 = ((0, 1), (1, 2)), ((0, 1), (3, 1))\n"
         "pc = fd.pieces[0]\n"
         "piece = PieceDecomposition(i=pc.i, ends0=ends0, ends1=ends1, degenerate=pc.degenerate)\n"
-        "bad = FanDecomposition(fd.k, fd.decomp, fd.fan, (piece,) + fd.pieces[1:])\n"
+        "bad = FanDecomposition(fd.k, fd.decomp, (piece,) + fd.pieces[1:])\n"
+        "res.fan_decomposition = lambda model, k, decomp: bad\n"
         "try:\n"
-        "    assemble_fan3(bad, df)\n"
+        "    assemble_fan3(df, k)\n"
         "except InvariantError as exc:\n"
         "    print(sys.flags.optimize, 'raised:', exc)\n"
     )

@@ -25,7 +25,7 @@ from conftest import (
 
 def defo_by_label(model, label):
     for df in all_deformations(model):
-        if df.label == label:
+        if df.decomp.label == label:
             return df
     raise KeyError(label)
 
@@ -94,13 +94,13 @@ def test_relation_lift_and_dual_cone_checks_survive_optimize():
         "def patched(label, i, da, dd):\n"
         "    def eqs(defo):\n"
         "        out = list(equations(defo))\n"
-        "        if defo.label == label:\n"
+        "        if defo.decomp.label == label:\n"
         "            form, i_, a, m, p, d = out[i - 2]\n"
         "            out[i - 2] = ts.Equation(form, i_, a + da, m, p, d + dd)\n"
         "        return tuple(out)\n"
         "    return eqs\n"
         "m = cqs_new(8, 3)\n"
-        "defos = {df.label: df for df in ts.all_deformations(m)}\n"
+        "defos = {df.decomp.label: df for df in ts.all_deformations(m)}\n"
         "for label, i, da, dd in [('pi_{2,1}^1', 3, 1, 0), ('pi_{3,1}^1', 2, 1, 0),\n"
         "                         ('pibar_{3}^1', 3, 0, 1)]:\n"
         "    ts.deformation_equations = patched(label, i, da, dd)\n"
@@ -128,7 +128,7 @@ def test_lambda_monomial_metadata(y83):
     (0, 0, 1) and (0, p, 0): both are regular on sigma', and they agree on
     the image of phi, the special fiber."""
     df = defo_by_label(y83, "pi_{3,2}^1")
-    lam = ((0, 0, 1), (0, df.p, 0))
+    lam = ((0, 0, 1), (0, df.decomp.p, 0))
     assert lam == ((0, 0, 1), (0, 2, 0))
     for ray in (y83.sigma.ray1, y83.sigma.ray2):
         assert dot3(lam[0], df.phi(ray)) == dot3(lam[1], df.phi(ray))
@@ -138,11 +138,11 @@ def test_lambda_monomial_metadata(y83):
 def test_generator_relations_anchors(y83):
     for df in all_deformations(y83):
         gr = generator_relations(df)
-        h = df.h
+        _, h, p, d, _, _ = df.decomp
         assert gr.v[h - 1] == (0, 1, 0)
         assert gr.v_tilde == (0, 0, 1)
         assert gr.v[h] == (1, 0, 0)
-        assert gr.v[h - 2] == (-1, y83.a(h) - df.p * df.d, df.d)
+        assert gr.v[h - 2] == (-1, y83.a(h) - p * d, d)
 
 
 def test_generator_relations_all_models():
@@ -207,8 +207,8 @@ def test_versal_map_is_the_expanded_main_equation():
     count = 0
     for m in iter_models(60):
         for df in all_deformations(m):
-            main = deformation_equations(df)[df.h - 2]
-            bar = 1 if df.kind == "Dbar" else 0
+            main = deformation_equations(df)[df.decomp.h - 2]
+            bar = 1 if df.decomp.kind == "Dbar" else 0
             k = main.d - bar
             base = k + 1
             factor = poly_pow(Poly({base * main.p: 1, 1: 1}), k)
@@ -220,8 +220,8 @@ def test_versal_map_is_the_expanded_main_equation():
                 if i < top:
                     terms.setdefault(top - i, {})[l] = c
             vm = versal_map(df)
-            assert vm.s == {(main.i, j): Poly(lam) for j, lam in terms.items()}, df.label
-            assert vm.t == ({main.i: Poly.lam()} if bar else {}), df.label
+            assert vm.s == {(main.i, j): Poly(lam) for j, lam in terms.items()}, df.decomp.label
+            assert vm.t == ({main.i: Poly.lam()} if bar else {}), df.decomp.label
             count += 1
     assert count == 22404
 
@@ -241,7 +241,7 @@ def test_theta_rewrite_barred(y83):
     df = defo_by_label(y83, "pibar_{3}^2")
     out = theta_rewrite(k, versal_map(df), y83)
     a_prev = k.alpha_at(2)
-    d = df.d
+    d = df.decomp.d
     for l in range(1, y83.a(3)):
         assert out.s.get((3, l), Poly({})) == Poly.lam(math.comb(d - a_prev, l), l)
 
@@ -257,10 +257,10 @@ def test_theta_rewrite_below_alpha_threshold():
     df = defo_by_label(m, "pibar_{4}^1")  # d = 1 < alpha_3
     rewritten = theta_rewrite(zc, versal_map(df), m)
     assert not lies_in_component(zc, rewritten, m)
-    assert zc not in components_of(df)
+    assert zc not in components_of(df.model, df.decomp)
     # but the chain is reached once d clears the threshold
     df2 = defo_by_label(m, "pibar_{4}^2")
-    assert zc in components_of(df2)
+    assert zc in components_of(df2.model, df2.decomp)
     assert lies_in_component(zc, theta_rewrite(zc, versal_map(df2), m), m)
 
 
@@ -300,7 +300,7 @@ def test_components_golden(y83):
         "pi_{4,1}^1": [(1, 2, 1)],
     }
     for df in all_deformations(y83):
-        assert [k.k for k in components_of(df)] == expect[df.label]
+        assert [k.k for k in components_of(df.model, df.decomp)] == expect[df.decomp.label]
 
 
 def test_every_deformation_has_a_component_and_artin_closure():
@@ -308,9 +308,10 @@ def test_every_deformation_has_a_component_and_artin_closure():
         ks = enumerate_K(m)
         rdp = rdp_chain(m.e)
         for df in all_deformations(m):
-            comps = components_of(df)
+            comps = components_of(df.model, df.decomp)
             assert comps
-            if any(df.p * df.d < m.a(df.h) - k.k_at(df.h) for k in comps):
+            _, h, p, d, _, _ = df.decomp
+            if any(p * d < m.a(h) - k.k_at(h) for k in comps):
                 assert rdp in [k.k for k in comps]
 
 
@@ -328,7 +329,7 @@ def test_component_separation():
         ks = enumerate_K(m)
         defos = all_deformations(m)
         memberships = {
-            df.label: {k.k for k in components_of(df)} for df in defos
+            df.decomp.label: {k.k for k in components_of(df.model, df.decomp)} for df in defos
         }
         for i, k1 in enumerate(ks):
             for k2 in ks[i + 1 :]:
@@ -354,7 +355,7 @@ def test_integer_sigma_prime_matches_rational_rays():
     from fractions import Fraction
 
     from cqsdef.geometry3 import Cone3
-    from cqsdef.minkowski import enum_decompositions
+    from cqsdef.minkowski import enum_decompositions, segment
     from cqsdef.totalspace import build_deformation
 
     checked = 0
@@ -362,14 +363,14 @@ def test_integer_sigma_prime_matches_rational_rays():
         for dec in enum_decompositions(m):
             df = build_deformation(m, dec)
             (b0, g0), (b1, g1) = ([Fraction(*r) for r in e] for e in (dec.ends0, dec.ends1))
-            p = df.p
-            b0, g0 = b0 + df.m0, g0 + df.m0
+            p, m0 = dec.p, segment(m, dec.h).m0
+            b0, g0 = b0 + m0, g0 + m0
             rays = [
                 (b0, Fraction(1), Fraction(0)),
                 (g0, Fraction(1), Fraction(0)),
                 (Fraction(b1) / p, Fraction(0), Fraction(1)),
                 (Fraction(g1) / p, Fraction(0), Fraction(1)),
             ]
-            assert df.sigma_prime == Cone3.from_rays(rays), (m.n, m.q, df.label)
+            assert df.sigma_prime == Cone3.from_rays(rays), (m.n, m.q, dec.label)
             checked += 1
     assert checked == 3455  # every decomposition with n <= 30
