@@ -34,12 +34,12 @@ class CqsModel(Record):
     every interior index.
 
     _memo holds, through cached(), the results that segment,
-    enum_decompositions, enumerate_K, p_resolution_fan, slice_intervals
-    and fan_decomposition derive from this model, keyed by function and
-    arguments; each passes cached() a named builder.  The fibers and the
-    lifts read w itself.  The memo lives and dies with the model and,
-    kept in the instance __dict__, takes no part in equality, hashing or
-    repr.
+    enum_decompositions, enumerate_K, components_of, p_resolution_fan,
+    slice_intervals and fan_decomposition derive from this model, keyed
+    by function and arguments; each passes cached() a named builder.  The
+    fibers and the lifts read w itself.  The memo lives and dies with the
+    model and, kept in the instance __dict__, takes no part in equality,
+    hashing or repr.
     """
 
     def __new__(

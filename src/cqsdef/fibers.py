@@ -58,7 +58,7 @@ def general_fiber(defo: Deformation) -> SingularityList:
     model, dec = defo
     kind, h, p, d, _, _ = dec
     a, pos = model.a_chain, h - 2
-    (n0, d0), (n1, d1) = checked_types(defo)
+    (n0, d0), (n1, d1) = checked_types(model, dec)
     origin, off = chain_type(n0, d0), chain_type(n1, d1)
     if kind == "D":
         raw = ((a[:pos] + (a[pos] - p * d,) + a[pos + 1 :], 1, "origin"), ((d,), p, "off-origin"))
@@ -68,23 +68,24 @@ def general_fiber(defo: Deformation) -> SingularityList:
     return SingularityList(origin=origin, off_origin=off_origin, raw=raw)
 
 
-def is_smoothing(defo: Deformation) -> bool:
-    """Whether the general fiber is smooth: both fiber chains have
-    continuant K(c) <= 1.  The checks of checked_types run; no chain is
-    expanded and no raw chain is built."""
-    (n0, _), (n1, _) = checked_types(defo)
+def is_smoothing(model: CqsModel, dec: Decomposition) -> bool:
+    """Whether the general fiber of the deformation of dec is smooth: both
+    fiber chains have continuant K(c) <= 1.  It is keyed as split_depth
+    and components_of are, so a scan row builds no Deformation.  The
+    checks of checked_types run; no chain is expanded and no raw chain is
+    built."""
+    (n0, _), (n1, _) = checked_types(model, dec)
     return n0 <= 1 and n1 <= 1
 
 
-def checked_types(defo: Deformation) -> tuple[tuple[int, int], tuple[int, int]]:
-    """fiber_types of the deformation, after three checks that run on
-    every call.  Each chain must have the type of the face of sigma' over
+def checked_types(model: CqsModel, dec: Decomposition) -> tuple[tuple[int, int], tuple[int, int]]:
+    """fiber_types of the deformation of dec, after three checks that run
+    on every call.  Each chain must have the type of the face of sigma' over
     its summand (check_faces), a second route through the Minkowski
     summands.  No continuant K(c) may be negative.  A smooth fiber must
     fit the smoothing pattern: d = 1 with p = a_h - 1, or the barred kind
     with a_h = 2 and d = 1.
     """
-    model, dec = defo
     types = fiber_types(model, dec)
     check_faces(dec, types)
     (n0, _), (n1, _) = types

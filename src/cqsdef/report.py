@@ -11,7 +11,7 @@ from json.encoder import encode_basestring_ascii
 from .cqs import CqsModel, cqs_new
 from .lattice import InvariantError
 from .chains import enumerate_K, is_t_singularity
-from .minkowski import segment
+from .minkowski import enum_decompositions, segment
 from .totalspace import (
     all_deformations,
     components_of,
@@ -182,14 +182,14 @@ def scan_row(n: int, q: int) -> dict:
     try:
         model = cqs_new(n, q)
         ks = enumerate_K(model)
-        defos = all_deformations(model)
+        decomps = enum_decompositions(model)
         return {
             "n": n,
             "q": q,
             "e": model.e,
             "num_components": len(ks),
-            "num_deformations": len(defos),
-            "num_smoothings": sum(1 for d in defos if is_smoothing(d)),
+            "num_deformations": len(decomps),
+            "num_smoothings": sum(1 for dec in decomps if is_smoothing(model, dec)),
             "t_singularity": is_t_singularity(model),
         }
     except Exception as exc:  # noqa: BLE001 - per-row fault isolation
@@ -205,48 +205,83 @@ def error_text(exc: BaseException) -> str:
 
 
 def report_to_json(report: dict | list) -> str:
-    """The text of json.dumps(report, indent=2), written in one pass; the
-    report, a report dict or a list of scan rows, holds dicts with str
-    keys, lists, tuples, str, int, bool and None, and any other type
-    raises TypeError, a record (a tuple subclass) included."""
-    out: list[str] = []
-    out.append(_write_json(report, "", "\n", out))
-    return "".join(out)
+    """The text of json.dumps(report, indent=2); the report, a report dict
+    or a list of scan rows, holds dicts with str keys, lists, tuples, str,
+    int, bool and None, and any other type raises TypeError, a record (a
+    tuple subclass) included."""
+    return _json_text(report, 0)
 
 
-def _write_json(value, pending: str, newline: str, out: list[str]) -> str:
-    """Append the JSON text of value to out, after the text pending; every
-    separator and indent waits in pending and goes out joined to the next
-    scalar.  Returns the text still pending: closing brackets and empty
-    containers."""
-    if isinstance(value, str):
-        out.append(pending + encode_basestring_ascii(value))
-        return ""
-    if value is None or value is True or value is False:
-        out.append(pending + ("null" if value is None else "true" if value else "false"))
-        return ""
-    if isinstance(value, int):
-        out.append(pending + int.__repr__(value))
-        return ""
-    inner = newline + "  "
-    if isinstance(value, dict):
+class _Separators(dict):
+    """The separators of a container at each depth, made on first use:
+    list opening, dict opening, between items, list closing, dict
+    closing."""
+
+    def __missing__(self, depth: int) -> tuple[str, str, str, str, str]:
+        inner = "\n" + "  " * (depth + 1)
+        outer = inner[:-2]
+        seps = self[depth] = ("[" + inner, "{" + inner, "," + inner, outer + "]", outer + "}")
+        return seps
+
+
+_SEPARATORS = _Separators()
+
+
+def _json_text(value, depth: int) -> str:
+    """The JSON text of value, nested depth containers deep.  A list or dict
+    joins its items' texts once; an item of exact type int or str is
+    written in the container's loop, any other comes back here.  An int
+    subclass, such as an IntEnum, is written by int.__repr__, as
+    json.dumps writes it."""
+    kind = type(value)
+    if kind is list or kind is tuple:  # not a record, a tuple subclass
         if not value:
-            return pending + "{}"
-        sep = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            pending = _write_json(
-                item, pending + sep + encode_basestring_ascii(key) + ": ", inner, out
-            )
-            sep = "," + inner
-        return pending + newline + "}"
-    if type(value) is list or type(value) is tuple:  # not a record, a tuple subclass
-        if not value:
-            return pending + "[]"
-        sep = "[" + inner
+            return "[]"
+        opening, _, sep, closing, _ = _SEPARATORS[depth]
+        depth += 1
+        items = []
+        add = items.append
         for item in value:
-            pending = _write_json(item, pending + sep, inner, out)
-            sep = "," + inner
-        return pending + newline + "]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            item_type = type(item)
+            add(
+                encode_basestring_ascii(item)
+                if item_type is str
+                else repr(item)
+                if item_type is int
+                else _json_text(item, depth)
+            )
+        return opening + sep.join(items) + closing
+    if kind is dict or isinstance(value, dict):
+        if not value:
+            return "{}"
+        _, opening, sep, _, closing = _SEPARATORS[depth]
+        depth += 1
+        items = []
+        add = items.append
+        for key, item in value.items():
+            item_type = type(item)
+            add(
+                (encode_basestring_ascii(key) if type(key) is str else _key_text(key))
+                + ": "
+                + (
+                    encode_basestring_ascii(item)
+                    if item_type is str
+                    else repr(item)
+                    if item_type is int
+                    else _json_text(item, depth)
+                )
+            )
+        return opening + sep.join(items) + closing
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return encode_basestring_ascii(key)

@@ -312,8 +312,13 @@ def split_depth(model: CqsModel, k: ZeroChain, decomp: Decomposition) -> Optiona
 def components_of(model: CqsModel, decomp: Decomposition) -> list[ZeroChain]:
     """The reduced versal base components that the deformation of decomp
     maps to, keyed as split_depth and fan_decomposition are: the zero
-    chains k of the model for which split_depth gives a depth."""
-    return [k for k in enumerate_K(model) if split_depth(model, k, decomp) is not None]
+    chains k of the model for which split_depth gives a depth.  The model
+    keeps the answer, which a report reads twice per deformation."""
+    return list(model.cached(("components_of", decomp), _build_components_of, model, decomp))
+
+
+def _build_components_of(model: CqsModel, decomp: Decomposition) -> tuple[ZeroChain, ...]:
+    return tuple(k for k in enumerate_K(model) if split_depth(model, k, decomp) is not None)
 
 
 def nu_count(model: CqsModel, k: ZeroChain, h: int, p: int) -> int:

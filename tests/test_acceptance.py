@@ -99,7 +99,7 @@ def test_criterion_1_golden_y83():
         "pibar_{3}^2": ((), [((2, 2), 1)]),
         "pi_{4,1}^1": ((2, 2), []),
     }
-    assert [df.decomp.label for df in defos if is_smoothing(df)] == ["pi_{3,2}^1"]
+    assert [df.decomp.label for df in defos if is_smoothing(*df)] == ["pi_{3,2}^1"]
 
     panel_flags = {}
     for df in defos:
@@ -293,7 +293,7 @@ def test_criterion_8_smoothing_consistency():
     for n, q in all_pairs(60):
         m = cqs_new(n, q)
         for df in all_deformations(m):
-            if is_smoothing(df):  # raises when the pattern is violated
+            if is_smoothing(*df):  # raises when the pattern is violated
                 kind, h, p, d, _, _ = df.decomp
                 if kind == "D":
                     assert d == 1 and p == m.a(h) - 1
@@ -314,7 +314,7 @@ def test_criterion_8_smoothing_consistency():
             h = diff[0] + 2
             p = m.a(h) - zc.k_at(h)
             df = build_deformation(m, decomposition_D(segment(m, h), p, 1))
-            if len(df.sigma_prime.generators) == 3 and is_smoothing(df):
+            if len(df.sigma_prime.generators) == 3 and is_smoothing(*df):
                 found = True
                 break
         assert found, (n, q)
@@ -351,7 +351,7 @@ def _deformation_signature(df):
         fib.off_origin,
         tuple(sorted(k.k for k in components_of(df.model, df.decomp))),
         canonical_model(df)[0].k,
-        is_smoothing(df),
+        is_smoothing(*df),
     )
 
 

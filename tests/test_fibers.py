@@ -6,7 +6,7 @@ from cqsdef import fibers
 from cqsdef.cqs import cqs_new
 from cqsdef.fibers import face_is, general_fiber, is_smoothing
 from cqsdef.lattice import Cone2, InvariantError, cone_normal_form
-from cqsdef.minkowski import Decomposition
+from cqsdef.minkowski import Decomposition, enum_decompositions
 from cqsdef.report import scan_row
 from cqsdef.totalspace import Deformation, all_deformations
 from conftest import iter_models, pair_normal_form, quadratic_blow_down_trace, run_optimized
@@ -42,7 +42,7 @@ def test_golden_raw_chains(y83):
 
 
 def test_smoothing_golden(y83):
-    flags = {df.decomp.label: is_smoothing(df) for df in all_deformations(y83)}
+    flags = {df.decomp.label: is_smoothing(*df) for df in all_deformations(y83)}
     assert flags == {
         "pi_{2,1}^1": False,
         "pi_{3,1}^1": False,
@@ -59,7 +59,7 @@ def test_smoothing_necessary_conditions():
     inside is_smoothing, which raises otherwise)."""
     for m in iter_models(35):
         for df in all_deformations(m):
-            if is_smoothing(df):
+            if is_smoothing(*df):
                 kind, h, p, d, _, _ = df.decomp
                 if kind == "D":
                     assert d == 1 and p == m.a(h) - 1
@@ -97,7 +97,7 @@ def test_general_fiber_matches_blow_down():
             nf = quadratic_blow_down_trace(off)[0]
             assert fib.origin == quadratic_blow_down_trace(origin)[0], df.decomp.label
             assert fib.off_origin == (((nf, mult),) if nf else ()), df.decomp.label
-            assert is_smoothing(df) == fib.is_empty, df.decomp.label
+            assert is_smoothing(*df) == fib.is_empty, df.decomp.label
             count += 1
     assert count == 47838
 
@@ -141,7 +141,7 @@ def test_wrong_d_raises_on_every_call():
     for model in iter_models(30):
         for df in all_deformations(model):
             bad = _with_d_plus_one(df)
-            for call in (general_fiber, is_smoothing, general_fiber):
+            for call in (general_fiber, lambda defo: is_smoothing(*defo), general_fiber):
                 with pytest.raises(InvariantError, match=re.escape(bad.decomp.label)):
                     call(bad)
             count += 1
@@ -161,7 +161,7 @@ def test_face_check_survives_optimize():
         "for df in all_deformations(cqs_new(8, 3)):\n"
         "    kind, h, p, d, ends0, ends1 = df.decomp\n"
         "    bad = Deformation(df.model, Decomposition(kind, h, p, d + 1, ends0, ends1))\n"
-        "    for call in (general_fiber, is_smoothing):\n"
+        "    for call in (general_fiber, lambda defo: is_smoothing(*defo)):\n"
         "        try:\n"
         "            call(bad)\n"
         "        except InvariantError as exc:\n"
@@ -257,6 +257,31 @@ def test_is_smoothing_expands_no_chain(monkeypatch):
         fiber_table(cqs_new(8, 3))
 
 
+def test_scan_rows_build_no_deformation(monkeypatch):
+    """A scan row counts its smoothings over the decompositions, keyed as
+    is_smoothing is: with both constructors of Deformation patched to
+    raise, the 74 scan rows with n in 28..31 still work and equal the
+    unpatched rows."""
+    models = list(iter_models(31, 28))
+    expected = [scan_row(model.n, model.q) for model in models]
+
+    def refuse(*args):
+        raise AssertionError("built a Deformation")
+
+    monkeypatch.setattr(Deformation, "__new__", staticmethod(refuse))
+    monkeypatch.setattr(Deformation, "_make", classmethod(refuse))
+    y83 = cqs_new(8, 3)
+    for build in (
+        lambda: all_deformations(y83),
+        lambda: Deformation(y83, enum_decompositions(y83)[0]),
+    ):
+        with pytest.raises(AssertionError, match="built a Deformation"):
+            build()
+    rows = [scan_row(model.n, model.q) for model in models]
+    assert len(rows) == 74 and not any("error" in row for row in rows)
+    assert rows == expected
+
+
 def test_smoothing_pattern_check_survives_optimize():
     """With both routes forced to a smooth point, the four deformations
     of Y(8,3) at h = 3 other than pi_{3,2}^1 break the smoothing pattern,
@@ -270,7 +295,8 @@ def test_smoothing_pattern_check_survives_optimize():
         "fibers.fiber_types = lambda model, dec: ((1, 0), (1, 0))\n"
         "fibers.check_faces = lambda dec, types: None\n"
         "for df in all_deformations(cqs_new(8, 3)):\n"
-        "    for call in (fibers.general_fiber, fibers.is_smoothing, fibers.general_fiber):\n"
+        "    smoothing = lambda defo: fibers.is_smoothing(*defo)\n"
+        "    for call in (fibers.general_fiber, smoothing, fibers.general_fiber):\n"
         "        try:\n"
         "            call(df)\n"
         "        except InvariantError as exc:\n"
@@ -298,7 +324,8 @@ def test_negative_continuant_check_survives_optimize():
         "fibers.fiber_types = lambda model, dec: ((-1, 0), (3, 1))\n"
         "fibers.check_faces = lambda dec, types: None\n"
         "for df in all_deformations(cqs_new(8, 3)):\n"
-        "    for call in (fibers.general_fiber, fibers.is_smoothing, fibers.general_fiber):\n"
+        "    smoothing = lambda defo: fibers.is_smoothing(*defo)\n"
+        "    for call in (fibers.general_fiber, smoothing, fibers.general_fiber):\n"
         "        try:\n"
         "            call(df)\n"
         "        except InvariantError as exc:\n"

@@ -1,6 +1,8 @@
 import copy
+import enum
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -32,9 +34,13 @@ def test_report_to_json_matches_json_dumps_y83():
 
 
 def test_report_to_json_matches_json_dumps_sample():
+    """Every pair with n <= 20 and 12 seeded pairs with n <= 60, verbose
+    on even n."""
     rng = random.Random(60)
     pairs = [(n, q) for n in range(3, 61) for q in range(1, n - 1) if gcd(n, q) == 1]
-    for n, q in rng.sample(pairs, 12):
+    small = [(n, q) for n, q in pairs if n <= 20]
+    assert len(small) == 108
+    for n, q in small + rng.sample(pairs, 12):
         report = build_report(cqs_new(n, q), verbose=n % 2 == 0)
         assert report_to_json(report) == json.dumps(report, indent=2), (n, q)
 
@@ -55,6 +61,74 @@ def test_report_to_json_matches_json_dumps_synthetic():
     assert report_to_json(value) == json.dumps(value, indent=2)
     for scalar in ([], {}, "x", 3, None, True):
         assert report_to_json(scalar) == json.dumps(scalar, indent=2)
+
+
+def test_report_to_json_matches_json_dumps_300_deep():
+    """No table of depths caps the nesting: lists and dicts alternate 300
+    levels deep, each list with an int, a str and a bool beside the next
+    level and each dict with an int and None."""
+    value = "leaf"
+    for depth in range(300):
+        value = [depth, value, "s", True] if depth % 2 else {"k": value, "i": depth, "n": None}
+    assert report_to_json(value) == json.dumps(value, indent=2)
+
+
+def test_report_to_json_matches_json_dumps_bool_and_none_deep():
+    value = {
+        "a": {"b": [True, False, None, {"c": True, "d": False, "e": None}]},
+        "f": [[None, [False]], {"g": {"h": True}}],
+    }
+    assert report_to_json(value) == json.dumps(value, indent=2)
+
+
+def test_report_to_json_matches_json_dumps_subclasses():
+    """An IntEnum, a str subclass as key and as value and a dict subclass
+    are written as their base types, as json.dumps writes them."""
+
+    class Level(enum.IntEnum):
+        LOW = 1
+        HIGH = 12
+
+    class Name(str):
+        pass
+
+    class Table(dict):
+        pass
+
+    value = {
+        "enum": [Level.LOW, {"v": Level.HIGH}],
+        Name("key"): Name("value"),
+        "table": Table(x=[Table(), Table(y=Name("z"))], level=Level.HIGH),
+        "list": [Name("item"), Table(w=1)],
+    }
+    assert report_to_json(value) == json.dumps(value, indent=2)
+    assert report_to_json(Table(a=Level.LOW)) == json.dumps(Table(a=Level.LOW), indent=2)
+
+
+@pytest.mark.parametrize(
+    "bad, name",
+    [(segment(cqs_new(8, 3), 3), "Segment"), (1.5, "float"), ({1, 2}, "set")],
+)
+def test_report_to_json_rejects_deep_values(bad, name):
+    """A record, a float or a set three levels down raises TypeError
+    naming its type, as a list item and as a dict value."""
+    message = f"Object of type {name} is not JSON serializable"
+    for value in ({"a": [{"b": bad}]}, [{"a": [1, "x", bad]}], {"a": {"b": {"c": bad}}}):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            report_to_json(value)
+
+
+def test_report_to_json_rejects_deep_non_str_keys():
+    for key, name in ((1, "int"), (None, "NoneType"), ((1, 2), "tuple")):
+        with pytest.raises(TypeError, match=f"keys must be str, not {name}"):
+            report_to_json({"a": [{"b": {key: 1}}]})
+
+
+def test_report_to_json_matches_json_dumps_scan_rows():
+    """The rows of scan --json, error rows included, over n in 2..14."""
+    rows = [scan_row(n, q) for n in range(2, 15) for q in range(0, n + 1)]
+    assert any("error" in row for row in rows) and any("e" in row for row in rows)
+    assert report_to_json(rows) == json.dumps(rows, indent=2)
 
 
 @pytest.mark.parametrize("bad", [{"x": 1.5}, {"x": {1, 2}}, {1: "int key"}, [object()]])
