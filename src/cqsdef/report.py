@@ -26,58 +26,62 @@ SCHEMA_VERSION = 1
 
 
 def build_report(model: CqsModel, verbose: bool = False) -> dict:
-    """Assemble the complete analysis of the singularity of model."""
+    """Assemble the complete analysis of the singularity of model in one
+    pass per layer, each reading only what earlier passes built: model and
+    zero chains; slices and decompositions; sigma'; relations, equations,
+    versal map and components; fibers; fan decompositions, 2D fans and
+    slice intervals; canonical models; the nu table and validate_report."""
     ks = enumerate_K(model)
     deformations = all_deformations(model)
-
-    defo_records = []
-    smoothing_count = 0
     for defo in deformations:
-        comps = components_of(model, defo.decomp)
-        fiber = general_fiber(defo)
-        smoothing_count += fiber.is_empty
-        can_k, can_fan = canonical_model(defo)
-        relations = generator_relations(defo)
-        rec = defo.to_json()
-        rec.update(
-            generator_relations=relations.to_json(),
-            equations=[eq.to_json() for eq, _ in relations.relations],
-            versal_map=versal_map(defo).to_json(),
-            components=[list(k.k) for k in comps],
+        defo.sigma_prime  # noqa: B018 - built and kept on defo
+    relations = [generator_relations(defo) for defo in deformations]
+    versal = [versal_map(defo) for defo in deformations]
+    comps = [components_of(model, defo.decomp) for defo in deformations]
+    fibers = [general_fiber(defo) for defo in deformations]
+    fan_decomps = [
+        [fan_decomposition(model, k, defo.decomp) for k in ks_of]
+        for defo, ks_of in zip(deformations, comps)
+    ]
+    p_fans = [p_resolution_fan(model, k) for k in ks]
+    canonical = [canonical_model(defo) for defo in deformations]
+
+    defo_records = [
+        dict(
+            defo.to_json(),
+            generator_relations=rel.to_json(),
+            equations=[eq.to_json() for eq, _ in rel.relations],
+            versal_map=vmap.to_json(),
+            components=[list(k.k) for k in ks_of],
             fiber=fiber.to_json(verbose=verbose),
             is_smoothing=fiber.is_empty,
-            simultaneous_resolutions=[
-                fan_decomposition(model, k, defo.decomp).to_json() for k in comps
-            ],
+            simultaneous_resolutions=[fd.to_json() for fd in fds],
             canonical_model={"k": list(can_k.k), "fan": can_fan.to_json()},
         )
-        defo_records.append(rec)
+        for defo, rel, vmap, ks_of, fiber, fds, (can_k, can_fan) in zip(
+            deformations, relations, versal, comps, fibers, fan_decomps, canonical
+        )
+    ]
 
-    nu_table = []
-    for k in ks:
-        for h in model.interior_indices():
-            for p in range(1, model.a(h)):
-                cnt = nu_count(model, k, h, p)
-                if cnt:
-                    nu_table.append(
-                        {"k": list(k.k), "h": h, "p": p, "count": cnt}
-                    )
-
+    nu_table = [
+        {"k": list(k.k), "h": h, "p": p, "count": cnt}
+        for k in ks
+        for h in model.interior_indices()
+        for p in range(1, model.a(h))
+        if (cnt := nu_count(model, k, h, p))
+    ]
     report = {
         "schema_version": SCHEMA_VERSION,
         "model": model.to_json(),
         "segments": [segment(model, h).to_json() for h in model.interior_indices()],
-        "components": [
-            dict(k.to_json(), p_resolution=p_resolution_fan(model, k).to_json())
-            for k in ks
-        ],
+        "components": [dict(k.to_json(), p_resolution=f.to_json()) for k, f in zip(ks, p_fans)],
         "deformations": defo_records,
         "nu_table": nu_table,
         "t_singularity": is_t_singularity(model),
         "counts": {
             "components": len(ks),
             "deformations": len(deformations),
-            "smoothings": smoothing_count,
+            "smoothings": sum(fiber.is_empty for fiber in fibers),
         },
     }
     validate_report(report)

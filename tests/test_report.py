@@ -4,6 +4,7 @@ import json
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -13,6 +14,7 @@ import pytest
 import cqsdef.fibers
 import cqsdef.geometry3
 import cqsdef.report
+import cqsdef.resolutions
 import cqsdef.totalspace
 from cqsdef.cqs import CqsModel, cqs_new
 from cqsdef.geometry3 import Cone3
@@ -25,6 +27,7 @@ from cqsdef.report import (
     validate_report,
 )
 from cqsdef.resolutions import FanDecomposition, MaxCone3
+from cqsdef.totalspace import Deformation
 
 
 def test_report_to_json_matches_json_dumps_y83():
@@ -163,13 +166,97 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_build_report_builds_each_deformation_and_fiber_once(monkeypatch):
-    builds = _count_calls(monkeypatch, cqsdef.totalspace, "build_deformation")
-    fibers = _count_calls(monkeypatch, cqsdef.fibers, "general_fiber")
+    """No pass recomputes another's work: each deformation is built, and
+    gets its fiber, relations, versal map, canonical model and record,
+    once, and each (k, decomp) that components_of lists gets its fan
+    decomposition built once."""
+    per_deformation = {
+        name: _count_calls(monkeypatch, module, name)
+        for module, name in [
+            (cqsdef.totalspace, "build_deformation"),
+            (cqsdef.fibers, "general_fiber"),
+            (cqsdef.totalspace, "generator_relations"),
+            (cqsdef.totalspace, "versal_map"),
+            (cqsdef.resolutions, "canonical_model"),
+        ]
+    }
+    records = per_deformation["Deformation.to_json"] = []
+    to_json = Deformation.to_json
+
+    def counting_to_json(defo):
+        records.append(defo)
+        return to_json(defo)
+
+    monkeypatch.setattr(Deformation, "to_json", counting_to_json)
+    fan_builds = _count_calls(monkeypatch, cqsdef.resolutions, "_build_fan_decomposition")
     report = build_report(cqs_new(19, 7))
     count = report["counts"]["deformations"]
     assert count > 0
-    assert len(builds) == count
-    assert len(fibers) == count
+    assert {name: len(calls) for name, calls in per_deformation.items()} == dict.fromkeys(
+        per_deformation, count
+    )
+    listed = Counter(
+        (tuple(k), rec["label"]) for rec in report["deformations"] for k in rec["components"]
+    )
+    assert Counter((k.k, dec.label) for _, k, dec in fan_builds) == listed
+    assert set(listed.values()) == {1} and len(listed) > count
+
+
+# The memo entries that the fan-decomposition pass of build_report builds.
+FAN_PASS_KEYS = {"fan_decomposition", "p_resolution", "slice_intervals"}
+
+
+def _memo_keys_by_pass(monkeypatch, model):
+    """Build the report of model, with the report's fan_decomposition and
+    canonical_model wrapped, and return the memo's keys when the first
+    fan_decomposition call starts (the fan-decomposition pass), when the
+    first canonical_model call starts (the canonical-model pass), after
+    the last canonical_model call and after build_report, and the keys
+    that canonical_model calls added."""
+    fan_decomposition = cqsdef.report.fan_decomposition
+    canonical_model = cqsdef.report.canonical_model
+    marks, added = {}, []
+
+    def first_fan_decomposition(*args):
+        marks.setdefault("fan decompositions", set(model._memo))
+        return fan_decomposition(*args)
+
+    def adding_canonical_model(defo):
+        before = set(model._memo)
+        marks.setdefault("canonical models", before)
+        try:
+            return canonical_model(defo)
+        finally:
+            marks["after canonical models"] = set(model._memo)
+            added.extend(marks["after canonical models"] - before)
+
+    monkeypatch.setattr(cqsdef.report, "fan_decomposition", first_fan_decomposition)
+    monkeypatch.setattr(cqsdef.report, "canonical_model", adding_canonical_model)
+    build_report(model)
+    marks["report"] = set(model._memo)
+    return marks, added
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[(n, q) for n in range(3, 31) for q in range(1, n - 1) if gcd(n, q) == 1], [(101, 29)]],
+    ids=["n<=30", "Y(101,29)"],
+)
+def test_each_memo_entry_is_built_by_its_own_pass(monkeypatch, pairs):
+    """Every fan decomposition, 2D fan and slice-interval entry first
+    appears during build_report's fan-decomposition pass, which runs from
+    the first fan_decomposition call to the first canonical_model call;
+    canonical_model, the record assembly, the nu table and validate_report
+    add no memo entry."""
+    for n, q in pairs:
+        marks, added = _memo_keys_by_pass(monkeypatch, cqs_new(n, q))
+        fan_keys = {
+            key for key in marks["report"] if isinstance(key, tuple) and key[0] in FAN_PASS_KEYS
+        }
+        assert fan_keys and not fan_keys & marks["fan decompositions"], (n, q)
+        assert fan_keys <= marks["canonical models"], (n, q)
+        assert added == [], (n, q)
+        assert marks["report"] == marks["after canonical models"], (n, q)
 
 
 def _count_instances(monkeypatch, cls):

@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+import cqsdef.resolutions as res
 from cqsdef.chains import enumerate_K
 from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import Cone3, is_canonical_cone3
-from cqsdef.lattice import cf_expand, cone_normal_form, dot2
+from cqsdef.lattice import InvariantError, cf_expand, cone_normal_form, dot2
 from cqsdef.minkowski import segment
 from cqsdef.resolutions import (
+    FanDecomposition,
     MaxCone3,
+    PieceDecomposition,
+    _build_fan_decomposition,
     _check_fan_interfaces,
     _convex_across_walls,
     assemble_fan3,
@@ -546,3 +550,90 @@ def test_qgorenstein_check_survives_optimize():
     )
     out = run_optimized("-c", code).stdout.decode()
     assert out == "1 raised: S_{2,1}^1[1,2,1]: the cone over piece 2 is not Q-Gorenstein\n"
+
+
+def _shifted(intervals, i, by):
+    """The slice intervals with cone i's interval moved right by the
+    integer by at its ends (0 for the left end, 1 for the right end)."""
+    (ln, ld), (rn, rd) = intervals[i]
+    return {**intervals, i: ((ln + by[0] * ld, ld), (rn + by[1] * rd, rd))}
+
+
+@pytest.mark.parametrize(
+    "cone, by, message",
+    [(2, (0, 1), r"slice at h has length 2, expected 1"), (4, (1, 1), "do not add up")],
+    ids=["length", "joints"],
+)
+def test_fan_decomposition_rejects_slices_that_do_not_fit(y83, monkeypatch, cone, by, message):
+    """A fan decomposition checks the slice at h against its gap, and that
+    the pieces of each summand run end to end: lengthening the slice of
+    tau_h, or moving the slice of tau_4 off its neighbour, raises."""
+    df, k = defo_by_label(y83, "pi_{2,1}^1"), k_of(y83, (1, 2, 1))
+    intervals = slice_intervals(y83, k, 2)
+    _build_fan_decomposition(y83, k, df.decomp)
+    monkeypatch.setattr(res, "slice_intervals", lambda *args: _shifted(intervals, cone, by))
+    with pytest.raises(InvariantError, match=message):
+        _build_fan_decomposition(y83, k, df.decomp)
+
+
+def test_fan_decomposition_checks_the_lattice_end_rule_of_every_piece(y83, monkeypatch):
+    """Building a fan decomposition puts each of its pieces through
+    lattice_end_fault: the 24 pieces of Y(8,3)'s fan decompositions, which
+    all pass."""
+    faults = []
+    rule = res.lattice_end_fault
+
+    def recording(ends0, ends1, p):
+        faults.append(rule(ends0, ends1, p))
+        return faults[-1]
+
+    monkeypatch.setattr(res, "lattice_end_fault", recording)
+    pieces = 0
+    for df in all_deformations(y83):
+        for k in components_of(y83, df.decomp):
+            pieces += len(_build_fan_decomposition(y83, k, df.decomp).pieces)
+    assert pieces == 24 and faults == [""] * pieces
+
+
+def test_assemble_fan3_checks_the_support(y83):
+    """A fan cone outside sigma', here another deformation's, is an
+    internal failure of assemble_fan3."""
+    df, k = defo_by_label(y83, "pi_{2,1}^1"), k_of(y83, (1, 2, 1))
+    assemble_fan3(df, k)
+    misplaced = build_deformation(y83, df.decomp)
+    # sigma' is kept where cached_property keeps it
+    vars(misplaced)["sigma_prime"] = defo_by_label(y83, "pi_{3,2}^1").sigma_prime
+    with pytest.raises(InvariantError, match=r"the cone over piece \d leaves the support"):
+        assemble_fan3(misplaced, k)
+
+
+def test_assemble_fan3_checks_the_interfaces(y83, monkeypatch):
+    """Two fan cones over the same piece are an internal failure of
+    assemble_fan3."""
+    df, k = defo_by_label(y83, "pi_{2,1}^1"), k_of(y83, (1, 2, 1))
+    assemble_fan3(df, k)
+    pc2, _, pc4 = fan_decomposition(y83, k, df.decomp).pieces
+    again = PieceDecomposition(3, pc2.ends0, pc2.ends1, pc2.degenerate)
+    twice = FanDecomposition(k, df.decomp, (pc2, again, pc4))
+    monkeypatch.setattr(res, "fan_decomposition", lambda model, k, decomp: twice)
+    with pytest.raises(InvariantError, match="adjacent cones"):
+        assemble_fan3(df, k)
+
+
+@pytest.mark.parametrize(
+    "chosen, message",
+    [
+        (lambda k: True, r"exactly one canonical component, got \[\(1, 2, 1\), \(2, 1, 2\)\]"),
+        (lambda k: k.k == (2, 1, 2), r"chosen fan for \(2, 1, 2\) is not canonical"),
+    ],
+    ids=["two-winners", "not-canonical"],
+)
+def test_canonical_model_rejects_a_wrong_choice(y83, monkeypatch, chosen, message):
+    """pi_{3,1}^1 maps to two components, and only the fan over (1,2,1)
+    is canonical: a predicate that picks both, or the single
+    non-canonical cone over (2,1,2), makes canonical_model raise."""
+    df = defo_by_label(y83, "pi_{3,1}^1")
+    assert canonical_model(df)[0].k == (1, 2, 1)
+    monkeypatch.setattr(res, "_canonical_predicate", lambda defo, k: chosen(k))
+    with pytest.raises(InvariantError, match=message):
+        canonical_model(df)
