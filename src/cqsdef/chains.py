@@ -35,9 +35,6 @@ class ZeroChain(Record):
         """k_i with 2 <= i <= e-1."""
         return self.k[i - 2]
 
-    def to_json(self) -> dict:
-        return {"k": list(self.k), "alpha": list(self.alpha)}
-
 
 def zero_chains_bounded(bounds: Sequence[int]) -> list[ZeroChain]:
     """All chains k with 1 <= k_i <= bounds[i] representing zero, in

@@ -68,16 +68,6 @@ class CqsModel(Record):
     def interior_indices(self) -> range:
         return range(2, self.e)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "e": self.e,
-            "a_chain": list(self.a_chain),
-            "dual_generators": [list(v) for v in self.w],
-            "dual_generators_display": [list(to_display_coords(v, self)) for v in self.w],
-        }
-
 
 def cqs_new(n: int, q: int) -> CqsModel:
     """Build the model for Y_(n,q); gcd(n,q)=1, n >= 3 and 0 < q < n-1."""

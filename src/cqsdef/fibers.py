@@ -31,18 +31,6 @@ class SingularityList(Record):
     def is_empty(self) -> bool:
         return not self.origin and not self.off_origin
 
-    def to_json(self, verbose: bool = False) -> dict:
-        out = {
-            "origin": list(self.origin) if self.origin else "smooth",
-            "off_origin": [[list(ch), mult] for ch, mult in self.off_origin],
-        }
-        if verbose:
-            out["raw_chains"] = [
-                {"chain": list(ch), "multiplicity": m, "location": loc}
-                for ch, m, loc in self.raw
-            ]
-        return out
-
 
 def general_fiber(defo: Deformation) -> SingularityList:
     """Fiber singularities over a general parameter value.

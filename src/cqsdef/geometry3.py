@@ -297,9 +297,6 @@ class Cone3(Record):
         x, y, z = p
         return all(r0 * x + r1 * y + r2 * z >= 0 for r0, r1, r2 in self.dual_rays)
 
-    def to_json(self) -> list[list[int]]:
-        return [list(g) for g in self.generators]
-
 
 def _spans(gens: Sequence[IVec3], dual: Sequence[IVec3]) -> tuple[tuple[int, int], ...]:
     """The generic derivation of Cone3.spans: for each dual ray of the cone

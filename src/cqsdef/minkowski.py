@@ -62,15 +62,6 @@ class Segment(Record):
             raise InvariantError(f"ray {ray} does not meet the slice at height {t}")
         return dot2(ray, self.w_next) - t * self.m0, t
 
-    def to_json(self) -> dict:
-        return {
-            "h": self.h,
-            "beta": ratio_text(*self.ends[0]),
-            "gamma": ratio_text(*self.ends[1]),
-            "lattice_points": self.lattice_count,
-            "length": ratio_text(*self.length_ratio),
-        }
-
 
 def segment(model: CqsModel, h: int) -> Segment:
     """The slice Q_sigma(w^h) in canonical coordinates, 2 <= h <= e-1."""
@@ -158,15 +149,6 @@ class Decomposition(Record):
         fault = lattice_end_fault(ends0, ends1, p)
         if fault:
             raise InvariantError(self.label + fault)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "h": self.h,
-            "p": self.p,
-            "d": self.d,
-            "summands": [[ratio_text(*r) for r in ends] for ends in (self.ends0, self.ends1)],
-        }
 
 
 def lattice_end_fault(ends0: tuple[Ratio, Ratio], ends1: tuple[Ratio, Ratio], p: int) -> str:

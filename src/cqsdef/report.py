@@ -1,6 +1,8 @@
 """Full analysis of one singularity as a JSON-able report, plus the scan
-rows used for batch runs.  The human-readable rendering is a projection of
-the JSON report, never computed separately.
+rows used for batch runs.  This module alone knows the report's schema:
+build_report writes every field, validate_report checks it, and the
+human-readable rendering is a projection of it, never computed
+separately.  No library record knows JSON.
 """
 
 from __future__ import annotations
@@ -8,11 +10,14 @@ from __future__ import annotations
 from collections import Counter
 from json.encoder import encode_basestring_ascii
 
-from .cqs import CqsModel, cqs_new
-from .lattice import InvariantError
+from .cqs import CqsModel, cqs_new, display_n_point, to_display_coords
+from .lattice import InvariantError, ratio_text
 from .chains import enumerate_K, is_t_singularity
 from .minkowski import enum_decompositions, segment
+from .geometry3 import Cone3
 from .totalspace import (
+    Equation,
+    Poly,
     all_deformations,
     components_of,
     generator_relations,
@@ -20,7 +25,7 @@ from .totalspace import (
     versal_map,
 )
 from .fibers import general_fiber, is_smoothing
-from .resolutions import canonical_model, fan_decomposition, p_resolution_fan
+from .resolutions import FanDecomposition, canonical_model, fan_decomposition, p_resolution_fan
 
 SCHEMA_VERSION = 1
 
@@ -30,7 +35,9 @@ def build_report(model: CqsModel, verbose: bool = False) -> dict:
     pass per layer, each reading only what earlier passes built: model and
     zero chains; slices and decompositions; sigma'; relations, equations,
     versal map and components; fibers; fan decompositions, 2D fans and
-    slice intervals; canonical models; the nu table and validate_report."""
+    slice intervals; canonical models.  Then it writes every field of the
+    report from what the passes built, each fiber's raw chains only when
+    verbose, and checks the result with validate_report."""
     ks = enumerate_K(model)
     deformations = all_deformations(model)
     for defo in deformations:
@@ -46,22 +53,76 @@ def build_report(model: CqsModel, verbose: bool = False) -> dict:
     p_fans = [p_resolution_fan(model, k) for k in ks]
     canonical = [canonical_model(defo) for defo in deformations]
 
-    defo_records = [
-        dict(
-            defo.to_json(),
-            generator_relations=rel.to_json(),
-            equations=[eq.to_json() for eq, _ in rel.relations],
-            versal_map=vmap.to_json(),
-            components=[list(k.k) for k in ks_of],
-            fiber=fiber.to_json(verbose=verbose),
-            is_smoothing=fiber.is_empty,
-            simultaneous_resolutions=[fd.to_json() for fd in fds],
-            canonical_model={"k": list(can_k.k), "fan": can_fan.to_json()},
+    n, q = model.n, model.q
+    defo_records = []
+    for defo, rel, vmap, ks_of, fiber, fds, (can_k, can_fan) in zip(
+        deformations, relations, versal, comps, fibers, fan_decomps, canonical
+    ):
+        dec = defo.decomp
+        kind, h, p, d, ends0, ends1 = dec
+        fiber_record = {
+            "origin": list(fiber.origin) if fiber.origin else "smooth",
+            "off_origin": [[list(ch), mult] for ch, mult in fiber.off_origin],
+        }
+        if verbose:
+            fiber_record["raw_chains"] = [
+                {"chain": list(ch), "multiplicity": mult, "location": loc}
+                for ch, mult, loc in fiber.raw
+            ]
+        defo_records.append(
+            {
+                "label": dec.label,
+                "kind": kind,
+                "h": h,
+                "p": p,
+                "d": d,
+                "degree_display": [p * u for u in to_display_coords(model.wgen(h), model)],
+                "decomposition": {
+                    "kind": kind,
+                    "h": h,
+                    "p": p,
+                    "d": d,
+                    "summands": [[ratio_text(*r) for r in ends] for ends in (ends0, ends1)],
+                },
+                "sigma_prime_rays": _rays(defo.sigma_prime),
+                "generator_relations": {
+                    "v": [list(v) for v in rel.v],
+                    "v_tilde": list(rel.v_tilde),
+                    # binomials, then the bar-side relation at h-1 and the main one at h
+                    "relations": [
+                        {"relation": eq.relation_text(), "value": list(value)}
+                        for eq, value in sorted(
+                            rel.relations, key=lambda pair: pair[0].form != "binomial"
+                        )
+                    ],
+                },
+                "equations": [_equation(eq) for eq, _ in rel.relations],
+                "versal_map": {
+                    "s": {f"s_{i}^({l})": _poly(poly) for (i, l), poly in sorted(vmap.s.items())},
+                    "t": {f"t_{j}": _poly(poly) for j, poly in sorted(vmap.t.items())},
+                },
+                "components": [list(k.k) for k in ks_of],
+                "fiber": fiber_record,
+                "is_smoothing": fiber.is_empty,
+                "simultaneous_resolutions": [_fan_decomposition(fd) for fd in fds],
+                "canonical_model": {
+                    "k": list(can_k.k),
+                    "fan": {
+                        "support": _rays(can_fan.support),
+                        "cones": [
+                            {
+                                "tau_index": c.tau_index,
+                                "rays": _rays(c.cone),
+                                "qgorenstein": c.cone.gorenstein_ratio is not None,
+                                "canonical": c.canonical,
+                                "rdp_or_smooth": c.rdp_or_smooth,
+                            }
+                            for c in can_fan.cones
+                        ],
+                    },
+                },
+            }
         )
-        for defo, rel, vmap, ks_of, fiber, fds, (can_k, can_fan) in zip(
-            deformations, relations, versal, comps, fibers, fan_decomps, canonical
-        )
-    ]
 
     nu_table = [
         {"k": list(k.k), "h": h, "p": p, "count": cnt}
@@ -72,9 +133,47 @@ def build_report(model: CqsModel, verbose: bool = False) -> dict:
     ]
     report = {
         "schema_version": SCHEMA_VERSION,
-        "model": model.to_json(),
-        "segments": [segment(model, h).to_json() for h in model.interior_indices()],
-        "components": [dict(k.to_json(), p_resolution=f.to_json()) for k, f in zip(ks, p_fans)],
+        "model": {
+            "n": n,
+            "q": q,
+            "e": model.e,
+            "a_chain": list(model.a_chain),
+            "dual_generators": [list(v) for v in model.w],
+            "dual_generators_display": [list(to_display_coords(v, model)) for v in model.w],
+        },
+        "segments": [
+            {
+                "h": seg.h,
+                "beta": ratio_text(*seg.ends[0]),
+                "gamma": ratio_text(*seg.ends[1]),
+                "lattice_points": seg.lattice_count,
+                "length": ratio_text(*seg.length_ratio),
+            }
+            for seg in (segment(model, h) for h in model.interior_indices())
+        ],
+        "components": [
+            {
+                "k": list(k.k),
+                "alpha": list(k.alpha),
+                "p_resolution": {
+                    "k": list(k.k),
+                    "rays": [list(v) for v in fan.rays],
+                    "rays_display": [
+                        [ratio_text(*r) for r in display_n_point(v, n, q)] for v in fan.rays
+                    ],
+                    "cones": [
+                        {
+                            "i": t.i,
+                            "alpha": t.alpha,
+                            "roof_length": t.roof_len,
+                            "degenerate": t.degenerate,
+                        }
+                        for t in fan.cones
+                    ],
+                },
+            }
+            for k, fan in zip(ks, p_fans)
+        ],
         "deformations": defo_records,
         "nu_table": nu_table,
         "t_singularity": is_t_singularity(model),
@@ -86,6 +185,49 @@ def build_report(model: CqsModel, verbose: bool = False) -> dict:
     }
     validate_report(report)
     return report
+
+
+def _rays(cone: Cone3) -> list[list[int]]:
+    """The generators of a 3D cone, as a report writes its rays."""
+    return [list(g) for g in cone.generators]
+
+
+def _poly(poly: Poly) -> list[list[int]]:
+    """A polynomial as its [power, coefficient] pairs."""
+    return [[e, c] for e, c in poly.coeffs]
+
+
+def _equation(eq: Equation) -> dict:
+    """An equation: its form, index and text, then a for a binomial or
+    bar-side equation and m, p and d for the main one."""
+    out = {"form": eq.form, "i": eq.i, "text": str(eq)}
+    if eq.form in ("binomial", "bar_side"):
+        out["a"] = eq.a
+    else:
+        out.update({"m": eq.m, "p": eq.p, "d": eq.d})
+    return out
+
+
+def _fan_decomposition(fd: FanDecomposition) -> dict:
+    """A fan decomposition S^d_{h,p}[k] or Sbar^d_h[k], with the ends of
+    the two summands of each piece."""
+    dec = fd.decomp
+    return {
+        "label": fd.label,
+        "kind": "S" if dec.kind == "D" else "Sbar",
+        "k": list(fd.k.k),
+        "h": dec.h,
+        "p": dec.p,
+        "d": dec.d,
+        "pieces": [
+            {
+                "i": pc.i,
+                "s0": [ratio_text(*r) for r in pc.ends0],
+                "s1": [ratio_text(*r) for r in pc.ends1],
+            }
+            for pc in fd.pieces
+        ],
+    }
 
 
 def validate_report(report: dict) -> None:

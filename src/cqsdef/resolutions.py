@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .lattice import Cone2, InvariantError, IVec2, Ratio, cone_normal_form, dot2, ratio_text
-from .cqs import CqsModel, display_n_point
+from .cqs import CqsModel
 from .chains import ZeroChain
 from .minkowski import Decomposition, Segment, lattice_end_fault, segment
 from .totalspace import Deformation, components_of, split_depth
@@ -50,36 +50,16 @@ class TauCone(Record):
 class PResolutionFan(Record):
     """Fan refining the singularity cone of Y_(n,q), one (possibly
     degenerate) cone per chain index, with roofs of lattice length
-    (a_i - k_i)*alpha_i at height alpha_i.  It holds n and q, not the
-    model, whose memo holds the fan."""
+    (a_i - k_i)*alpha_i at height alpha_i.  It does not hold the model,
+    whose memo holds the fan."""
 
     __slots__ = ()
 
-    def __new__(
-        cls, n: int, q: int, k: ZeroChain, rays: tuple[IVec2, ...], cones: tuple[TauCone, ...]
-    ):
-        return tuple.__new__(cls, (n, q, k, rays, cones))
+    def __new__(cls, k: ZeroChain, rays: tuple[IVec2, ...], cones: tuple[TauCone, ...]):
+        return tuple.__new__(cls, (k, rays, cones))
 
     def cone_at(self, i: int) -> TauCone:
         return self.cones[i - 2]
-
-    def to_json(self) -> dict:
-        return {
-            "k": list(self.k.k),
-            "rays": [list(v) for v in self.rays],
-            "rays_display": [
-                [ratio_text(*r) for r in display_n_point(v, self.n, self.q)] for v in self.rays
-            ],
-            "cones": [
-                {
-                    "i": t.i,
-                    "alpha": t.alpha,
-                    "roof_length": t.roof_len,
-                    "degenerate": t.degenerate,
-                }
-                for t in self.cones
-            ],
-        }
 
 
 def p_resolution_fan(model: CqsModel, k: ZeroChain) -> PResolutionFan:
@@ -119,7 +99,7 @@ def _build_p_resolution(model: CqsModel, k: ZeroChain) -> PResolutionFan:
         )
 
     rays = tuple(dict.fromkeys(boundary))
-    return PResolutionFan(n=model.n, q=model.q, k=k, rays=rays, cones=tuple(cones))
+    return PResolutionFan(k=k, rays=rays, cones=tuple(cones))
 
 
 # ---------------------------------------------------------------------------
@@ -160,25 +140,6 @@ class FanDecomposition(Record):
         if dec.kind == "D":
             return f"S_{{{dec.h},{dec.p}}}^{dec.d}[{k_str}]"
         return f"Sbar_{{{dec.h}}}^{dec.d}[{k_str}]"
-
-    def to_json(self) -> dict:
-        dec = self.decomp
-        return {
-            "label": self.label,
-            "kind": "S" if dec.kind == "D" else "Sbar",
-            "k": list(self.k.k),
-            "h": dec.h,
-            "p": dec.p,
-            "d": dec.d,
-            "pieces": [
-                {
-                    "i": pc.i,
-                    "s0": [ratio_text(*r) for r in pc.ends0],
-                    "s1": [ratio_text(*r) for r in pc.ends1],
-                }
-                for pc in self.pieces
-            ],
-        }
 
 
 def fan_decomposition(model: CqsModel, k: ZeroChain, decomp: Decomposition) -> FanDecomposition:
@@ -287,19 +248,6 @@ class MaxCone3(Record):
     def __new__(cls, tau_index: int, cone: Cone3, canonical: bool, rdp_or_smooth: bool):
         return tuple.__new__(cls, (tau_index, cone, canonical, rdp_or_smooth))
 
-    @property
-    def qgorenstein(self) -> bool:
-        return self.cone.gorenstein_ratio is not None
-
-    def to_json(self) -> dict:
-        return {
-            "tau_index": self.tau_index,
-            "rays": self.cone.to_json(),
-            "qgorenstein": self.qgorenstein,
-            "canonical": self.canonical,
-            "rdp_or_smooth": self.rdp_or_smooth,
-        }
-
 
 class Fan3(Record):
     """A three-dimensional fan with support the total-space cone."""
@@ -312,12 +260,6 @@ class Fan3(Record):
     @property
     def all_canonical(self) -> bool:
         return all(c.canonical for c in self.cones)
-
-    def to_json(self) -> dict:
-        return {
-            "support": self.support.to_json(),
-            "cones": [c.to_json() for c in self.cones],
-        }
 
 
 def assemble_fan3(defo: Deformation, k: ZeroChain) -> Fan3:

@@ -11,7 +11,7 @@ from functools import cached_property
 from typing import Optional
 
 from .lattice import InvariantError, IVec2, dot2
-from .cqs import CqsModel, to_display_coords
+from .cqs import CqsModel
 from .chains import ZeroChain, enumerate_K
 from .minkowski import Decomposition, segment, enum_decompositions
 from .geometry3 import Cone3, IVec3, add3
@@ -36,9 +36,6 @@ class Poly(Record):
     @classmethod
     def lam(cls, coeff: int = 1, power: int = 1) -> "Poly":
         return cls({power: coeff})
-
-    def to_json(self) -> list[list[int]]:
-        return [[e, c] for e, c in self.coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -75,30 +72,12 @@ class Deformation(Record):
                     raise InvariantError(f"{dec.label}: slice embedding left the cone")
         return cone
 
-    def degree_display(self) -> tuple[int, int]:
-        model, dec = self
-        u1, u2 = to_display_coords(model.wgen(dec.h), model)
-        return (dec.p * u1, dec.p * u2)
-
     def phi(self, v: IVec2) -> IVec3:
         """The lattice embedding of the base surface into the total space."""
         model, dec = self
         w, w_next = model.w[dec.h - 1], model.w[dec.h]  # w^h, w^{h+1}
         t = dot2(v, w)
         return (dot2(v, w_next), t, dec.p * t)
-
-    def to_json(self) -> dict:
-        dec = self.decomp
-        return {
-            "label": dec.label,
-            "kind": dec.kind,
-            "h": dec.h,
-            "p": dec.p,
-            "d": dec.d,
-            "degree_display": list(self.degree_display()),
-            "decomposition": dec.to_json(),
-            "sigma_prime_rays": self.sigma_prime.to_json(),
-        }
 
 
 def build_deformation(model: CqsModel, decomp: Decomposition) -> Deformation:
@@ -128,17 +107,6 @@ class GeneratorRelations(Record):
         cls, v: tuple[IVec3, ...], v_tilde: IVec3, relations: tuple[tuple[Equation, IVec3], ...]
     ):
         return tuple.__new__(cls, (v, v_tilde, relations))
-
-    def to_json(self) -> dict:
-        # binomials, then the bar-side relation at h-1 and the main one at h
-        ordered = sorted(self.relations, key=lambda rel: rel[0].form != "binomial")
-        return {
-            "v": [list(x) for x in self.v],
-            "v_tilde": list(self.v_tilde),
-            "relations": [
-                {"relation": eq.relation_text(), "value": list(value)} for eq, value in ordered
-            ],
-        }
 
 
 def generator_relations(defo: Deformation) -> GeneratorRelations:
@@ -229,14 +197,6 @@ class Equation(Record):
         text = f"v{i - 1} + {right} = {a or m} v{i}"
         return f"{text} + {d} vtilde" if d else text
 
-    def to_json(self) -> dict:
-        out = {"form": self.form, "i": self.i, "text": str(self)}
-        if self.form in ("binomial", "bar_side"):
-            out["a"] = self.a
-        else:
-            out.update({"m": self.m, "p": self.p, "d": self.d})
-        return out
-
 
 def deformation_equations(defo: Deformation) -> tuple[Equation, ...]:
     """The e-2 equations cutting out the deformed surface, one per
@@ -273,12 +233,6 @@ class VersalMap(Record):
 
     def __new__(cls, s: dict[tuple[int, int], Poly], t: dict[int, Poly]):
         return tuple.__new__(cls, (s, t))
-
-    def to_json(self) -> dict:
-        return {
-            "s": {f"s_{i}^({l})": poly.to_json() for (i, l), poly in sorted(self.s.items())},
-            "t": {f"t_{j}": poly.to_json() for j, poly in sorted(self.t.items())},
-        }
 
 
 def versal_map(defo: Deformation) -> VersalMap:

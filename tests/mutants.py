@@ -121,6 +121,33 @@ MUTANTS = (
         (RES + "test_fan_decomposition_checks_the_lattice_end_rule_of_every_piece",),
     ),
     Mutant(
+        "validate_report: is_smoothing against the fiber",
+        "report.py",
+        '        if rec["is_smoothing"] != smooth:\n',
+        "        if False:\n",
+        (
+            CORRUPTED + "[_flip_is_smoothing-has is_smoothing (True|False) for its fiber]",
+            CORRUPTED + "[_smooth_fiber_not_flagged-has is_smoothing False for its fiber]",
+        ),
+    ),
+    Mutant(
+        "validate_report: unknown component",
+        "report.py",
+        "            if tuple(k) not in k_set:\n",
+        "            if False:\n",
+        (
+            CORRUPTED + "[_drop_component-references unknown component]",
+            CORRUPTED + "[_unknown_component-references unknown component]",
+        ),
+    ),
+    Mutant(
+        "validate_report: unknown canonical component",
+        "report.py",
+        '        if tuple(rec["canonical_model"]["k"]) not in k_set:\n',
+        "        if False:\n",
+        (CORRUPTED + "[_unknown_canonical_k-has unknown canonical component]",),
+    ),
+    Mutant(
         "validate_report: nu-table comparison",
         "report.py",
         "        if catalogue[key] != table.get(key, 0):\n",
@@ -130,6 +157,20 @@ MUTANTS = (
             CORRUPTED + "[_drop_nu_row-component count mismatch at k=]",
             CORRUPTED + "[_drop_deformation-component count mismatch at k=]",
         ),
+    ),
+    Mutant(
+        "validate_report: deformation count",
+        "report.py",
+        '    if counts["deformations"] != len(report["deformations"]):\n',
+        "    if False:\n",
+        (CORRUPTED + "[_wrong_deformation_count-^deformation count mismatch$]",),
+    ),
+    Mutant(
+        "validate_report: component count",
+        "report.py",
+        '    if counts["components"] != len(report["components"]):\n',
+        "    if False:\n",
+        (CORRUPTED + "[_wrong_component_count-^component count mismatch$]",),
     ),
     Mutant(
         "validate_report: smoothing count",

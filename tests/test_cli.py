@@ -98,6 +98,29 @@ def test_outputs_match_the_benchmark_reference(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
+# SHA-256 of the files `cqsdef analyze n q [flags] -o FILE` writes, for the
+# outputs perfbench/reference.json does not pin: the verbose JSON report
+# and the text rendering.
+ANALYZE_DIGESTS = {
+    (8, 3, "--json --verbose"): "2e7fc5000d471bb8977e00baa1a4cc1dae033d9fe51afce225c566c6c5b7dce0",
+    (8, 3, "text"): "75446d178b9caba0884478b78f477cbb003b369c31302cd8bbc7adf111102746",
+    (19, 7, "--json --verbose"): "63cbb81d2b3152c27a757e0b4b87ef0fcb959be15f8d44c79918f6f4e54051d6",
+    (19, 7, "text"): "e52b6cc1f068de9335b5a8a3e4c72d616d1e28647750224446c25061e92779ae",
+    (37, 11, "--json --verbose"): "ac76470dea173d35f7cd6d13054199c24efe0a7b98a57b82d1bdc6e958d853cd",
+    (37, 11, "text"): "2378b7ca8ac062241249fc5b965565cafd25ae99c76f144f5cdf7430c6b1bb0e",
+    (101, 29, "--json --verbose"): "0eaa3374be88229423fdbe98e015d94e367b7717325ab7be7b4d581fc3c269ac",
+    (101, 29, "text"): "5aca820f6aafe1f74bb005a8f3ae77aafd1d2c551273aed65827f3d390dcdf0d",
+}
+
+
+@pytest.mark.parametrize("n, q, flags", sorted(ANALYZE_DIGESTS))
+def test_analyze_bytes_are_pinned(tmp_path, n, q, flags):
+    path = tmp_path / "report"
+    argv = ["analyze", str(n), str(q), *(flags.split() if flags != "text" else [])]
+    assert main([*argv, "-o", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ANALYZE_DIGESTS[n, q, flags]
+
+
 def test_scan_empty_range(capsys):
     code, out, _ = run(capsys, "scan", "--n-range", "9:3", "--json")
     assert code == 0

@@ -10,6 +10,7 @@ from cqsdef.cqs import (
 from cqsdef.chains import enumerate_K, is_t_singularity, ksb_t_singularity
 from cqsdef.lattice import dual_cone, hilbert_basis_2d
 from cqsdef.minkowski import segment, segment_length
+from cqsdef.report import build_report
 from cqsdef.resolutions import p_resolution_fan
 from conftest import iter_models, run_optimized
 
@@ -144,7 +145,7 @@ def test_t_singularity_mismatch_survives_optimize():
 
 
 def test_model_json(y83):
-    js = y83.to_json()
+    js = build_report(y83)["model"]
     assert js["n"] == 8 and js["q"] == 3
     assert js["dual_generators_display"][0] == [0, 8]
 

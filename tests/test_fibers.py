@@ -7,7 +7,7 @@ from cqsdef.cqs import cqs_new
 from cqsdef.fibers import face_is, general_fiber, is_smoothing
 from cqsdef.lattice import Cone2, InvariantError, cone_normal_form
 from cqsdef.minkowski import Decomposition, enum_decompositions
-from cqsdef.report import scan_row
+from cqsdef.report import build_report, scan_row
 from cqsdef.totalspace import Deformation, all_deformations
 from conftest import iter_models, pair_normal_form, quadratic_blow_down_trace, run_optimized
 
@@ -77,11 +77,12 @@ def test_a0_dropped():
 
 
 def test_fiber_json(y83):
-    for df in all_deformations(y83):
-        js = general_fiber(df).to_json()
-        assert set(js) == {"origin", "off_origin"}
-        js_verbose = general_fiber(df).to_json(verbose=True)
-        assert "raw_chains" in js_verbose
+    records = build_report(y83)["deformations"]
+    verbose_records = build_report(y83, verbose=True)["deformations"]
+    assert len(records) == len(verbose_records) == len(all_deformations(y83))
+    for rec, verbose_rec in zip(records, verbose_records):
+        assert set(rec["fiber"]) == {"origin", "off_origin"}
+        assert "raw_chains" in verbose_rec["fiber"]
 
 
 def test_general_fiber_matches_blow_down():

@@ -4,14 +4,16 @@ module already imports, and a local name that a function assigns and
 never reads; imports of the package's own modules inside a function,
 which hide an import cycle; assert statements, which python -O drops;
 a bare RuntimeError raised where a check raises InvariantError, or a
-class derived from InvariantError; equality or a hash defined outside
-Record, or a record's own index or count; a record's property that only
-forwards an attribute of one of its fields; code generated at import; X._make for a record whose __new__ does more than
-pack its parameters; a nested function that calls itself; a memo user
-that the CqsModel docstring does not name, or a name there that uses no
-memo; and module-level definitions,
-methods and properties that nothing references.  Also: importing the command line
-loads no module that only start-up would pay for, and the package
+class derived from InvariantError; a function or method named to_json,
+which would write the report's schema outside report.build_report;
+equality or a hash defined outside Record, or a record's own index or
+count; a record's property that only forwards an attribute of one of its
+fields; code generated at import; X._make for a record whose __new__ does
+more than pack its parameters; a nested function that calls itself; a
+memo user that the CqsModel docstring does not name, or a name there that
+uses no memo; and module-level definitions, methods and properties that
+nothing references.  Also: importing the command line loads no module
+that only start-up would pay for, and the package
 version is the one pyproject.toml declares."""
 
 import ast
@@ -479,6 +481,57 @@ def test_invariant_error_subclasses_are_found(tmp_path):
         "sample.py: ReportError",
         "sample.py: FanError",
         "sample.py: WallError",
+    ]
+
+
+def to_json_definitions(paths: list[Path]) -> list[str]:
+    """The functions and methods named to_json that the modules define:
+    the report's schema is written by report.build_report alone, so no
+    record knows JSON."""
+    out = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for owner in ast.walk(tree):
+            prefix = f"{owner.name}." if isinstance(owner, ast.ClassDef) else ""
+            out.extend(
+                f"{path.name}: {prefix}to_json"
+                for node in ast.iter_child_nodes(owner)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name == "to_json"
+            )
+    return out
+
+
+def test_no_to_json_definitions():
+    assert to_json_definitions(MODULES) == []
+
+
+def test_to_json_definitions_are_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "from .record import Record\n"
+        "\n"
+        "def to_json(value):\n"
+        "    return [value]\n"
+        "\n"
+        "class Pair(Record):\n"
+        "    def to_json(self, verbose=False):\n"
+        "        return {}\n"
+        "\n"
+        "    def to_text(self):\n"
+        "        def to_json():\n"
+        "            return []\n"
+        "        return str(to_json())\n"
+        "\n"
+        "class Writer:\n"
+        "    async def to_json(self):\n"
+        "        return None\n"
+    )
+    assert sorted(to_json_definitions([path])) == [
+        "sample.py: Pair.to_json",
+        "sample.py: Writer.to_json",
+        "sample.py: to_json",
+        "sample.py: to_json",
     ]
 
 

@@ -51,7 +51,7 @@ FIELDS = {
     Poly: ("coeffs",),
     SingularityList: ("origin", "off_origin", "raw"),
     TauCone: ("i", "ray_right", "ray_left", "alpha", "roof_len"),
-    PResolutionFan: ("n", "q", "k", "rays", "cones"),
+    PResolutionFan: ("k", "rays", "cones"),
     PieceDecomposition: ("i", "ends0", "ends1", "degenerate"),
     FanDecomposition: ("k", "decomp", "pieces"),
     MaxCone3: ("tau_index", "cone", "canonical", "rdp_or_smooth"),

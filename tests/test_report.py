@@ -19,15 +19,14 @@ import cqsdef.totalspace
 from cqsdef.cqs import CqsModel, cqs_new
 from cqsdef.geometry3 import Cone3
 from cqsdef.lattice import InvariantError
-from cqsdef.minkowski import Decomposition, enum_decompositions, segment
+from cqsdef.minkowski import enum_decompositions, segment
 from cqsdef.report import (
     build_report,
     report_to_json,
     scan_row,
     validate_report,
 )
-from cqsdef.resolutions import FanDecomposition, MaxCone3
-from cqsdef.totalspace import Deformation
+from cqsdef.resolutions import MaxCone3
 
 
 def test_report_to_json_matches_json_dumps_y83():
@@ -167,9 +166,9 @@ def _count_calls(monkeypatch, module, name):
 
 def test_build_report_builds_each_deformation_and_fiber_once(monkeypatch):
     """No pass recomputes another's work: each deformation is built, and
-    gets its fiber, relations, versal map, canonical model and record,
-    once, and each (k, decomp) that components_of lists gets its fan
-    decomposition built once."""
+    gets its fiber, relations, versal map and canonical model, once, and
+    each (k, decomp) that components_of lists gets its fan decomposition
+    built once."""
     per_deformation = {
         name: _count_calls(monkeypatch, module, name)
         for module, name in [
@@ -180,14 +179,6 @@ def test_build_report_builds_each_deformation_and_fiber_once(monkeypatch):
             (cqsdef.resolutions, "canonical_model"),
         ]
     }
-    records = per_deformation["Deformation.to_json"] = []
-    to_json = Deformation.to_json
-
-    def counting_to_json(defo):
-        records.append(defo)
-        return to_json(defo)
-
-    monkeypatch.setattr(Deformation, "to_json", counting_to_json)
     fan_builds = _count_calls(monkeypatch, cqsdef.resolutions, "_build_fan_decomposition")
     report = build_report(cqs_new(19, 7))
     count = report["counts"]["deformations"]
@@ -271,47 +262,30 @@ def _count_instances(monkeypatch, cls):
     return made
 
 
-def _count_fractions_inside(monkeypatch, methods):
-    """Count the calls of each (class, name) method, and the Fractions
-    constructed while one of them runs."""
-    calls, made, inside = [], [], []
+def _count_fractions(monkeypatch):
+    """The arguments of every Fraction constructed from now on."""
+    made = []
     fraction_new = Fraction.__new__
 
     def counting_new(cls, *args, **kwargs):
-        if inside:
-            made.append(args)
+        made.append(args)
         return fraction_new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    for cls, name in methods:
-        method = getattr(cls, name)
-
-        def wrapped(self, *args, method=method, **kwargs):
-            calls.append(self)
-            inside.append(self)
-            try:
-                return method(self, *args, **kwargs)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(cls, name, wrapped)
-    return calls, made
+    return made
 
 
 def test_build_report_derives_cone_data_once(monkeypatch):
     """Every Cone3 of a report gets its dual rays and facet spans in closed
     form from Cone3.over_summands, so neither dual_rays3 nor the generic
     derivation of the spans is called, and the Gorenstein functional is
-    computed once per fan cone, in integers (Cone3.gorenstein_ratio).  The
-    decompositions and fan decompositions write their ends without building
-    a Fraction."""
+    computed once per fan cone, in integers (Cone3.gorenstein_ratio).  No
+    Fraction is built anywhere in the report."""
     cones = _count_instances(monkeypatch, Cone3)
     fan_cones = _count_instances(monkeypatch, MaxCone3)
     duals = _count_calls(monkeypatch, cqsdef.geometry3, "dual_rays3")
     generic_spans = _count_calls(monkeypatch, cqsdef.geometry3, "_spans")
-    to_json_calls, fractions = _count_fractions_inside(
-        monkeypatch, [(Decomposition, "to_json"), (FanDecomposition, "to_json")]
-    )
+    fractions = _count_fractions(monkeypatch)
     solves = []
     solve = Cone3.gorenstein_ratio.func
 
@@ -325,8 +299,7 @@ def test_build_report_derives_cone_data_once(monkeypatch):
     build_report(cqs_new(19, 7))
     assert cones and duals == [] and generic_spans == []
     assert 0 < len(solves) <= len(fan_cones)
-    kinds = {type(obj) for obj in to_json_calls}
-    assert kinds == {Decomposition, FanDecomposition} and fractions == []
+    assert fractions == []
 
 
 def test_scan_builds_no_3d_cone(monkeypatch):
@@ -371,14 +344,7 @@ def test_report_path_builds_no_fraction(monkeypatch):
     """Reports and scan rows hold every ratio, display coordinates and
     slice lengths included, as integers over a known denominator and
     write it with ratio_text, so neither builds a Fraction."""
-    made = []
-    fraction_new = Fraction.__new__
-
-    def counting_new(cls, *args, **kwargs):
-        made.append(args)
-        return fraction_new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    made = _count_fractions(monkeypatch)
     for n, q in ((8, 3), (101, 29), (151, 75)):
         assert report_to_json(build_report(cqs_new(n, q)))
     assert made == []

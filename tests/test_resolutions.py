@@ -8,6 +8,7 @@ from cqsdef.cqs import cqs_new
 from cqsdef.geometry3 import Cone3, is_canonical_cone3
 from cqsdef.lattice import InvariantError, cf_expand, cone_normal_form, dot2
 from cqsdef.minkowski import segment
+from cqsdef.report import build_report
 from cqsdef.resolutions import (
     FanDecomposition,
     MaxCone3,
@@ -53,7 +54,8 @@ def test_p_resolution_golden_artin(y83):
     fan = p_resolution_fan(y83, k_of(y83, (1, 2, 1)))
     assert list(fan.rays) == [(1, 0), (0, 1), (-1, 3), (-3, 8)]
     # displayed rays match (1,0), (1/8)(3,1), (1/8)(1,3), (0,1)
-    disp = fan.to_json()["rays_display"]
+    (comp,) = [c for c in build_report(y83)["components"] if c["k"] == [1, 2, 1]]
+    disp = comp["p_resolution"]["rays_display"]
     assert disp == [["1", "0"], ["3/8", "1/8"], ["1/8", "3/8"], ["0", "1"]]
     assert all(not t.degenerate for t in fan.cones)
     assert all(t.at_most_rdp for t in fan.cones)
@@ -129,7 +131,13 @@ def test_fan_decomposition_golden_sbar(y83):
     assert by_i[3] == ((Fraction(0), Fraction(1)), (0, 0))
     assert by_i[2] == ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1, 2)))
     assert fd.label == "Sbar_{3}^1[1,2,1]"
-    assert fd.to_json()["kind"] == "Sbar" and fd.to_json()["d"] == 1
+    (js,) = [
+        js
+        for rec in build_report(y83)["deformations"]
+        for js in rec["simultaneous_resolutions"]
+        if js["label"] == fd.label
+    ]
+    assert js["kind"] == "Sbar" and js["d"] == 1
 
 
 def test_pieces_are_degenerate_with_their_fan_cones():
@@ -188,7 +196,7 @@ def test_assemble_support_equals_sigma_prime(y83):
         for k in components_of(df.model, df.decomp):
             fan3 = assemble_fan3(df, k)
             assert set(fan3.support.generators) == set(df.sigma_prime.generators)
-            assert all(c.qgorenstein for c in fan3.cones)
+            assert all(c.cone.gorenstein_ratio is not None for c in fan3.cones)
 
 
 def test_golden_panel_canonicity(y83):

@@ -2,6 +2,7 @@ import math
 
 from cqsdef.chains import enumerate_K
 from cqsdef.geometry3 import dot3
+from cqsdef.report import build_report
 from cqsdef.totalspace import (
     Poly,
     all_deformations,
@@ -343,9 +344,7 @@ def test_component_separation():
 
 
 def test_deformation_json(y83):
-    df = defo_by_label(y83, "pibar_{3}^1")
-    js = df.to_json()
-    assert js["label"] == "pibar_{3}^1"
+    (js,) = [r for r in build_report(y83)["deformations"] if r["label"] == "pibar_{3}^1"]
     assert js["degree_display"] == [2, 2]
 
 
